@@ -118,6 +118,8 @@ def cmd_window(args):
 
 
 def cmd_wigner(args):
+    if args.points < 2:
+        raise DomainError(f"--points must be at least 2, got {args.points}")
     p = _params(args)
     if args.state == "cat":
         state = protocol.ideal_cat(p, require_cat=True)

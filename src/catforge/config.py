@@ -1,7 +1,7 @@
 """Numerical tolerances and limits.
 
-Module constants are the defaults; every operation that depends on one
-accepts an override parameter, and the Fock cap can also be set through
+Module constants are the defaults; many operations that depend on one
+accept an override parameter, and the Fock cap can also be set through
 the CATFORGE_MAX_FOCK environment variable.
 """
 
@@ -27,7 +27,7 @@ FOCK_CAP_ENV = "CATFORGE_MAX_FOCK"
 GL_ORDER = 16
 MAX_PANEL_WIDTH = 0.1
 
-# half-range of quadrature marginals beyond the outermost amplitude
+# half-range of a marginal lobe about its centre; window integrals end there
 MARGINAL_HALF_RANGE = 10.0
 
 # density-matrix eigenvalues above this floor are clipped to zero; below is an error

@@ -5,7 +5,8 @@ The analytic route (cv_core + protocol) and the truncated-Fock route
 runs both over a parameter grid and reports the worst absolute deviation.
 The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the conditioned vector is resolved against the Fock carriers
-of |0> and |s> + |-s>.
+of |0> and |s> + |-s>.  The Fock route of finite-window metrics lives here
+only, as the oracle of protocol.window_metrics.
 """
 
 import math
@@ -33,12 +34,11 @@ class Deviation:
     value: float
 
 
-def oracle_conditioning(p, cap=None):
-    """Run the full pipeline in Fock space and resolve the branch coefficients.
+def oracle_pipeline(p, cap=None):
+    """Pure-Fock sources through the beam splitter: (out, dim, raw_norm2).
 
-    Returns (vac_coeff, cat_coeff, ratio, density_at_0, cond_vector, out, dim):
-    the coefficients are rescaled by the raw (unnormalized) source norm so they
-    are directly comparable to the analytic projection coefficients.
+    out is the normalized two-mode output; raw_norm2 the squared norm of the
+    unnormalized source vector.
     """
     dim = fock_oracle.choose_truncation(SQRT2 * p.alpha0, cap)
     half = complex(math.cos(0.5 * p.phi), math.sin(0.5 * p.phi))
@@ -47,11 +47,26 @@ def oracle_conditioning(p, cap=None):
     raw_norm2 = float(np.vdot(raw, raw).real)
     src = raw / math.sqrt(raw_norm2)
     out = fock_oracle.apply_beam_splitter(fock_oracle.product_state(src, src))
+    return out, dim, raw_norm2
+
+
+def _cat_fock(p, dim):
+    """Half-separation s and the unnormalized Fock carrier of |s> + |-s>."""
+    s = SQRT2 * p.alpha0 * math.sin(0.5 * p.phi)
+    return s, fock_oracle.coherent_fock(s, dim) + fock_oracle.coherent_fock(-s, dim)
+
+
+def oracle_conditioning(p, cap=None):
+    """Run the full pipeline in Fock space and resolve the branch coefficients.
+
+    Returns (vac_coeff, cat_coeff, ratio, density_at_0, cond_vector, out, dim):
+    the coefficients are rescaled by the raw (unnormalized) source norm so they
+    are directly comparable to the analytic projection coefficients.
+    """
+    out, dim, raw_norm2 = oracle_pipeline(p, cap)
     v, dens = fock_oracle.project_quadrature(out, 0.0)
 
-    s = SQRT2 * p.alpha0 * math.sin(0.5 * p.phi)
-    u_cat = (fock_oracle.coherent_fock(s, dim)
-             + fock_oracle.coherent_fock(-s, dim))
+    s, u_cat = _cat_fock(p, dim)
     tail = u_cat[1:]
     tail_norm2 = float(np.vdot(tail, tail).real)
     if tail_norm2 == 0.0:
@@ -65,12 +80,22 @@ def oracle_conditioning(p, cap=None):
     return (c_vac * raw_norm2, c_cat * raw_norm2, ratio, dens, v, out, dim)
 
 
+def oracle_window(p, window, out, dim):
+    """Oracle of protocol.window_metrics on the oracle_pipeline output (out, dim):
+    the windowed density matrix, integrated numerically, against the cat."""
+    rho, prob = fock_oracle.window_state(
+        out, window, fock_oracle.default_panels(window))
+    cat = _cat_fock(p, dim)[1]
+    return prob, fock_oracle.fidelity(rho, cat / np.linalg.norm(cat))
+
+
 def window_metrics_analytic(p, window, panels=None):
     """All-analytic window probability and fidelity via 1D quadrature.
 
-    The windowed density matrix never materializes: probability integrates the
-    closed-form marginal, and the fidelity numerator integrates the squared
-    overlap of the ideal cat with the conditioned (unnormalized) superposition.
+    The loop reference of protocol.window_metrics.  The windowed density
+    matrix never materializes: probability integrates the closed-form
+    marginal, and the fidelity numerator integrates the squared overlap of the
+    ideal cat with the conditioned (unnormalized) superposition.
     """
     if panels is None:
         panels = fock_oracle.default_panels(window)
@@ -117,8 +142,8 @@ def crosscheck_point(p, density_xs=DENSITY_SAMPLES, epsilons=WINDOW_EPSILONS,
 
     for eps in epsilons:
         w = HomodyneWindow(0.0, eps)
-        prob_o, fid_o = protocol.window_metrics(p, w, cap=cap)
-        prob_a, fid_a = window_metrics_analytic(p, w)
+        prob_o, fid_o = oracle_window(p, w, out, dim)
+        prob_a, fid_a = protocol.window_metrics(p, w)
         add(f"window_prob@eps={eps:g}", abs(prob_o - prob_a))
         add(f"window_fid@eps={eps:g}", abs(fid_o - fid_a))
     return devs

@@ -59,31 +59,30 @@ def quadrature_overlap(x, alpha):
     return PI_QUARTER_INV * cmath.exp(arg)
 
 
-def _coalesce(pairs, what, tol):
+def _coalesce(terms, what, tol):
     """Merge terms whose amplitude tuples agree within tol; drop cancelled ones."""
     reps = []
-    for w, key in pairs:
+    for w, *key in terms:
         w = _finite(w, f"{what} weight")
-        key = tuple(_finite(a, f"{what} amplitude") for a in key)
+        key = [_finite(a, f"{what} amplitude") for a in key]
         for entry in reps:
-            if all(abs(a - b) <= tol for a, b in zip(entry[1], key)):
+            if all(abs(a - b) <= tol for a, b in zip(entry[1:], key)):
                 entry[0] += w
                 break
         else:
-            reps.append([w, key])
-    kept = [(w, key) for w, key in reps if w != 0]
+            reps.append([w, *key])
+    kept = tuple(tuple(entry) for entry in reps if entry[0] != 0)
     if not kept:
         raise DegenerateState(f"{what}: every term cancelled under coalescing")
     return kept
 
 
 @dataclass(frozen=True)
-class CoherentSuperposition:
-    """Finite superposition sum_i w_i |alpha_i> of one mode.
+class _Superposition:
+    """Finite superposition; terms holds (weight, amplitude per mode) tuples.
 
-    terms holds (weight, amplitude) pairs; construction through from_terms
-    coalesces amplitudes that agree within the coalescing tolerance.  The
-    normalized flag asserts unit Gram norm.
+    from_terms coalesces terms whose amplitudes agree within the coalescing
+    tolerance.  The normalized flag asserts unit Gram norm.
     """
 
     terms: tuple
@@ -91,39 +90,25 @@ class CoherentSuperposition:
 
     @classmethod
     def from_terms(cls, terms, normalized=False, tol=COALESCE_TOL):
-        merged = _coalesce([(w, (a,)) for w, a in terms], "CoherentSuperposition", tol)
-        out = cls(tuple((w, key[0]) for w, key in merged), normalized)
+        out = cls(_coalesce(terms, cls.__name__, tol), normalized)
         if normalized and abs(superposition_norm(out) - 1.0) > NORMALIZED_TOL:
             raise ValueError("state claimed normalized but Gram norm differs from 1")
         return out
 
     def normalize(self):
         n = superposition_norm(self)
-        return CoherentSuperposition(tuple((w / n, a) for w, a in self.terms), True)
+        return type(self)(tuple((w / n, *amps) for w, *amps in self.terms), True)
+
+
+class CoherentSuperposition(_Superposition):
+    """Finite superposition sum_i w_i |alpha_i> of one mode; terms are (w, alpha)."""
 
     def amplitudes(self):
         return tuple(a for _, a in self.terms)
 
 
-@dataclass(frozen=True)
-class TwoModeSuperposition:
-    """Finite superposition sum_i w_i |a_i>|b_i> of two modes."""
-
-    terms: tuple
-    normalized: bool = False
-
-    @classmethod
-    def from_terms(cls, terms, normalized=False, tol=COALESCE_TOL):
-        merged = _coalesce([(w, (a, b)) for w, a, b in terms], "TwoModeSuperposition", tol)
-        out = cls(tuple((w, key[0], key[1]) for w, key in merged), normalized)
-        if normalized and abs(two_mode_norm(out) - 1.0) > NORMALIZED_TOL:
-            raise ValueError("state claimed normalized but Gram norm differs from 1")
-        return out
-
-    def normalize(self):
-        n = two_mode_norm(self)
-        return TwoModeSuperposition(
-            tuple((w / n, a, b) for w, a, b in self.terms), True)
+class TwoModeSuperposition(_Superposition):
+    """Finite superposition sum_i w_i |a_i>|b_i> of two modes; terms are (w, a, b)."""
 
 
 @dataclass(frozen=True)
@@ -148,13 +133,18 @@ class HomodyneWindow:
         return self.center + self.half_width
 
 
+def gram(a, b):
+    """Gram matrix [[conj(w_i) w_j <a_i|b_j>]] over the terms of a and b, as lists.
+
+    Any mode count: a multi-mode overlap is the product of per-mode overlaps.
+    """
+    return [[math.prod(map(coherent_overlap, ai, bj), start=wi.conjugate() * wj)
+             for wj, *bj in b.terms] for wi, *ai in a.terms]
+
+
 def superposition_inner(a, b):
-    """Hermitian inner product <a|b> of two superpositions."""
-    acc = 0j
-    for wi, ai in a.terms:
-        for wj, aj in b.terms:
-            acc += wi.conjugate() * wj * coherent_overlap(ai, aj)
-    return acc
+    """Hermitian inner product <a|b> of two superpositions: the sum of gram(a, b)."""
+    return sum(g for row in gram(a, b) for g in row)
 
 
 def superposition_norm(s):
@@ -162,23 +152,6 @@ def superposition_norm(s):
     n2 = superposition_inner(s, s).real
     if n2 < DEGENERATE_NORM ** 2:
         raise DegenerateState(f"superposition norm^2 = {n2:.3e} below floor")
-    return math.sqrt(n2)
-
-
-def two_mode_inner(a, b):
-    """<a|b> with Gram entries given by products of per-mode overlaps."""
-    acc = 0j
-    for wi, ai, bi in a.terms:
-        for wj, aj, bj in b.terms:
-            acc += (wi.conjugate() * wj
-                    * coherent_overlap(ai, aj) * coherent_overlap(bi, bj))
-    return acc
-
-
-def two_mode_norm(t):
-    n2 = two_mode_inner(t, t).real
-    if n2 < DEGENERATE_NORM ** 2:
-        raise DegenerateState(f"two-mode norm^2 = {n2:.3e} below floor")
     return math.sqrt(n2)
 
 
@@ -207,41 +180,33 @@ def even_cat(beta):
 
 
 def wigner_point(s, gamma):
-    """Wigner function of a normalized superposition at phase-space point gamma.
+    """Wigner function of a normalized superposition at phase-space point gamma."""
+    g = complex(gamma)
+    return float(wigner_grid(s, [g.real], [g.imag])[0, 0])
+
+
+def wigner_grid(s, re_vals, im_vals):
+    """Wigner function of a normalized superposition on a rectangular grid.
 
     Uses the cross-term kernel of |alpha><beta| projectors,
 
         W(gamma) = (2/pi) sum_ij conj(w_i) w_j <a_i|a_j>
                    exp(-2 (conj(gamma) - conj(a_i)) (gamma - a_j)),
 
-    whose imaginary parts cancel pairwise; the real part is returned.
-    """
-    if not s.normalized:
-        raise ValueError("wigner_point requires a normalized superposition")
-    g = complex(gamma)
-    acc = 0j
-    for wi, ai in s.terms:
-        for wj, aj in s.terms:
-            acc += (wi.conjugate() * wj * coherent_overlap(ai, aj)
-                    * cmath.exp(-2.0 * (g.conjugate() - ai.conjugate()) * (g - aj)))
-    return (2.0 / math.pi) * acc.real
-
-
-def wigner_grid(s, re_vals, im_vals):
-    """Vectorized wigner_point over a rectangular grid.
+    whose imaginary parts cancel pairwise; the real part is returned.  The
+    exponentials are summed one pair at a time, keeping memory at grid size.
 
     Returns W with shape (len(re_vals), len(im_vals)), W[i, j] evaluated at
     gamma = re_vals[i] + 1j * im_vals[j].
     """
     if not s.normalized:
-        raise ValueError("wigner_grid requires a normalized superposition")
+        raise ValueError("the Wigner function requires a normalized superposition")
     re = np.asarray(re_vals, dtype=float)
     im = np.asarray(im_vals, dtype=float)
     g = re[:, None] + 1j * im[None, :]
     gc = np.conjugate(g)
     acc = np.zeros(g.shape, dtype=complex)
-    for wi, ai in s.terms:
-        for wj, aj in s.terms:
-            c = complex(wi).conjugate() * wj * coherent_overlap(ai, aj)
+    for (_, ai), row in zip(s.terms, gram(s, s)):
+        for (_, aj), c in zip(s.terms, row):
             acc += c * np.exp(-2.0 * (gc - complex(ai).conjugate()) * (g - aj))
     return (2.0 / math.pi) * acc.real

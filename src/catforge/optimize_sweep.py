@@ -127,7 +127,7 @@ def find_min_alpha(phi, k=0, validate_numeric=False,
     return exact
 
 
-def window_tradeoff(p, epsilons, cap=None):
+def window_tradeoff(p, epsilons):
     """Probability/fidelity table over a sorted list of window half-widths.
 
     Returns rows (epsilon, probability, fidelity); epsilons must be positive
@@ -140,7 +140,6 @@ def window_tradeoff(p, epsilons, cap=None):
         raise ValueError("epsilons must be positive and strictly increasing")
     rows = []
     for e in eps:
-        prob, fid = protocol.window_metrics(
-            p, protocol.HomodyneWindow(0.0, e), cap=cap)
+        prob, fid = protocol.window_metrics(p, protocol.HomodyneWindow(0.0, e))
         rows.append((e, prob, fid))
     return rows

@@ -9,21 +9,22 @@ the X quadrature of one output near x = 0 leaves the other output in
 
 so the separation of the surviving superposition grows by sqrt(2) while the
 vacuum branch can be switched off entirely: |c1|/|c2| has zeros on
-alpha0^2 sin(phi) = pi/2 + k pi.  Everything here is closed-form; the
-fock_oracle route is used only where a finite acceptance window makes the
-output genuinely mixed.
+alpha0^2 sin(phi) = pi/2 + k pi.  Everything here is closed-form, finite
+acceptance windows included (1D quadratures of Gram sums); crosscheck holds
+the Fock route that checks it.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-from . import fock_oracle
-from .config import ZERO_DENSITY
+import numpy as np
+
+from .config import MARGINAL_HALF_RANGE, MAX_PANEL_WIDTH, ZERO_DENSITY
 from .cv_core import (SQRT2, CoherentSuperposition, HomodyneWindow,
-                      TwoModeSuperposition, beam_splitter_50_50,
-                      coherent_overlap, quadrature_overlap,
-                      superposition_inner)
+                      TwoModeSuperposition, beam_splitter_50_50, gram,
+                      quadrature_overlap, superposition_inner)
+from .fock_oracle import gauss_legendre
 from .errors import DegenerateState, DomainError, ZeroProbability
 
 __all__ = [
@@ -202,72 +203,93 @@ def vacuum_null_alpha(phi, k=0):
 
 
 def _conditioned_terms(p, x):
-    two = interfere(p)
-    terms = [(w * quadrature_overlap(x, a), b) for w, a, b in two.terms]
-    dens = 0.0
-    for wi, bi in terms:
-        for wj, bj in terms:
-            dens += (wi.conjugate() * wj * coherent_overlap(bi, bj)).real
-    return terms, dens
+    # kept-mode terms projected on <x|, unnormalized; their norm^2 is the density
+    kept = CoherentSuperposition(tuple(
+        (w * quadrature_overlap(x, a), b) for w, a, b in interfere(p).terms))
+    return kept, superposition_inner(kept, kept).real
+
+
+def _normalized(kept, dens, x):
+    if dens < ZERO_DENSITY:
+        raise ZeroProbability(
+            f"conditioning density {dens:.3e} at x={x} below floor")
+    return CoherentSuperposition.from_terms(kept.terms).normalize()
 
 
 def homodyne_density(p, x):
     """Probability density of measuring X = x on the monitored output.
 
-    Closed form through the Gram matrix of quadrature overlaps; symmetric in x
-    (every measured-mode amplitude is purely imaginary, so the marginal is a
-    modulated Gaussian centred on the origin) and of unit total mass.
+    Closed form through the Gram matrix of quadrature overlaps; even in x, of
+    unit total mass, with Gaussian lobes at sqrt2 Re(a) for the measured-mode
+    amplitudes a: at 0 for the crossed source pairs and at +-d0 for the aligned.
     """
-    _, dens = _conditioned_terms(p, x)
-    return max(dens, 0.0)
+    return max(_conditioned_terms(p, x)[1], 0.0)
 
 
 def conditional_state(p, x=0.0):
     """Normalized state of the kept mode after conditioning on X = x."""
-    terms, dens = _conditioned_terms(p, x)
-    if dens < ZERO_DENSITY:
-        raise ZeroProbability(
-            f"conditioning density {dens:.3e} at x={x} below floor")
-    return CoherentSuperposition.from_terms(terms).normalize()
+    return _normalized(*_conditioned_terms(p, x), x)
 
 
 def report(p, x=0.0):
     """Bundle of coefficients, fidelity to the ideal cat, and separations."""
     c_vac = vacuum_coefficient(p, x)
     c_cat = cat_coefficient(p, x)
-    cond = conditional_state(p, x)
-    cat = ideal_cat(p)
-    fid = abs(superposition_inner(cat, cond)) ** 2
+    kept, dens = _conditioned_terms(p, x)
+    cond = _normalized(kept, dens, x)
+    fid = abs(superposition_inner(ideal_cat(p), cond)) ** 2
     return PreparedStateReport(
         alpha0=p.alpha0, phi=p.phi, x=x,
         vacuum_coeff=c_vac, cat_coeff=c_cat,
         ratio=abs(c_vac) / abs(c_cat),
         fidelity=fid,
-        density_at_x=homodyne_density(p, x),
+        density_at_x=max(dens, 0.0),
         separations=separations(p))
 
 
-def _pipeline_fock(p, cap=None):
-    """Fock carrier of the post-beam-splitter state (oracle route)."""
-    dim = fock_oracle.choose_truncation(SQRT2 * p.alpha0, cap)
-    src = fock_oracle.superposition_fock(source_state(p), dim)
-    src = src / math.sqrt(float((src.conjugate() * src).sum().real))
-    return fock_oracle.apply_beam_splitter(
-        fock_oracle.product_state(src, src)), dim
+def _window_pieces(window, centres):
+    """Parts of the window within MARGINAL_HALF_RANGE of a marginal lobe centre.
+
+    Every lobe is below exp(-100) beyond that range, so the integrals lose
+    nothing and the node count stays bounded however wide the window.
+    """
+    pieces = []
+    for c in sorted(centres):
+        lo = max(window.lo, c - MARGINAL_HALF_RANGE)
+        hi = min(window.hi, c + MARGINAL_HALF_RANGE)
+        if pieces and lo <= pieces[-1][1]:
+            pieces[-1][1] = max(pieces[-1][1], hi)
+        elif lo < hi:
+            pieces.append([lo, hi])
+    if not pieces:
+        raise ZeroProbability(
+            f"window [{window.lo:g}, {window.hi:g}] misses the homodyne marginal")
+    return pieces
 
 
-def window_metrics(p, window, panels=None, cap=None):
+def window_metrics(p, window):
     """Acceptance probability and cat fidelity for a finite homodyne window.
 
-    A finite window makes the kept mode genuinely mixed, so this is the one
-    protocol quantity that runs on the fock_oracle route: the windowed density
-    matrix is integrated numerically and compared against the ideal cat.
-    Returns (probability, fidelity).
+    The kept mode is mixed, but both are Gram sums.  With Q_ij the integral of
+    conj(q_i) q_j, q_j(x) = <x|a_j> over the measured-mode amplitudes, on
+    Gauss-Legendre panels of width <= MAX_PANEL_WIDTH, and kept the two-mode
+    weights on the kept-mode amplitudes:
+        probability = sum_ij K_ij Q_ij with K = gram(kept, kept),
+        fidelity = u^H Q u / probability, u = column sums of gram(cat, kept).
+    Returns floats; the fidelity is clamped to [0, 1].
     """
-    if panels is None:
-        panels = fock_oracle.default_panels(window)
-    out, dim = _pipeline_fock(p, cap)
-    rho, prob = fock_oracle.window_state(out, window, panels)
-    cat = fock_oracle.superposition_fock(ideal_cat(p), dim)
-    cat = cat / math.sqrt(float((cat.conjugate() * cat).sum().real))
-    return prob, fock_oracle.fidelity(rho, cat)
+    two = interfere(p)
+    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
+    pieces = _window_pieces(window, {SQRT2 * a.real for _, a, _ in two.terms})
+    rules = [gauss_legendre(lo, hi, math.ceil((hi - lo) / MAX_PANEL_WIDTH))
+             for lo, hi in pieces]
+    ws = np.concatenate([w for _, w in rules])
+    q = np.array([[quadrature_overlap(x, a) for _, a, _ in two.terms]
+                  for x in np.concatenate([x for x, _ in rules]).tolist()])
+    quad = (q.conj().T * ws) @ q
+    prob = float(np.sum(np.array(gram(kept, kept)) * quad).real)
+    if prob < ZERO_DENSITY:
+        raise ZeroProbability(f"window probability {prob:.3e} below floor")
+    u = np.array(gram(ideal_cat(p), kept)).sum(axis=0)
+    numer = float((u.conj() @ quad @ u).real)
+    return prob, min(max(numer / prob, 0.0), 1.0)

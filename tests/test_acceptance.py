@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from catforge.crosscheck import oracle_conditioning
+from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import (PI_QUARTER_INV, even_cat, wigner_grid,
                               wigner_point)
 from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
@@ -201,8 +201,7 @@ def test_criterion_09():
             break
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))
         worst_unitary = max(worst_unitary, dev)
-    from catforge.protocol import _pipeline_fock
-    out, _ = _pipeline_fock(ProtocolParams(1.0, 0.1))
+    out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
     xs, ws = gauss_legendre(-8.0, 8.0, 80)
     mass = 0.0
     for x, w in zip(xs, ws):

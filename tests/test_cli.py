@@ -6,6 +6,7 @@ exercised exactly as a shell user sees them.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -161,6 +162,24 @@ class TestWindow:
         assert payload[0]["fidelity"] == row[2]
 
 
+    def test_beyond_the_fock_cap(self, capsys):
+        # the oracle would need Fock dimension 5728 here, above its cap
+        code, out, _ = run(capsys, "window", "--alpha0", "50", "--phi", "0.1",
+                           "--epsilons", "0.1")
+        assert code == 0
+        _, prob, fid = (float(v) for v in out.strip().split("\n")[1].split(","))
+        assert 0.0 < prob <= 1.0 and 0.0 <= fid <= 1.0
+
+    def test_wide_window_is_clipped_to_the_marginal(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "window", "--alpha0", "1", "--phi", "0.3",
+                           "--epsilons", "1e6")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        prob = float(out.strip().split("\n")[1].split(",")[1])
+        assert abs(prob - 1.0) <= 1e-12
+
+
 class TestWigner:
     def test_cat_origin_value(self, capsys):
         code, out, _ = run(capsys, "wigner", "--alpha0", "1",
@@ -181,6 +200,12 @@ class TestWigner:
                            "--state", "cat")
         assert code == 2
         assert "error:" in err
+        for points in ("1", "0", "-3"):
+            code, out, err = run(capsys, "wigner", "--alpha0", "1",
+                                 "--phi", "0.5", "--points", points)
+            assert code == 2
+            assert "--points" in err
+            assert out == ""
 
 
 class TestValidate:

@@ -1,12 +1,16 @@
 """Tests for the analytic-vs-Fock validation layer."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 
 from catforge.crosscheck import (crosscheck_grid, crosscheck_point,
-                                 oracle_conditioning, passes,
+                                 oracle_conditioning, oracle_pipeline,
+                                 oracle_window, passes,
                                  window_metrics_analytic)
+from catforge import fock_oracle, protocol
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DegenerateState
 from catforge.protocol import ProtocolParams, window_metrics
@@ -41,10 +45,15 @@ class TestPointChecks:
     def test_window_routes_agree(self):
         p = ProtocolParams(1.5, 0.3)
         w = HomodyneWindow(0.0, 0.2)
-        prob_fock, fid_fock = window_metrics(p, w)
-        prob_gram, fid_gram = window_metrics_analytic(p, w)
-        assert abs(prob_fock - prob_gram) < 1e-10
-        assert abs(fid_fock - fid_gram) < 1e-10
+        prob, fid = window_metrics(p, w)
+        out, dim, _ = oracle_pipeline(p)
+        prob_fock, fid_fock = oracle_window(p, w, out, dim)
+        prob_loop, fid_loop = window_metrics_analytic(p, w)
+        assert type(prob) is float and type(fid) is float
+        assert abs(prob - prob_fock) < 1e-10
+        assert abs(fid - fid_fock) < 1e-10
+        assert abs(prob - prob_loop) < 1e-13
+        assert abs(fid - fid_loop) < 1e-13
 
 
 class TestGrid:
@@ -59,3 +68,32 @@ class TestGrid:
         assert ok
         assert max_dev == worst.value
         assert math.isfinite(max_dev)
+
+
+def package_imports(module):
+    """(submodule, name) for each name a catforge module imports from the
+    package, relative or absolute; submodule is None for `from . import x`."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update((a.name.partition(".")[2] or None, None)
+                         for a in node.names if a.name.startswith("catforge"))
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level == 0 and not mod.startswith("catforge"):
+                continue
+            if node.level == 0:
+                mod = mod.partition(".")[2]
+            found.update((mod or None, a.name) for a in node.names)
+    return found
+
+
+class TestRouteIndependence:
+    def test_oracle_imports_only_config_and_errors(self):
+        assert {m for m, _ in package_imports(fock_oracle)} <= {"config", "errors"}
+
+    def test_protocol_takes_only_the_quadrature_rule_from_the_oracle(self):
+        imports = package_imports(protocol)
+        assert (None, "fock_oracle") not in imports
+        assert {n for m, n in imports if m == "fock_oracle"} == {"gauss_legendre"}

@@ -16,7 +16,7 @@ from catforge.cv_core import (CoherentSuperposition, HomodyneWindow,
                               TwoModeSuperposition, beam_splitter_50_50,
                               coherent, coherent_overlap, even_cat,
                               quadrature_overlap, superposition_inner,
-                              superposition_norm, two_mode_norm, vacuum,
+                              superposition_norm, vacuum,
                               wigner_grid, wigner_point)
 from catforge.errors import DegenerateState
 
@@ -184,8 +184,8 @@ class TestBeamSplitter:
                       complex(*rng.uniform(-2, 2, 2)),
                       complex(*rng.uniform(-2, 2, 2))) for _ in range(3)]
             t = TwoModeSuperposition.from_terms(terms)
-            assert abs(two_mode_norm(beam_splitter_50_50(t))
-                       - two_mode_norm(t)) < 1e-12
+            assert abs(superposition_norm(beam_splitter_50_50(t))
+                       - superposition_norm(t)) < 1e-12
 
     def test_self_inverse(self):
         # the balanced splitter is an involution on amplitude pairs

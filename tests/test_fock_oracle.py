@@ -220,8 +220,8 @@ class TestProjection:
             project_quadrature(amps, 40.0)
 
     def test_marginal_integrates_to_one(self):
-        from catforge import protocol
-        out, _ = protocol._pipeline_fock(protocol.ProtocolParams(1.0, 0.1))
+        from catforge import crosscheck, protocol
+        out, _, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(1.0, 0.1))
         xs, ws = gauss_legendre(-8.0, 8.0, 80)
         total = 0.0
         for x, w in zip(xs, ws):
@@ -258,8 +258,8 @@ class TestGaussLegendre:
 class TestWindowState:
     @staticmethod
     def pipeline(alpha0=1.0, phi=0.1):
-        from catforge import protocol
-        return protocol._pipeline_fock(protocol.ProtocolParams(alpha0, phi))[0]
+        from catforge import crosscheck, protocol
+        return crosscheck.oracle_pipeline(protocol.ProtocolParams(alpha0, phi))[0]
 
     def test_density_invariants(self):
         out = self.pipeline()

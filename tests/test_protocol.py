@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from catforge.crosscheck import oracle_pipeline
 from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow, even_cat,
                               quadrature_overlap, superposition_inner,
-                              superposition_norm, two_mode_norm, vacuum)
+                              superposition_norm, vacuum)
 from catforge.errors import (DegenerateState, DomainError, TruncationTooLarge,
                              ZeroProbability)
 from catforge.fock_oracle import gauss_legendre
@@ -115,7 +116,7 @@ class TestInterfere:
     def test_normalized(self):
         rng = np.random.default_rng(6)
         for p in params_grid(rng, 20, alpha_max=3.0):
-            assert two_mode_norm(interfere(p)) == pytest.approx(1.0, abs=1e-12)
+            assert superposition_norm(interfere(p)) == pytest.approx(1.0, abs=1e-12)
 
     def test_dark_input(self):
         two = interfere(ProtocolParams(0.0, 1.0))
@@ -362,5 +363,17 @@ class TestWindowMetrics:
         assert fid == pytest.approx(sharp, abs=1e-6)
 
     def test_truncation_guard(self):
+        # the Fock cap belongs to the oracle alone; window_metrics has none
         with pytest.raises(TruncationTooLarge):
-            window_metrics(ProtocolParams(50.0, 0.1), HomodyneWindow(0.0, 0.1))
+            oracle_pipeline(ProtocolParams(50.0, 0.1))
+
+    def test_null_fidelity(self):
+        p = ProtocolParams(vacuum_null_alpha(1e-3), 1e-3)
+        assert p.alpha0 == pytest.approx(39.63, abs=5e-3)
+        for eps in (1e-4, 1e-2, 1e-1, 1.0):
+            _, fid = window_metrics(p, HomodyneWindow(0.0, eps))
+            assert 1.0 - 1e-9 <= fid <= 1.0
+
+    def test_window_off_the_marginal(self):
+        with pytest.raises(ZeroProbability):
+            window_metrics(ProtocolParams(1.0, 0.3), HomodyneWindow(50.0, 0.1))

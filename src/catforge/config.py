@@ -19,8 +19,12 @@ NORMALIZED_TOL = 1e-10
 # conditioning density below this raises ZeroProbability
 ZERO_DENSITY = 1e-30
 
-# default Fock-space dimension cap (desk-scale simulations)
-DEFAULT_FOCK_CAP = 4096
+# default Fock-space dimension cap: a cold crosscheck_point at dimension n
+# takes about FOCK_SECONDS_PER_DIM3 * n^3 seconds (2-core Xeon under KVM, one
+# BLAS thread: 2.0 s at 512, 6.6 s at 768, 9.5 s at 860), so at the cap a
+# crosscheck point finishes in about 10 s
+DEFAULT_FOCK_CAP = 860
+FOCK_SECONDS_PER_DIM3 = 1.5e-8
 FOCK_CAP_ENV = "CATFORGE_MAX_FOCK"
 
 # composite Gauss-Legendre rule used for every 1D window / marginal integral

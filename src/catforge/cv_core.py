@@ -38,11 +38,19 @@ def _finite(z, what):
 
 
 def coherent_overlap(alpha, beta):
-    """Overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha)*beta)."""
+    """Overlap <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha)*beta).
+
+    The exponent is formed from its exact real and imaginary parts,
+    -|alpha - beta|^2/2 + i Im(conj(alpha) (beta - alpha)), both in terms of
+    the difference: the three magnitudes of the textbook form cancel
+    catastrophically once |alpha|, |beta| are large.
+    """
     alpha = complex(alpha)
     beta = complex(beta)
-    mag = (alpha.real ** 2 + alpha.imag ** 2 + beta.real ** 2 + beta.imag ** 2)
-    return cmath.exp(-0.5 * mag + alpha.conjugate() * beta)
+    dr = alpha.real - beta.real
+    di = alpha.imag - beta.imag
+    return cmath.exp(complex(-0.5 * (dr * dr + di * di),
+                             alpha.imag * dr - alpha.real * di))
 
 
 def quadrature_overlap(x, alpha):
@@ -50,12 +58,16 @@ def quadrature_overlap(x, alpha):
 
     Purely imaginary alpha gives pi^(-1/4) at x = 0 exactly: the alpha^2/2 and
     |alpha|^2/2 terms cancel, which is what makes the cat branch coefficient of
-    the conditioning protocol parameter-independent.  The two terms are
-    combined as -alpha^2/2 - |alpha|^2/2 = -Re(alpha) alpha, so the
-    cancellation holds in floating point too, with no rounding residue.
+    the conditioning protocol parameter-independent.  The exponent is formed
+    as its exact real and imaginary parts,
+        -(x - sqrt2 Re(alpha))^2/2 + i Im(alpha) (sqrt2 x - Re(alpha)),
+    so that cancellation holds in floating point too, with no rounding
+    residue, and the real part does not cancel near x = sqrt2 Re(alpha) at
+    large amplitudes.
     """
     alpha = complex(alpha)
-    arg = -0.5 * x * x + SQRT2 * x * alpha - alpha.real * alpha
+    dx = x - SQRT2 * alpha.real
+    arg = complex(-0.5 * dx * dx, alpha.imag * (SQRT2 * x - alpha.real))
     return PI_QUARTER_INV * cmath.exp(arg)
 
 

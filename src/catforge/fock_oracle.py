@@ -2,22 +2,23 @@
 
 This module deliberately shares no formulas with cv_core beyond the state
 definitions: coherent states are expanded into Fock amplitudes, the balanced
-beam splitter is built block-exactly from the binomial expansion of the mapped
-creation operators, and quadrature projections use the normalized Hermite
-function recurrence.  Agreement between the two routes is what validates the
-closed forms.
+beam splitter is built one total-photon block at a time in floats by Risbo's
+Wigner-d recursion at beta = pi/2 (see _bs_blocks), and quadrature
+projections use the normalized Hermite function recurrence.  Agreement
+between the two routes is what validates the closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
 two-mode pure state is a 2D array amps[n, m] with n indexing the measured
 mode and m the output mode; a mixed state is a square density matrix.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .config import (EIG_FLOOR, GL_ORDER, MAX_PANEL_WIDTH, ZERO_DENSITY,
-                     fock_cap)
+from .config import (EIG_FLOOR, FOCK_CAP_ENV, FOCK_SECONDS_PER_DIM3, GL_ORDER,
+                     MAX_PANEL_WIDTH, ZERO_DENSITY, fock_cap)
 from .errors import (DensityValidationError, DimensionMismatch,
                      TruncationTooLarge, ZeroProbability)
 
@@ -29,8 +30,9 @@ def choose_truncation(max_amp, cap=None):
     """Fock dimension guaranteeing coherent tails <= 1e-12 up to |alpha| = max_amp.
 
     The margin ceil(max_amp^2 + 10*max_amp + 20) is far past the Poisson bulk
-    at every scale of interest; dimensions above the cap (default 4096, or the
-    CATFORGE_MAX_FOCK environment variable) raise TruncationTooLarge.
+    at every scale of interest; dimensions above the cap (default
+    DEFAULT_FOCK_CAP, or the CATFORGE_MAX_FOCK environment variable) raise
+    TruncationTooLarge, with the predicted time of a cold crosscheck there.
     """
     if max_amp < 0 or not math.isfinite(max_amp):
         raise ValueError(f"max_amp must be finite and >= 0, got {max_amp}")
@@ -38,7 +40,10 @@ def choose_truncation(max_amp, cap=None):
     limit = fock_cap(cap)
     if n > limit:
         raise TruncationTooLarge(
-            f"requested Fock dimension {n} exceeds cap {limit}")
+            f"requested Fock dimension {n} exceeds cap {limit}: a cold "
+            f"crosscheck there is predicted to take about "
+            f"{FOCK_SECONDS_PER_DIM3 * n ** 3:.3g} s; raise the cap with "
+            f"--max-fock or {FOCK_CAP_ENV}")
     return n
 
 
@@ -65,17 +70,22 @@ def quadrature_eigvec(x, dim):
 
     Stable three-term recurrence
         h_{n+1} = x sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1},
-    seeded by h_0 = pi^(-1/4) exp(-x^2/2).  Dotting with coherent_fock
-    reproduces the closed-form <x|alpha> of cv_core.
+    seeded by h_0 = pi^(-1/4) exp(-x^2/2).  x may be an array of nodes; the
+    recurrence then runs over n for all nodes at once, and the result has
+    shape x.shape + (dim,).  Dotting with coherent_fock reproduces the
+    closed-form <x|alpha> of cv_core.
     """
-    out = np.empty(dim, dtype=float)
-    out[0] = _PI_QUARTER_INV * math.exp(-0.5 * x * x)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((dim,) + x.shape, dtype=float)
+    if x.ndim == 0:
+        x = float(x)  # a float steps through the recurrence faster than a 0-d array
+    out[0] = _PI_QUARTER_INV * np.exp(-0.5 * x * x)
     if dim > 1:
         out[1] = _SQRT2 * x * out[0]
     for n in range(1, dim - 1):
         out[n + 1] = (x * math.sqrt(2.0 / (n + 1)) * out[n]
                       - math.sqrt(n / (n + 1)) * out[n - 1])
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 def product_state(va, vb):
@@ -87,68 +97,64 @@ def product_state(va, vb):
 # balanced beam splitter
 # ---------------------------------------------------------------------------
 
-_BS_CACHE = {}
-
-
 def _bs_blocks(dim):
-    """Photon-number blocks of the balanced beam splitter, exact per block.
+    """Photon-number blocks of the balanced beam splitter, one per total S.
+
+    Yields (lo, U_S) for S = 0 .. 2 dim - 2, where U_S[i, k] is
+    <lo+i, S-lo-i| U |lo+k, S-lo-k> on the occupations lo .. hi of the
+    first mode, lo = max(0, S - dim + 1), hi = min(S, dim - 1); blocks with
+    S >= dim are the truncated square submatrix with both occupations below
+    dim.  Each block is built from the previous one and dropped when the
+    next is yielded, so working memory is O(dim^2) and nothing is kept
+    across calls.
 
     The creation operators map a^dag -> (c^dag + d^dag)/sqrt2 and
-    b^dag -> (c^dag - d^dag)/sqrt2, so within the total-photon-S block
+    b^dag -> (c^dag - d^dag)/sqrt2.  Writing |m, S-m> as
+    (sqrt(m) a^dag |m-1, S-m> + sqrt(S-m) b^dag |m, S-m-1>) / S gives
 
-        <p, S-p| U |m, S-m> = 2^(-S/2) K sqrt(p!(S-p)!/(m!(S-m)!)),
-        K = sum_j C(m, j) C(S-m, p-j) (-1)^((S-m)-(p-j)),
+        U_S[p, m] = (sqrt(m) A[p, m-1] + sqrt(S-m) B[p, m]) / (S sqrt2),
+        A[p, k] = sqrt(p) U_{S-1}[p-1, k] + sqrt(S-p) U_{S-1}[p, k],
+        B[p, k] = sqrt(p) U_{S-1}[p-1, k] - sqrt(S-p) U_{S-1}[p, k],
 
-    with K accumulated in exact integer arithmetic (the alternating binomial
-    sum cancels catastrophically in floats).  Blocks with S >= dim are the
-    truncated square submatrix with both occupations below dim.
+    starting from U_0 = [[1]]: four scaled, shifted outer-product updates
+    per step.  This is Risbo's half-step recursion for the Wigner matrix
+    d^{S/2}(beta) at beta = pi/2, where its cos(beta/2) and sin(beta/2) are
+    both 1/sqrt2 (Risbo, J. Geodesy 70, 383 (1996)), with the sign of the
+    reflection folded in:
+    U_S[p, m] = d^{S/2}[p, m] (-1)^(S-m), p and m counting first-mode
+    photons.  Each entry combines four entries of the previous block with
+    weights below one, with no alternating sum of large terms (the binomial
+    expansion of the same blocks cancels catastrophically in floats): the
+    blocks agree with exact integer arithmetic to 2e-15 at dim 81 and are
+    unitary to 7e-14 at dim 512.  Entry p of U_S needs only entries p-1 and
+    p of U_{S-1}, so the truncated blocks follow from the truncated blocks
+    alone.
     """
-    cached = _BS_CACHE.get(dim)
-    if cached is not None:
-        return cached
-    smax = 2 * dim - 2
-    rows = [[1]]
-    for n in range(1, smax + 1):
-        r = rows[-1]
-        rows.append([1] + [r[j - 1] + r[j] for j in range(1, n)] + [1])
-    fact = [1] * (smax + 1)
-    for n in range(1, smax + 1):
-        fact[n] = fact[n - 1] * n
-    blocks = []
-    for s in range(smax + 1):
-        lo = max(0, s - dim + 1)
-        hi = min(s, dim - 1)
-        size = hi - lo + 1
-        half = 0.5 ** (0.5 * s)
-        mat = np.empty((size, size), dtype=float)
-        occ = range(lo, hi + 1)
-        for a, m in enumerate(occ):
-            rm = rows[m]
-            n2 = s - m
-            rn = rows[n2]
-            den = fact[m] * fact[n2]
-            # the block is symmetric (the one-photon matrix is), fill p >= m
-            for b, p in enumerate(occ):
-                if p < m:
-                    continue
-                jmin = p - n2 if p > n2 else 0
-                jmax = m if m < p else p
-                acc = 0
-                for j in range(jmin, jmax + 1):
-                    t = rm[j] * rn[p - j]
-                    if (n2 - p + j) & 1:
-                        acc -= t
-                    else:
-                        acc += t
-                if acc:
-                    val = acc * math.sqrt((fact[p] * fact[s - p]) / den) * half
-                else:
-                    val = 0.0
-                mat[b, a] = val
-                mat[a, b] = val
-        blocks.append((lo, mat))
-    _BS_CACHE[dim] = blocks
-    return blocks
+    root = np.sqrt(np.arange(2 * dim, dtype=float))
+    lo, mat = 0, np.ones((1, 1))
+    yield lo, mat
+    for s in range(1, 2 * dim - 1):
+        # extend rows and columns lo .. lo+n-1 of U_{S-1} to lo .. lo+n of U_S
+        n = mat.shape[0]
+        up = root[lo + 1:lo + n + 1]                  # sqrt(p), p = lo+1 .. lo+n
+        down = root[s - lo - n + 1:s - lo + 1][::-1]  # sqrt(S-p), p = lo .. lo+n-1
+        raised = up[:, None] * mat
+        kept = down[:, None] * mat
+        a_img = np.zeros((n + 1, n))
+        a_img[1:] = raised
+        b_img = a_img.copy()
+        a_img[:-1] += kept
+        b_img[:-1] -= kept
+        new = np.zeros((n + 1, n + 1))
+        new[:, 1:] = a_img * up
+        new[:, :-1] += b_img * down
+        new *= 1.0 / (s * _SQRT2)
+        if s >= dim:
+            # occupations lo and lo+n leave the truncated square
+            new = new[1:-1, 1:-1]
+            lo += 1
+        mat = new
+        yield lo, mat
 
 
 def apply_beam_splitter(amps):
@@ -162,10 +168,8 @@ def apply_beam_splitter(amps):
     if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
         raise DimensionMismatch(
             f"two-mode state must be square, got shape {amps.shape}")
-    dim = amps.shape[0]
     out = np.zeros_like(amps)
-    blocks = _bs_blocks(dim)
-    for s, (lo, mat) in enumerate(blocks):
+    for s, (lo, mat) in enumerate(_bs_blocks(amps.shape[0])):
         occ = np.arange(lo, lo + mat.shape[0])
         out[occ, s - occ] = mat @ amps[occ, s - occ]
     return out
@@ -195,13 +199,29 @@ def project_quadrature(amps, x):
     return v, dens
 
 
-def gauss_legendre(a, b, panels, order=GL_ORDER):
-    """Composite Gauss-Legendre nodes/weights on [a, b] with equal panels."""
+@functools.cache
+def _gl_rule():
+    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Computed on first use and kept: leggauss takes about 0.4 ms a call, a
+    large share of a closed-form window_metrics call, and it loads enough of
+    numpy's linear algebra to cost 1.7 MiB of peak memory in runs that never
+    integrate over a window.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_legendre(a, b, panels):
+    """Composite GL_ORDER-point Gauss-Legendre nodes/weights on [a, b] with
+    equal panels."""
     if panels < 1:
         raise ValueError(f"panels must be >= 1, got {panels}")
     if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = _gl_rule()
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
@@ -219,22 +239,20 @@ def window_state(amps, window, panels):
     """Conditional output density for acceptance of X in a finite window.
 
     Integrates |v(x)><v(x)| over the window with the composite Gauss-Legendre
-    rule.  Returns (density matrix normalized to unit trace, probability),
-    where probability is the trace before normalization, i.e. the acceptance
-    probability of the window.  Eigenvalues above the roundoff floor are
+    rule: with V[j] = v(x_j) = sum_n h_n(x_j) amps[n, :] projected at every
+    node at once, the integral is V^T diag(w) conj(V).  Returns (density
+    matrix normalized to unit trace, probability), where probability is the
+    trace before normalization, i.e. the acceptance probability of the
+    window.  Eigenvalues above the roundoff floor are
     clipped to zero; anything below it is treated as a genuine failure.
     """
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
     xs, ws = gauss_legendre(window.lo, window.hi, panels)
-    dim_out = amps.shape[1]
-    rho = np.zeros((dim_out, dim_out), dtype=complex)
-    prob = 0.0
-    for x, w in zip(xs, ws):
-        v, dens = _project(amps, x)
-        rho += w * np.outer(v, v.conjugate())
-        prob += w * dens
+    v = quadrature_eigvec(xs, amps.shape[0]) @ amps
+    rho = (v.T * ws) @ v.conjugate()
+    prob = float(np.trace(rho).real)
     if prob < ZERO_DENSITY:
         raise ZeroProbability(f"window probability {prob:.3e} below floor")
     rho = (rho + rho.conjugate().T) / (2.0 * prob)

@@ -95,7 +95,9 @@ def find_min_alpha(phi, k=0, validate_numeric=False,
     """Closed-form k-th optimum alpha0, optionally cross-checked by bisection.
 
     The bisection brackets the sign change of cos(alpha0^2 sin phi) around
-    pi/2 + k pi and must agree with the closed form within tol.
+    pi/2 + k pi and must agree with the closed form within tol relative to
+    max(1, alpha0): at large k the optimum grows past the point where an
+    absolute tol is below one ulp of alpha0.
     """
     exact = protocol.vacuum_null_alpha(phi, k)
     if not validate_numeric:
@@ -108,6 +110,7 @@ def find_min_alpha(phi, k=0, validate_numeric=False,
 
     lo = math.sqrt((u_star - 1.0) / sin_phi)
     hi = math.sqrt((u_star + 1.0) / sin_phi)
+    tol = max(tol, 1e-12) * max(1.0, exact)
     flo = f(lo)
     if flo * f(hi) > 0:
         raise DomainError(f"bisection bracket failed at phi={phi}, k={k}")
@@ -121,7 +124,7 @@ def find_min_alpha(phi, k=0, validate_numeric=False,
             lo = mid
             flo = f(mid)
     numeric = 0.5 * (lo + hi)
-    if abs(numeric - exact) > max(tol, 1e-12):
+    if abs(numeric - exact) > tol:
         raise DomainError(
             f"bisection {numeric!r} disagrees with closed form {exact!r}")
     return exact

@@ -55,6 +55,8 @@ class ProtocolParams:
             raise ValueError("parameters must be finite")
         if a < 0:
             raise ValueError(f"alpha0 must be >= 0, got {a}")
+        if not math.isfinite(a * a):
+            raise ValueError(f"alpha0 = {a:g} is too large: alpha0^2 overflows")
         p = math.fmod(abs(p), 2.0 * math.pi)
         if p > math.pi:
             p = 2.0 * math.pi - p

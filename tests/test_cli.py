@@ -60,6 +60,17 @@ class TestRatio:
         assert out_deg == out_rad
 
 
+    @pytest.mark.parametrize("command", ["ratio", "prepare", "window"])
+    def test_overflowing_alpha0_rejected(self, capsys, command):
+        # alpha0^2 overflows; cli.main must turn that into exit code 2 (an
+        # exception escaping it would fail the test)
+        code, out, err = run(capsys, command, "--alpha0", "1e200",
+                             "--phi", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "alpha0" in err
+
+
 class TestPrepare:
     def test_json_matches_report(self, capsys, tmp_path):
         path = tmp_path / "prep.json"
@@ -128,6 +139,15 @@ class TestOptimize:
             8.332639302478875e-4, abs=1e-15)
         assert float(vals["ratio_at_min"]) < 1e-12
 
+    def test_large_branch_index(self, capsys):
+        # bisection and closed form differ by an ulp of alpha0 ~ 5.6e4
+        code, out, err = run(capsys, "optimize", "--phi", "0.1",
+                             "--k", "100000000")
+        assert code == 0, err
+        vals = parse_keyvals(out)
+        assert float(vals["alpha_min_exact"]) == protocol.vacuum_null_alpha(
+            0.1, 100000000)
+
     def test_invalid_phi(self, capsys):
         code, _, err = run(capsys, "optimize", "--phi", "0")
         assert code == 2
@@ -169,6 +189,17 @@ class TestWindow:
         assert code == 0
         _, prob, fid = (float(v) for v in out.strip().split("\n")[1].split(","))
         assert 0.0 < prob <= 1.0 and 0.0 <= fid <= 1.0
+
+    @pytest.mark.parametrize("alpha0", ["1e3", "1e8"])
+    def test_large_amplitude_wide_window(self, capsys, alpha0):
+        # the 1e9 window holds the whole marginal; the kept mode is then an
+        # equal mixture of the cat and an orthogonal state
+        code, out, _ = run(capsys, "window", "--alpha0", alpha0, "--phi", "0.3",
+                           "--epsilons", "0.1,1e9")
+        assert code == 0
+        _, prob, fid = (float(v) for v in out.strip().split("\n")[2].split(","))
+        assert abs(prob - 1.0) <= 1e-12
+        assert abs(fid - 0.5) <= 1e-12
 
     def test_wide_window_is_clipped_to_the_marginal(self, capsys):
         t0 = time.perf_counter()

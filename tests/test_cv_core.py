@@ -100,6 +100,57 @@ class TestQuadratureOverlap:
             assert abs(total - 1.0) < 1e-8
 
 
+class TestLargeAmplitudeReference:
+    """Both overlaps against 50-digit mpmath at amplitudes 1e2 .. 1e8.
+
+    The float arguments are taken as exact.  Each overlap is exp(e) with a
+    real part of order one here, so the tolerances are a few ulps times the
+    condition number of log|value| and of the phase in the arguments: any
+    double evaluation must lose that much, while a form that cancels
+    |alpha|^2-sized terms loses up to |alpha|^2 ulps.
+    """
+
+    EPS = np.finfo(float).eps
+
+    def check(self, got, want, cond_mod, cond_phase):
+        import mpmath
+        assert abs(math.log(abs(got)) - float(mpmath.log(abs(want)))) \
+            <= 8 * self.EPS * (1 + cond_mod)
+        phase = float(mpmath.arg(want / mpmath.mpc(got)))
+        assert abs(phase) <= 8 * self.EPS * (1 + cond_phase)
+
+    def test_coherent_overlap(self):
+        import mpmath
+        rng = np.random.default_rng(31)
+        with mpmath.workdps(50):
+            for mag in (1e2, 1e4, 1e6, 1e8):
+                for _ in range(10):
+                    a = complex(mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+                    b = a + complex(*rng.uniform(-2.0, 2.0, 2))
+                    ma, mb = mpmath.mpc(a), mpmath.mpc(b)
+                    want = mpmath.exp(-(abs(ma) ** 2 + abs(mb) ** 2) / 2
+                                      + mpmath.conj(ma) * mb)
+                    self.check(coherent_overlap(a, b), want,
+                               abs(a - b) * (abs(a) + abs(b)), abs(a) * abs(b))
+
+    def test_quadrature_overlap(self):
+        import mpmath
+        rng = np.random.default_rng(32)
+        with mpmath.workdps(50):
+            for mag in (1e2, 1e4, 1e6, 1e8):
+                for _ in range(10):
+                    a = complex(mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+                    x = SQRT2 * a.real + rng.uniform(-3.0, 3.0)
+                    ma, mx = mpmath.mpc(a), mpmath.mpf(x)
+                    want = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(
+                        -mx ** 2 / 2 + mpmath.sqrt(2) * mx * ma - ma ** 2 / 2
+                        - abs(ma) ** 2 / 2)
+                    dx = x - SQRT2 * a.real
+                    self.check(quadrature_overlap(x, a), want,
+                               abs(dx) * (abs(x) + SQRT2 * abs(a)),
+                               (abs(x) + abs(a)) ** 2)
+
+
 class TestSuperpositionAlgebra:
     def test_single_term_norm(self):
         assert abs(superposition_norm(coherent(1.7 - 0.2j)) - 1.0) < 1e-14

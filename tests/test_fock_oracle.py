@@ -5,7 +5,9 @@ Hermite polynomials, closed-form overlaps, by-hand small matrices) so the
 oracle itself is pinned down independently of the algebra it validates.
 """
 
+import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,45 @@ from catforge.fock_oracle import (apply_beam_splitter, choose_truncation,
                                   superposition_fock, window_state)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def exact_bs_blocks(dim):
+    """Beam-splitter blocks from the binomial expansion in exact integers.
+
+    The reference for fock_oracle._bs_blocks.  The creation operators map
+    a^dag -> (c^dag + d^dag)/sqrt2 and b^dag -> (c^dag - d^dag)/sqrt2, so
+    within the total-photon-S block
+
+        <p, S-p| U |m, S-m> = 2^(-S/2) K sqrt(p!(S-p)!/(m!(S-m)!)),
+        K = sum_j C(m, j) C(S-m, p-j) (-1)^((S-m)-(p-j)),
+
+    with K accumulated in exact integer arithmetic (the alternating binomial
+    sum cancels catastrophically in floats).  Blocks with S >= dim are the
+    truncated square submatrix with both occupations below dim.  Cost grows
+    about as dim^4, so it serves dims up to about 81.
+    """
+    smax = 2 * dim - 2
+    rows = [[math.comb(n, j) for j in range(n + 1)] for n in range(smax + 1)]
+    fact = [math.factorial(n) for n in range(smax + 1)]
+    blocks = []
+    for s in range(smax + 1):
+        lo = max(0, s - dim + 1)
+        occ = range(lo, min(s, dim - 1) + 1)
+        mat = np.empty((len(occ), len(occ)))
+        for a, m in enumerate(occ):
+            rm, rn = rows[m], rows[s - m]
+            # the block is symmetric (the one-photon matrix is), fill p >= m
+            for b, p in enumerate(occ[a:], start=a):
+                acc = 0
+                for j in range(max(0, p - s + m), min(m, p) + 1):
+                    t = rm[j] * rn[p - j]
+                    acc += -t if (s - m - p + j) & 1 else t
+                val = (acc * math.sqrt((fact[p] * fact[s - p])
+                                       / (fact[m] * fact[s - m]))
+                       * 0.5 ** (0.5 * s)) if acc else 0.0
+                mat[b, a] = mat[a, b] = val
+        blocks.append((lo, mat))
+    return blocks
 
 
 def random_block_state(dim, seed):
@@ -120,6 +161,15 @@ class TestQuadratureEigvec:
             for n in range(31):
                 assert abs(v[n] - hermite_direct(n, x)) < 1e-10
 
+    def test_node_array_matches_single_nodes(self):
+        xs = np.array([-4.5, -0.3, 0.0, 1.1, 3.7])
+        table = quadrature_eigvec(xs, 40)
+        assert table.shape == (5, 40)
+        for x, row in zip(xs, table):
+            assert np.max(np.abs(row - quadrature_eigvec(x, 40))) <= 1e-15
+            assert np.max(np.abs(row - [hermite_direct(n, x)
+                                        for n in range(40)])) < 1e-10
+
     def test_reproduces_quadrature_overlap(self):
         got = np.dot(quadrature_eigvec(0.7, 60), coherent_fock(1 + 0.5j, 60))
         want = cv_core.quadrature_overlap(0.7, 1 + 0.5j)
@@ -184,6 +234,35 @@ class TestBeamSplitter:
                 break
             dev = np.max(np.abs(mat.T @ mat - np.eye(s + 1)))
             assert dev < 1e-12
+
+    @pytest.mark.parametrize("dim", [25, 57, 81])
+    def test_blocks_match_exact_reference(self, dim):
+        # every S, the truncated S >= dim blocks included
+        got = list(fock_oracle._bs_blocks(dim))
+        want = exact_bs_blocks(dim)
+        assert len(got) == len(want) == 2 * dim - 1
+        for (lo, mat), (lo_ref, ref) in zip(got, want):
+            assert lo == lo_ref
+            assert mat.shape == ref.shape
+            assert np.max(np.abs(mat - ref)) <= 1e-13
+
+    def test_large_dimension_unitary_and_involutory(self):
+        dim = 262
+        t0 = time.perf_counter()
+        blocks = list(fock_oracle._bs_blocks(dim))
+        assert time.perf_counter() - t0 < 5.0
+        for s, (lo, mat) in enumerate(blocks[:dim]):
+            eye = np.eye(s + 1)
+            assert np.max(np.abs(mat.T @ mat - eye)) <= 1e-10
+            assert np.max(np.abs(mat @ mat - eye)) <= 1e-10
+
+    def test_blocks_streamed_without_cache(self):
+        assert inspect.isgeneratorfunction(fock_oracle._bs_blocks)
+        apply_beam_splitter(random_block_state(30, seed=4))
+        held = [name for name, value in vars(fock_oracle).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))]
+        assert held == []
 
     def test_photon_number_conserved(self):
         dim = 24
@@ -282,6 +361,20 @@ class TestWindowState:
         rho, prob = window_state(out, HomodyneWindow(0.0, 10.0), panels=100)
         assert abs(prob - 1.0) < 1e-6
 
+    def test_matches_node_loop(self):
+        # the per-node sum the two matrix products replace
+        out = self.pipeline(alpha0=2.0, phi=0.3)
+        window = HomodyneWindow(0.1, 0.4)
+        rho, prob = window_state(out, window, panels=8)
+        xs, ws = gauss_legendre(window.lo, window.hi, 8)
+        ref = np.zeros_like(rho)
+        for x, w in zip(xs, ws):
+            v = quadrature_eigvec(x, out.shape[0]) @ out
+            ref += w * np.outer(v, v.conjugate())
+        ref_prob = np.trace(ref).real
+        assert abs(prob - ref_prob) <= 1e-14
+        assert np.max(np.abs(rho - ref / ref_prob)) <= 1e-12
+
     def test_zero_probability_window(self):
         out = self.pipeline()
         with pytest.raises(ZeroProbability):
@@ -320,4 +413,13 @@ class TestFidelity:
 
 
 def test_default_cap_is_documented_value():
-    assert DEFAULT_FOCK_CAP == 4096
+    assert DEFAULT_FOCK_CAP == 860
+
+
+def test_cap_message_predicts_cost_and_names_overrides():
+    with pytest.raises(TruncationTooLarge) as info:
+        choose_truncation(50.0)
+    msg = str(info.value)
+    assert "3020 exceeds cap 860" in msg
+    assert "predicted to take about 413 s" in msg
+    assert "--max-fock" in msg and "CATFORGE_MAX_FOCK" in msg

@@ -16,16 +16,27 @@ import sys
 
 from . import crosscheck, cv_core, optimize_sweep, protocol
 from .errors import CatforgeError, DomainError
-from .config import CROSSCHECK_TOL
+from .config import CROSSCHECK_TOL, GRID_STEP_CAP
 
 
 def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _phi(args):
+    return math.radians(args.phi) if args.phi_degrees else args.phi
+
+
 def _params(args):
-    phi = math.radians(args.phi) if args.phi_degrees else args.phi
-    return protocol.ProtocolParams(args.alpha0, phi)
+    return protocol.ProtocolParams(args.alpha0, _phi(args))
+
+
+def _floats(text, flag):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise DomainError(
+            f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def _write_text(path, text):
@@ -91,7 +102,7 @@ def cmd_sweep(args):
 
 
 def cmd_optimize(args):
-    phi = math.radians(args.phi) if args.phi_degrees else args.phi
+    phi = _phi(args)
     exact = optimize_sweep.find_min_alpha(
         phi, args.k, validate_numeric=not args.no_validate)
     approx = protocol.vacuum_null_alpha_approx(phi)
@@ -106,7 +117,7 @@ def cmd_optimize(args):
 
 def cmd_window(args):
     p = _params(args)
-    eps = sorted(float(e) for e in args.epsilons.split(","))
+    eps = sorted(_floats(args.epsilons, "--epsilons"))
     rows = optimize_sweep.window_tradeoff(p, eps)
     if args.format == "json":
         payload = [{"epsilon": e, "probability": pr, "fidelity": f}
@@ -118,17 +129,18 @@ def cmd_window(args):
 
 
 def cmd_wigner(args):
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= GRID_STEP_CAP:
+        raise DomainError(f"--points must lie in [2, {GRID_STEP_CAP}], got {args.points}")
+    extent = args.half_extent
+    if extent is not None and not 0.0 < extent < math.inf:
+        raise DomainError(f"--half-extent must be finite and positive, got {extent}")
     p = _params(args)
     if args.state == "cat":
         state = protocol.ideal_cat(p, require_cat=True)
     else:
         state = protocol.conditional_state(p, args.x)
-    if args.half_extent is None:
+    if extent is None:
         extent = max(abs(a) for a in state.amplitudes()) + 5.0
-    else:
-        extent = args.half_extent
     axis = [(-extent + 2.0 * extent * i / (args.points - 1))
             for i in range(args.points)]
     w = cv_core.wigner_grid(state, axis, axis)
@@ -139,8 +151,8 @@ def cmd_wigner(args):
 
 
 def cmd_validate(args):
-    alpha0s = [float(v) for v in args.alpha0_values.split(",")]
-    phis = [float(v) for v in args.phi_values.split(",")]
+    alpha0s = _floats(args.alpha0_values, "--alpha0-values")
+    phis = _floats(args.phi_values, "--phi-values")
     max_dev, worst, devs = crosscheck.crosscheck_grid(
         alpha0s=alpha0s, phis=phis, cap=args.max_fock)
     print(f"checked {len(devs)} analytic-vs-Fock deviations "

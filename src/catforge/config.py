@@ -1,8 +1,8 @@
 """Numerical tolerances and limits.
 
-Module constants are the defaults; many operations that depend on one
-accept an override parameter, and the Fock cap can also be set through
-the CATFORGE_MAX_FOCK environment variable.
+The code uses these constants as they are.  The Fock cap alone can be
+overridden: per call, by --max-fock, or through the CATFORGE_MAX_FOCK
+environment variable.
 """
 
 import os
@@ -12,9 +12,6 @@ COALESCE_TOL = 1e-12
 
 # a superposition with Gram norm below this is treated as fully cancelled
 DEGENERATE_NORM = 1e-14
-
-# claimed-normalized states must have norm within this of 1
-NORMALIZED_TOL = 1e-10
 
 # conditioning density below this raises ZeroProbability
 ZERO_DENSITY = 1e-30

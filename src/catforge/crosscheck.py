@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock_oracle, protocol
-from .config import CROSSCHECK_TOL
 from .cv_core import (SQRT2, HomodyneWindow, coherent_overlap,
                       quadrature_overlap)
 from .errors import DegenerateState
@@ -89,7 +88,7 @@ def oracle_window(p, window, out, dim):
     return prob, fock_oracle.fidelity(rho, cat / np.linalg.norm(cat))
 
 
-def window_metrics_analytic(p, window, panels=None):
+def window_metrics_analytic(p, window):
     """All-analytic window probability and fidelity via 1D quadrature.
 
     The loop reference of protocol.window_metrics.  The windowed density
@@ -97,9 +96,8 @@ def window_metrics_analytic(p, window, panels=None):
     marginal, and the fidelity numerator integrates the squared overlap of the
     ideal cat with the conditioned (unnormalized) superposition.
     """
-    if panels is None:
-        panels = fock_oracle.default_panels(window)
-    xs, ws = fock_oracle.gauss_legendre(window.lo, window.hi, panels)
+    xs, ws = fock_oracle.gauss_legendre(
+        window.lo, window.hi, fock_oracle.default_panels(window))
     two = protocol.interfere(p)
     cat = protocol.ideal_cat(p)
     prob = 0.0
@@ -119,8 +117,7 @@ def window_metrics_analytic(p, window, panels=None):
     return prob, numer / prob
 
 
-def crosscheck_point(p, density_xs=DENSITY_SAMPLES, epsilons=WINDOW_EPSILONS,
-                     cap=None):
+def crosscheck_point(p, cap=None):
     """All analytic-vs-oracle deviations at one parameter point."""
     devs = []
 
@@ -132,7 +129,7 @@ def crosscheck_point(p, density_xs=DENSITY_SAMPLES, epsilons=WINDOW_EPSILONS,
     add("cat_coeff", abs(protocol.cat_coefficient(p) - c_cat_o))
     add("ratio", abs(protocol.coefficient_ratio(p) - ratio_o))
 
-    for x in density_xs:
+    for x in DENSITY_SAMPLES:
         _, dens = fock_oracle.project_quadrature(out, x)
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
@@ -140,7 +137,7 @@ def crosscheck_point(p, density_xs=DENSITY_SAMPLES, epsilons=WINDOW_EPSILONS,
     cond_fock = cond_fock / math.sqrt(float(np.vdot(cond_fock, cond_fock).real))
     add("conditional", 1.0 - fock_oracle.fidelity(v / np.linalg.norm(v), cond_fock))
 
-    for eps in epsilons:
+    for eps in WINDOW_EPSILONS:
         w = HomodyneWindow(0.0, eps)
         prob_o, fid_o = oracle_window(p, w, out, dim)
         prob_a, fid_a = protocol.window_metrics(p, w)
@@ -149,19 +146,12 @@ def crosscheck_point(p, density_xs=DENSITY_SAMPLES, epsilons=WINDOW_EPSILONS,
     return devs
 
 
-def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI,
-                    density_xs=DENSITY_SAMPLES, epsilons=WINDOW_EPSILONS,
-                    cap=None):
+def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI, cap=None):
     """Run crosscheck_point over the grid; returns (max_dev, worst, all_devs)."""
     all_devs = []
     for phi in phis:
         for alpha0 in alpha0s:
             p = protocol.ProtocolParams(alpha0, phi)
-            all_devs.extend(crosscheck_point(p, density_xs, epsilons, cap))
+            all_devs.extend(crosscheck_point(p, cap))
     worst = max(all_devs, key=lambda d: d.value)
     return worst.value, worst, all_devs
-
-
-def passes(tolerance=CROSSCHECK_TOL, **kwargs):
-    max_dev, worst, _ = crosscheck_grid(**kwargs)
-    return max_dev <= tolerance, max_dev, worst

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COALESCE_TOL, DEGENERATE_NORM, NORMALIZED_TOL
+from .config import COALESCE_TOL, DEGENERATE_NORM
 from .errors import DegenerateState
 
 SQRT2 = math.sqrt(2.0)
@@ -71,14 +71,14 @@ def quadrature_overlap(x, alpha):
     return PI_QUARTER_INV * cmath.exp(arg)
 
 
-def _coalesce(terms, what, tol):
-    """Merge terms whose amplitude tuples agree within tol; drop cancelled ones."""
+def _coalesce(terms, what):
+    """Merge terms whose amplitudes agree within COALESCE_TOL; drop cancelled ones."""
     reps = []
     for w, *key in terms:
         w = _finite(w, f"{what} weight")
         key = [_finite(a, f"{what} amplitude") for a in key]
         for entry in reps:
-            if all(abs(a - b) <= tol for a, b in zip(entry[1:], key)):
+            if all(abs(a - b) <= COALESCE_TOL for a, b in zip(entry[1:], key)):
                 entry[0] += w
                 break
         else:
@@ -94,18 +94,15 @@ class _Superposition:
     """Finite superposition; terms holds (weight, amplitude per mode) tuples.
 
     from_terms coalesces terms whose amplitudes agree within the coalescing
-    tolerance.  The normalized flag asserts unit Gram norm.
+    tolerance.  The normalized flag marks unit Gram norm; normalize() sets it.
     """
 
     terms: tuple
     normalized: bool = False
 
     @classmethod
-    def from_terms(cls, terms, normalized=False, tol=COALESCE_TOL):
-        out = cls(_coalesce(terms, cls.__name__, tol), normalized)
-        if normalized and abs(superposition_norm(out) - 1.0) > NORMALIZED_TOL:
-            raise ValueError("state claimed normalized but Gram norm differs from 1")
-        return out
+    def from_terms(cls, terms):
+        return cls(_coalesce(terms, cls.__name__))
 
     def normalize(self):
         n = superposition_norm(self)
@@ -179,11 +176,11 @@ def beam_splitter_50_50(t):
 
 
 def vacuum():
-    return CoherentSuperposition.from_terms([(1.0, 0.0)], normalized=True)
+    return CoherentSuperposition.from_terms([(1.0, 0.0)]).normalize()
 
 
 def coherent(alpha):
-    return CoherentSuperposition.from_terms([(1.0, alpha)], normalized=True)
+    return CoherentSuperposition.from_terms([(1.0, alpha)]).normalize()
 
 
 def even_cat(beta):
@@ -205,8 +202,12 @@ def wigner_grid(s, re_vals, im_vals):
         W(gamma) = (2/pi) sum_ij conj(w_i) w_j <a_i|a_j>
                    exp(-2 (conj(gamma) - conj(a_i)) (gamma - a_j)),
 
-    whose imaginary parts cancel pairwise; the real part is returned.  The
-    exponentials are summed one pair at a time, keeping memory at grid size.
+    whose imaginary parts cancel pairwise; the real part is returned.  Each
+    pair's overlap and exponential form one exponent, m = (a_i + a_j)/2,
+        -2 |gamma - m|^2 + i (2 Im(conj(gamma) (a_j - a_i)) + Im(a_i conj(a_j))),
+    whose real part is never positive, so nothing overflows at large
+    amplitudes.  It splits into a Re(gamma) factor times an Im(gamma) factor:
+    the grid is one contraction of (pairs x re) with (pairs x im).
 
     Returns W with shape (len(re_vals), len(im_vals)), W[i, j] evaluated at
     gamma = re_vals[i] + 1j * im_vals[j].
@@ -215,10 +216,14 @@ def wigner_grid(s, re_vals, im_vals):
         raise ValueError("the Wigner function requires a normalized superposition")
     re = np.asarray(re_vals, dtype=float)
     im = np.asarray(im_vals, dtype=float)
-    g = re[:, None] + 1j * im[None, :]
-    gc = np.conjugate(g)
-    acc = np.zeros(g.shape, dtype=complex)
-    for (_, ai), row in zip(s.terms, gram(s, s)):
-        for (_, aj), c in zip(s.terms, row):
-            acc += c * np.exp(-2.0 * (gc - complex(ai).conjugate()) * (g - aj))
-    return (2.0 / math.pi) * acc.real
+    pairs = [(wi.conjugate() * wj, ai, aj)
+             for wi, ai in s.terms for wj, aj in s.terms]
+    c = np.array([w * cmath.exp(1j * (ai * aj.conjugate()).imag)
+                  for w, ai, aj in pairs])
+    m = np.array([0.5 * (ai + aj) for _, ai, aj in pairs])[:, None]
+    d = np.array([aj - ai for _, ai, aj in pairs])[:, None]
+    fx = np.exp(-2.0 * (re - m.real) ** 2 + 2j * re * d.imag)
+    fy = np.exp(-2.0 * (im - m.imag) ** 2 - 2j * im * d.real)
+    # einsum, not @: after a first BLAS product the pure-Python sweep ran 30-50%
+    # slower in the same process (one BLAS thread, 2-core Xeon under KVM)
+    return (2.0 / math.pi) * np.einsum("pi,pj->ij", c[:, None] * fx, fy).real

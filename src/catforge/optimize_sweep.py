@@ -76,8 +76,7 @@ def sweep_ratio(grid):
 
 def zero_count(phi, alpha_max):
     """Number of exact vacuum nulls with alpha0 <= alpha_max at this phi."""
-    if not 0.0 < phi < math.pi:
-        raise DomainError(f"phi must lie in (0, pi), got {phi}")
+    protocol.check_null_phi(phi)
     u_max = alpha_max * alpha_max * math.sin(phi)
     if u_max < 0.5 * math.pi:
         return 0
@@ -90,14 +89,13 @@ def zero_alphas(phi, alpha_max):
             for k in range(zero_count(phi, alpha_max))]
 
 
-def find_min_alpha(phi, k=0, validate_numeric=False,
-                   tol=BISECTION_TOL, max_iter=BISECTION_MAX_ITER):
+def find_min_alpha(phi, k=0, validate_numeric=False):
     """Closed-form k-th optimum alpha0, optionally cross-checked by bisection.
 
     The bisection brackets the sign change of cos(alpha0^2 sin phi) around
-    pi/2 + k pi and must agree with the closed form within tol relative to
-    max(1, alpha0): at large k the optimum grows past the point where an
-    absolute tol is below one ulp of alpha0.
+    pi/2 + k pi and must agree with the closed form within BISECTION_TOL
+    relative to max(1, alpha0): at large k the optimum grows past the point
+    where an absolute tolerance is below one ulp of alpha0.
     """
     exact = protocol.vacuum_null_alpha(phi, k)
     if not validate_numeric:
@@ -110,11 +108,11 @@ def find_min_alpha(phi, k=0, validate_numeric=False,
 
     lo = math.sqrt((u_star - 1.0) / sin_phi)
     hi = math.sqrt((u_star + 1.0) / sin_phi)
-    tol = max(tol, 1e-12) * max(1.0, exact)
+    tol = BISECTION_TOL * max(1.0, exact)
     flo = f(lo)
     if flo * f(hi) > 0:
         raise DomainError(f"bisection bracket failed at phi={phi}, k={k}")
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
             break

@@ -71,11 +71,6 @@ class Separations:
     d0: float
     d: float
 
-    @classmethod
-    def from_params(cls, p):
-        d0 = 2.0 * p.alpha0 * math.sin(0.5 * p.phi)
-        return cls(d0, SQRT2 * d0)
-
 
 @dataclass(frozen=True)
 class PreparedStateReport:
@@ -107,7 +102,9 @@ def source_state(p):
 
 
 def separations(p):
-    return Separations.from_params(p)
+    """Separations d0 = 2 alpha0 sin(phi/2) of each source and d = sqrt2 d0."""
+    d0 = 2.0 * p.alpha0 * math.sin(0.5 * p.phi)
+    return Separations(d0, SQRT2 * d0)
 
 
 def interfere(p):
@@ -122,17 +119,13 @@ def interfere(p):
     return beam_splitter_50_50(product).normalize()
 
 
-def _half_separation(p):
-    return SQRT2 * p.alpha0 * math.sin(0.5 * p.phi)
-
-
 def ideal_cat(p, require_cat=False):
     """Normalized target superposition of |s> and |-s>, s = sqrt2 alpha0 sin(phi/2).
 
     Degenerate parameters (s coalescing with 0) give the vacuum; with
     require_cat=True that case raises DegenerateState instead.
     """
-    s = _half_separation(p)
+    s = separations(p).d / 2
     cat = CoherentSuperposition.from_terms([(1.0, s), (1.0, -s)]).normalize()
     if require_cat and len(cat.terms) < 2:
         raise DegenerateState(
@@ -188,17 +181,21 @@ def coefficient_ratio_second_order(p):
             * 2.0 * abs(math.cos(a2 * p.phi)))
 
 
-def vacuum_null_alpha_approx(phi):
-    """Small-angle location of the first vacuum null: sqrt(pi / (2 phi))."""
+def check_null_phi(phi):
+    """Raise DomainError unless 0 < phi < pi, where vacuum nulls exist."""
     if not 0.0 < phi < math.pi:
         raise DomainError(f"phi must lie in (0, pi), got {phi}")
+
+
+def vacuum_null_alpha_approx(phi):
+    """Small-angle location of the first vacuum null: sqrt(pi / (2 phi))."""
+    check_null_phi(phi)
     return math.sqrt(math.pi / (2.0 * phi))
 
 
 def vacuum_null_alpha(phi, k=0):
     """Exact k-th vacuum null: alpha0 = sqrt((pi/2 + k pi) / sin phi)."""
-    if not 0.0 < phi < math.pi:
-        raise DomainError(f"phi must lie in (0, pi), got {phi}")
+    check_null_phi(phi)
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a non-negative integer, got {k}")
     return math.sqrt((0.5 * math.pi + k * math.pi) / math.sin(phi))

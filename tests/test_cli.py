@@ -213,29 +213,42 @@ class TestWindow:
 
 class TestWigner:
     def test_cat_origin_value(self, capsys):
-        code, out, _ = run(capsys, "wigner", "--alpha0", "1",
-                           "--phi", str(math.pi / 2), "--state", "cat",
-                           "--points", "3", "--half-extent", "4")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "x,y,w"
-        assert len(lines) == 10
-        at_origin = [line for line in lines[1:]
-                     if line.startswith("0,0,")]
-        assert len(at_origin) == 1
-        w0 = float(at_origin[0].split(",")[2])
-        assert w0 == pytest.approx(2.0 / math.pi, abs=1e-12)
+        # the prepared states at alpha0 = 1e3 and 1e8 are even cats too
+        for argv in (("--alpha0", "1", "--phi", str(math.pi / 2),
+                      "--state", "cat", "--half-extent", "4"),
+                     ("--alpha0", "1e3", "--phi", "0.3"),
+                     ("--alpha0", "1e8", "--phi", "0.3")):
+            code, out, _ = run(capsys, "wigner", *argv, "--points", "3")
+            assert code == 0
+            lines = out.strip().split("\n")
+            assert lines[0] == "x,y,w"
+            assert len(lines) == 10
+            assert all(math.isfinite(float(v))
+                       for line in lines[1:] for v in line.split(","))
+            at_origin = [line for line in lines[1:]
+                         if line.startswith("0,0,")]
+            assert len(at_origin) == 1
+            w0 = float(at_origin[0].split(",")[2])
+            assert w0 == pytest.approx(2.0 / math.pi, abs=1e-12)
 
     def test_degenerate_cat_rejected(self, capsys):
         code, _, err = run(capsys, "wigner", "--alpha0", "1", "--phi", "0",
                            "--state", "cat")
         assert code == 2
         assert "error:" in err
-        for points in ("1", "0", "-3"):
+        for points in ("1", "0", "-3", "2002"):
             code, out, err = run(capsys, "wigner", "--alpha0", "1",
                                  "--phi", "0.5", "--points", points)
             assert code == 2
             assert "--points" in err
+            assert out == ""
+
+    def test_half_extent_must_be_finite_and_positive(self, capsys):
+        for extent in ("nan", "0", "-2"):
+            code, out, err = run(capsys, "wigner", "--alpha0", "1",
+                                 "--phi", "0.5", "--half-extent", extent)
+            assert code == 2
+            assert "--half-extent" in err
             assert out == ""
 
 
@@ -257,3 +270,16 @@ class TestValidate:
                            "--phi-values", "0.1")
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--epsilons", ("window", "--alpha0", "1", "--phi", "0.5",
+                    "--epsilons", "0.1,,1")),
+    ("--alpha0-values", ("validate", "--alpha0-values", "1,x")),
+    ("--phi-values", ("validate", "--phi-values", "0.1;0.2")),
+])
+def test_malformed_list_names_its_flag(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err
+    assert out == ""

@@ -197,10 +197,6 @@ class TestSuperpositionAlgebra:
         assert abs(got - want) < 1e-12
         assert abs(want - 0.805018) < 1e-6
 
-    def test_normalized_claim_verified(self):
-        with pytest.raises(ValueError):
-            CoherentSuperposition.from_terms([(2.0, 0.0)], normalized=True)
-
     def test_normalize(self):
         s = CoherentSuperposition.from_terms([(3.0, 0.9), (1j, -0.2)]).normalize()
         assert s.normalized
@@ -287,9 +283,10 @@ class TestWigner:
 
     def test_even_cat_origin(self):
         cat = even_cat(1.5)
-        got = wigner_point(cat, 0.0)
-        assert abs(got - 2.0 / math.pi) < 1e-12
-        assert abs(got - wigner_parity_fock(cat)) < 1e-12
+        assert abs(wigner_point(cat, 0.0) - wigner_parity_fock(cat)) < 1e-12
+        # by parity, W(0) = 2/pi for every even cat, at any amplitude
+        for beta in (1.5, 30.0, 1e3, 1e8):
+            assert abs(wigner_point(even_cat(beta), 0.0) - 2.0 / math.pi) < 1e-12
 
     def test_matches_displaced_parity(self):
         rng = np.random.default_rng(9)

@@ -18,7 +18,7 @@ from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow, even_cat,
 from catforge.errors import (DegenerateState, DomainError, TruncationTooLarge,
                              ZeroProbability)
 from catforge.fock_oracle import gauss_legendre
-from catforge.protocol import (ProtocolParams, Separations, cat_coefficient,
+from catforge.protocol import (ProtocolParams, cat_coefficient,
                                coefficient_ratio, coefficient_ratio_second_order,
                                coefficient_ratio_small_angle, conditional_state,
                                homodyne_density, ideal_cat, interfere, report,
@@ -96,7 +96,7 @@ class TestSeparations:
             assert sep.d == SQRT2 * sep.d0
 
     def test_dataclass_roundtrip(self):
-        sep = Separations.from_params(ProtocolParams(1.0, 0.3))
+        sep = separations(ProtocolParams(1.0, 0.3))
         assert sep.d0 == 2.0 * math.sin(0.15)
 
 

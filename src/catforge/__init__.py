@@ -26,7 +26,6 @@ from .cv_core import (
 from .errors import (
     CatforgeError,
     DegenerateState,
-    DensityValidationError,
     DimensionMismatch,
     DomainError,
     GridTooLarge,
@@ -70,7 +69,6 @@ __all__ = [
     "CatforgeError",
     "CoherentSuperposition",
     "DegenerateState",
-    "DensityValidationError",
     "DimensionMismatch",
     "DomainError",
     "GridSpec",

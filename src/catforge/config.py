@@ -2,10 +2,12 @@
 
 The code uses these constants as they are.  The Fock cap alone can be
 overridden: per call, by --max-fock, or through the CATFORGE_MAX_FOCK
-environment variable.
+environment variable; either must be a positive integer.
 """
 
 import os
+
+from .errors import CatforgeError
 
 # amplitude coalescing: terms whose coherent amplitudes agree this closely merge
 COALESCE_TOL = 1e-12
@@ -31,9 +33,6 @@ MAX_PANEL_WIDTH = 0.1
 # half-range of a marginal lobe about its centre; window integrals end there
 MARGINAL_HALF_RANGE = 10.0
 
-# density-matrix eigenvalues above this floor are clipped to zero; below is an error
-EIG_FLOOR = -1e-8
-
 # bisection used to cross-check closed-form optimum locations
 BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 200
@@ -46,10 +45,18 @@ CROSSCHECK_TOL = 1e-8
 
 
 def fock_cap(override=None):
-    """Effective Fock dimension cap: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(FOCK_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_FOCK_CAP
+    """Effective Fock dimension cap: explicit override, else env var, else
+    default.  Raises CatforgeError, naming the source, unless it is a positive
+    integer."""
+    value, source = override, "the Fock cap"
+    if value is None:
+        value, source = os.environ.get(FOCK_CAP_ENV), FOCK_CAP_ENV
+        if not value:
+            return DEFAULT_FOCK_CAP
+    try:
+        cap = int(value)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise CatforgeError(f"{source} must be a positive integer, got {value!r}")
+    return cap

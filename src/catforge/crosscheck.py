@@ -5,8 +5,9 @@ The analytic route (cv_core + protocol) and the truncated-Fock route
 runs both over a parameter grid and reports the worst absolute deviation.
 The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the conditioned vector is resolved against the Fock carriers
-of |0> and |s> + |-s>.  The Fock route of finite-window metrics lives here
-only, as the oracle of protocol.window_metrics.
+of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
+fock_oracle.window_metrics, serves here only, as the oracle of
+protocol.window_metrics; both take their nodes from the one quadrature rule.
 """
 
 import math
@@ -18,6 +19,7 @@ from . import fock_oracle, protocol
 from .cv_core import (SQRT2, HomodyneWindow, coherent_overlap,
                       quadrature_overlap)
 from .errors import DegenerateState
+from .quadrature import gauss_legendre
 
 GRID_ALPHA0 = (0.5, 1.0, 2.0, 3.0)
 GRID_PHI = (0.05, 0.1, 0.5)
@@ -81,11 +83,10 @@ def oracle_conditioning(p, cap=None):
 
 def oracle_window(p, window, out, dim):
     """Oracle of protocol.window_metrics on the oracle_pipeline output (out, dim):
-    the windowed density matrix, integrated numerically, against the cat."""
-    rho, prob = fock_oracle.window_state(
-        out, window, fock_oracle.default_panels(window))
+    the Fock-space window integrals, with the Fock carrier of the cat as
+    target."""
     cat = _cat_fock(p, dim)[1]
-    return prob, fock_oracle.fidelity(rho, cat / np.linalg.norm(cat))
+    return fock_oracle.window_metrics(out, window, cat / np.linalg.norm(cat))
 
 
 def window_metrics_analytic(p, window):
@@ -96,8 +97,7 @@ def window_metrics_analytic(p, window):
     marginal, and the fidelity numerator integrates the squared overlap of the
     ideal cat with the conditioned (unnormalized) superposition.
     """
-    xs, ws = fock_oracle.gauss_legendre(
-        window.lo, window.hi, fock_oracle.default_panels(window))
+    xs, ws = gauss_legendre(window.lo, window.hi)
     two = protocol.interfere(p)
     cat = protocol.ideal_cat(p)
     prob = 0.0

@@ -194,6 +194,18 @@ def wigner_point(s, gamma):
     return float(wigner_grid(s, [g.real], [g.imag])[0, 0])
 
 
+def _pair_factor(u, centre, freq):
+    """exp(-2 (u - centre)^2 + i freq u) per pair (rows) and grid value (columns).
+
+    Exactly 0 once |u - centre| > 28, where exp(-1568) underflows; the square
+    and the phase, which overflow at amplitudes near 1e154, are not formed there.
+    """
+    du = u - centre
+    near = np.abs(du) <= 28.0
+    arg = -2.0 * np.where(near, du, 0.0) ** 2 + 1j * (freq * np.where(near, u, 0.0))
+    return np.where(near, np.exp(arg), 0.0)
+
+
 def wigner_grid(s, re_vals, im_vals):
     """Wigner function of a normalized superposition on a rectangular grid.
 
@@ -205,8 +217,8 @@ def wigner_grid(s, re_vals, im_vals):
     whose imaginary parts cancel pairwise; the real part is returned.  Each
     pair's overlap and exponential form one exponent, m = (a_i + a_j)/2,
         -2 |gamma - m|^2 + i (2 Im(conj(gamma) (a_j - a_i)) + Im(a_i conj(a_j))),
-    whose real part is never positive, so nothing overflows at large
-    amplitudes.  It splits into a Re(gamma) factor times an Im(gamma) factor:
+    whose real part is never positive, so its exponential never overflows
+    (_pair_factor).  It splits into a Re(gamma) factor times an Im(gamma) factor:
     the grid is one contraction of (pairs x re) with (pairs x im).
 
     Returns W with shape (len(re_vals), len(im_vals)), W[i, j] evaluated at
@@ -222,8 +234,8 @@ def wigner_grid(s, re_vals, im_vals):
                   for w, ai, aj in pairs])
     m = np.array([0.5 * (ai + aj) for _, ai, aj in pairs])[:, None]
     d = np.array([aj - ai for _, ai, aj in pairs])[:, None]
-    fx = np.exp(-2.0 * (re - m.real) ** 2 + 2j * re * d.imag)
-    fy = np.exp(-2.0 * (im - m.imag) ** 2 - 2j * im * d.real)
+    fx = _pair_factor(re, m.real, 2.0 * d.imag)
+    fy = _pair_factor(im, m.imag, -2.0 * d.real)
     # einsum, not @: after a first BLAS product the pure-Python sweep ran 30-50%
     # slower in the same process (one BLAS thread, 2-core Xeon under KVM)
     return (2.0 / math.pi) * np.einsum("pi,pj->ij", c[:, None] * fx, fy).real

@@ -27,7 +27,3 @@ class DomainError(CatforgeError):
 
 class GridTooLarge(CatforgeError):
     """Sweep grid exceeds the configured per-axis step cap."""
-
-
-class DensityValidationError(CatforgeError):
-    """A reconstructed density matrix failed its positivity check beyond roundoff."""

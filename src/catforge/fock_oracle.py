@@ -4,23 +4,25 @@ This module deliberately shares no formulas with cv_core beyond the state
 definitions: coherent states are expanded into Fock amplitudes, the balanced
 beam splitter is built one total-photon block at a time in floats by Risbo's
 Wigner-d recursion at beta = pi/2 (see _bs_blocks), and quadrature
-projections use the normalized Hermite function recurrence.  Agreement
-between the two routes is what validates the closed forms.
+projections use the normalized Hermite function recurrence.  Window
+integrals take their nodes from the shared quadrature rule, the one piece of
+numerics both routes use.  Agreement between the two routes is what
+validates the closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
 two-mode pure state is a 2D array amps[n, m] with n indexing the measured
-mode and m the output mode; a mixed state is a square density matrix.
+mode and m the output mode.  A windowed, mixed output is reduced to its
+probability and fidelity without forming its density matrix.
 """
 
-import functools
 import math
 
 import numpy as np
 
-from .config import (EIG_FLOOR, FOCK_CAP_ENV, FOCK_SECONDS_PER_DIM3, GL_ORDER,
-                     MAX_PANEL_WIDTH, ZERO_DENSITY, fock_cap)
-from .errors import (DensityValidationError, DimensionMismatch,
-                     TruncationTooLarge, ZeroProbability)
+from .config import (FOCK_CAP_ENV, FOCK_SECONDS_PER_DIM3, ZERO_DENSITY,
+                     fock_cap)
+from .errors import DimensionMismatch, TruncationTooLarge, ZeroProbability
+from .quadrature import gauss_legendre
 
 _SQRT2 = math.sqrt(2.0)
 _PI_QUARTER_INV = math.pi ** -0.25
@@ -179,11 +181,6 @@ def apply_beam_splitter(amps):
 # homodyne projection
 # ---------------------------------------------------------------------------
 
-def _project(amps, x):
-    v = quadrature_eigvec(x, amps.shape[0]) @ amps
-    return v, float(np.vdot(v, v).real)
-
-
 def project_quadrature(amps, x):
     """Project the measured mode on <x|; returns (mode-4 vector, density).
 
@@ -193,98 +190,42 @@ def project_quadrature(amps, x):
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
-    v, dens = _project(amps, x)
+    v = quadrature_eigvec(x, amps.shape[0]) @ amps
+    dens = float(np.vdot(v, v).real)
     if dens < ZERO_DENSITY:
         raise ZeroProbability(f"quadrature density {dens:.3e} at x={x} below floor")
     return v, dens
 
 
-@functools.cache
-def _gl_rule():
-    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
+def window_metrics(amps, window, target):
+    """Acceptance probability of a finite window on X, and the fidelity of
+    the accepted state to a normalized pure target.
 
-    Computed on first use and kept: leggauss takes about 0.4 ms a call, a
-    large share of a closed-form window_metrics call, and it loads enough of
-    numpy's linear algebra to cost 1.7 MiB of peak memory in runs that never
-    integrate over a window.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def gauss_legendre(a, b, panels):
-    """Composite GL_ORDER-point Gauss-Legendre nodes/weights on [a, b] with
-    equal panels."""
-    if panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
-    if not b > a:
-        raise ValueError(f"empty integration range [{a}, {b}]")
-    base_x, base_w = _gl_rule()
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mids[:, None] + halves[:, None] * base_x[None, :]).ravel()
-    ws = (halves[:, None] * base_w[None, :]).ravel()
-    return xs, ws
-
-
-def default_panels(window):
-    """Panel count keeping the composite-rule panel width at or below 0.1."""
-    return max(1, math.ceil(2.0 * window.half_width / MAX_PANEL_WIDTH))
-
-
-def window_state(amps, window, panels):
-    """Conditional output density for acceptance of X in a finite window.
-
-    Integrates |v(x)><v(x)| over the window with the composite Gauss-Legendre
-    rule: with V[j] = v(x_j) = sum_n h_n(x_j) amps[n, :] projected at every
-    node at once, the integral is V^T diag(w) conj(V).  Returns (density
-    matrix normalized to unit trace, probability), where probability is the
-    trace before normalization, i.e. the acceptance probability of the
-    window.  Eigenvalues above the roundoff floor are
-    clipped to zero; anything below it is treated as a genuine failure.
+    With v_j = sum_n h_n(x_j) amps[n, :] projected at every node x_j of the
+    quadrature rule at once, and w_j > 0 its weights:
+        probability = sum_j w_j |v_j|^2,
+        fidelity = sum_j w_j |<target|v_j>|^2 / probability, clamped at 1,
+    the trace and <target|rho|target> of the windowed density, never formed.
     """
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
-    xs, ws = gauss_legendre(window.lo, window.hi, panels)
+    xs, ws = gauss_legendre(window.lo, window.hi)
     v = quadrature_eigvec(xs, amps.shape[0]) @ amps
-    rho = (v.T * ws) @ v.conjugate()
-    prob = float(np.trace(rho).real)
+    prob = float(ws @ np.sum(np.abs(v) ** 2, axis=1))
     if prob < ZERO_DENSITY:
         raise ZeroProbability(f"window probability {prob:.3e} below floor")
-    rho = (rho + rho.conjugate().T) / (2.0 * prob)
-    evals, evecs = np.linalg.eigh(rho)
-    if evals.min() < EIG_FLOOR:
-        raise DensityValidationError(
-            f"density eigenvalue {evals.min():.3e} below roundoff floor")
-    evals = np.clip(evals, 0.0, None)
-    evals /= evals.sum()
-    rho = (evecs * evals) @ evecs.conjugate().T
-    return rho, float(prob)
+    numer = float(ws @ np.abs(v @ np.conj(target)) ** 2)
+    return prob, min(numer / prob, 1.0)
 
 
 def fidelity(state, target):
-    """Fidelity of a pure or mixed state against a normalized pure target.
-
-    |<target|state>|^2 for vectors, <target|rho|target> for densities.
-    """
+    """Fidelity |<target|state>|^2 of a pure state against a normalized pure
+    target, clamped at 1."""
     state = np.asarray(state, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    if target.ndim != 1:
-        raise DimensionMismatch("target must be a pure-state vector")
-    if state.ndim == 1:
-        if state.shape != target.shape:
-            raise DimensionMismatch(
-                f"dimension mismatch: {state.shape} vs {target.shape}")
-        val = abs(np.vdot(target, state)) ** 2
-    elif state.ndim == 2:
-        if state.shape != (target.size, target.size):
-            raise DimensionMismatch(
-                f"dimension mismatch: {state.shape} vs {target.shape}")
-        val = np.vdot(target, state @ target).real
-    else:
-        raise DimensionMismatch(f"unsupported state ndim={state.ndim}")
-    return float(min(max(val, 0.0), 1.0))
+    if target.ndim != 1 or state.shape != target.shape:
+        raise DimensionMismatch(
+            f"expected two pure states of one dimension, got shapes "
+            f"{state.shape} and {target.shape}")
+    return float(min(abs(np.vdot(target, state)) ** 2, 1.0))

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MARGINAL_HALF_RANGE, MAX_PANEL_WIDTH, ZERO_DENSITY
+from .config import MARGINAL_HALF_RANGE, ZERO_DENSITY
 from .cv_core import (SQRT2, CoherentSuperposition, HomodyneWindow,
                       TwoModeSuperposition, beam_splitter_50_50, gram,
                       quadrature_overlap, superposition_inner)
-from .fock_oracle import gauss_legendre
 from .errors import DegenerateState, DomainError, ZeroProbability
+from .quadrature import gauss_legendre
 
 __all__ = [
     "ProtocolParams", "Separations", "PreparedStateReport", "HomodyneWindow",
@@ -157,10 +157,13 @@ def cat_coefficient(p, x=0.0):
 def coefficient_ratio(p):
     """|vacuum_coefficient| / |cat_coefficient| at x = 0, in closed form:
 
-        2 exp(-alpha0^2 (1 - cos phi)) |cos(alpha0^2 sin phi)|.
+        2 exp(-2 alpha0^2 sin^2(phi/2)) |cos(alpha0^2 sin phi)|,
+
+    the exponent alpha0^2 (1 - cos phi) in a form that does not cancel.
     """
     a2 = p.alpha0 * p.alpha0
-    return (2.0 * math.exp(-a2 * (1.0 - math.cos(p.phi)))
+    half = math.sin(0.5 * p.phi)
+    return (2.0 * math.exp(-2.0 * a2 * half * half)
             * abs(math.cos(a2 * math.sin(p.phi))))
 
 
@@ -280,8 +283,7 @@ def window_metrics(p, window):
     two = interfere(p)
     kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
     pieces = _window_pieces(window, {SQRT2 * a.real for _, a, _ in two.terms})
-    rules = [gauss_legendre(lo, hi, math.ceil((hi - lo) / MAX_PANEL_WIDTH))
-             for lo, hi in pieces]
+    rules = [gauss_legendre(lo, hi) for lo, hi in pieces]
     ws = np.concatenate([w for _, w in rules])
     q = np.array([[quadrature_overlap(x, a) for _, a, _ in two.terms]
                   for x in np.concatenate([x for x, _ in rules]).tolist()])

@@ -26,14 +26,14 @@ from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import (PI_QUARTER_INV, even_cat, wigner_grid,
                               wigner_point)
 from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
-                                  gauss_legendre, product_state,
-                                  project_quadrature)
+                                  product_state, project_quadrature)
 from catforge import fock_oracle
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff, zero_alphas
 from catforge.protocol import (ProtocolParams, cat_coefficient,
                                coefficient_ratio, coefficient_ratio_second_order,
                                homodyne_density, report, separations,
                                vacuum_null_alpha, vacuum_null_alpha_approx)
+from catforge.quadrature import gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,7 +202,7 @@ def test_criterion_09():
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))
         worst_unitary = max(worst_unitary, dev)
     out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
-    xs, ws = gauss_legendre(-8.0, 8.0, 80)
+    xs, ws = gauss_legendre(-8.0, 8.0)
     mass = 0.0
     for x, w in zip(xs, ws):
         _, dens = project_quadrature(out, x)
@@ -220,7 +220,7 @@ def test_criterion_10():
         w0 = wigner_point(cat, 0j)
         ok = ok and abs(w0 - 2.0 / math.pi) <= 1e-10
         extent = beta + 5.0
-        xs, ws = gauss_legendre(-extent, extent, max(12, int(4 * extent)))
+        xs, ws = gauss_legendre(-extent, extent)
         w = wigner_grid(cat, xs, xs)
         mass = float(ws @ w @ ws)
         ok = ok and abs(mass - 1.0) <= 1e-6

@@ -243,6 +243,22 @@ class TestWigner:
             assert "--points" in err
             assert out == ""
 
+    def test_amplitude_at_the_overflow_limit(self, capsys):
+        # alpha0^2 is still finite; the grid spans about 1.8e154, where the
+        # pair factors' squares and phases would overflow if formed
+        code, out, err = run(capsys, "wigner", "--alpha0", "1.3e154",
+                             "--phi", "3.14159", "--points", "3")
+        assert code == 0
+        assert err == ""
+        edge = "1.8384776310834052e+154"
+        assert out.split("\n") == [
+            "x,y,w",
+            f"-{edge},-{edge},0", f"-{edge},0,0.31830988618379075",
+            f"-{edge},{edge},0",
+            f"0,-{edge},0", "0,0,0.63661977236758149", f"0,{edge},0",
+            f"{edge},-{edge},0", f"{edge},0,0.31830988618379075",
+            f"{edge},{edge},0", ""]
+
     def test_half_extent_must_be_finite_and_positive(self, capsys):
         for extent in ("nan", "0", "-2"):
             code, out, err = run(capsys, "wigner", "--alpha0", "1",
@@ -270,6 +286,14 @@ class TestValidate:
                            "--phi-values", "0.1")
         assert code == 2
         assert "error:" in err
+
+    def test_malformed_fock_cap_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CATFORGE_MAX_FOCK", "abc")
+        code, out, err = run(capsys, "validate")
+        assert code == 2
+        assert err == ("error: CATFORGE_MAX_FOCK must be a positive integer, "
+                       "got 'abc'\n")
+        assert out == ""
 
 
 @pytest.mark.parametrize("flag, argv", [

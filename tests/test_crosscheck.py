@@ -9,7 +9,7 @@ from catforge.crosscheck import (crosscheck_grid, crosscheck_point,
                                  oracle_conditioning, oracle_pipeline,
                                  oracle_window,
                                  window_metrics_analytic)
-from catforge import fock_oracle, protocol
+from catforge import fock_oracle, protocol, quadrature
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DegenerateState
 from catforge.protocol import ProtocolParams, window_metrics
@@ -83,10 +83,14 @@ def package_imports(module):
 
 
 class TestRouteIndependence:
-    def test_oracle_imports_only_config_and_errors(self):
-        assert {m for m, _ in package_imports(fock_oracle)} <= {"config", "errors"}
+    def test_oracle_imports_only_config_errors_and_quadrature(self):
+        assert ({m for m, _ in package_imports(fock_oracle)}
+                <= {"config", "errors", "quadrature"})
 
-    def test_protocol_takes_only_the_quadrature_rule_from_the_oracle(self):
+    def test_protocol_imports_nothing_from_the_oracle(self):
         imports = package_imports(protocol)
         assert (None, "fock_oracle") not in imports
-        assert {n for m, n in imports if m == "fock_oracle"} == {"gauss_legendre"}
+        assert not [n for m, n in imports if m == "fock_oracle"]
+
+    def test_quadrature_rule_is_neutral(self):
+        assert {m for m, _ in package_imports(quadrature)} == {"config"}

@@ -91,10 +91,10 @@ class TestQuadratureOverlap:
 
     def test_unit_mass(self):
         # |<x|alpha>|^2 integrates to 1; domain centred on sqrt2 Re alpha
-        from catforge.fock_oracle import gauss_legendre
+        from catforge.quadrature import gauss_legendre
         for a in (0.0, 1.5, 1 - 2j):
             c = SQRT2 * complex(a).real
-            xs, ws = gauss_legendre(c - 10.0, c + 10.0, 200)
+            xs, ws = gauss_legendre(c - 10.0, c + 10.0)
             total = sum(w * abs(quadrature_overlap(x, a)) ** 2
                         for x, w in zip(xs, ws))
             assert abs(total - 1.0) < 1e-8
@@ -326,9 +326,9 @@ class TestWigner:
                 assert abs(w[i, j] - wigner_point(s, x + 1j * y)) < 1e-13
 
     def test_unit_mass(self):
-        from catforge.fock_oracle import gauss_legendre
+        from catforge.quadrature import gauss_legendre
         s = even_cat(1.0)
-        xs, ws = gauss_legendre(-6.0, 6.0, 24)
+        xs, ws = gauss_legendre(-6.0, 6.0)
         w = wigner_grid(s, xs, xs)
         total = float(ws @ w @ ws)
         assert abs(total - 1.0) < 1e-6

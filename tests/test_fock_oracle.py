@@ -15,13 +15,13 @@ import pytest
 from catforge import cv_core, fock_oracle
 from catforge.config import DEFAULT_FOCK_CAP
 from catforge.cv_core import HomodyneWindow
-from catforge.errors import (DimensionMismatch, TruncationTooLarge,
-                             ZeroProbability)
+from catforge.errors import (CatforgeError, DimensionMismatch,
+                             TruncationTooLarge, ZeroProbability)
 from catforge.fock_oracle import (apply_beam_splitter, choose_truncation,
-                                  coherent_fock, default_panels, fidelity,
-                                  gauss_legendre, product_state,
+                                  coherent_fock, fidelity, product_state,
                                   project_quadrature, quadrature_eigvec,
-                                  superposition_fock, window_state)
+                                  superposition_fock, window_metrics)
+from catforge.quadrature import gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
@@ -96,6 +96,19 @@ class TestChooseTruncation:
             choose_truncation(2.0)
         monkeypatch.delenv("CATFORGE_MAX_FOCK")
         assert choose_truncation(2.0) == 44
+
+    @pytest.mark.parametrize("env, cap, source", [
+        ("abc", None, "CATFORGE_MAX_FOCK"), ("0", None, "CATFORGE_MAX_FOCK"),
+        ("-5", None, "CATFORGE_MAX_FOCK"), ("4.5", None, "CATFORGE_MAX_FOCK"),
+        (None, 0, "Fock cap"), (None, -3, "Fock cap")])
+    def test_malformed_cap_names_its_source(self, monkeypatch, env, cap, source):
+        if env is not None:
+            monkeypatch.setenv("CATFORGE_MAX_FOCK", env)
+        with pytest.raises(CatforgeError) as info:
+            choose_truncation(2.0, cap=cap)
+        msg = str(info.value)
+        assert source in msg and "positive integer" in msg
+        assert repr(env if cap is None else cap) in msg
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -301,7 +314,7 @@ class TestProjection:
     def test_marginal_integrates_to_one(self):
         from catforge import crosscheck, protocol
         out, _, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(1.0, 0.1))
-        xs, ws = gauss_legendre(-8.0, 8.0, 80)
+        xs, ws = gauss_legendre(-8.0, 8.0)
         total = 0.0
         for x, w in zip(xs, ws):
             _, dens = project_quadrature(out, x)
@@ -315,23 +328,25 @@ class TestProjection:
 
 class TestGaussLegendre:
     def test_exact_on_smooth_integrand(self):
-        xs, ws = gauss_legendre(0.0, math.pi, 8)
+        xs, ws = gauss_legendre(0.0, math.pi)
         assert abs(np.sum(ws * np.sin(xs)) - 2.0) < 1e-14
 
     def test_partition_of_length(self):
-        xs, ws = gauss_legendre(-3.0, 5.0, 11)
+        xs, ws = gauss_legendre(-3.0, 5.0)
         assert abs(ws.sum() - 8.0) < 1e-13
-        assert xs.size == 11 * 16
+        assert xs.size == 80 * 16
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            gauss_legendre(0.0, 1.0, 0)
+            gauss_legendre(1.0, 1.0)
         with pytest.raises(ValueError):
-            gauss_legendre(1.0, 1.0, 4)
+            gauss_legendre(1.0, 0.0)
 
     def test_default_panels(self):
-        assert default_panels(HomodyneWindow(0.0, 0.2)) == 4
-        assert default_panels(HomodyneWindow(0.0, 1e-4)) == 1
+        # the fewest panels of width <= 0.1, GL_ORDER = 16 nodes each
+        assert gauss_legendre(-0.2, 0.2)[0].size == 4 * 16
+        assert gauss_legendre(-0.2, 0.21)[0].size == 5 * 16
+        assert gauss_legendre(-1e-4, 1e-4)[0].size == 16
 
 
 class TestWindowState:
@@ -341,44 +356,59 @@ class TestWindowState:
         return crosscheck.oracle_pipeline(protocol.ProtocolParams(alpha0, phi))[0]
 
     def test_density_invariants(self):
+        # unit trace and positivity of the windowed density, never formed:
+        # its fidelities to the Fock basis states are >= 0 and sum to 1
         out = self.pipeline()
-        rho, prob = window_state(out, HomodyneWindow(0.0, 0.3), panels=3)
-        assert 0.0 < prob < 1.0
-        assert np.max(np.abs(rho - rho.conjugate().T)) < 1e-12
-        assert abs(np.trace(rho).real - 1.0) < 1e-10
-        evals = np.linalg.eigvalsh(rho)
-        assert evals.min() >= -1e-14
+        window = HomodyneWindow(0.0, 0.3)
+        fids = []
+        for k in range(out.shape[0]):
+            basis = np.zeros(out.shape[0], dtype=complex)
+            basis[k] = 1.0
+            prob, fid = window_metrics(out, window, basis)
+            assert 0.0 < prob < 1.0
+            fids.append(fid)
+        assert min(fids) >= 0.0
+        assert abs(sum(fids) - 1.0) < 1e-10
 
     def test_small_window_approaches_projection(self):
         out = self.pipeline()
         v, _ = project_quadrature(out, 0.0)
         vhat = v / np.linalg.norm(v)
-        rho, _ = window_state(out, HomodyneWindow(0.0, 1e-4), panels=1)
-        assert fidelity(rho, vhat) >= 1.0 - 1e-6
+        _, fid = window_metrics(out, HomodyneWindow(0.0, 1e-4), vhat)
+        assert fid >= 1.0 - 1e-6
 
     def test_wide_window_captures_everything(self):
         out = self.pipeline()
-        rho, prob = window_state(out, HomodyneWindow(0.0, 10.0), panels=100)
+        target = np.eye(out.shape[0], dtype=complex)[0]
+        prob, _ = window_metrics(out, HomodyneWindow(0.0, 10.0), target)
         assert abs(prob - 1.0) < 1e-6
 
     def test_matches_node_loop(self):
-        # the per-node sum the two matrix products replace
+        # the per-node density sum the vectorised node sums replace
         out = self.pipeline(alpha0=2.0, phi=0.3)
         window = HomodyneWindow(0.1, 0.4)
-        rho, prob = window_state(out, window, panels=8)
-        xs, ws = gauss_legendre(window.lo, window.hi, 8)
-        ref = np.zeros_like(rho)
+        target = coherent_fock(0.8 - 0.3j, out.shape[0])
+        target /= np.linalg.norm(target)
+        prob, fid = window_metrics(out, window, target)
+        xs, ws = gauss_legendre(window.lo, window.hi)
+        ref = np.zeros((out.shape[0],) * 2, dtype=complex)
         for x, w in zip(xs, ws):
             v = quadrature_eigvec(x, out.shape[0]) @ out
             ref += w * np.outer(v, v.conjugate())
         ref_prob = np.trace(ref).real
         assert abs(prob - ref_prob) <= 1e-14
-        assert np.max(np.abs(rho - ref / ref_prob)) <= 1e-12
+        assert abs(fid - np.vdot(target, ref @ target).real / ref_prob) <= 1e-12
 
     def test_zero_probability_window(self):
         out = self.pipeline()
+        target = np.eye(out.shape[0], dtype=complex)[0]
         with pytest.raises(ZeroProbability):
-            window_state(out, HomodyneWindow(40.0, 0.1), panels=1)
+            window_metrics(out, HomodyneWindow(40.0, 0.1), target)
+
+    def test_rejects_vector(self):
+        with pytest.raises(DimensionMismatch):
+            window_metrics(np.zeros(5, dtype=complex), HomodyneWindow(0.0, 0.1),
+                           np.zeros(5, dtype=complex))
 
 
 class TestFidelity:
@@ -392,11 +422,6 @@ class TestFidelity:
         e0[0] = 1.0
         assert abs(fidelity(e0, v) - math.exp(-1.0)) < 1e-12
         assert abs(fidelity(v, e0) - math.exp(-1.0)) < 1e-12
-
-    def test_maximally_mixed(self):
-        rho = np.eye(2, dtype=complex) / 2.0
-        t = np.array([1.0, 1.0], dtype=complex) / SQRT2
-        assert abs(fidelity(rho, t) - 0.5) < 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -17,7 +17,7 @@ from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow, even_cat,
                               superposition_norm, vacuum)
 from catforge.errors import (DegenerateState, DomainError, TruncationTooLarge,
                              ZeroProbability)
-from catforge.fock_oracle import gauss_legendre
+from catforge.quadrature import gauss_legendre
 from catforge.protocol import (ProtocolParams, cat_coefficient,
                                coefficient_ratio, coefficient_ratio_second_order,
                                coefficient_ratio_small_angle, conditional_state,
@@ -33,6 +33,25 @@ def params_grid(rng, n, alpha_max=5.0, phi_max=math.pi):
     for _ in range(n):
         yield ProtocolParams(rng.uniform(0.0, alpha_max),
                              rng.uniform(0.0, phi_max))
+
+
+# (alpha0, phi) where 1 - cos(phi) cancels: tiny phi with alpha0^2 phi^2 of order 1
+TINY_PHI_POINTS = ((1.4e8, 1e-8), (1e4, 1e-6), (1e6, 1e-12))
+
+
+def ratio_tolerance(p, ulps=4):
+    """A few ulps times the absolute condition number of the closed-form ratio.
+
+    R = E |cos(a^2 sin phi)| with envelope E = 2 exp(-2 a^2 sin^2(phi/2)), so
+        |a dR/da| + |phi dR/dphi|
+            <= E a^2 (4 sin^2(phi/2) + 2 sin phi + phi sin phi + phi |cos phi|);
+    rounding the inputs of either route by an ulp moves R by about that much.
+    """
+    a2, phi = p.alpha0 ** 2, p.phi
+    env = 2.0 * math.exp(-2.0 * a2 * math.sin(0.5 * phi) ** 2)
+    cond = env * a2 * (4.0 * math.sin(0.5 * phi) ** 2 + 2.0 * math.sin(phi)
+                       + phi * math.sin(phi) + phi * abs(math.cos(phi)))
+    return ulps * 2.0 ** -52 * (env + cond)
 
 
 class TestParams:
@@ -221,6 +240,16 @@ class TestCoefficientRatio:
             quotient = abs(vacuum_coefficient(p)) / abs(cat_coefficient(p))
             assert coefficient_ratio(p) == pytest.approx(quotient, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha0,phi", TINY_PHI_POINTS)
+    def test_tiny_phi_against_high_precision(self, alpha0, phi):
+        import mpmath
+        with mpmath.workdps(50):
+            a, f = mpmath.mpf(alpha0), mpmath.mpf(phi)
+            want = float(2 * mpmath.exp(-2 * a * a * mpmath.sin(f / 2) ** 2)
+                         * abs(mpmath.cos(a * a * mpmath.sin(f))))
+        p = ProtocolParams(alpha0, phi)
+        assert abs(coefficient_ratio(p) - want) <= ratio_tolerance(p)
+
     def test_small_angle_limits(self):
         assert coefficient_ratio_small_angle(ProtocolParams(2.0, 0.0)) == 2.0
         assert coefficient_ratio_second_order(ProtocolParams(2.0, 0.0)) == 2.0
@@ -311,7 +340,7 @@ class TestHomodyneDensity:
 
     def test_unit_mass(self):
         p = ProtocolParams(2.0, 0.3)
-        xs, ws = gauss_legendre(-8.0, 8.0, 80)
+        xs, ws = gauss_legendre(-8.0, 8.0)
         total = sum(w * homodyne_density(p, x) for x, w in zip(xs, ws))
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -334,9 +363,11 @@ class TestReport:
 
     def test_ratio_field_matches_closed_form(self):
         rng = np.random.default_rng(14)
-        for p in params_grid(rng, 30, alpha_max=3.0):
+        points = list(params_grid(rng, 30, alpha_max=3.0))
+        points += [ProtocolParams(a, phi) for a, phi in TINY_PHI_POINTS]
+        for p in points:
             r = report(p)
-            assert r.ratio == pytest.approx(coefficient_ratio(p), abs=1e-12)
+            assert abs(r.ratio - coefficient_ratio(p)) <= ratio_tolerance(p)
 
     def test_null_report(self):
         p = ProtocolParams(vacuum_null_alpha(0.1), 0.1)

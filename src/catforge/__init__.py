@@ -54,7 +54,6 @@ from .protocol import (
 )
 from .optimize_sweep import (
     GridSpec,
-    SweepRow,
     find_min_alpha,
     sweep_ratio,
     window_tradeoff,
@@ -77,7 +76,6 @@ __all__ = [
     "PreparedStateReport",
     "ProtocolParams",
     "Separations",
-    "SweepRow",
     "TruncationTooLarge",
     "TwoModeSuperposition",
     "ZeroProbability",

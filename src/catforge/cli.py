@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the analysis operations: ratio, prepare,
 sweep, optimize, window, wigner, validate.  Angles are radians by default
 (--phi-degrees converts); every run is deterministic.  CSV output uses LF
 line endings and 17-significant-digit floats so parsed values round-trip
-exactly; JSON never contains NaN or infinities.
+exactly; sweep and wigner write it row by row as it is computed, so their
+memory does not grow with the grid.  JSON never contains NaN or infinities.
 
 Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 """
@@ -14,9 +15,13 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import crosscheck, cv_core, optimize_sweep, protocol
 from .errors import CatforgeError, DomainError
 from .config import CROSSCHECK_TOL, GRID_STEP_CAP
+
+WIGNER_BLOCK_ROWS = 64  # x rows per wigner_grid call: bounds the memory
 
 
 def _fmt(v):
@@ -39,18 +44,23 @@ def _floats(text, flag):
             f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _write_text(path, text):
+def _write(path, chunks):
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
-def _csv(header, rows):
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header, blocks):
+    """The header line, then one chunk per (template, values) block.
+
+    Each template line holds its formatted axis cells and a "%.17g" slot per
+    value; "%.17g" % v is format(v, ".17g"), done for a whole block at once.
+    """
+    yield header + "\n"
+    for template, values in blocks:
+        yield template % tuple(values.ravel().tolist())
 
 
 def _json_text(payload):
@@ -84,7 +94,7 @@ def cmd_prepare(args):
         "density_at_x": r.density_at_x,
         "separations": {"d0": r.separations.d0, "d": r.separations.d},
     }
-    _write_text(args.out, _json_text(payload))
+    _write(args.out, [_json_text(payload)])
     return 0
 
 
@@ -93,11 +103,13 @@ def cmd_sweep(args):
         alpha0_min=args.alpha0_min, alpha0_max=args.alpha0_max,
         alpha0_steps=args.alpha0_steps,
         phi_min=args.phi_min, phi_max=args.phi_max, phi_steps=args.phi_steps)
-    rows = optimize_sweep.sweep_ratio(grid)
-    text = _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d",
-                [(r.alpha0, r.phi, r.ratio_exact, r.ratio_o1, r.ratio_o2, r.d)
-                 for r in rows])
-    _write_text(args.out, text)
+    # "@" marks the phi cell, filled in per row
+    template = "".join([_fmt(a) + ",@,%.17g,%.17g,%.17g,%.17g\n"
+                        for a in grid.alpha0_values()])
+    rows = zip(grid.phi_values(), optimize_sweep.sweep_ratio(grid))
+    blocks = ((template.replace("@", _fmt(phi)), np.column_stack(cols))
+              for phi, cols in rows)
+    _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", blocks))
     return 0
 
 
@@ -122,9 +134,10 @@ def cmd_window(args):
     if args.format == "json":
         payload = [{"epsilon": e, "probability": pr, "fidelity": f}
                    for e, pr, f in rows]
-        _write_text(args.out, _json_text(payload))
+        _write(args.out, [_json_text(payload)])
     else:
-        _write_text(args.out, _csv("epsilon,probability,fidelity", rows))
+        block = ("%.17g,%.17g,%.17g\n" * len(rows), np.array(rows))
+        _write(args.out, _csv("epsilon,probability,fidelity", [block]))
     return 0
 
 
@@ -143,10 +156,17 @@ def cmd_wigner(args):
         extent = max(abs(a) for a in state.amplitudes()) + 5.0
     axis = [(-extent + 2.0 * extent * i / (args.points - 1))
             for i in range(args.points)]
-    w = cv_core.wigner_grid(state, axis, axis)
-    rows = [(x, y, w[i, j])
-            for i, x in enumerate(axis) for j, y in enumerate(axis)]
-    _write_text(args.out, _csv("x,y,w", rows))
+    if not math.isfinite(axis[-1]):
+        raise DomainError(
+            f"--half-extent {extent:g} is too large: the grid values overflow")
+    cells = [_fmt(v) for v in axis]
+    # "@" marks the x cell; row blocks give the full grid's values bit for bit
+    template = "".join(["@," + y + ",%.17g\n" for y in cells])
+    blocks = ((template.replace("@", x), w_row)
+              for lo in range(0, args.points, WIGNER_BLOCK_ROWS)
+              for x, w_row in zip(cells[lo:], cv_core.wigner_grid(
+                  state, axis[lo:lo + WIGNER_BLOCK_ROWS], axis)))
+    _write(args.out, _csv("x,y,w", blocks))
     return 0
 
 

@@ -2,20 +2,27 @@
 
 The swept landscape is the closed-form coefficient ratio; its dark valleys
 follow alpha0^2 sin(phi) = pi/2 + k pi exactly, so the sweep doubles as a
-visual check of the optimum-condition formulas.
+visual check of the optimum-condition formulas.  sweep_ratio streams it as
+numpy rows, bit for bit equal to the point functions in protocol.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import protocol
+from .cv_core import SQRT2
 from .config import BISECTION_MAX_ITER, BISECTION_TOL, GRID_STEP_CAP
 from .errors import DomainError, GridTooLarge
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inclusive linspace grid, alpha0 on one axis and phi on the other."""
+    """Inclusive linspace grid, alpha0 on one axis and phi on the other.
+
+    Refuses any grid with a cell that ProtocolParams or a ratio would refuse.
+    """
 
     alpha0_min: float = 0.0
     alpha0_max: float = 5.0
@@ -31,10 +38,29 @@ class GridSpec:
                     f"{axis} axis has {steps} steps, cap is {GRID_STEP_CAP}")
             if steps < 2:
                 raise ValueError(f"{axis} axis needs at least 2 steps")
+        for name in ("alpha0_min", "alpha0_max", "phi_min", "phi_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha0_min < self.alpha0_max:
             raise ValueError("empty alpha0 range")
         if not self.phi_min < self.phi_max:
             raise ValueError("empty phi range")
+        if self.alpha0_min < 0:
+            raise ValueError(f"alpha0_min must be >= 0, got {self.alpha0_min}")
+        # axis values rise with the index, so the last is the largest
+        phis = self.phi_values()
+        if not math.isfinite(phis[-1]):
+            raise ValueError(
+                "phi_max - phi_min is too wide: the grid values overflow")
+        top = self.alpha0_values()[-1]
+        a2 = top * top
+        if not math.isfinite(a2):
+            raise ValueError(f"alpha0_max = {self.alpha0_max:g} is too large: "
+                             "alpha0_max^2 overflows")
+        if not math.isfinite(a2 * max(map(protocol.canonical_phi, phis))):
+            raise ValueError(f"alpha0_max = {self.alpha0_max:g} is too large: "
+                             "alpha0_max^2 phi overflows")
 
     def alpha0_values(self):
         lo, hi, n = self.alpha0_min, self.alpha0_max, self.alpha0_steps
@@ -45,33 +71,34 @@ class GridSpec:
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    alpha0: float
-    phi: float
-    ratio_exact: float
-    ratio_o1: float
-    ratio_o2: float
-    d: float
+def _libm(f, x):
+    # math.exp and math.cos, as the point functions call them; numpy's own
+    # differ from libm by an ulp on a few percent of inputs
+    return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
 def sweep_ratio(grid):
-    """Evaluate the ratio formulas over the grid, phi-major row order.
+    """Yield the ratio landscape one phi row at a time, phi-major.
 
-    Purely arithmetic and evaluated in a fixed order, so a given GridSpec
-    always produces the identical row list.
+    Each row is (ratio_exact, ratio_o1, ratio_o2, d): four float arrays over
+    grid.alpha0_values() at one value of grid.phi_values().  Every element
+    equals, bit for bit, coefficient_ratio, coefficient_ratio_small_angle,
+    coefficient_ratio_second_order and separations(p).d at
+    ProtocolParams(alpha0, phi): the arrays repeat those functions'
+    operations in their order, with exp and cos taken from libm.  A row is
+    computed only when asked for, so memory does not grow with phi_steps.
     """
-    rows = []
-    for phi in grid.phi_values():
-        for alpha0 in grid.alpha0_values():
-            p = protocol.ProtocolParams(alpha0, phi)
-            rows.append(SweepRow(
-                alpha0=alpha0, phi=phi,
-                ratio_exact=protocol.coefficient_ratio(p),
-                ratio_o1=protocol.coefficient_ratio_small_angle(p),
-                ratio_o2=protocol.coefficient_ratio_second_order(p),
-                d=protocol.separations(p).d))
-    return rows
+    a = np.array(grid.alpha0_values())
+    a2 = a * a
+    for phi in map(protocol.canonical_phi, grid.phi_values()):
+        half = math.sin(0.5 * phi)
+        # the exponents overflow past alpha0 ~ 1e154 as silently as in floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = (2.0 * _libm(math.exp, -2.0 * a2 * half * half)
+                     * np.abs(_libm(math.cos, a2 * math.sin(phi))))
+            cos1 = np.abs(_libm(math.cos, a2 * phi))
+            o2 = _libm(math.exp, -0.5 * a2 * phi * phi) * 2.0 * cos1
+        yield exact, 2.0 * cos1, o2, SQRT2 * (2.0 * a * half)
 
 
 def zero_count(phi, alpha_max):

@@ -57,11 +57,14 @@ class ProtocolParams:
             raise ValueError(f"alpha0 must be >= 0, got {a}")
         if not math.isfinite(a * a):
             raise ValueError(f"alpha0 = {a:g} is too large: alpha0^2 overflows")
-        p = math.fmod(abs(p), 2.0 * math.pi)
-        if p > math.pi:
-            p = 2.0 * math.pi - p
         object.__setattr__(self, "alpha0", a)
-        object.__setattr__(self, "phi", p)
+        object.__setattr__(self, "phi", canonical_phi(p))
+
+
+def canonical_phi(phi):
+    """The phase separation folded into [0, pi] (even and 2 pi periodic)."""
+    p = math.fmod(abs(phi), 2.0 * math.pi)
+    return 2.0 * math.pi - p if p > math.pi else p
 
 
 @dataclass(frozen=True)

@@ -130,11 +130,9 @@ def test_criterion_06():
 def test_criterion_07():
     t0 = time.perf_counter()
     grid = GridSpec()
-    rows = sweep_ratio(grid)
     alphas = np.array(grid.alpha0_values())
     phis = grid.phi_values()
-    ratios = np.array([r.ratio_exact for r in rows]).reshape(
-        grid.phi_steps, grid.alpha0_steps)
+    ratios = np.array([exact for exact, _, _, _ in sweep_ratio(grid)])
     cell = alphas[1] - alphas[0]
     missed = 0
     worst_offset = 0.0

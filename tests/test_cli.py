@@ -7,11 +7,12 @@ exercised exactly as a shell user sees them.
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
-from catforge import cli, protocol
-from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
+from catforge import cli, cv_core, protocol
+from catforge.optimize_sweep import GridSpec, window_tradeoff
 from catforge.protocol import ProtocolParams
 
 
@@ -19,6 +20,25 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def render(rows):
+    """Reference CSV body: every cell formatted on its own with .17g."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in rows)
+
+
+def sweep_reference(grid):
+    header = "alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d\n"
+    rows = []
+    for phi in grid.phi_values():
+        for alpha0 in grid.alpha0_values():
+            p = ProtocolParams(alpha0, phi)
+            rows.append((alpha0, phi, protocol.coefficient_ratio(p),
+                         protocol.coefficient_ratio_small_angle(p),
+                         protocol.coefficient_ratio_second_order(p),
+                         protocol.separations(p).d))
+    return header + render(rows)
 
 
 def parse_keyvals(text):
@@ -108,11 +128,24 @@ class TestSweep:
         assert lines[-1] == ""
         body = lines[1:-1]
         assert len(body) == 12
-        rows = sweep_ratio(GridSpec(alpha0_steps=4, phi_steps=3))
-        for line, r in zip(body, rows):
-            vals = [float(v) for v in line.split(",")]
-            assert vals == [r.alpha0, r.phi, r.ratio_exact,
-                            r.ratio_o1, r.ratio_o2, r.d]
+        assert raw.decode("ascii") == sweep_reference(
+            GridSpec(alpha0_steps=4, phi_steps=3))
+
+    @pytest.mark.parametrize("alpha0_max, phi_min, phi_max", [
+        (4.7, -0.4, 3.9),
+        # the exponents overflow (ratio_exact is nan at phi = 0, as in
+        # coefficient_ratio) and nothing may reach stderr
+        (1.3e154, 0.0, 1e-150),
+    ])
+    def test_csv_matches_point_functions(self, capsys, alpha0_max,
+                                         phi_min, phi_max):
+        grid = GridSpec(alpha0_max=alpha0_max, alpha0_steps=57,
+                        phi_min=phi_min, phi_max=phi_max, phi_steps=33)
+        code, out, err = run(capsys, "sweep", "--alpha0-steps", "57",
+                             "--phi-steps", "33", f"--alpha0-max={alpha0_max!r}",
+                             f"--phi-min={phi_min!r}", f"--phi-max={phi_max!r}")
+        assert (code, err) == (0, "")
+        assert out == sweep_reference(grid)
 
     def test_empty_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "sweep",
@@ -259,6 +292,23 @@ class TestWigner:
             f"{edge},-{edge},0", f"{edge},0,0.31830988618379075",
             f"{edge},{edge},0", ""]
 
+    @pytest.mark.parametrize("points", [67, 130])
+    def test_csv_matches_the_full_grid(self, capsys, points):
+        # row blocks that do not divide the grid give the full grid's values
+        code, out, err = run(capsys, "wigner", "--alpha0", "1.3",
+                             "--phi", "0.9", "--x", "0.2",
+                             "--points", str(points))
+        assert (code, err) == (0, "")
+        p = ProtocolParams(1.3, 0.9)
+        state = protocol.conditional_state(p, 0.2)
+        extent = max(abs(a) for a in state.amplitudes()) + 5.0
+        axis = [-extent + 2.0 * extent * i / (points - 1)
+                for i in range(points)]
+        w = cv_core.wigner_grid(state, axis, axis)
+        assert out == "x,y,w\n" + render(
+            (x, y, w[i, j]) for i, x in enumerate(axis)
+            for j, y in enumerate(axis))
+
     def test_half_extent_must_be_finite_and_positive(self, capsys):
         for extent in ("nan", "0", "-2"):
             code, out, err = run(capsys, "wigner", "--alpha0", "1",
@@ -307,3 +357,48 @@ def test_malformed_list_names_its_flag(capsys, flag, argv):
     assert code == 2
     assert flag in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("sweep", "--alpha0-max", "1e200"), "alpha0_max"),
+    (("sweep", "--alpha0-max", "1e154", "--phi-max", "3"), "alpha0_max"),
+    (("sweep", "--alpha0-min=-1"), "alpha0_min"),
+    (("sweep", "--phi-max", "inf"), "phi_max"),
+    (("sweep", "--phi-max", "nan"), "phi_max"),
+    (("sweep", "--phi-min=-1e307", "--phi-max", "1e307"), "phi_max - phi_min"),
+    (("sweep", "--alpha0-min", "2", "--alpha0-max", "2"), "alpha0"),
+    (("sweep", "--alpha0-steps", "1"), "alpha0"),
+    (("sweep", "--phi-steps", "2002"), "phi"),
+    (("wigner", "--alpha0", "1", "--phi", "0.5", "--points", "1"), "--points"),
+    (("wigner", "--alpha0", "1", "--phi", "0.5", "--points", "2002"), "--points"),
+    (("wigner", "--alpha0", "1", "--phi", "0.5", "--half-extent", "inf"),
+     "--half-extent"),
+    (("wigner", "--alpha0", "1", "--phi", "0.5", "--half-extent", "1e307"),
+     "--half-extent"),
+    (("wigner", "--alpha0", "1", "--phi", "0", "--state", "cat"), "separation"),
+])
+def test_rejected_grid_writes_nothing(capsys, tmp_path, argv, names):
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--alpha0-steps", "300", "--phi-steps", "300"),
+    ("wigner", "--alpha0", "2", "--phi", "0.5", "--points", "301"),
+], ids=["sweep", "wigner"])
+def test_streamed_landscapes_use_flat_memory(tmp_path, argv):
+    # the CSV is written as it is computed: the traced heap stays below the
+    # 10 MiB that the 300x300 sweep text alone would take
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MiB"

@@ -1,15 +1,29 @@
 """Tests for the sweep grid, optimum finder, and window trade-off table."""
 
 import math
+from collections import namedtuple
 
 import pytest
 
 from catforge.errors import DomainError, GridTooLarge
 from catforge.optimize_sweep import (GridSpec, find_min_alpha, sweep_ratio,
                                      window_tradeoff, zero_alphas, zero_count)
-from catforge.protocol import ProtocolParams, vacuum_null_alpha
+from catforge.protocol import (ProtocolParams, coefficient_ratio,
+                               coefficient_ratio_second_order,
+                               coefficient_ratio_small_angle, separations,
+                               vacuum_null_alpha)
 
 SQRT2 = math.sqrt(2.0)
+
+Cell = namedtuple("Cell", "alpha0 phi ratio_exact ratio_o1 ratio_o2 d")
+
+
+def sweep_cells(grid):
+    """The rows sweep_ratio yields, one Cell per grid point, phi-major."""
+    return [Cell(alpha0, phi, *values)
+            for phi, row in zip(grid.phi_values(), sweep_ratio(grid))
+            for alpha0, *values in zip(grid.alpha0_values(),
+                                       *(col.tolist() for col in row))]
 
 
 class TestGridSpec:
@@ -35,11 +49,30 @@ class TestGridSpec:
         with pytest.raises(GridTooLarge):
             GridSpec(phi_steps=2002)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"phi_max": math.inf}, "phi_max"),
+        ({"phi_max": math.nan}, "phi_max"),
+        ({"alpha0_min": -math.inf}, "alpha0_min"),
+        ({"alpha0_max": math.nan}, "alpha0_max"),
+        ({"alpha0_min": -1.0}, "alpha0_min"),
+        ({"phi_min": -1.7e308, "phi_max": 1.7e308}, "phi_max - phi_min"),
+        ({"phi_min": -1e307, "phi_max": 1e307, "phi_steps": 20},
+         "phi_max - phi_min"),
+        ({"alpha0_max": 1e200}, "alpha0_max"),
+        ({"alpha0_max": 1e308}, "alpha0_max"),
+        ({"alpha0_max": 1e154, "phi_max": 3.0}, "alpha0_max"),
+    ])
+    def test_rejects_what_a_cell_would_reject(self, kwargs, field):
+        # each of these grids has a cell where ProtocolParams or a ratio
+        # formula raises; the grid must refuse before any row is computed
+        with pytest.raises(ValueError, match=field.replace("-", r"\-")):
+            GridSpec(**{"alpha0_steps": 3, "phi_steps": 3, **kwargs})
+
 
 class TestSweep:
     def test_corner_values(self):
         g = GridSpec(alpha0_steps=2, phi_steps=2)
-        rows = sweep_ratio(g)
+        rows = sweep_cells(g)
         assert [(r.alpha0, r.phi) for r in rows] == [
             (0.0, 0.0), (5.0, 0.0), (0.0, 0.2), (5.0, 0.2)]
         # dark source and aligned source both sit at the ratio ceiling
@@ -54,20 +87,44 @@ class TestSweep:
 
     def test_phi_major_order(self):
         g = GridSpec(alpha0_steps=3, phi_steps=3)
-        rows = sweep_ratio(g)
+        rows = sweep_cells(g)
         assert [r.phi for r in rows[:3]] == [0.0, 0.0, 0.0]
         assert [r.alpha0 for r in rows[:3]] == [0.0, 2.5, 5.0]
 
     def test_deterministic(self):
         g = GridSpec(alpha0_steps=40, phi_steps=7)
-        assert sweep_ratio(g) == sweep_ratio(g)
+        assert sweep_cells(g) == sweep_cells(g)
 
     def test_approximations_track_exact_at_small_phi(self):
         g = GridSpec(alpha0_max=2.0, alpha0_steps=20,
                      phi_min=0.001, phi_max=0.02, phi_steps=5)
-        for r in sweep_ratio(g):
+        for r in sweep_cells(g):
             assert r.ratio_o1 == pytest.approx(r.ratio_exact, abs=2e-3)
             assert r.ratio_o2 == pytest.approx(r.ratio_exact, abs=2e-4)
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(),
+        GridSpec(alpha0_steps=57, phi_steps=33, alpha0_max=4.7,
+                 phi_min=-0.4, phi_max=3.9),
+        GridSpec(alpha0_max=30.0, alpha0_steps=41,
+                 phi_min=-7.0, phi_max=13.0, phi_steps=37),
+        GridSpec(alpha0_max=1e150, alpha0_steps=11,
+                 phi_min=-1e-3, phi_max=3.14, phi_steps=9),
+    ], ids=["default", "phi-beyond-pi", "phi-winding", "large-alpha0"])
+    def test_rows_equal_the_point_functions(self, grid):
+        # exact equality: the row kernel repeats the point functions'
+        # arithmetic with libm's exp and cos, so no tolerance is needed
+        alphas = grid.alpha0_values()
+        assert alphas[0] == 0.0
+        n_rows = 0
+        for phi, (exact, o1, o2, d) in zip(grid.phi_values(), sweep_ratio(grid)):
+            ps = [ProtocolParams(a, phi) for a in alphas]
+            assert exact.tolist() == [coefficient_ratio(p) for p in ps]
+            assert o1.tolist() == [coefficient_ratio_small_angle(p) for p in ps]
+            assert o2.tolist() == [coefficient_ratio_second_order(p) for p in ps]
+            assert d.tolist() == [separations(p).d for p in ps]
+            n_rows += 1
+        assert n_rows == grid.phi_steps
 
 
 class TestZeroCondition:

@@ -72,11 +72,13 @@ def _json_text(payload):
 def cmd_ratio(args):
     p = _params(args)
     sep = protocol.separations(p)
-    print(f"ratio_exact = {_fmt(protocol.coefficient_ratio(p))}")
-    print(f"ratio_o1    = {_fmt(protocol.coefficient_ratio_small_angle(p))}")
-    print(f"ratio_o2    = {_fmt(protocol.coefficient_ratio_second_order(p))}")
-    print(f"d0          = {_fmt(sep.d0)}")
-    print(f"d           = {_fmt(sep.d)}")
+    # every value first, so a refused input prints nothing to stdout
+    values = {"ratio_exact": protocol.coefficient_ratio(p),
+              "ratio_o1": protocol.coefficient_ratio_small_angle(p),
+              "ratio_o2": protocol.coefficient_ratio_second_order(p),
+              "d0": sep.d0, "d": sep.d}
+    for name, value in values.items():
+        print(f"{name:<11} = {_fmt(value)}")
     return 0
 
 
@@ -130,6 +132,9 @@ def cmd_optimize(args):
 def cmd_window(args):
     p = _params(args)
     eps = sorted(_floats(args.epsilons, "--epsilons"))
+    if not all(0.0 < e < math.inf for e in eps) or len(set(eps)) < len(eps):
+        raise DomainError("--epsilons takes distinct positive finite numbers, "
+                          f"got {args.epsilons!r}")
     rows = optimize_sweep.window_tradeoff(p, eps)
     if args.format == "json":
         payload = [{"epsilon": e, "probability": pr, "fidelity": f}

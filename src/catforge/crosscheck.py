@@ -137,12 +137,11 @@ def crosscheck_point(p, cap=None):
     cond_fock = cond_fock / math.sqrt(float(np.vdot(cond_fock, cond_fock).real))
     add("conditional", 1.0 - fock_oracle.fidelity(v / np.linalg.norm(v), cond_fock))
 
-    for eps in WINDOW_EPSILONS:
-        w = HomodyneWindow(0.0, eps)
+    windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
+    for w, (prob_a, fid_a) in zip(windows, protocol.window_metrics(p, windows)):
         prob_o, fid_o = oracle_window(p, w, out, dim)
-        prob_a, fid_a = protocol.window_metrics(p, w)
-        add(f"window_prob@eps={eps:g}", abs(prob_o - prob_a))
-        add(f"window_fid@eps={eps:g}", abs(fid_o - fid_a))
+        add(f"window_prob@eps={w.half_width:g}", abs(prob_o - prob_a))
+        add(f"window_fid@eps={w.half_width:g}", abs(fid_o - fid_a))
     return devs
 
 

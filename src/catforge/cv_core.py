@@ -63,7 +63,8 @@ def quadrature_overlap(x, alpha):
         -(x - sqrt2 Re(alpha))^2/2 + i Im(alpha) (sqrt2 x - Re(alpha)),
     so that cancellation holds in floating point too, with no rounding
     residue, and the real part does not cancel near x = sqrt2 Re(alpha) at
-    large amplitudes.
+    large amplitudes.  protocol.window_metrics repeats these operations over
+    arrays of nodes and amplitudes; a change here must change both.
     """
     alpha = complex(alpha)
     dx = x - SQRT2 * alpha.real

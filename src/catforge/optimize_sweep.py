@@ -94,7 +94,7 @@ def sweep_ratio(grid):
         half = math.sin(0.5 * phi)
         # the exponents overflow past alpha0 ~ 1e154 as silently as in floats
         with np.errstate(over="ignore", invalid="ignore"):
-            exact = (2.0 * _libm(math.exp, -2.0 * a2 * half * half)
+            exact = (2.0 * _libm(math.exp, -2.0 * (a2 * half * half))
                      * np.abs(_libm(math.cos, a2 * math.sin(phi))))
             cos1 = np.abs(_libm(math.cos, a2 * phi))
             o2 = _libm(math.exp, -0.5 * a2 * phi * phi) * 2.0 * cos1
@@ -166,8 +166,6 @@ def window_tradeoff(p, epsilons):
         raise ValueError("need at least one window half-width")
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be positive and strictly increasing")
-    rows = []
-    for e in eps:
-        prob, fid = protocol.window_metrics(p, protocol.HomodyneWindow(0.0, e))
-        rows.append((e, prob, fid))
-    return rows
+    windows = [protocol.HomodyneWindow(0.0, e) for e in eps]
+    return [(e, prob, fid) for e, (prob, fid)
+            in zip(eps, protocol.window_metrics(p, windows))]

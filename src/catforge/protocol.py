@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MARGINAL_HALF_RANGE, ZERO_DENSITY
-from .cv_core import (SQRT2, CoherentSuperposition, HomodyneWindow,
-                      TwoModeSuperposition, beam_splitter_50_50, gram,
-                      quadrature_overlap, superposition_inner)
+from .cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
+                      HomodyneWindow, TwoModeSuperposition,
+                      beam_splitter_50_50, gram, quadrature_overlap,
+                      superposition_inner)
 from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
 
@@ -166,13 +167,23 @@ def coefficient_ratio(p):
     """
     a2 = p.alpha0 * p.alpha0
     half = math.sin(0.5 * p.phi)
-    return (2.0 * math.exp(-2.0 * a2 * half * half)
+    # a2 * half * half first: -2 a2 alone overflows past alpha0 ~ 9.5e153
+    return (2.0 * math.exp(-2.0 * (a2 * half * half))
             * abs(math.cos(a2 * math.sin(p.phi))))
+
+
+def _small_angle_argument(p):
+    """alpha0^2 phi, the cosine argument of both small-angle forms."""
+    u = p.alpha0 * p.alpha0 * p.phi
+    if not math.isfinite(u):
+        raise DomainError(
+            f"alpha0 = {p.alpha0:g} is too large: alpha0^2 phi overflows")
+    return u
 
 
 def coefficient_ratio_small_angle(p):
     """First order in phi: 2 |cos(alpha0^2 phi)|."""
-    return 2.0 * abs(math.cos(p.alpha0 * p.alpha0 * p.phi))
+    return 2.0 * abs(math.cos(_small_angle_argument(p)))
 
 
 def coefficient_ratio_second_order(p):
@@ -184,7 +195,7 @@ def coefficient_ratio_second_order(p):
     """
     a2 = p.alpha0 * p.alpha0
     return (math.exp(-0.5 * a2 * p.phi * p.phi)
-            * 2.0 * abs(math.cos(a2 * p.phi)))
+            * 2.0 * abs(math.cos(_small_angle_argument(p))))
 
 
 def check_null_phi(phi):
@@ -272,8 +283,8 @@ def _window_pieces(window, centres):
     return pieces
 
 
-def window_metrics(p, window):
-    """Acceptance probability and cat fidelity for a finite homodyne window.
+def window_metrics(p, windows):
+    """Acceptance probability and cat fidelity for each finite homodyne window.
 
     The kept mode is mixed, but both are Gram sums.  With Q_ij the integral of
     conj(q_i) q_j, q_j(x) = <x|a_j> over the measured-mode amplitudes, on
@@ -281,19 +292,35 @@ def window_metrics(p, window):
     weights on the kept-mode amplitudes:
         probability = sum_ij K_ij Q_ij with K = gram(kept, kept),
         fidelity = u^H Q u / probability, u = column sums of gram(cat, kept).
-    Returns floats; the fidelity is clamped to [0, 1].
+    The state, K and u are formed once per call; per window, q is one array
+    over nodes and terms, built with quadrature_overlap's operations in its
+    order (numpy's complex exp is libm's cexp), so every entry equals
+    quadrature_overlap(x, a) bit for bit.  Returns one (probability,
+    fidelity) pair of floats per window; each fidelity is clamped to [0, 1].
     """
     two = interfere(p)
     kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
-    pieces = _window_pieces(window, {SQRT2 * a.real for _, a, _ in two.terms})
-    rules = [gauss_legendre(lo, hi) for lo, hi in pieces]
-    ws = np.concatenate([w for _, w in rules])
-    q = np.array([[quadrature_overlap(x, a) for _, a, _ in two.terms]
-                  for x in np.concatenate([x for x, _ in rules]).tolist()])
-    quad = (q.conj().T * ws) @ q
-    prob = float(np.sum(np.array(gram(kept, kept)) * quad).real)
-    if prob < ZERO_DENSITY:
-        raise ZeroProbability(f"window probability {prob:.3e} below floor")
+    centres = {SQRT2 * a.real for _, a, _ in two.terms}
+    a = np.array([a for _, a, _ in two.terms])
+    gram_kept = np.array(gram(kept, kept))
     u = np.array(gram(ideal_cat(p), kept)).sum(axis=0)
-    numer = float((u.conj() @ quad @ u).real)
-    return prob, min(max(numer / prob, 0.0), 1.0)
+    metrics = []
+    for window in windows:
+        rules = [gauss_legendre(lo, hi)
+                 for lo, hi in _window_pieces(window, centres)]
+        ws = np.concatenate([w for _, w in rules])
+        x = np.concatenate([x for x, _ in rules])[:, None]
+        # past alpha0 ~ 1e153 the products overflow to inf as silently as in
+        # floats; far from its lobe a term's exp is then exactly 0
+        with np.errstate(over="ignore"):
+            dx = x - SQRT2 * a.real
+            arg = (-0.5 * dx * dx).astype(complex)
+            arg.imag = a.imag * (SQRT2 * x - a.real)
+        q = PI_QUARTER_INV * np.exp(arg)
+        quad = (q.conj().T * ws) @ q
+        prob = float(np.sum(gram_kept * quad).real)
+        if prob < ZERO_DENSITY:
+            raise ZeroProbability(f"window probability {prob:.3e} below floor")
+        numer = float((u.conj() @ quad @ u).real)
+        metrics.append((prob, min(max(numer / prob, 0.0), 1.0)))
+    return metrics

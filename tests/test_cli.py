@@ -6,6 +6,10 @@ exercised exactly as a shell user sees them.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -80,6 +84,21 @@ class TestRatio:
         assert out_deg == out_rad
 
 
+    def test_phi_zero_where_two_alpha0_squared_overflows(self, capsys):
+        # 2 alpha0^2 is inf here, but the exponent -2 alpha0^2 sin^2(phi/2) is 0
+        code, out, err = run(capsys, "ratio", "--alpha0", "1e154", "--phi", "0")
+        assert (code, err) == (0, "")
+        vals = parse_keyvals(out)
+        assert vals["ratio_exact"] == vals["ratio_o1"] == vals["ratio_o2"] == "2"
+
+    def test_small_angle_overflow_prints_nothing(self, capsys):
+        # alpha0^2 phi overflows in the small-angle forms: refused before any
+        # value is printed
+        code, out, err = run(capsys, "ratio", "--alpha0", "1e154", "--phi", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: alpha0 = 1e+154 is too large: "
+                       "alpha0^2 phi overflows\n")
+
     @pytest.mark.parametrize("command", ["ratio", "prepare", "window"])
     def test_overflowing_alpha0_rejected(self, capsys, command):
         # alpha0^2 overflows; cli.main must turn that into exit code 2 (an
@@ -133,8 +152,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("alpha0_max, phi_min, phi_max", [
         (4.7, -0.4, 3.9),
-        # the exponents overflow (ratio_exact is nan at phi = 0, as in
-        # coefficient_ratio) and nothing may reach stderr
+        # alpha0^2 phi^2 underflows where alpha0^2 nearly overflows, and
+        # nothing may reach stderr
         (1.3e154, 0.0, 1e-150),
     ])
     def test_csv_matches_point_functions(self, capsys, alpha0_max,
@@ -146,6 +165,17 @@ class TestSweep:
                              f"--phi-min={phi_min!r}", f"--phi-max={phi_max!r}")
         assert (code, err) == (0, "")
         assert out == sweep_reference(grid)
+
+    def test_phi_zero_row_where_two_alpha0_squared_overflows(self, capsys):
+        grid = GridSpec(alpha0_min=9.9e153, alpha0_max=1e154, alpha0_steps=2,
+                        phi_max=0.2, phi_steps=2)
+        code, out, err = run(capsys, "sweep", "--alpha0-min", "9.9e153",
+                             "--alpha0-max", "1e154", "--phi-max", "0.2",
+                             "--alpha0-steps", "2", "--phi-steps", "2")
+        assert (code, err) == (0, "")
+        assert out == sweep_reference(grid)
+        assert "nan" not in out
+        assert [line.split(",")[2] for line in out.split("\n")[1:3]] == ["2", "2"]
 
     def test_empty_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "sweep",
@@ -233,6 +263,14 @@ class TestWindow:
         _, prob, fid = (float(v) for v in out.strip().split("\n")[2].split(","))
         assert abs(prob - 1.0) <= 1e-12
         assert abs(fid - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("epsilons", ["0.1,0.1", "0", "-0.1", "0.2,inf"])
+    def test_epsilons_must_be_distinct_and_positive(self, capsys, epsilons):
+        code, out, err = run(capsys, "window", "--alpha0", "1", "--phi", "0.3",
+                             "--epsilons", epsilons)
+        assert (code, out) == (2, "")
+        assert err == ("error: --epsilons takes distinct positive finite "
+                       f"numbers, got {epsilons!r}\n")
 
     def test_wide_window_is_clipped_to_the_marginal(self, capsys):
         t0 = time.perf_counter()
@@ -402,3 +440,18 @@ def test_streamed_landscapes_use_flat_memory(tmp_path, argv):
         tracemalloc.stop()
     assert code == 0
     assert peak < 8 * 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_python_m_runs_the_cli():
+    # python -m catforge reaches the same entry point as the catforge script
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "catforge", "ratio", "--alpha0", "1",
+         "--phi", "0.1"], capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert parse_keyvals(done.stdout)["ratio_exact"] == "1.9801244381583083"
+    refused = subprocess.run(
+        [sys.executable, "-m", "catforge", "ratio", "--alpha0", "1e200",
+         "--phi", "0.3"], capture_output=True, text=True, env=env, check=False)
+    assert (refused.returncode, refused.stdout) == (2, "")

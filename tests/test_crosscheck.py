@@ -44,7 +44,7 @@ class TestPointChecks:
     def test_window_routes_agree(self):
         p = ProtocolParams(1.5, 0.3)
         w = HomodyneWindow(0.0, 0.2)
-        prob, fid = window_metrics(p, w)
+        [(prob, fid)] = window_metrics(p, [w])
         out, dim, _ = oracle_pipeline(p)
         prob_fock, fid_fock = oracle_window(p, w, out, dim)
         prob_loop, fid_loop = window_metrics_analytic(p, w)

@@ -5,17 +5,53 @@ from collections import namedtuple
 
 import pytest
 
-from catforge.errors import DomainError, GridTooLarge
+import numpy as np
+
+from catforge import protocol
+from catforge.config import ZERO_DENSITY
+from catforge.cv_core import (CoherentSuperposition, HomodyneWindow, gram,
+                              quadrature_overlap)
+from catforge.errors import DomainError, GridTooLarge, ZeroProbability
+from catforge.fock_oracle import choose_truncation
 from catforge.optimize_sweep import (GridSpec, find_min_alpha, sweep_ratio,
                                      window_tradeoff, zero_alphas, zero_count)
 from catforge.protocol import (ProtocolParams, coefficient_ratio,
                                coefficient_ratio_second_order,
                                coefficient_ratio_small_angle, separations,
                                vacuum_null_alpha)
+from catforge.quadrature import gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
 Cell = namedtuple("Cell", "alpha0 phi ratio_exact ratio_o1 ratio_o2 d")
+
+
+def window_reference(p, window):
+    """protocol.window_metrics for one window, node by node: the state and
+    both Gram matrices rebuilt, quadrature_overlap called at every node."""
+    two = protocol.interfere(p)
+    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
+    pieces = protocol._window_pieces(
+        window, {SQRT2 * a.real for _, a, _ in two.terms})
+    rules = [gauss_legendre(lo, hi) for lo, hi in pieces]
+    ws = np.concatenate([w for _, w in rules])
+    q = np.array([[quadrature_overlap(x, a) for _, a, _ in two.terms]
+                  for x in np.concatenate([x for x, _ in rules]).tolist()])
+    quad = (q.conj().T * ws) @ q
+    prob = float(np.sum(np.array(gram(kept, kept)) * quad).real)
+    if prob < ZERO_DENSITY:
+        raise ZeroProbability(f"window probability {prob:.3e} below floor")
+    u = np.array(gram(protocol.ideal_cat(p), kept)).sum(axis=0)
+    numer = float((u.conj() @ quad @ u).real)
+    return prob, min(max(numer / prob, 0.0), 1.0)
+
+
+def alpha0_at_dim(dim):
+    """An alpha0 whose oracle truncation is dim, inside its band."""
+    m_lo, m_hi = (-5.0 + math.sqrt(5.0 + d) for d in (dim - 1, dim))
+    alpha0 = 0.5 * (m_lo + m_hi) / SQRT2
+    assert choose_truncation(SQRT2 * alpha0) == dim
+    return alpha0
 
 
 def sweep_cells(grid):
@@ -205,3 +241,31 @@ class TestWindowTradeoff:
             window_tradeoff(p, [0.2, 0.1])
         with pytest.raises(ValueError):
             window_tradeoff(p, [-0.1, 0.2])
+
+
+class TestWindowKernel:
+    """The table equals a node-by-node, window-by-window evaluation exactly."""
+
+    EPSILONS = (1e-17, 1e-9, 1e-4, 1e-2, 0.1, 0.35, 1.0, 3.0, 1e3, 1e308)
+
+    # the dark source and the Fock dimensions of the benchmark's window tables
+    @pytest.mark.parametrize("alpha0", [0.0, *map(alpha0_at_dim, (37, 50, 68))],
+                             ids=["dark", "dim37", "dim50", "dim68"])
+    @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi])
+    def test_table_equals_the_node_loop(self, alpha0, phi):
+        p = ProtocolParams(alpha0, phi)
+        want = [(e, *window_reference(p, HomodyneWindow(0.0, e)))
+                for e in self.EPSILONS]
+        assert window_tradeoff(p, self.EPSILONS) == want
+
+    @pytest.mark.parametrize("window", [
+        HomodyneWindow(50.0, 0.1),     # misses the marginal
+        HomodyneWindow(9.9, 1e-17),    # in a tail, below the density floor
+    ], ids=["off-marginal", "below-floor"])
+    def test_refused_window_raises_as_the_node_loop(self, window):
+        p = ProtocolParams(0.0, 0.0)
+        with pytest.raises(ZeroProbability) as want:
+            window_reference(p, window)
+        with pytest.raises(ZeroProbability) as got:
+            protocol.window_metrics(p, [HomodyneWindow(0.0, 0.1), window])
+        assert str(got.value) == str(want.value)

@@ -28,6 +28,8 @@ from .errors import DegenerateState
 
 SQRT2 = math.sqrt(2.0)
 PI_QUARTER_INV = math.pi ** -0.25
+# exp of any real part below this is exactly 0.0 in double precision
+EXP_UNDERFLOW = -745.2
 
 
 def _finite(z, what):
@@ -43,14 +45,18 @@ def coherent_overlap(alpha, beta):
     The exponent is formed from its exact real and imaginary parts,
     -|alpha - beta|^2/2 + i Im(conj(alpha) (beta - alpha)), both in terms of
     the difference: the three magnitudes of the textbook form cancel
-    catastrophically once |alpha|, |beta| are large.
+    catastrophically once |alpha|, |beta| are large.  Below EXP_UNDERFLOW the
+    overlap is 0 and the phase, which can overflow near |alpha| ~ 1e154, is
+    not formed.
     """
     alpha = complex(alpha)
     beta = complex(beta)
     dr = alpha.real - beta.real
     di = alpha.imag - beta.imag
-    return cmath.exp(complex(-0.5 * (dr * dr + di * di),
-                             alpha.imag * dr - alpha.real * di))
+    re = -0.5 * (dr * dr + di * di)
+    if re < EXP_UNDERFLOW:
+        return 0j
+    return cmath.exp(complex(re, alpha.imag * dr - alpha.real * di))
 
 
 def quadrature_overlap(x, alpha):
@@ -63,13 +69,18 @@ def quadrature_overlap(x, alpha):
         -(x - sqrt2 Re(alpha))^2/2 + i Im(alpha) (sqrt2 x - Re(alpha)),
     so that cancellation holds in floating point too, with no rounding
     residue, and the real part does not cancel near x = sqrt2 Re(alpha) at
-    large amplitudes.  protocol.window_metrics repeats these operations over
-    arrays of nodes and amplitudes; a change here must change both.
+    large amplitudes.  Below EXP_UNDERFLOW the amplitude is 0 and the phase
+    is not formed, as in coherent_overlap.  protocol.window_metrics repeats
+    these operations over arrays of nodes and amplitudes; a change here must
+    change both.
     """
     alpha = complex(alpha)
     dx = x - SQRT2 * alpha.real
-    arg = complex(-0.5 * dx * dx, alpha.imag * (SQRT2 * x - alpha.real))
-    return PI_QUARTER_INV * cmath.exp(arg)
+    re = -0.5 * dx * dx
+    if re < EXP_UNDERFLOW:
+        return 0j
+    return PI_QUARTER_INV * cmath.exp(
+        complex(re, alpha.imag * (SQRT2 * x - alpha.real)))
 
 
 def _coalesce(terms, what):
@@ -95,7 +106,8 @@ class _Superposition:
     """Finite superposition; terms holds (weight, amplitude per mode) tuples.
 
     from_terms coalesces terms whose amplitudes agree within the coalescing
-    tolerance.  The normalized flag marks unit Gram norm; normalize() sets it.
+    tolerance.  The normalized flag marks unit Gram norm; normalize() and
+    normalized_by() set it.
     """
 
     terms: tuple
@@ -106,7 +118,12 @@ class _Superposition:
         return cls(_coalesce(terms, cls.__name__))
 
     def normalize(self):
-        n = superposition_norm(self)
+        return self.normalized_by(superposition_inner(self, self).real)
+
+    def normalized_by(self, n2):
+        """The terms divided by sqrt(n2), flagged normalized; n2 is the Gram
+        norm^2 <self|self>, for a caller that has already summed it."""
+        n = _norm_from_square(n2)
         return type(self)(tuple((w / n, *amps) for w, *amps in self.terms), True)
 
 
@@ -157,12 +174,15 @@ def superposition_inner(a, b):
     return sum(g for row in gram(a, b) for g in row)
 
 
-def superposition_norm(s):
-    """Gram norm sqrt(<s|s>); raises DegenerateState when fully cancelled."""
-    n2 = superposition_inner(s, s).real
+def _norm_from_square(n2):
     if n2 < DEGENERATE_NORM ** 2:
         raise DegenerateState(f"superposition norm^2 = {n2:.3e} below floor")
     return math.sqrt(n2)
+
+
+def superposition_norm(s):
+    """Gram norm sqrt(<s|s>); raises DegenerateState when fully cancelled."""
+    return _norm_from_square(superposition_inner(s, s).real)
 
 
 def beam_splitter_50_50(t):

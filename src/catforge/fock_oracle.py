@@ -165,15 +165,24 @@ def apply_beam_splitter(amps):
     Exactly unitary on every total-photon block below the truncation; blocks
     reaching the truncation edge are projected, which is the usual (and here
     negligible, by choose_truncation) source of norm loss.
+
+    Block S acts on the anti-diagonal n + m = S, a basic slice of step dim - 1
+    of the flattened C-ordered state; viewed as (re, im) float pairs, each
+    block is one real matrix product on that slice.
     """
-    amps = np.asarray(amps, dtype=complex)
+    amps = np.ascontiguousarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
         raise DimensionMismatch(
             f"two-mode state must be square, got shape {amps.shape}")
+    dim = amps.shape[0]
     out = np.zeros_like(amps)
-    for s, (lo, mat) in enumerate(_bs_blocks(amps.shape[0])):
-        occ = np.arange(lo, lo + mat.shape[0])
-        out[occ, s - occ] = mat @ amps[occ, s - occ]
+    src = amps.view(float).reshape(-1, 2)
+    dst = out.view(float).reshape(-1, 2)
+    step = max(dim - 1, 1)  # at dim 1 every block is one entry
+    for s, (lo, mat) in enumerate(_bs_blocks(dim)):
+        start = lo * dim + s - lo  # flat index of (lo, s - lo)
+        diag = slice(start, start + step * (mat.shape[0] - 1) + 1, step)
+        dst[diag] = mat @ src[diag]
     return out
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MARGINAL_HALF_RANGE, ZERO_DENSITY
-from .cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
-                      HomodyneWindow, TwoModeSuperposition,
+from .cv_core import (EXP_UNDERFLOW, PI_QUARTER_INV, SQRT2,
+                      CoherentSuperposition, HomodyneWindow, TwoModeSuperposition,
                       beam_splitter_50_50, gram, quadrature_overlap,
                       superposition_inner)
 from .errors import DegenerateState, DomainError, ZeroProbability
@@ -114,13 +114,19 @@ def separations(p):
 def interfere(p):
     """Normalized two-mode state after the balanced beam splitter.
 
-    Built from the raw four-term product expansion; no closed-form prefactors
-    are assumed anywhere, the Gram norm does the bookkeeping.
+    Built from the raw product expansion of two copies of the normalized
+    source, with no further Gram sum: the product's Gram matrix is the
+    Kronecker square of the source's, so its norm is the square of the
+    source's, 1.  Nor is it coalesced: two product terms share both
+    amplitudes only if they pair the same source terms, and the coalesced
+    source amplitudes lie more than COALESCE_TOL apart.  The beam splitter
+    preserves the Gram norm term by term and carries the normalized flag.
     """
     src = source_state(p)
-    product = TwoModeSuperposition.from_terms(
-        [(wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms])
-    return beam_splitter_50_50(product).normalize()
+    product = TwoModeSuperposition(
+        tuple((wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms),
+        True)
+    return beam_splitter_50_50(product)
 
 
 def ideal_cat(p, require_cat=False):
@@ -219,9 +225,13 @@ def vacuum_null_alpha(phi, k=0):
 
 
 def _conditioned_terms(p, x):
-    # kept-mode terms projected on <x|, unnormalized; their norm^2 is the density
-    kept = CoherentSuperposition(tuple(
-        (w * quadrature_overlap(x, a), b) for w, a, b in interfere(p).terms))
+    # kept-mode terms projected on <x|, coalesced (the aligned pairs both keep
+    # amplitude 0) and unnormalized; their norm^2 is the density
+    projected = [(w * quadrature_overlap(x, a), b)
+                 for w, a, b in interfere(p).terms]
+    if not any(w for w, _ in projected):
+        return None, 0.0  # x so far in the tail that every projection is 0
+    kept = CoherentSuperposition.from_terms(projected)
     return kept, superposition_inner(kept, kept).real
 
 
@@ -229,7 +239,7 @@ def _normalized(kept, dens, x):
     if dens < ZERO_DENSITY:
         raise ZeroProbability(
             f"conditioning density {dens:.3e} at x={x} below floor")
-    return CoherentSuperposition.from_terms(kept.terms).normalize()
+    return kept.normalized_by(dens)
 
 
 def homodyne_density(p, x):
@@ -314,8 +324,11 @@ def window_metrics(p, windows):
         # floats; far from its lobe a term's exp is then exactly 0
         with np.errstate(over="ignore"):
             dx = x - SQRT2 * a.real
-            arg = (-0.5 * dx * dx).astype(complex)
+            re = -0.5 * dx * dx
+            arg = re.astype(complex)
             arg.imag = a.imag * (SQRT2 * x - a.real)
+        # quadrature_overlap's guard: 0 below EXP_UNDERFLOW, whatever the phase
+        arg[re < EXP_UNDERFLOW] = -np.inf
         q = PI_QUARTER_INV * np.exp(arg)
         quad = (q.conj().T * ws) @ q
         prob = float(np.sum(gram_kept * quad).real)

@@ -356,6 +356,37 @@ class TestWigner:
             assert out == ""
 
 
+def _comparable(command, out):
+    """The numbers of an output that do not scale with phi."""
+    if command == "prepare":
+        r = json.loads(out)
+        return [r["vacuum_coeff"]["re"], r["vacuum_coeff"]["im"],
+                r["cat_coeff"]["re"], r["cat_coeff"]["im"], r["ratio"],
+                r["density_at_x"]]
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    # window: probability and fidelity per epsilon; wigner: w per grid point
+    keep = 2 if command == "window" else 1
+    return [float(v) for row in rows for v in row[-keep:]]
+
+
+@pytest.mark.parametrize("argv", [("window",), ("prepare",),
+                                  ("wigner", "--points", "3")],
+                         ids=["window", "prepare", "wigner"])
+def test_overlap_phase_overflow_near_the_amplitude_cap(capsys, argv):
+    # at phi = 0.76 an overlap of the interfered state has exponent real part
+    # -8.6e307 and an imaginary part past the float range: the overlap is 0,
+    # as every cross overlap is at phi = 0.3, where no phase overflows
+    results = []
+    for phi in ("0.76", "0.3"):
+        code, out, err = run(capsys, argv[0], "--alpha0", "1.25e154",
+                             "--phi", phi, *argv[1:])
+        assert (code, err) == (0, "")
+        values = _comparable(argv[0], out)
+        assert values and all(math.isfinite(v) for v in values)
+        results.append(values)
+    assert results[0] == pytest.approx(results[1], rel=1e-12, abs=0)
+
+
 class TestValidate:
     def test_default_grid_passes(self, capsys):
         code, out, _ = run(capsys, "validate")

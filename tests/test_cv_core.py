@@ -7,6 +7,7 @@ different derivation.
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +99,87 @@ class TestQuadratureOverlap:
             total = sum(w * abs(quadrature_overlap(x, a)) ** 2
                         for x, w in zip(xs, ws))
             assert abs(total - 1.0) < 1e-8
+
+
+def _bits(z):
+    return struct.pack("dd", z.real, z.imag)
+
+
+class TestUnderflowGuard:
+    """Below EXP_UNDERFLOW an overlap is 0 and its phase is not formed.
+
+    At or above the limit both overlaps keep the bits of their unguarded
+    exponentials; below it the exponential is 0 in any case, and near the
+    top of the amplitude range the phase overflows while the real part is
+    still finite, which cmath.exp refuses.
+    """
+
+    @staticmethod
+    def unguarded_coherent(a, b):
+        dr, di = a.real - b.real, a.imag - b.imag
+        return cmath.exp(complex(-0.5 * (dr * dr + di * di),
+                                 a.imag * dr - a.real * di))
+
+    @staticmethod
+    def unguarded_quadrature(x, a):
+        dx = x - SQRT2 * a.real
+        return PI_QUARTER_INV * cmath.exp(
+            complex(-0.5 * dx * dx, a.imag * (SQRT2 * x - a.real)))
+
+    @staticmethod
+    def random_pair(rng):
+        """An amplitude of magnitude 1e-3 .. 1e154 and an offset that is not
+        lost to rounding next to it, of magnitude 1e-3 up to about both."""
+        top = rng.uniform(-3, 154)
+        a = cmath.rect(10.0 ** top, rng.uniform(-math.pi, math.pi))
+        d = cmath.rect(10.0 ** rng.uniform(-3, max(top, 3.0)),
+                       rng.uniform(-math.pi, math.pi))
+        return a, d
+
+    def test_coherent_overlap_bits_above_the_limit(self):
+        rng = np.random.default_rng(41)
+        above = below = 0
+        for _ in range(10000):
+            a, d = self.random_pair(rng)
+            b = a + d
+            dr, di = a.real - b.real, a.imag - b.imag
+            if -0.5 * (dr * dr + di * di) >= cv_core.EXP_UNDERFLOW:
+                above += 1
+                assert _bits(coherent_overlap(a, b)) == _bits(
+                    self.unguarded_coherent(a, b))
+            else:
+                below += 1
+                assert _bits(coherent_overlap(a, b)) == _bits(0j)
+        assert min(above, below) > 2500
+
+    def test_quadrature_overlap_bits_above_the_limit(self):
+        rng = np.random.default_rng(42)
+        above = below = 0
+        for _ in range(10000):
+            a, d = self.random_pair(rng)
+            x = SQRT2 * a.real + d.real
+            dx = x - SQRT2 * a.real
+            if -0.5 * dx * dx >= cv_core.EXP_UNDERFLOW:
+                above += 1
+                assert _bits(quadrature_overlap(x, a)) == _bits(
+                    self.unguarded_quadrature(x, a))
+            else:
+                below += 1
+                assert _bits(quadrature_overlap(x, a)) == _bits(0j)
+        assert min(above, below) > 2500
+
+    def test_overflowing_phase_gives_zero(self):
+        # beam-splitter images at alpha0 = 1.25e154, phi = 0.76: real part
+        # -8.6e307, imaginary part past the float range
+        a = complex(-6.557009480070436e153, 1.641662653160711e154)
+        b = complex(6.557009480070436e153, 1.641662653160711e154)
+        with pytest.raises(ValueError):
+            self.unguarded_coherent(a, b)
+        assert coherent_overlap(a, b) == 0j
+        x, alpha = -8.47079254463894e153, 1.5176995454451777e154j
+        with pytest.raises(ValueError):
+            self.unguarded_quadrature(x, alpha)
+        assert quadrature_overlap(x, alpha) == 0j
 
 
 class TestLargeAmplitudeReference:

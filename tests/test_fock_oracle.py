@@ -288,6 +288,24 @@ class TestBeamSplitter:
             after = float(np.sum(total * np.abs(w) ** 2))
             assert abs(before - after) < 1e-10
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 24, 57])
+    def test_blocks_act_on_their_antidiagonals(self, dim):
+        # reference: each block gathers and scatters its anti-diagonal
+        # n + m = S entry by entry, on the complex state
+        rng = np.random.default_rng(dim)
+        v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v /= np.linalg.norm(v)
+        want = np.zeros_like(v)
+        for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(dim)):
+            for i in range(mat.shape[0]):
+                want[lo + i, s - lo - i] = sum(
+                    mat[i, k] * v[lo + k, s - lo - k]
+                    for k in range(mat.shape[0]))
+        assert np.max(np.abs(apply_beam_splitter(v) - want)) <= 1e-14
+        # a strided view is read as the array it shows
+        assert np.array_equal(apply_beam_splitter(v.T),
+                              apply_beam_splitter(v.T.copy()))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             apply_beam_splitter(np.zeros((3, 4), dtype=complex))

@@ -11,12 +11,16 @@ import math
 import numpy as np
 import pytest
 
+from catforge import protocol
+from catforge.config import COALESCE_TOL, ZERO_DENSITY
 from catforge.crosscheck import oracle_pipeline
-from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow, even_cat,
+from catforge.cv_core import (PI_QUARTER_INV, CoherentSuperposition,
+                              HomodyneWindow, TwoModeSuperposition,
+                              beam_splitter_50_50, even_cat,
                               quadrature_overlap, superposition_inner,
                               superposition_norm, vacuum)
-from catforge.errors import (DegenerateState, DomainError, TruncationTooLarge,
-                             ZeroProbability)
+from catforge.errors import (CatforgeError, DegenerateState, DomainError,
+                             TruncationTooLarge, ZeroProbability)
 from catforge.quadrature import gauss_legendre
 from catforge.protocol import (ProtocolParams, cat_coefficient,
                                coefficient_ratio, coefficient_ratio_second_order,
@@ -408,3 +412,134 @@ class TestWindowMetrics:
     def test_window_off_the_marginal(self):
         with pytest.raises(ZeroProbability):
             window_metrics(ProtocolParams(1.0, 0.3), [HomodyneWindow(50.0, 0.1)])
+
+
+# --- the route with a Gram sum at every stage ------------------------------
+
+def interfere_renormalized(p):
+    """interfere with the product coalesced and renormalized after the beam
+    splitter, as if neither step could be skipped."""
+    src = source_state(p)
+    product = TwoModeSuperposition.from_terms(
+        [(wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms])
+    return beam_splitter_50_50(product).normalize()
+
+
+def projected_renormalized(p, x):
+    """Raw projected kept-mode terms and their 16-term Gram density."""
+    kept = CoherentSuperposition(tuple(
+        (w * quadrature_overlap(x, a), b)
+        for w, a, b in interfere_renormalized(p).terms))
+    return kept, superposition_inner(kept, kept).real
+
+
+def conditional_renormalized(p, x):
+    """The conditioned state coalesced and normalized by a second Gram sum."""
+    kept, dens = projected_renormalized(p, x)
+    if dens < ZERO_DENSITY:
+        raise ZeroProbability(
+            f"conditioning density {dens:.3e} at x={x} below floor")
+    return CoherentSuperposition.from_terms(kept.terms).normalize()
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except CatforgeError as exc:
+        return type(exc), str(exc)
+
+
+def just_apart(alpha0, gap):
+    """Parameters whose source amplitudes lie gap apart: 2 alpha0 sin(phi/2)."""
+    return ProtocolParams(alpha0, 2.0 * math.asin(gap / (2.0 * alpha0)))
+
+
+class TestOneGramPerState:
+    """The one-Gram route agrees with a Gram sum at every stage to 1e-13."""
+
+    TOL = 1e-13
+
+    # alpha0 = 0 (one source term), phi = 0 and pi, source amplitudes just
+    # inside and outside COALESCE_TOL, and kept amplitudes +-s just inside
+    # and outside it (s = gap / sqrt2)
+    EDGES = [ProtocolParams(0.0, 0.7), ProtocolParams(1.5, 0.0),
+             ProtocolParams(1.5, math.pi),
+             just_apart(1.0, 0.99 * COALESCE_TOL),
+             just_apart(1.0, 1.01 * COALESCE_TOL),
+             just_apart(2.0, 0.99 * SQRT2 * COALESCE_TOL),
+             just_apart(2.0, 1.01 * SQRT2 * COALESCE_TOL)]
+
+    @staticmethod
+    def points(n=500):
+        rng = np.random.default_rng(90)
+        for _ in range(n):
+            yield (ProtocolParams(rng.uniform(0.0, 6.0),
+                                  rng.uniform(0.0, math.pi)),
+                   rng.uniform(-3.0, 3.0))
+
+    def check_point(self, p, x):
+        dens = projected_renormalized(p, x)[1]
+        assert abs(homodyne_density(p, x) - max(dens, 0.0)) <= self.TOL
+        want = outcome(conditional_renormalized, p, x)
+        got = outcome(conditional_state, p, x)
+        if isinstance(want, tuple):
+            assert got == want
+            assert outcome(report, p, x) == want
+            return
+        assert [a for _, a in got.terms] == [a for _, a in want.terms]
+        assert max(abs(u - v) for (u, _), (v, _)
+                   in zip(got.terms, want.terms)) <= self.TOL
+        r = report(p, x)
+        assert abs(r.fidelity - abs(superposition_inner(
+            ideal_cat(p), want)) ** 2) <= self.TOL
+        assert abs(r.density_at_x - max(dens, 0.0)) <= self.TOL
+
+    def test_random_points(self):
+        for p, x in self.points():
+            self.check_point(p, x)
+
+    @pytest.mark.parametrize("p", EDGES, ids=[
+        "dark", "phi0", "phipi", "source-merged", "source-apart",
+        "kept-merged", "kept-apart"])
+    def test_edge_points(self, p):
+        for x in (0.0, 0.4, -1.7):
+            self.check_point(p, x)
+
+    def test_coalescing_edges_are_hit(self):
+        terms = [(len(source_state(p).terms), len(conditional_state(p).terms))
+                 for p in self.EDGES[3:]]
+        assert terms == [(1, 1), (2, 1), (2, 1), (2, 3)]
+
+    def test_tail_density_is_exactly_zero(self):
+        p = ProtocolParams(1.0, 0.3)
+        assert projected_renormalized(p, 60.0)[1] == 0.0
+        assert homodyne_density(p, 60.0) == 0.0
+        self.check_point(p, 60.0)
+        with pytest.raises(ZeroProbability, match="density 0.000e"):
+            conditional_state(p, 60.0)
+
+    def test_degenerate_floor_between_the_two_floors(self):
+        # density e^-x^2 / sqrt(pi) of the dark source lands in [1e-30, 1e-28)
+        p, x = ProtocolParams(0.0, 0.5), 8.136
+        assert ZERO_DENSITY <= homodyne_density(p, x) < 1e-28
+        with pytest.raises(DegenerateState):
+            conditional_state(p, x)
+        self.check_point(p, x)
+
+    def test_window_metrics(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        cases = [(p, [HomodyneWindow(x, w) for w in
+                      sorted(rng.uniform(1e-3, 1.5, 2))])
+                 for p, x in self.points()]
+        cases += [(p, [HomodyneWindow(0.0, 0.05), HomodyneWindow(1.0, 0.5)])
+                  for p in self.EDGES]
+        cases.append((ProtocolParams(1.0, 0.3), [HomodyneWindow(60.0, 0.1)]))
+        got = [outcome(window_metrics, p, ws) for p, ws in cases]
+        monkeypatch.setattr(protocol, "interfere", interfere_renormalized)
+        want = [outcome(window_metrics, p, ws) for p, ws in cases]
+        for g, w in zip(got, want):
+            if isinstance(w, tuple):
+                assert g == w
+            else:
+                assert np.max(np.abs(np.subtract(g, w))) <= self.TOL

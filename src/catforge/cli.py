@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -84,18 +85,8 @@ def cmd_ratio(args):
 
 def cmd_prepare(args):
     p = _params(args)
-    r = protocol.report(p, args.x)
-    payload = {
-        "alpha0": r.alpha0,
-        "phi": r.phi,
-        "x": r.x,
-        "vacuum_coeff": {"re": r.vacuum_coeff.real, "im": r.vacuum_coeff.imag},
-        "cat_coeff": {"re": r.cat_coeff.real, "im": r.cat_coeff.imag},
-        "ratio": r.ratio,
-        "fidelity": r.fidelity,
-        "density_at_x": r.density_at_x,
-        "separations": {"d0": r.separations.d0, "d": r.separations.d},
-    }
+    payload = {k: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
+               for k, v in dataclasses.asdict(protocol.report(p, args.x)).items()}
     _write(args.out, [_json_text(payload)])
     return 0
 

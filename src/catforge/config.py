@@ -15,6 +15,9 @@ COALESCE_TOL = 1e-12
 # a superposition with Gram norm below this is treated as fully cancelled
 DEGENERATE_NORM = 1e-14
 
+# wigner_grid refuses a state whose Gram norm^2 is further than this from 1
+NORM_TOL = 1e-12
+
 # conditioning density below this raises ZeroProbability
 ZERO_DENSITY = 1e-30
 
@@ -32,6 +35,9 @@ MAX_PANEL_WIDTH = 0.1
 
 # half-range of a marginal lobe about its centre; window integrals end there
 MARGINAL_HALF_RANGE = 10.0
+
+# largest float spacing at a lobe centre a window may reach (see README)
+MAX_LOBE_ULP = 0.25
 
 # bisection used to cross-check closed-form optimum locations
 BISECTION_TOL = 1e-12

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COALESCE_TOL, DEGENERATE_NORM
+from .config import COALESCE_TOL, DEGENERATE_NORM, NORM_TOL
 from .errors import DegenerateState
 
 SQRT2 = math.sqrt(2.0)
@@ -106,12 +106,10 @@ class _Superposition:
     """Finite superposition; terms holds (weight, amplitude per mode) tuples.
 
     from_terms coalesces terms whose amplitudes agree within the coalescing
-    tolerance.  The normalized flag marks unit Gram norm; normalize() and
-    normalized_by() set it.
+    tolerance.
     """
 
     terms: tuple
-    normalized: bool = False
 
     @classmethod
     def from_terms(cls, terms):
@@ -121,10 +119,10 @@ class _Superposition:
         return self.normalized_by(superposition_inner(self, self).real)
 
     def normalized_by(self, n2):
-        """The terms divided by sqrt(n2), flagged normalized; n2 is the Gram
-        norm^2 <self|self>, for a caller that has already summed it."""
+        """The terms divided by sqrt(n2); n2 is the Gram norm^2 <self|self>,
+        for a caller that has already summed it."""
         n = _norm_from_square(n2)
-        return type(self)(tuple((w / n, *amps) for w, *amps in self.terms), True)
+        return type(self)(tuple((w / n, *amps) for w, *amps in self.terms))
 
 
 class CoherentSuperposition(_Superposition):
@@ -189,11 +187,10 @@ def beam_splitter_50_50(t):
     """Balanced beam splitter |a>|b> -> |(a+b)/sqrt2>|(a-b)/sqrt2> per term.
 
     The map is its own inverse (applying it twice returns the input pair), and
-    it preserves the Gram norm term by term, so the normalized flag carries over.
+    it preserves the Gram norm term by term.
     """
     return TwoModeSuperposition(
-        tuple((w, (a + b) / SQRT2, (a - b) / SQRT2) for w, a, b in t.terms),
-        t.normalized)
+        tuple((w, (a + b) / SQRT2, (a - b) / SQRT2) for w, a, b in t.terms))
 
 
 def vacuum():
@@ -245,8 +242,9 @@ def wigner_grid(s, re_vals, im_vals):
     Returns W with shape (len(re_vals), len(im_vals)), W[i, j] evaluated at
     gamma = re_vals[i] + 1j * im_vals[j].
     """
-    if not s.normalized:
-        raise ValueError("the Wigner function requires a normalized superposition")
+    n2 = superposition_inner(s, s).real
+    if not abs(n2 - 1.0) <= NORM_TOL:
+        raise ValueError(f"the Wigner function needs norm^2 = 1, got {n2!r}")
     re = np.asarray(re_vals, dtype=float)
     im = np.asarray(im_vals, dtype=float)
     pairs = [(wi.conjugate() * wj, ai, aj)

@@ -96,9 +96,9 @@ def sweep_ratio(grid):
         with np.errstate(over="ignore", invalid="ignore"):
             exact = (2.0 * _libm(math.exp, -2.0 * (a2 * half * half))
                      * np.abs(_libm(math.cos, a2 * math.sin(phi))))
-            cos1 = np.abs(_libm(math.cos, a2 * phi))
-            o2 = _libm(math.exp, -0.5 * a2 * phi * phi) * 2.0 * cos1
-        yield exact, 2.0 * cos1, o2, SQRT2 * (2.0 * a * half)
+            o1 = 2.0 * np.abs(_libm(math.cos, a2 * phi))
+            o2 = _libm(math.exp, -0.5 * a2 * phi * phi) * o1
+        yield exact, o1, o2, SQRT2 * (2.0 * a * half)
 
 
 def zero_count(phi, alpha_max):

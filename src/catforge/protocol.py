@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MARGINAL_HALF_RANGE, ZERO_DENSITY
+from .config import MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY
 from .cv_core import (EXP_UNDERFLOW, PI_QUARTER_INV, SQRT2,
                       CoherentSuperposition, HomodyneWindow, TwoModeSuperposition,
-                      beam_splitter_50_50, gram, quadrature_overlap,
-                      superposition_inner)
+                      beam_splitter_50_50, even_cat, gram,
+                      quadrature_overlap, superposition_inner)
 from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
 
@@ -114,29 +114,26 @@ def separations(p):
 def interfere(p):
     """Normalized two-mode state after the balanced beam splitter.
 
-    Built from the raw product expansion of two copies of the normalized
-    source, with no further Gram sum: the product's Gram matrix is the
-    Kronecker square of the source's, so its norm is the square of the
-    source's, 1.  Nor is it coalesced: two product terms share both
-    amplitudes only if they pair the same source terms, and the coalesced
-    source amplitudes lie more than COALESCE_TOL apart.  The beam splitter
-    preserves the Gram norm term by term and carries the normalized flag.
+    The raw product of two copies of the normalized source: its terms pair
+    distinct source terms, and its Gram matrix is the Kronecker square of the
+    source's, so it needs no coalescing and its norm is 1, which the beam
+    splitter keeps.
     """
     src = source_state(p)
     product = TwoModeSuperposition(
-        tuple((wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms),
-        True)
+        tuple((wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms))
     return beam_splitter_50_50(product)
 
 
 def ideal_cat(p, require_cat=False):
     """Normalized target superposition of |s> and |-s>, s = sqrt2 alpha0 sin(phi/2).
 
-    Degenerate parameters (s coalescing with 0) give the vacuum; with
-    require_cat=True that case raises DegenerateState instead.
+    s is d0 / sqrt2, as the beam splitter forms it.  Degenerate parameters
+    (s coalescing with 0) give the vacuum; with require_cat=True that case
+    raises DegenerateState instead.
     """
-    s = separations(p).d / 2
-    cat = CoherentSuperposition.from_terms([(1.0, s), (1.0, -s)]).normalize()
+    s = separations(p).d0 / SQRT2
+    cat = even_cat(s)
     if require_cat and len(cat.terms) < 2:
         raise DegenerateState(
             f"separation {2 * s:.3e} too small to form a cat")
@@ -200,8 +197,7 @@ def coefficient_ratio_second_order(p):
     d >= 4 the ratio is bounded by 2 e^-4 regardless of phase.
     """
     a2 = p.alpha0 * p.alpha0
-    return (math.exp(-0.5 * a2 * p.phi * p.phi)
-            * 2.0 * abs(math.cos(_small_angle_argument(p))))
+    return math.exp(-0.5 * a2 * p.phi * p.phi) * coefficient_ratio_small_angle(p)
 
 
 def check_null_phi(phi):
@@ -226,13 +222,13 @@ def vacuum_null_alpha(phi, k=0):
 
 def _conditioned_terms(p, x):
     # kept-mode terms projected on <x|, coalesced (the aligned pairs both keep
-    # amplitude 0) and unnormalized; their norm^2 is the density
+    # amplitude 0) and unnormalized; their norm^2, clamped at 0, is the density
     projected = [(w * quadrature_overlap(x, a), b)
                  for w, a, b in interfere(p).terms]
     if not any(w for w, _ in projected):
         return None, 0.0  # x so far in the tail that every projection is 0
     kept = CoherentSuperposition.from_terms(projected)
-    return kept, superposition_inner(kept, kept).real
+    return kept, max(superposition_inner(kept, kept).real, 0.0)
 
 
 def _normalized(kept, dens, x):
@@ -249,7 +245,7 @@ def homodyne_density(p, x):
     unit total mass, with Gaussian lobes at sqrt2 Re(a) for the measured-mode
     amplitudes a: at 0 for the crossed source pairs and at +-d0 for the aligned.
     """
-    return max(_conditioned_terms(p, x)[1], 0.0)
+    return _conditioned_terms(p, x)[1]
 
 
 def conditional_state(p, x=0.0):
@@ -269,7 +265,7 @@ def report(p, x=0.0):
         vacuum_coeff=c_vac, cat_coeff=c_cat,
         ratio=abs(c_vac) / abs(c_cat),
         fidelity=fid,
-        density_at_x=max(dens, 0.0),
+        density_at_x=dens,
         separations=separations(p))
 
 
@@ -277,12 +273,17 @@ def _window_pieces(window, centres):
     """Parts of the window within MARGINAL_HALF_RANGE of a marginal lobe centre.
 
     Every lobe is below exp(-100) beyond that range, so the integrals lose
-    nothing and the node count stays bounded however wide the window.
+    nothing and the node count stays bounded however wide the window.  A
+    window reaching a lobe whose centre's float spacing exceeds MAX_LOBE_ULP,
+    too coarse for the quadrature nodes, raises DomainError.
     """
     pieces = []
     for c in sorted(centres):
         lo = max(window.lo, c - MARGINAL_HALF_RANGE)
         hi = min(window.hi, c + MARGINAL_HALF_RANGE)
+        if lo <= hi and math.ulp(c) > MAX_LOBE_ULP:
+            raise DomainError(f"window reaches the marginal lobe at {c:.6g}, "
+                              f"where doubles lie {math.ulp(c):g} apart")
         if pieces and lo <= pieces[-1][1]:
             pieces[-1][1] = max(pieces[-1][1], hi)
         elif lo < hi:

@@ -132,6 +132,14 @@ class TestPrepare:
         assert code == 0
         assert json.loads(out)["alpha0"] == 1.0
 
+    @pytest.mark.parametrize("alpha0", ["1e16", "1e17", "1e154"])
+    def test_large_amplitude_fidelity(self, capsys, alpha0):
+        # the conditioned state is the cat; an ulp between the two forms of
+        # its amplitude s exceeded a coherent state's width past 1e16
+        code, out, _ = run(capsys, "prepare", "--alpha0", alpha0, "--phi", "0.3")
+        assert code == 0
+        assert json.loads(out)["fidelity"] == 1.0
+
 
 class TestSweep:
     def test_csv_shape_and_roundtrip(self, capsys, tmp_path):
@@ -271,6 +279,32 @@ class TestWindow:
         assert (code, out) == (2, "")
         assert err == ("error: --epsilons takes distinct positive finite "
                        f"numbers, got {epsilons!r}\n")
+
+    @pytest.mark.parametrize("alpha0, phi, epsilons", [
+        ("3e16", "1.5", "1e308"), ("1e16", "1.5", "1e308"),
+        ("1e17", "0.3", "0.1,1e308")])
+    def test_window_reaching_a_coarse_lobe_is_refused(self, capsys, alpha0,
+                                                      phi, epsilons):
+        # the outer lobes sit where doubles lie 8, 2 and 4 apart; their
+        # quadrature gave probabilities 5.01, 1.63 and 0.5000005
+        code, out, err = run(capsys, "window", "--alpha0", alpha0,
+                             "--phi", phi, "--epsilons", epsilons)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: window reaches the marginal lobe at ")
+
+    def test_centre_lobe_at_large_amplitude(self, capsys):
+        code, out, _ = run(capsys, "window", "--alpha0", "1e17", "--phi", "0.3",
+                           "--epsilons", "0.1")
+        assert code == 0
+        assert out == ("epsilon,probability,fidelity\n"
+                       "0.10000000000000001,0.056231458009142421,1\n")
+
+    def test_whole_marginal_below_the_spacing_bound(self, capsys):
+        code, out, _ = run(capsys, "window", "--alpha0", "1e15", "--phi", "0.3",
+                           "--epsilons", "1e308")
+        assert code == 0
+        prob = float(out.strip().split("\n")[1].split(",")[1])
+        assert abs(prob - 1.0) <= 1e-15
 
     def test_wide_window_is_clipped_to_the_marginal(self, capsys):
         t0 = time.perf_counter()

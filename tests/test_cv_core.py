@@ -281,7 +281,6 @@ class TestSuperpositionAlgebra:
 
     def test_normalize(self):
         s = CoherentSuperposition.from_terms([(3.0, 0.9), (1j, -0.2)]).normalize()
-        assert s.normalized
         assert abs(superposition_norm(s) - 1.0) < 1e-12
 
 
@@ -419,6 +418,13 @@ class TestWigner:
         s = CoherentSuperposition.from_terms([(2.0, 0.3)])
         with pytest.raises(ValueError):
             wigner_point(s, 0.0)
+
+    def test_accepts_any_state_of_unit_norm(self):
+        # the check measures the Gram norm, whatever built the state
+        s = CoherentSuperposition(((1.0, 0.3),))
+        re, im = [-1.0, 0.3, 2.0], [0.0, 0.5]
+        assert np.array_equal(wigner_grid(s, re, im),
+                              wigner_grid(coherent(0.3), re, im))
 
 
 class TestHomodyneWindow:

@@ -6,14 +6,16 @@ deterministic; no example database is written.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catforge.config import COALESCE_TOL
-from catforge.cv_core import PI_QUARTER_INV, superposition_inner
+from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow,
+                              superposition_inner)
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
                                conditional_state, homodyne_density,
-                               ideal_cat, interfere, source_state)
+                               ideal_cat, interfere, report, source_state,
+                               vacuum_null_alpha, window_metrics)
 
 # the same examples on every run, no database, no per-example deadline
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -31,7 +33,6 @@ def test_normalized_states_have_unit_gram_norm(alpha0, phi, x):
     p = ProtocolParams(alpha0, phi)
     for s in (source_state(p), interfere(p), conditional_state(p, x),
               ideal_cat(p)):
-        assert s.normalized
         assert abs(superposition_inner(s, s).real - 1.0) <= 1e-13
 
 
@@ -66,3 +67,31 @@ def test_phi_is_canonicalized(alpha0, phi):
     # one turn added moves phi by a rounding of 2 pi at most
     assert abs(ProtocolParams(alpha0, phi + 2.0 * math.pi).phi - p.phi) \
         <= 8.0 * math.ulp(max(abs(phi), 2.0 * math.pi))
+
+
+@PROPERTY
+@given(alpha0s, phis)
+def test_whole_marginal_has_unit_mass(alpha0, phi):
+    [(prob, _)] = window_metrics(ProtocolParams(alpha0, phi),
+                                 [HomodyneWindow(0.0, 1e308)])
+    assert abs(prob - 1.0) <= 1e-13
+
+
+@PROPERTY
+@given(st.floats(1e-300, math.pi, exclude_max=True), st.integers(0, 3))
+def test_vacuum_null_condition(phi, k):
+    alpha0 = vacuum_null_alpha(phi, k)
+    u = alpha0 * alpha0 * math.sin(phi)
+    # alpha0 and u carry a few roundings; cos has slope 1 at its zeros
+    assert abs(math.cos(u)) <= 8.0 * math.ulp(u)
+    assert report(ProtocolParams(alpha0, phi)).fidelity >= 1.0 - 1e-12
+
+
+@PROPERTY
+@given(st.floats(0.0, 1e154), phis)
+def test_ideal_cat_has_the_conditioned_amplitudes(alpha0, phi):
+    p = ProtocolParams(alpha0, phi)
+    # past alpha0 ~ 10 the vacuum branch projects to 0 and drops out
+    cat = {a for _, a in conditional_state(p).terms} - {0}
+    assume(len(cat) == 2)  # +-s apart from 0 and from each other
+    assert {a for _, a in ideal_cat(p).terms} == cat

@@ -413,6 +413,20 @@ class TestWindowMetrics:
         with pytest.raises(ZeroProbability):
             window_metrics(ProtocolParams(1.0, 0.3), [HomodyneWindow(50.0, 0.1)])
 
+    @pytest.mark.parametrize("phi", [0.3, 1.5, 3.0])
+    def test_lobe_spacing_bound(self, phi):
+        def at_spacing(spacing):
+            # outer lobe centres +-d0 where doubles lie spacing apart
+            d0 = 1.5 * 2.0 ** 52 * spacing
+            return ProtocolParams(d0 / (2.0 * math.sin(0.5 * phi)), phi)
+
+        whole = [HomodyneWindow(0.0, 1e308)]
+        [(prob, _)] = window_metrics(at_spacing(0.25), whole)
+        assert abs(prob - 1.0) <= 1e-15
+        # at 0.5 the whole marginal came out 5e-5 above 1
+        with pytest.raises(DomainError, match="0.5 apart"):
+            window_metrics(at_spacing(0.5), whole)
+
 
 # --- the route with a Gram sum at every stage ------------------------------
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -158,10 +159,13 @@ def cmd_wigner(args):
     cells = [_fmt(v) for v in axis]
     # "@" marks the x cell; row blocks give the full grid's values bit for bit
     template = "".join(["@," + y + ",%.17g\n" for y in cells])
+    rows = (row for lo in range(0, args.points, WIGNER_BLOCK_ROWS)
+            for row in zip(cells[lo:], cv_core.wigner_grid(
+                state, axis[lo:lo + WIGNER_BLOCK_ROWS], axis)))
+    # the first block runs wigner_grid's norm check before anything is written
+    first = next(rows)
     blocks = ((template.replace("@", x), w_row)
-              for lo in range(0, args.points, WIGNER_BLOCK_ROWS)
-              for x, w_row in zip(cells[lo:], cv_core.wigner_grid(
-                  state, axis[lo:lo + WIGNER_BLOCK_ROWS], axis)))
+              for x, w_row in itertools.chain([first], rows))
     _write(args.out, _csv("x,y,w", blocks))
     return 0
 

@@ -92,10 +92,10 @@ def oracle_window(p, window, out, dim):
 def window_metrics_analytic(p, window):
     """All-analytic window probability and fidelity via 1D quadrature.
 
-    The loop reference of protocol.window_metrics.  The windowed density
-    matrix never materializes: probability integrates the closed-form
-    marginal, and the fidelity numerator integrates the squared overlap of the
-    ideal cat with the conditioned (unnormalized) superposition.
+    The coherent-term loop reference of protocol.window_metrics.  The
+    windowed density matrix never materializes: probability integrates the
+    Gram sum of the conditioned (unnormalized) superposition, and the
+    fidelity numerator the squared overlap of the ideal cat with it.
     """
     xs, ws = gauss_legendre(window.lo, window.hi)
     two = protocol.interfere(p)

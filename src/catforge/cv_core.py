@@ -70,9 +70,7 @@ def quadrature_overlap(x, alpha):
     so that cancellation holds in floating point too, with no rounding
     residue, and the real part does not cancel near x = sqrt2 Re(alpha) at
     large amplitudes.  Below EXP_UNDERFLOW the amplitude is 0 and the phase
-    is not formed, as in coherent_overlap.  protocol.window_metrics repeats
-    these operations over arrays of nodes and amplitudes; a change here must
-    change both.
+    is not formed, as in coherent_overlap.
     """
     alpha = complex(alpha)
     dx = x - SQRT2 * alpha.real
@@ -121,7 +119,7 @@ class _Superposition:
     def normalized_by(self, n2):
         """The terms divided by sqrt(n2); n2 is the Gram norm^2 <self|self>,
         for a caller that has already summed it."""
-        n = _norm_from_square(n2)
+        n = norm_from_square(n2)
         return type(self)(tuple((w / n, *amps) for w, *amps in self.terms))
 
 
@@ -172,7 +170,8 @@ def superposition_inner(a, b):
     return sum(g for row in gram(a, b) for g in row)
 
 
-def _norm_from_square(n2):
+def norm_from_square(n2):
+    """sqrt(n2) for a Gram norm^2; raises DegenerateState below DEGENERATE_NORM^2."""
     if n2 < DEGENERATE_NORM ** 2:
         raise DegenerateState(f"superposition norm^2 = {n2:.3e} below floor")
     return math.sqrt(n2)
@@ -180,7 +179,7 @@ def _norm_from_square(n2):
 
 def superposition_norm(s):
     """Gram norm sqrt(<s|s>); raises DegenerateState when fully cancelled."""
-    return _norm_from_square(superposition_inner(s, s).real)
+    return norm_from_square(superposition_inner(s, s).real)
 
 
 def beam_splitter_50_50(t):

@@ -130,11 +130,12 @@ def find_min_alpha(phi, k=0, validate_numeric=False):
     sin_phi = math.sin(phi)
     u_star = 0.5 * math.pi + k * math.pi
 
+    # a^2 and (u_star + 1) / sin_phi overflow for phi near 1e-308
     def f(a):
-        return math.cos(a * a * sin_phi)
+        return math.cos(a * (a * sin_phi))
 
-    lo = math.sqrt((u_star - 1.0) / sin_phi)
-    hi = math.sqrt((u_star + 1.0) / sin_phi)
+    lo = math.sqrt(u_star - 1.0) / math.sqrt(sin_phi)
+    hi = math.sqrt(u_star + 1.0) / math.sqrt(sin_phi)
     tol = BISECTION_TOL * max(1.0, exact)
     flo = f(lo)
     if flo * f(hi) > 0:

@@ -9,9 +9,12 @@ the X quadrature of one output near x = 0 leaves the other output in
 
 so the separation of the surviving superposition grows by sqrt(2) while the
 vacuum branch can be switched off entirely: |c1|/|c2| has zeros on
-alpha0^2 sin(phi) = pi/2 + k pi.  Everything here is closed-form, finite
-acceptance windows included (1D quadratures of Gram sums); crosscheck holds
-the Fock route that checks it.
+alpha0^2 sin(phi) = pi/2 + k pi.  report, homodyne_density and window_metrics
+take that state as two closed-form coordinates in the plane of |0> and
+|s> + |-s>, which stay accurate near an odd source (alpha0^2 sin(phi) near
+(2k+1) pi, where the source norm^2 is about d0^2); windows are 1D quadratures
+of them.  The coherent terms (interfere, conditional_state) serve the Wigner
+function; crosscheck holds the Fock route that checks both.
 """
 
 import cmath
@@ -21,21 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY
-from .cv_core import (EXP_UNDERFLOW, PI_QUARTER_INV, SQRT2,
+from .cv_core import (PI_QUARTER_INV, SQRT2,
                       CoherentSuperposition, HomodyneWindow, TwoModeSuperposition,
-                      beam_splitter_50_50, even_cat, gram,
+                      beam_splitter_50_50, even_cat, norm_from_square,
                       quadrature_overlap, superposition_inner)
 from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
-
-__all__ = [
-    "ProtocolParams", "Separations", "PreparedStateReport", "HomodyneWindow",
-    "source_state", "separations", "interfere", "ideal_cat",
-    "vacuum_coefficient", "cat_coefficient", "coefficient_ratio",
-    "coefficient_ratio_small_angle", "coefficient_ratio_second_order",
-    "vacuum_null_alpha", "vacuum_null_alpha_approx",
-    "conditional_state", "homodyne_density", "report", "window_metrics",
-]
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,78 @@ def vacuum_null_alpha(phi, k=0):
     check_null_phi(phi)
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a non-negative integer, got {k}")
-    return math.sqrt((0.5 * math.pi + k * math.pi) / math.sin(phi))
+    alpha0 = math.sqrt((0.5 * math.pi + k * math.pi) / math.sin(phi))
+    if not math.isfinite(alpha0 * alpha0):
+        raise DomainError(f"phi = {phi:g} is too small: the k = {k} vacuum "
+                          "null's alpha0^2 = (k + 1/2) pi / sin(phi) overflows")
+    return alpha0
+
+
+# pi times 10^59, rounded: theta less an odd multiple of pi, in integers
+_PI_E59 = 314159265358979323846264338327950288419716939937510582097494
+
+
+def _phase(p):
+    """(1 + cos theta, cos theta, sin theta) for theta = alpha0^2 sin phi.
+
+    Near an odd source 1 + cos theta is of order d0^2 ~ theta phi, small
+    enough that the rounding of theta shows (at k = 2, d0 = 1e-8 it moved
+    the fidelity by 1.4e-13).  Only at phi < 2^-20 can d0 be that small;
+    there r = theta - m pi (m the nearest odd integer) is formed in integers
+    from the exact product of alpha0^2 and sin phi, rounded once, and gives
+    2 sin^2(r/2), -cos r and -sin r.
+    """
+    sin_phi = math.sin(p.phi)
+    theta = p.alpha0 * p.alpha0 * sin_phi
+    if not (p.phi < 2.0 ** -20 and theta < 2.0 ** 53):
+        return 2.0 * math.cos(0.5 * theta) ** 2, math.cos(theta), math.sin(theta)
+    m = 2 * round(0.5 * (theta / math.pi - 1.0)) + 1
+    (na, da), (ns, ds) = p.alpha0.as_integer_ratio(), sin_phi.as_integer_ratio()
+    den = da * da * ds * 10 ** 59
+    r = (na * na * ns * 10 ** 59 - m * _PI_E59 * da * da * ds) / den
+    return 2.0 * math.sin(0.5 * r) ** 2, -math.cos(r), -math.sin(r)
+
+
+def _kept_mode(p, x):
+    """Density and squared ideal-cat overlap of conditioning on X = x.
+
+    The kept mode (c1 |0> + c2 (|s> + |-s>)) / S2 (S2 the source norm^2) is
+    (alpha, beta) on e0 = |0>, e1 = F / |F|, F = |s> + |-s> - 2 h |0>,
+    h = e^{-s^2/2}.  Up to the phase of c2, with g(y) = pi^(-1/4) e^{-y^2/2},
+    u = x d0 and c = cos theta: beta = sqrt2 |expm1(-s^2)| g(x) / S2, and
+    alpha = 2 h g(x) (R + i I) / S2 with R = 1 + c + c (2 h sinh^2(u/2) +
+    expm1(-s^2/2)), I = -h sinh(u) sin theta, S2 = 2 (1 + c + c expm1(-s^2)):
+    no cancellation near an odd source.  For s > 1, where nothing cancels,
+    alpha S2 = g(x - d0) e^{-i theta} + g(x + d0) e^{i theta} + 2 h g(x), with
+    no sinh to overflow.  The cat is (2 h, |F|) / sqrt(2 + 2 h^4).  x is a
+    float or an array, whose elements come out bit for bit as for floats.
+    """
+    d0 = separations(p).d0
+    s2 = 0.5 * d0 * d0
+    cos2, cos, sin = _phase(p)
+    h = math.exp(-0.5 * s2)
+    em1 = -math.expm1(-s2)  # |F| / sqrt2
+    g = PI_QUARTER_INV * np.exp(-0.5 * x * x)
+    if s2 > 1.0:
+        norm2 = 2.0 * (1.0 + math.exp(-s2) * cos)
+        g_plus = PI_QUARTER_INV * np.exp(-0.5 * (x - d0) * (x - d0))
+        g_minus = PI_QUARTER_INV * np.exp(-0.5 * (x + d0) * (x + d0))
+        re = ((g_plus + g_minus) * cos + 2.0 * h * g) / norm2
+        im = (g_minus - g_plus) * sin / norm2
+    else:
+        norm2 = 2.0 * (cos2 - cos * em1)
+        # I enters both results squared, so |x| serves; past |x| = 38.6 g
+        # is 0, and the bound keeps sinh finite there
+        u = d0 * np.minimum(abs(x), 40.0)
+        sh = np.sinh(0.5 * u)
+        f = 2.0 * h * g / norm2
+        re = f * (cos2 + cos * (2.0 * h * sh * sh + math.expm1(-0.5 * s2)))
+        im = f * h * np.sinh(u) * sin
+    b = SQRT2 * em1 * g / norm2
+    n = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s2))
+    o_re = 2.0 * h / n * re + SQRT2 * em1 / n * b
+    o_im = 2.0 * h / n * im
+    return re * re + im * im + b * b, o_re * o_re + o_im * o_im
 
 
 def _conditioned_terms(p, x):
@@ -231,40 +296,43 @@ def _conditioned_terms(p, x):
     return kept, max(superposition_inner(kept, kept).real, 0.0)
 
 
-def _normalized(kept, dens, x):
-    if dens < ZERO_DENSITY:
+def _check_density(dens, x):
+    """Refuse a density below ZERO_DENSITY (or nan) and, as normalizing by it
+    would, below DEGENERATE_NORM^2."""
+    if not dens >= ZERO_DENSITY:
         raise ZeroProbability(
             f"conditioning density {dens:.3e} at x={x} below floor")
-    return kept.normalized_by(dens)
+    norm_from_square(dens)
 
 
 def homodyne_density(p, x):
     """Probability density of measuring X = x on the monitored output.
 
-    Closed form through the Gram matrix of quadrature overlaps; even in x, of
-    unit total mass, with Gaussian lobes at sqrt2 Re(a) for the measured-mode
-    amplitudes a: at 0 for the crossed source pairs and at +-d0 for the aligned.
+    |alpha|^2 + |beta|^2 of _kept_mode; even in x, of unit total mass, with
+    Gaussian lobes at 0 and +-d0.
     """
-    return _conditioned_terms(p, x)[1]
+    return float(_kept_mode(p, x)[0])
 
 
 def conditional_state(p, x=0.0):
     """Normalized state of the kept mode after conditioning on X = x."""
-    return _normalized(*_conditioned_terms(p, x), x)
+    kept, dens = _conditioned_terms(p, x)
+    _check_density(dens, x)
+    return kept.normalized_by(dens)
 
 
 def report(p, x=0.0):
-    """Bundle of coefficients, fidelity to the ideal cat, and separations."""
+    """Bundle of coefficients, fidelity (clamped to [0, 1]) to the ideal cat,
+    and separations."""
     c_vac = vacuum_coefficient(p, x)
     c_cat = cat_coefficient(p, x)
-    kept, dens = _conditioned_terms(p, x)
-    cond = _normalized(kept, dens, x)
-    fid = abs(superposition_inner(ideal_cat(p), cond)) ** 2
+    dens, overlap2 = map(float, _kept_mode(p, x))
+    _check_density(dens, x)
     return PreparedStateReport(
         alpha0=p.alpha0, phi=p.phi, x=x,
         vacuum_coeff=c_vac, cat_coeff=c_cat,
         ratio=abs(c_vac) / abs(c_cat),
-        fidelity=fid,
+        fidelity=min(overlap2 / dens, 1.0),
         density_at_x=dens,
         separations=separations(p))
 
@@ -297,44 +365,28 @@ def _window_pieces(window, centres):
 def window_metrics(p, windows):
     """Acceptance probability and cat fidelity for each finite homodyne window.
 
-    The kept mode is mixed, but both are Gram sums.  With Q_ij the integral of
-    conj(q_i) q_j, q_j(x) = <x|a_j> over the measured-mode amplitudes, on
-    Gauss-Legendre panels of width <= MAX_PANEL_WIDTH, and kept the two-mode
-    weights on the kept-mode amplitudes:
-        probability = sum_ij K_ij Q_ij with K = gram(kept, kept),
-        fidelity = u^H Q u / probability, u = column sums of gram(cat, kept).
-    The state, K and u are formed once per call; per window, q is one array
-    over nodes and terms, built with quadrature_overlap's operations in its
-    order (numpy's complex exp is libm's cexp), so every entry equals
-    quadrature_overlap(x, a) bit for bit.  Returns one (probability,
-    fidelity) pair of floats per window; each fidelity is clamped to [0, 1].
+    The kept mode is mixed: sum_j w_j v_j v_j^H over Gauss-Legendre nodes x_j,
+    v_j = (alpha, beta) of _kept_mode.  The probability is its trace and the
+    fidelity cat^T rho cat over it, clamped to [0, 1].  All windows' nodes go
+    through _kept_mode as one array.  Returns one (probability, fidelity)
+    pair of floats per window.
     """
-    two = interfere(p)
-    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
-    centres = {SQRT2 * a.real for _, a, _ in two.terms}
-    a = np.array([a for _, a, _ in two.terms])
-    gram_kept = np.array(gram(kept, kept))
-    u = np.array(gram(ideal_cat(p), kept)).sum(axis=0)
+    d0 = separations(p).d0
+    rules = [[gauss_legendre(lo, hi)
+              for lo, hi in _window_pieces(window, {0.0, d0, -d0})]
+             for window in windows]
+    # past alpha0 ~ 1e153 the squares overflow to inf as silently as in
+    # floats, where the lobe's exp is 0
+    with np.errstate(over="ignore"):
+        dens, overlap2 = _kept_mode(
+            p, np.concatenate([x for rule in rules for x, _ in rule]))
     metrics = []
-    for window in windows:
-        rules = [gauss_legendre(lo, hi)
-                 for lo, hi in _window_pieces(window, centres)]
-        ws = np.concatenate([w for _, w in rules])
-        x = np.concatenate([x for x, _ in rules])[:, None]
-        # past alpha0 ~ 1e153 the products overflow to inf as silently as in
-        # floats; far from its lobe a term's exp is then exactly 0
-        with np.errstate(over="ignore"):
-            dx = x - SQRT2 * a.real
-            re = -0.5 * dx * dx
-            arg = re.astype(complex)
-            arg.imag = a.imag * (SQRT2 * x - a.real)
-        # quadrature_overlap's guard: 0 below EXP_UNDERFLOW, whatever the phase
-        arg[re < EXP_UNDERFLOW] = -np.inf
-        q = PI_QUARTER_INV * np.exp(arg)
-        quad = (q.conj().T * ws) @ q
-        prob = float(np.sum(gram_kept * quad).real)
+    stop = 0
+    for rule in rules:
+        ws = np.concatenate([w for _, w in rule])
+        start, stop = stop, stop + ws.size
+        prob = float(ws @ dens[start:stop])
         if prob < ZERO_DENSITY:
             raise ZeroProbability(f"window probability {prob:.3e} below floor")
-        numer = float((u.conj() @ quad @ u).real)
-        metrics.append((prob, min(max(numer / prob, 0.0), 1.0)))
+        metrics.append((prob, min(float(ws @ overlap2[start:stop]) / prob, 1.0)))
     return metrics

@@ -14,10 +14,10 @@ def _gl_rule():
     """GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
 
     Computed on first use and kept: leggauss takes about 0.44 ms a call,
-    longer than a whole closed-form window_metrics call over one window
-    (about 0.38 ms; 0.74 ms for a table of four, 2-core Xeon, one BLAS
-    thread), and it loads enough of numpy's linear algebra to cost 1.7 MiB
-    of peak memory in runs that never integrate over a window.
+    longer than a whole closed-form window_metrics call over a table of
+    four windows (about 0.23 ms, 2-core Xeon, one BLAS thread), and it loads
+    enough of numpy's linear algebra to cost 1.7 MiB of peak memory in runs
+    that never integrate over a window.
     """
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     nodes.flags.writeable = False

@@ -1,0 +1,79 @@
+"""High-precision reference of the conditioning, test-only.
+
+Everything is formed from the definitions in mpmath at REFERENCE_DPS digits,
+from the exact binary values of the float inputs: the source amplitudes
+a+- = i alpha0 e^{+-i phi/2}, coherent overlaps, quadrature amplitudes
+<x|A> = pi^(-1/4) exp(-x^2/2 + sqrt2 x A - A^2/2 - |A|^2/2), and Gram sums
+over the kept-mode terms (c1 |0> + c2 (|k> + |-k>)) / S2.  Near an odd source
+S2 is about d0^2 and the Gram sum of the kept mode cancels to about
+4 log10(1/d0) digits; at d0 = 1e-8 and alpha0 ~ 1e9 the textbook exponents
+lose another 18, which REFERENCE_DPS leaves ample room for.  Window integrals
+take Gauss-Legendre quadrature at QUAD_DPS digits of an integrand evaluated
+at REFERENCE_DPS.
+"""
+
+import mpmath
+
+REFERENCE_DPS = 80
+QUAD_DPS = 30
+
+
+def _overlap(a, b):
+    return mpmath.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + mpmath.conj(a) * b)
+
+
+def _inner(u, v):
+    return mpmath.fsum(mpmath.conj(wi) * wj * _overlap(ai, aj)
+                       for wi, ai in u for wj, aj in v)
+
+
+def _quadrature(x, a):
+    return (mpmath.pi ** mpmath.mpf(-0.25)
+            * mpmath.exp(-x * x / 2 + mpmath.sqrt(2) * x * a - a * a / 2
+                         - abs(a) ** 2 / 2))
+
+
+class Conditioning:
+    """The kept mode at (alpha0, phi) as coherent terms; results are floats."""
+
+    def __init__(self, alpha0, phi):
+        with mpmath.workdps(REFERENCE_DPS):
+            alpha0, phi = mpmath.mpf(alpha0), mpmath.mpf(phi)
+            r2 = mpmath.sqrt(2)
+            a_plus = 1j * alpha0 * mpmath.expj(phi / 2)
+            a_minus = 1j * alpha0 * mpmath.expj(-phi / 2)
+            self.norm2 = 2 + 2 * mpmath.re(_overlap(a_plus, a_minus))
+            self.k = (a_plus - a_minus) / r2  # kept amplitude of the cat terms
+            self.measured = (r2 * a_plus, r2 * a_minus, (a_plus + a_minus) / r2)
+            cat = [(1, self.k), (1, -self.k)]
+            self.cat = [(w / mpmath.sqrt(_inner(cat, cat).real), a)
+                        for w, a in cat]
+
+    def _kept(self, x):
+        q_plus, q_minus, q_cat = (_quadrature(x, a) for a in self.measured)
+        return [((q_plus + q_minus) / self.norm2, mpmath.mpf(0)),
+                (q_cat / self.norm2, self.k), (q_cat / self.norm2, -self.k)]
+
+    def _density(self, x):
+        with mpmath.workdps(REFERENCE_DPS):
+            kept = self._kept(mpmath.mpf(x))
+            return +_inner(kept, kept).real
+
+    def _overlap2(self, x):
+        with mpmath.workdps(REFERENCE_DPS):
+            return +abs(_inner(self.cat, self._kept(mpmath.mpf(x)))) ** 2
+
+    def density(self, x):
+        return float(self._density(x))
+
+    def fidelity(self, x):
+        with mpmath.workdps(REFERENCE_DPS):
+            return float(self._overlap2(x) / self._density(x))
+
+    def window(self, lo, hi):
+        """(probability, fidelity) of accepting X in [lo, hi]."""
+        with mpmath.workdps(QUAD_DPS):
+            span = [mpmath.mpf(lo), mpmath.mpf(hi)]
+            prob = mpmath.quad(self._density, span, method="gauss-legendre")
+            numer = mpmath.quad(self._overlap2, span, method="gauss-legendre")
+            return float(prob), float(numer / prob)

@@ -140,6 +140,23 @@ class TestPrepare:
         assert code == 0
         assert json.loads(out)["fidelity"] == 1.0
 
+    @pytest.mark.parametrize("alpha0, phi", [
+        # 1.0000000000000004 from the Gram sums, and 1.0000000000000007
+        # unclamped from the basis form
+        ("7.544754509166714", "0.8364790319275167"),
+        ("3.95874998992723", "2.9631481828196495")])
+    def test_fidelity_is_clamped_to_one(self, capsys, alpha0, phi):
+        code, out, _ = run(capsys, "prepare", "--alpha0", alpha0, "--phi", phi)
+        assert code == 0
+        assert 0.0 <= json.loads(out)["fidelity"] <= 1.0
+
+
+    def test_nan_x_is_refused_by_the_density_floor(self, capsys):
+        code, out, err = run(capsys, "prepare", "--alpha0", "1", "--phi", "0.3",
+                             "--x", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: conditioning density nan at x=nan below floor\n"
+
 
 class TestSweep:
     def test_csv_shape_and_roundtrip(self, capsys, tmp_path):
@@ -224,6 +241,20 @@ class TestOptimize:
         assert code == 2
         assert "error:" in err
 
+    def test_overflowing_null_names_phi(self, capsys):
+        # the null alpha0 overflows; it gave "error: math domain error"
+        code, out, err = run(capsys, "optimize", "--phi", "1e-320")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: phi = 9.99989e-321 is too small: ")
+        assert "math domain" not in err
+
+    def test_null_near_the_amplitude_cap(self, capsys):
+        # alpha0 = 1.25e154: the bisection's a^2 and upper bracket overflowed
+        code, out, err = run(capsys, "optimize", "--phi", "1e-308")
+        assert (code, err) == (0, "")
+        assert float(parse_keyvals(out)["alpha_min_exact"]) == \
+            protocol.vacuum_null_alpha(1e-308)
+
 
 class TestWindow:
     def test_csv_matches_tradeoff(self, capsys):
@@ -296,8 +327,10 @@ class TestWindow:
         code, out, _ = run(capsys, "window", "--alpha0", "1e17", "--phi", "0.3",
                            "--epsilons", "0.1")
         assert code == 0
+        # erf(0.1) / 2 = 0.0562314580091424492 for the double 0.1: two ulps
+        # below (it printed ...421 from Gram sums, four ulps above)
         assert out == ("epsilon,probability,fidelity\n"
-                       "0.10000000000000001,0.056231458009142421,1\n")
+                       "0.10000000000000001,0.056231458009142463,1\n")
 
     def test_whole_marginal_below_the_spacing_bound(self, capsys):
         code, out, _ = run(capsys, "window", "--alpha0", "1e15", "--phi", "0.3",
@@ -380,6 +413,18 @@ class TestWigner:
         assert out == "x,y,w\n" + render(
             (x, y, w[i, j]) for i, x in enumerate(axis)
             for j, y in enumerate(axis))
+
+    def test_refused_state_writes_nothing(self, capsys, tmp_path):
+        # at this odd source (d0 = 0.1) the coherent terms' Gram norm^2 misses
+        # 1 by 1.2e-10; the header used to reach stdout before the refusal
+        argv = ("wigner", "--alpha0", "62.83185307179586",
+                "--phi", "0.000795774715459477", "--points", "3")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the Wigner function needs norm^2 = 1")
+        path = tmp_path / "w.csv"
+        assert run(capsys, *argv, "--out", str(path))[0] == 2
+        assert not path.exists()
 
     def test_half_extent_must_be_finite_and_positive(self, capsys):
         for extent in ("nan", "0", "-2"):

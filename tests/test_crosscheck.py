@@ -1,6 +1,7 @@
 """Tests for the analytic-vs-Fock validation layer."""
 
 import ast
+import math
 import pathlib
 
 import pytest
@@ -10,6 +11,7 @@ from catforge.crosscheck import (crosscheck_grid, crosscheck_point,
                                  oracle_window,
                                  window_metrics_analytic)
 from catforge import fock_oracle, protocol, quadrature
+from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DegenerateState
 from catforge.protocol import ProtocolParams, window_metrics
@@ -53,6 +55,16 @@ class TestPointChecks:
         assert abs(fid - fid_fock) < 1e-10
         assert abs(prob - prob_loop) < 1e-13
         assert abs(fid - fid_loop) < 1e-13
+
+
+class TestOddSource:
+    def test_crosscheck_point(self):
+        # alpha0^2 sin phi = pi with d0 = 0.5004, at Fock dimension 188: the
+        # source norm^2 is 0.235, and the validate grid has no such point
+        p = ProtocolParams(2.0 * math.pi, math.asin(1.0 / (4.0 * math.pi)))
+        assert abs(protocol.separations(p).d0 - 0.5) < 1e-3
+        devs = crosscheck_point(p)
+        assert max(d.value for d in devs) <= CROSSCHECK_TOL
 
 
 class TestGrid:

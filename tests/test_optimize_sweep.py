@@ -9,8 +9,7 @@ import numpy as np
 
 from catforge import protocol
 from catforge.config import ZERO_DENSITY
-from catforge.cv_core import (CoherentSuperposition, HomodyneWindow, gram,
-                              quadrature_overlap)
+from catforge.cv_core import HomodyneWindow
 from catforge.errors import DomainError, GridTooLarge, ZeroProbability
 from catforge.fock_oracle import choose_truncation
 from catforge.optimize_sweep import (GridSpec, find_min_alpha, sweep_ratio,
@@ -27,23 +26,20 @@ Cell = namedtuple("Cell", "alpha0 phi ratio_exact ratio_o1 ratio_o2 d")
 
 
 def window_reference(p, window):
-    """protocol.window_metrics for one window, node by node: the state and
-    both Gram matrices rebuilt, quadrature_overlap called at every node."""
-    two = protocol.interfere(p)
-    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
-    pieces = protocol._window_pieces(
-        window, {SQRT2 * a.real for _, a, _ in two.terms})
-    rules = [gauss_legendre(lo, hi) for lo, hi in pieces]
+    """protocol.window_metrics for one window, node by node: the density and
+    squared cat overlap of protocol._kept_mode at each node as a float."""
+    d0 = separations(p).d0
+    rules = [gauss_legendre(lo, hi)
+             for lo, hi in protocol._window_pieces(window, {0.0, d0, -d0})]
     ws = np.concatenate([w for _, w in rules])
-    q = np.array([[quadrature_overlap(x, a) for _, a, _ in two.terms]
-                  for x in np.concatenate([x for x, _ in rules]).tolist()])
-    quad = (q.conj().T * ws) @ q
-    prob = float(np.sum(np.array(gram(kept, kept)) * quad).real)
+    # two contiguous arrays, as the kernel's: a strided one sums differently
+    dens, overlap2 = map(np.array, zip(*[
+        protocol._kept_mode(p, x)
+        for x in np.concatenate([x for x, _ in rules]).tolist()]))
+    prob = float(ws @ dens)
     if prob < ZERO_DENSITY:
         raise ZeroProbability(f"window probability {prob:.3e} below floor")
-    u = np.array(gram(protocol.ideal_cat(p), kept)).sum(axis=0)
-    numer = float((u.conj() @ quad @ u).real)
-    return prob, min(max(numer / prob, 0.0), 1.0)
+    return prob, min(float(ws @ overlap2) / prob, 1.0)
 
 
 def alpha0_at_dim(dim):

@@ -9,7 +9,6 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catforge.config import COALESCE_TOL
 from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow,
                               superposition_inner)
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
@@ -39,15 +38,10 @@ def test_normalized_states_have_unit_gram_norm(alpha0, phi, x):
 @PROPERTY
 @given(st.floats(0.0, 8.0), phis, st.floats(-6.0, 6.0))
 def test_density_is_even_in_x(alpha0, phi, x):
+    # x -> -x swaps the outer lobes and flips the sign of I, which enters
+    # squared, through the same operations; no source term is merged
     p = ProtocolParams(alpha0, phi)
-    gap = abs(homodyne_density(p, x) - homodyne_density(p, -x))
-    if len(source_state(p).terms) == 2:
-        # mirror-image source amplitudes: x -> -x conjugates every projected
-        # weight through the same operations
-        assert gap == 0.0
-    else:
-        # one merged source term, up to COALESCE_TOL / 2 off the axis
-        assert gap <= COALESCE_TOL
+    assert homodyne_density(p, x) == homodyne_density(p, -x)
 
 
 @PROPERTY

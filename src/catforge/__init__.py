@@ -11,8 +11,6 @@ from .config import fock_cap
 from .cv_core import (
     CoherentSuperposition,
     HomodyneWindow,
-    TwoModeSuperposition,
-    beam_splitter_50_50,
     coherent,
     coherent_overlap,
     even_cat,
@@ -43,7 +41,6 @@ from .protocol import (
     conditional_state,
     homodyne_density,
     ideal_cat,
-    interfere,
     report,
     separations,
     source_state,
@@ -77,9 +74,7 @@ __all__ = [
     "ProtocolParams",
     "Separations",
     "TruncationTooLarge",
-    "TwoModeSuperposition",
     "ZeroProbability",
-    "beam_splitter_50_50",
     "cat_coefficient",
     "coherent",
     "coherent_overlap",
@@ -94,7 +89,6 @@ __all__ = [
     "fock_cap",
     "homodyne_density",
     "ideal_cat",
-    "interfere",
     "quadrature_overlap",
     "report",
     "separations",

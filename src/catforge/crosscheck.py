@@ -92,18 +92,21 @@ def oracle_window(p, window, out, dim):
 def window_metrics_analytic(p, window):
     """All-analytic window probability and fidelity via 1D quadrature.
 
-    The coherent-term loop reference of protocol.window_metrics.  The
-    windowed density matrix never materializes: probability integrates the
-    Gram sum of the conditioned (unnormalized) superposition, and the
-    fidelity numerator the squared overlap of the ideal cat with it.
+    The coherent-term loop reference of protocol.window_metrics.  Each pair
+    of source terms leaves the beam splitter as (weight, measured, kept)
+    amplitudes; the windowed density matrix never materializes: probability
+    integrates the Gram sum of the conditioned (unnormalized) superposition,
+    and the fidelity numerator the squared overlap of the ideal cat with it.
     """
     xs, ws = gauss_legendre(window.lo, window.hi)
-    two = protocol.interfere(p)
+    src = protocol.source_state(p).terms
+    two = [(wi * wj, (ai + aj) / SQRT2, (ai - aj) / SQRT2)
+           for wi, ai in src for wj, aj in src]
     cat = protocol.ideal_cat(p)
     prob = 0.0
     numer = 0.0
     for x, w in zip(xs, ws):
-        terms = [(wt * quadrature_overlap(x, a), b) for wt, a, b in two.terms]
+        terms = [(wt * quadrature_overlap(x, a), b) for wt, a, b in two]
         dens = 0.0
         for wi, bi in terms:
             for wj, bj in terms:

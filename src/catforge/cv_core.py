@@ -84,24 +84,24 @@ def quadrature_overlap(x, alpha):
 def _coalesce(terms, what):
     """Merge terms whose amplitudes agree within COALESCE_TOL; drop cancelled ones."""
     reps = []
-    for w, *key in terms:
+    for w, a in terms:
         w = _finite(w, f"{what} weight")
-        key = [_finite(a, f"{what} amplitude") for a in key]
+        a = _finite(a, f"{what} amplitude")
         for entry in reps:
-            if all(abs(a - b) <= COALESCE_TOL for a, b in zip(entry[1:], key)):
+            if abs(entry[1] - a) <= COALESCE_TOL:
                 entry[0] += w
                 break
         else:
-            reps.append([w, *key])
-    kept = tuple(tuple(entry) for entry in reps if entry[0] != 0)
+            reps.append([w, a])
+    kept = tuple((w, a) for w, a in reps if w != 0)
     if not kept:
         raise DegenerateState(f"{what}: every term cancelled under coalescing")
     return kept
 
 
 @dataclass(frozen=True)
-class _Superposition:
-    """Finite superposition; terms holds (weight, amplitude per mode) tuples.
+class CoherentSuperposition:
+    """Finite superposition sum_i w_i |alpha_i> of one mode; terms are (w, alpha).
 
     from_terms coalesces terms whose amplitudes agree within the coalescing
     tolerance.
@@ -120,18 +120,10 @@ class _Superposition:
         """The terms divided by sqrt(n2); n2 is the Gram norm^2 <self|self>,
         for a caller that has already summed it."""
         n = norm_from_square(n2)
-        return type(self)(tuple((w / n, *amps) for w, *amps in self.terms))
-
-
-class CoherentSuperposition(_Superposition):
-    """Finite superposition sum_i w_i |alpha_i> of one mode; terms are (w, alpha)."""
+        return type(self)(tuple((w / n, a) for w, a in self.terms))
 
     def amplitudes(self):
         return tuple(a for _, a in self.terms)
-
-
-class TwoModeSuperposition(_Superposition):
-    """Finite superposition sum_i w_i |a_i>|b_i> of two modes; terms are (w, a, b)."""
 
 
 @dataclass(frozen=True)
@@ -157,12 +149,9 @@ class HomodyneWindow:
 
 
 def gram(a, b):
-    """Gram matrix [[conj(w_i) w_j <a_i|b_j>]] over the terms of a and b, as lists.
-
-    Any mode count: a multi-mode overlap is the product of per-mode overlaps.
-    """
-    return [[math.prod(map(coherent_overlap, ai, bj), start=wi.conjugate() * wj)
-             for wj, *bj in b.terms] for wi, *ai in a.terms]
+    """Gram matrix [[conj(w_i) w_j <a_i|b_j>]] over the terms of a and b, as lists."""
+    return [[wi.conjugate() * wj * coherent_overlap(ai, bj)
+             for wj, bj in b.terms] for wi, ai in a.terms]
 
 
 def superposition_inner(a, b):
@@ -180,16 +169,6 @@ def norm_from_square(n2):
 def superposition_norm(s):
     """Gram norm sqrt(<s|s>); raises DegenerateState when fully cancelled."""
     return norm_from_square(superposition_inner(s, s).real)
-
-
-def beam_splitter_50_50(t):
-    """Balanced beam splitter |a>|b> -> |(a+b)/sqrt2>|(a-b)/sqrt2> per term.
-
-    The map is its own inverse (applying it twice returns the input pair), and
-    it preserves the Gram norm term by term.
-    """
-    return TwoModeSuperposition(
-        tuple((w, (a + b) / SQRT2, (a - b) / SQRT2) for w, a, b in t.terms))
 
 
 def vacuum():

@@ -13,8 +13,9 @@ alpha0^2 sin(phi) = pi/2 + k pi.  report, homodyne_density and window_metrics
 take that state as two closed-form coordinates in the plane of |0> and
 |s> + |-s>, which stay accurate near an odd source (alpha0^2 sin(phi) near
 (2k+1) pi, where the source norm^2 is about d0^2); windows are 1D quadratures
-of them.  The coherent terms (interfere, conditional_state) serve the Wigner
-function; crosscheck holds the Fock route that checks both.
+of them.  conditional_state, which the Wigner function draws, projects the
+beam-splitter images of the source pairs as coherent terms of the kept mode;
+crosscheck holds the Fock route that checks both forms.
 """
 
 import cmath
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY
-from .cv_core import (PI_QUARTER_INV, SQRT2,
-                      CoherentSuperposition, HomodyneWindow, TwoModeSuperposition,
-                      beam_splitter_50_50, even_cat, norm_from_square,
+from .cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
+                      HomodyneWindow, even_cat, norm_from_square,
                       quadrature_overlap, superposition_inner)
 from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
@@ -103,20 +103,6 @@ def separations(p):
     """Separations d0 = 2 alpha0 sin(phi/2) of each source and d = sqrt2 d0."""
     d0 = 2.0 * p.alpha0 * math.sin(0.5 * p.phi)
     return Separations(d0, SQRT2 * d0)
-
-
-def interfere(p):
-    """Normalized two-mode state after the balanced beam splitter.
-
-    The raw product of two copies of the normalized source: its terms pair
-    distinct source terms, and its Gram matrix is the Kronecker square of the
-    source's, so it needs no coalescing and its norm is 1, which the beam
-    splitter keeps.
-    """
-    src = source_state(p)
-    product = TwoModeSuperposition(
-        tuple((wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms))
-    return beam_splitter_50_50(product)
 
 
 def ideal_cat(p, require_cat=False):
@@ -203,7 +189,11 @@ def check_null_phi(phi):
 def vacuum_null_alpha_approx(phi):
     """Small-angle location of the first vacuum null: sqrt(pi / (2 phi))."""
     check_null_phi(phi)
-    return math.sqrt(math.pi / (2.0 * phi))
+    alpha0 = math.sqrt(math.pi / (2.0 * phi))
+    if not math.isfinite(alpha0 * alpha0):
+        raise DomainError(f"phi = {phi:g} is too small: the small-angle null's "
+                          "alpha0^2 = pi / (2 phi) overflows")
+    return alpha0
 
 
 def vacuum_null_alpha(phi, k=0):
@@ -285,17 +275,6 @@ def _kept_mode(p, x):
     return re * re + im * im + b * b, o_re * o_re + o_im * o_im
 
 
-def _conditioned_terms(p, x):
-    # kept-mode terms projected on <x|, coalesced (the aligned pairs both keep
-    # amplitude 0) and unnormalized; their norm^2, clamped at 0, is the density
-    projected = [(w * quadrature_overlap(x, a), b)
-                 for w, a, b in interfere(p).terms]
-    if not any(w for w, _ in projected):
-        return None, 0.0  # x so far in the tail that every projection is 0
-    kept = CoherentSuperposition.from_terms(projected)
-    return kept, max(superposition_inner(kept, kept).real, 0.0)
-
-
 def _check_density(dens, x):
     """Refuse a density below ZERO_DENSITY (or nan) and, as normalizing by it
     would, below DEGENERATE_NORM^2."""
@@ -315,8 +294,20 @@ def homodyne_density(p, x):
 
 
 def conditional_state(p, x=0.0):
-    """Normalized state of the kept mode after conditioning on X = x."""
-    kept, dens = _conditioned_terms(p, x)
+    """Normalized state of the kept mode after conditioning on X = x.
+
+    Each pair (ai, aj) of source terms leaves the beam splitter as
+    |(ai + aj)/sqrt2>|(ai - aj)/sqrt2>; the measured mode projects on <x|.
+    The kept terms coalesce (the aligned pairs both keep amplitude 0), and
+    their Gram norm^2, clamped at 0, is the density.
+    """
+    src = source_state(p).terms
+    projected = [(wi * wj * quadrature_overlap(x, (ai + aj) / SQRT2),
+                  (ai - aj) / SQRT2) for wi, ai in src for wj, aj in src]
+    if not any(w for w, _ in projected):
+        _check_density(0.0, x)  # x so far in the tail that every projection is 0
+    kept = CoherentSuperposition.from_terms(projected)
+    dens = max(superposition_inner(kept, kept).real, 0.0)
     _check_density(dens, x)
     return kept.normalized_by(dens)
 

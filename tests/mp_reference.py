@@ -49,10 +49,21 @@ class Conditioning:
             self.cat = [(w / mpmath.sqrt(_inner(cat, cat).real), a)
                         for w, a in cat]
 
-    def _kept(self, x):
+    def _coefficients(self, x):
         q_plus, q_minus, q_cat = (_quadrature(x, a) for a in self.measured)
-        return [((q_plus + q_minus) / self.norm2, mpmath.mpf(0)),
-                (q_cat / self.norm2, self.k), (q_cat / self.norm2, -self.k)]
+        return q_plus + q_minus, q_cat
+
+    def _kept(self, x):
+        c1, c2 = self._coefficients(x)
+        return [(c1 / self.norm2, mpmath.mpf(0)),
+                (c2 / self.norm2, self.k), (c2 / self.norm2, -self.k)]
+
+    def coefficients(self, x):
+        """(c1, c2): the vacuum and cat projection coefficients at X = x,
+        <x|A+> + <x|A-> and <x|A0> over the measured amplitudes, not divided
+        by the source norm^2."""
+        with mpmath.workdps(REFERENCE_DPS):
+            return tuple(complex(c) for c in self._coefficients(mpmath.mpf(x)))
 
     def _density(self, x):
         with mpmath.workdps(REFERENCE_DPS):

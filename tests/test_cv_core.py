@@ -14,7 +14,6 @@ import pytest
 
 from catforge import cv_core
 from catforge.cv_core import (CoherentSuperposition, HomodyneWindow,
-                              TwoModeSuperposition, beam_splitter_50_50,
                               coherent, coherent_overlap, even_cat,
                               quadrature_overlap, superposition_inner,
                               superposition_norm, vacuum,
@@ -282,48 +281,6 @@ class TestSuperpositionAlgebra:
     def test_normalize(self):
         s = CoherentSuperposition.from_terms([(3.0, 0.9), (1j, -0.2)]).normalize()
         assert abs(superposition_norm(s) - 1.0) < 1e-12
-
-
-class TestBeamSplitter:
-    def test_equal_inputs_empty_second_port(self):
-        a = 0.8 + 0.3j
-        t = TwoModeSuperposition.from_terms([(1.0, a, a)])
-        out = beam_splitter_50_50(t)
-        ((w, oa, ob),) = out.terms
-        assert abs(oa - SQRT2 * a) < 1e-15
-        assert ob == 0.0
-
-    def test_single_input_splits_evenly(self):
-        a = 1.1 - 0.4j
-        t = TwoModeSuperposition.from_terms([(1.0, a, 0.0)])
-        ((_, oa, ob),) = beam_splitter_50_50(t).terms
-        assert abs(oa - a / SQRT2) < 1e-15
-        assert abs(ob - a / SQRT2) < 1e-15
-
-    def test_vacuum_fixed_point(self):
-        t = TwoModeSuperposition.from_terms([(1.0, 0.0, 0.0)])
-        ((w, oa, ob),) = beam_splitter_50_50(t).terms
-        assert (oa, ob) == (0.0, 0.0)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            terms = [(complex(*rng.standard_normal(2)),
-                      complex(*rng.uniform(-2, 2, 2)),
-                      complex(*rng.uniform(-2, 2, 2))) for _ in range(3)]
-            t = TwoModeSuperposition.from_terms(terms)
-            assert abs(superposition_norm(beam_splitter_50_50(t))
-                       - superposition_norm(t)) < 1e-12
-
-    def test_self_inverse(self):
-        # the balanced splitter is an involution on amplitude pairs
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            a, b = (complex(*v) for v in rng.uniform(-3, 3, (2, 2)))
-            t = TwoModeSuperposition.from_terms([(1.0, a, b)])
-            ((_, ra, rb),) = beam_splitter_50_50(beam_splitter_50_50(t)).terms
-            assert abs(ra - a) < 1e-14
-            assert abs(rb - b) < 1e-14
 
 
 def wigner_parity_fock(s, nmax=80):

@@ -13,7 +13,7 @@ from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow,
                               superposition_inner)
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
                                conditional_state, homodyne_density,
-                               ideal_cat, interfere, report, source_state,
+                               ideal_cat, report, source_state,
                                vacuum_null_alpha, window_metrics)
 
 # the same examples on every run, no database, no per-example deadline
@@ -30,8 +30,7 @@ xs = st.floats(-2.0, 2.0)
 @given(alpha0s, phis, xs)
 def test_normalized_states_have_unit_gram_norm(alpha0, phi, x):
     p = ProtocolParams(alpha0, phi)
-    for s in (source_state(p), interfere(p), conditional_state(p, x),
-              ideal_cat(p)):
+    for s in (source_state(p), conditional_state(p, x), ideal_cat(p)):
         assert abs(superposition_inner(s, s).real - 1.0) <= 1e-13
 
 

@@ -15,8 +15,7 @@ from catforge import protocol
 from catforge.config import COALESCE_TOL, ZERO_DENSITY
 from catforge.crosscheck import oracle_pipeline
 from catforge.cv_core import (PI_QUARTER_INV, CoherentSuperposition,
-                              HomodyneWindow, TwoModeSuperposition,
-                              beam_splitter_50_50, even_cat, gram,
+                              HomodyneWindow, coherent_overlap, even_cat, gram,
                               quadrature_overlap, superposition_inner,
                               superposition_norm, vacuum)
 from catforge.errors import (CatforgeError, DegenerateState, DomainError,
@@ -25,7 +24,7 @@ from catforge.quadrature import gauss_legendre
 from catforge.protocol import (ProtocolParams, cat_coefficient,
                                coefficient_ratio, coefficient_ratio_second_order,
                                coefficient_ratio_small_angle, conditional_state,
-                               homodyne_density, ideal_cat, interfere, report,
+                               homodyne_density, ideal_cat, report,
                                separations, source_state, vacuum_coefficient,
                                vacuum_null_alpha, vacuum_null_alpha_approx,
                                window_metrics)
@@ -122,32 +121,6 @@ class TestSeparations:
     def test_dataclass_roundtrip(self):
         sep = separations(ProtocolParams(1.0, 0.3))
         assert sep.d0 == 2.0 * math.sin(0.15)
-
-
-class TestInterfere:
-    def test_output_amplitude_structure(self):
-        p = ProtocolParams(1.0, 0.3)
-        two = interfere(p)
-        s = SQRT2 * math.sin(0.15)
-        assert max(abs(b.imag) for _, _, b in two.terms) < 1e-13
-        kept = sorted(b.real for _, _, b in two.terms)
-        assert kept == pytest.approx([-s, 0.0, 0.0, s], abs=1e-12)
-        # empty-port branches carry the full source magnitude
-        for _, a, b in two.terms:
-            if b != 0:
-                assert abs(a - SQRT2 * 1j * math.cos(0.15)) < 1e-12
-
-    def test_normalized(self):
-        rng = np.random.default_rng(6)
-        for p in params_grid(rng, 20, alpha_max=3.0):
-            assert superposition_norm(interfere(p)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dark_input(self):
-        two = interfere(ProtocolParams(0.0, 1.0))
-        assert len(two.terms) == 1
-        w, a, b = two.terms[0]
-        assert (a, b) == (0.0, 0.0)
-        assert abs(abs(w) - 1.0) < 1e-12
 
 
 class TestIdealCat:
@@ -312,6 +285,13 @@ class TestVacuumNull:
         with pytest.raises(DomainError):
             vacuum_null_alpha(0.1, k=0.5)
 
+    @pytest.mark.parametrize("phi", [1e-320, 5e-324])
+    def test_overflowing_null_names_phi(self, phi):
+        # pi / (2 phi) overflows: the small-angle form returned inf
+        for null in (vacuum_null_alpha, vacuum_null_alpha_approx):
+            with pytest.raises(DomainError, match=f"phi = {phi:g} is too small"):
+                null(phi)
+
 
 class TestConditionalState:
     def test_perfect_cat_at_null(self):
@@ -432,27 +412,36 @@ class TestWindowMetrics:
 # --- the route with a Gram sum at every stage ------------------------------
 
 def interfere_renormalized(p, merge=True):
-    """interfere with the product coalesced and renormalized after the beam
-    splitter, as if neither step could be skipped.  merge=False keeps source
-    amplitudes closer than COALESCE_TOL apart, as the basis form of report,
-    homodyne_density and window_metrics does; merging them moves a lobe by
-    up to COALESCE_TOL."""
+    """Two-mode terms (w, a, b) of the sources' product after the beam
+    splitter, renormalized by their two-mode Gram sum, as if that step could
+    not be skipped.  merge=False keeps source amplitudes closer than
+    COALESCE_TOL apart, as the basis form of report, homodyne_density and
+    window_metrics does; merging them moves a lobe by up to COALESCE_TOL."""
     if merge:
         src = source_state(p)
     else:
         src = CoherentSuperposition(tuple(
             (1.0, a) for a in protocol._source_amplitudes(p))).normalize()
-    terms = [(wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms]
-    product = (TwoModeSuperposition.from_terms(terms) if merge
-               else TwoModeSuperposition(tuple(terms)))
-    return beam_splitter_50_50(product).normalize()
+    product = [(wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms]
+    if merge:
+        # the pairs of a coalesced source are pairwise distinct: coalescing
+        # the product would merge nothing
+        assert all(max(abs(a - c), abs(b - d)) > COALESCE_TOL
+                   for k, (_, a, b) in enumerate(product)
+                   for _, c, d in product[:k])
+    two = [(w, (a + b) / SQRT2, (a - b) / SQRT2) for w, a, b in product]
+    n2 = sum(wi.conjugate() * wj * coherent_overlap(ai, aj)
+             * coherent_overlap(bi, bj)
+             for wi, ai, bi in two for wj, aj, bj in two).real
+    n = math.sqrt(n2)
+    return [(w / n, a, b) for w, a, b in two]
 
 
 def projected_renormalized(p, x, merge=True):
     """Raw projected kept-mode terms and their 16-term Gram density."""
     kept = CoherentSuperposition(tuple(
         (w * quadrature_overlap(x, a), b)
-        for w, a, b in interfere_renormalized(p, merge).terms))
+        for w, a, b in interfere_renormalized(p, merge)))
     return kept, superposition_inner(kept, kept).real
 
 
@@ -470,8 +459,8 @@ def window_metrics_renormalized(p, windows):
     of interfere_renormalized(p, merge=False), and of the ideal cat against
     them, contracted with the window integrals of the terms' projections."""
     two = interfere_renormalized(p, merge=False)
-    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two.terms))
-    a = np.array([a for _, a, _ in two.terms])
+    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two))
+    a = np.array([a for _, a, _ in two])
     gram_kept = np.array(gram(kept, kept))
     u = np.array(gram(ideal_cat(p), kept)).sum(axis=0)
     d0 = separations(p).d0
@@ -611,6 +600,29 @@ def rel(got, want):
     return abs(got - want) / abs(want)
 
 
+def check_coefficients(p, x, ulps=4):
+    """vacuum_coefficient and cat_coefficient against mp_reference at X = x.
+
+    Each sums amplitudes <x|A> = pi^(-1/4) exp(-(x - sqrt2 Re A)^2/2
+    + i Im A (sqrt2 x - Re A)) of a float A from (alpha0, phi), whose real
+    and imaginary parts are each rounded relative to themselves.  That moves
+    the phase by a few ulps times |Im A| (|sqrt2 x| + |Re A|) and the log of
+    the modulus by a few ulps times |x - sqrt2 Re A| (|x| + sqrt2 |Re A|),
+    the condition numbers of <x|A>; the tolerance weighs each |<x|A>| by
+    them.  The phase alone fails at phi near pi, where |Re A| is large.
+    """
+    a_plus, a_minus = protocol._source_amplitudes(p)
+    measured = ((SQRT2 * a_plus, SQRT2 * a_minus), ((a_plus + a_minus) / SQRT2,))
+    got = (vacuum_coefficient(p, x), cat_coefficient(p, x))
+    want = Conditioning(p.alpha0, p.phi).coefficients(x)
+    for g, w, amps in zip(got, want, measured):
+        tol = sum(abs(quadrature_overlap(x, a))
+                  * (1.0 + abs(a.imag) * (SQRT2 * abs(x) + abs(a.real))
+                     + abs(x - SQRT2 * a.real) * (abs(x) + SQRT2 * abs(a.real)))
+                  for a in amps)
+        assert abs(g - w) <= ulps * 2.0 ** -52 * tol
+
+
 class TestOddSourceReference:
     """Near alpha0^2 sin phi = (2k+1) pi the source norm^2 is about d0^2, and
     the kept mode's coherent terms cancel to about 4 log10(1/d0) digits (at
@@ -630,6 +642,7 @@ class TestOddSourceReference:
         # R, the real part of the vacuum coordinate, changes sign near 0.7
         for x in (0.0, 0.7, 2.0):
             assert rel(homodyne_density(p, x), ref.density(x)) <= self.TOL
+            check_coefficients(p, x)
         r = report(p)
         assert rel(r.density_at_x, ref.density(0.0)) <= self.TOL
         assert rel(r.fidelity, ref.fidelity(0.0)) <= self.TOL
@@ -646,3 +659,11 @@ class TestOddSourceReference:
         want = Conditioning(alpha0, phi).window(-0.1, 0.1)
         assert rel(prob, want[0]) <= self.TOL
         assert rel(fid, want[1]) <= self.TOL
+
+
+def test_coefficients_at_ordinary_points():
+    rng = np.random.default_rng(92)
+    for _ in range(200):
+        check_coefficients(ProtocolParams(rng.uniform(0.0, 5.0),
+                                          rng.uniform(0.0, math.pi)),
+                           rng.uniform(-3.0, 3.0))

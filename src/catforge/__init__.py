@@ -38,9 +38,9 @@ from .protocol import (
     coefficient_ratio,
     coefficient_ratio_second_order,
     coefficient_ratio_small_angle,
-    conditional_state,
     homodyne_density,
     ideal_cat,
+    kept_wigner,
     report,
     separations,
     source_state,
@@ -81,7 +81,6 @@ __all__ = [
     "coefficient_ratio",
     "coefficient_ratio_second_order",
     "coefficient_ratio_small_angle",
-    "conditional_state",
     "crosscheck_grid",
     "crosscheck_point",
     "even_cat",
@@ -89,6 +88,7 @@ __all__ = [
     "fock_cap",
     "homodyne_density",
     "ideal_cat",
+    "kept_wigner",
     "quadrature_overlap",
     "report",
     "separations",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from . import crosscheck, cv_core, optimize_sweep, protocol
 from .errors import CatforgeError, DomainError
 from .config import CROSSCHECK_TOL, GRID_STEP_CAP
 
-WIGNER_BLOCK_ROWS = 64  # x rows per wigner_grid call: bounds the memory
+WIGNER_BLOCK_ROWS = 64  # x rows per Wigner grid call: bounds the memory
 
 
 def _fmt(v):
@@ -146,11 +147,12 @@ def cmd_wigner(args):
         raise DomainError(f"--half-extent must be finite and positive, got {extent}")
     p = _params(args)
     if args.state == "cat":
-        state = protocol.ideal_cat(p, require_cat=True)
+        grid = functools.partial(cv_core.wigner_grid,
+                                 protocol.ideal_cat(p, require_cat=True))
     else:
-        state = protocol.conditional_state(p, args.x)
+        grid = functools.partial(protocol.kept_wigner, p, args.x)
     if extent is None:
-        extent = max(abs(a) for a in state.amplitudes()) + 5.0
+        extent = protocol.separations(p).d0 / cv_core.SQRT2 + 5.0
     axis = [(-extent + 2.0 * extent * i / (args.points - 1))
             for i in range(args.points)]
     if not math.isfinite(axis[-1]):
@@ -160,9 +162,8 @@ def cmd_wigner(args):
     # "@" marks the x cell; row blocks give the full grid's values bit for bit
     template = "".join(["@," + y + ",%.17g\n" for y in cells])
     rows = (row for lo in range(0, args.points, WIGNER_BLOCK_ROWS)
-            for row in zip(cells[lo:], cv_core.wigner_grid(
-                state, axis[lo:lo + WIGNER_BLOCK_ROWS], axis)))
-    # the first block runs wigner_grid's norm check before anything is written
+            for row in zip(cells[lo:], grid(axis[lo:lo + WIGNER_BLOCK_ROWS], axis)))
+    # the first block runs the state's checks before anything is written
     first = next(rows)
     blocks = ((template.replace("@", x), w_row)
               for x, w_row in itertools.chain([first], rows))

@@ -136,9 +136,9 @@ def crosscheck_point(p, cap=None):
         _, dens = fock_oracle.project_quadrature(out, x)
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
-    cond_fock = fock_oracle.superposition_fock(protocol.conditional_state(p), dim)
-    cond_fock = cond_fock / math.sqrt(float(np.vdot(cond_fock, cond_fock).real))
-    add("conditional", 1.0 - fock_oracle.fidelity(v / np.linalg.norm(v), cond_fock))
+    cat = _cat_fock(p, dim)[1]
+    add("fidelity", abs(protocol.report(p).fidelity - fock_oracle.fidelity(
+        v / np.linalg.norm(v), cat / np.linalg.norm(cat))))
 
     windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
     for w, (prob_a, fid_a) in zip(windows, protocol.window_metrics(p, windows)):

@@ -114,16 +114,8 @@ class CoherentSuperposition:
         return cls(_coalesce(terms, cls.__name__))
 
     def normalize(self):
-        return self.normalized_by(superposition_inner(self, self).real)
-
-    def normalized_by(self, n2):
-        """The terms divided by sqrt(n2); n2 is the Gram norm^2 <self|self>,
-        for a caller that has already summed it."""
-        n = norm_from_square(n2)
+        n = norm_from_square(superposition_inner(self, self).real)
         return type(self)(tuple((w / n, a) for w, a in self.terms))
-
-    def amplitudes(self):
-        return tuple(a for _, a in self.terms)
 
 
 @dataclass(frozen=True)

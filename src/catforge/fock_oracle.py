@@ -59,14 +59,6 @@ def coherent_fock(alpha, dim):
     return out
 
 
-def superposition_fock(s, dim):
-    """Fock carrier of a cv_core superposition: sum of weighted coherent vectors."""
-    out = np.zeros(dim, dtype=complex)
-    for w, a in s.terms:
-        out += complex(w) * coherent_fock(a, dim)
-    return out
-
-
 def quadrature_eigvec(x, dim):
     """Values h_n(x) of the normalized Hermite functions, n = 0 .. dim-1.
 

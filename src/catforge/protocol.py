@@ -9,13 +9,11 @@ the X quadrature of one output near x = 0 leaves the other output in
 
 so the separation of the surviving superposition grows by sqrt(2) while the
 vacuum branch can be switched off entirely: |c1|/|c2| has zeros on
-alpha0^2 sin(phi) = pi/2 + k pi.  report, homodyne_density and window_metrics
-take that state as two closed-form coordinates in the plane of |0> and
-|s> + |-s>, which stay accurate near an odd source (alpha0^2 sin(phi) near
-(2k+1) pi, where the source norm^2 is about d0^2); windows are 1D quadratures
-of them.  conditional_state, which the Wigner function draws, projects the
-beam-splitter images of the source pairs as coherent terms of the kept mode;
-crosscheck holds the Fock route that checks both forms.
+alpha0^2 sin(phi) = pi/2 + k pi.  report, homodyne_density, window_metrics
+and kept_wigner take that state as two closed-form coordinates in the plane
+of |0> and |s> + |-s>, which stay accurate near an odd source (alpha0^2
+sin(phi) near (2k+1) pi, where the source norm^2 is about d0^2); windows are
+1D quadratures of them.  crosscheck holds the Fock route that checks them.
 """
 
 import cmath
@@ -27,7 +25,7 @@ import numpy as np
 from .config import MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY
 from .cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
                       HomodyneWindow, even_cat, norm_from_square,
-                      quadrature_overlap, superposition_inner)
+                      quadrature_overlap, wigner_grid)
 from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
 
@@ -234,13 +232,13 @@ def _phase(p):
 
 
 def _kept_mode(p, x):
-    """Density and squared ideal-cat overlap of conditioning on X = x.
+    """Density, squared ideal-cat overlap and (Re alpha, Im alpha, g(x), S2).
 
     The kept mode (c1 |0> + c2 (|s> + |-s>)) / S2 (S2 the source norm^2) is
     (alpha, beta) on e0 = |0>, e1 = F / |F|, F = |s> + |-s> - 2 h |0>,
     h = e^{-s^2/2}.  Up to the phase of c2, with g(y) = pi^(-1/4) e^{-y^2/2},
-    u = x d0 and c = cos theta: beta = sqrt2 |expm1(-s^2)| g(x) / S2, and
-    alpha = 2 h g(x) (R + i I) / S2 with R = 1 + c + c (2 h sinh^2(u/2) +
+    u = x d0, c = cos theta and t = g(x) / S2: beta = sqrt2 |expm1(-s^2)| t,
+    and alpha = 2 h t (R + i I) with R = 1 + c + c (2 h sinh^2(u/2) +
     expm1(-s^2/2)), I = -h sinh(u) sin theta, S2 = 2 (1 + c + c expm1(-s^2)):
     no cancellation near an odd source.  For s > 1, where nothing cancels,
     alpha S2 = g(x - d0) e^{-i theta} + g(x + d0) e^{i theta} + 2 h g(x), with
@@ -261,18 +259,17 @@ def _kept_mode(p, x):
         im = (g_minus - g_plus) * sin / norm2
     else:
         norm2 = 2.0 * (cos2 - cos * em1)
-        # I enters both results squared, so |x| serves; past |x| = 38.6 g
-        # is 0, and the bound keeps sinh finite there
+        # past |x| = 38.6 g is 0, and the bound keeps sinh finite there
         u = d0 * np.minimum(abs(x), 40.0)
         sh = np.sinh(0.5 * u)
         f = 2.0 * h * g / norm2
         re = f * (cos2 + cos * (2.0 * h * sh * sh + math.expm1(-0.5 * s2)))
-        im = f * h * np.sinh(u) * sin
+        im = -f * h * np.copysign(np.sinh(u), x) * sin
     b = SQRT2 * em1 * g / norm2
     n = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s2))
     o_re = 2.0 * h / n * re + SQRT2 * em1 / n * b
     o_im = 2.0 * h / n * im
-    return re * re + im * im + b * b, o_re * o_re + o_im * o_im
+    return re * re + im * im + b * b, o_re * o_re + o_im * o_im, (re, im, g, norm2)
 
 
 def _check_density(dens, x):
@@ -293,23 +290,41 @@ def homodyne_density(p, x):
     return float(_kept_mode(p, x)[0])
 
 
-def conditional_state(p, x=0.0):
-    """Normalized state of the kept mode after conditioning on X = x.
+def kept_wigner(p, x, re_vals, im_vals):
+    """Kept-mode Wigner function at X = x, W[i, j] at re_vals[i] + 1j im_vals[j].
 
-    Each pair (ai, aj) of source terms leaves the beam splitter as
-    |(ai + aj)/sqrt2>|(ai - aj)/sqrt2>; the measured mode projects on <x|.
-    The kept terms coalesce (the aligned pairs both keep amplitude 0), and
-    their Gram norm^2, clamped at 0, is the density.
+    With gamma = q + i y and _kept_mode's alpha = re + i im, t and b = sqrt2 em1 t,
+        W dens = (2/pi) e^{-2 |gamma|^2} [|alpha|^2 - b^2
+                 + 8 h t Re(alpha sinh^2(s gamma)) + 4 t^2 X^2],
+        X = 2 sinh^2(s q) + 2 sin^2(s y) - em1 cosh(2 s q),  em1 = -expm1(-s^2):
+    nothing cancels as s -> 0 or near an odd source.  Expanding sinh(s gamma)
+    makes five products of a q factor and a y factor.  For s^2 > 1 wigner_grid
+    takes the coherent terms (alpha - 2 h t) |0> + t (|s> + |-s>).
     """
-    src = source_state(p).terms
-    projected = [(wi * wj * quadrature_overlap(x, (ai + aj) / SQRT2),
-                  (ai - aj) / SQRT2) for wi, ai in src for wj, aj in src]
-    if not any(w for w, _ in projected):
-        _check_density(0.0, x)  # x so far in the tail that every projection is 0
-    kept = CoherentSuperposition.from_terms(projected)
-    dens = max(superposition_inner(kept, kept).real, 0.0)
+    dens, _, (re, im, g, norm2) = _kept_mode(p, x)
     _check_density(dens, x)
-    return kept.normalized_by(dens)
+    d0 = separations(p).d0
+    s, s2 = d0 / SQRT2, 0.5 * d0 * d0  # s2 is inf near alpha0 = 1.3e154
+    h, em1, t = math.exp(-0.5 * s2), -math.expm1(-s2), g / norm2
+    if s2 > 1.0:
+        n = math.sqrt(dens)
+        return wigner_grid(CoherentSuperposition.from_terms(
+            [(complex(re - 2.0 * h * t, im) / n, 0.0),
+             (t / n, s), (t / n, -s)]), re_vals, im_vals)
+    # past |q| = 40 the Gaussian is 0, and the bound keeps cosh(2 s q) finite
+    q = np.clip(np.asarray(re_vals, dtype=float), -40.0, 40.0)
+    y = np.asarray(im_vals, dtype=float)
+    with np.errstate(over="ignore"):  # y * y past |y| ~ 1e154
+        eq, ey = np.exp(-2.0 * q * q), np.exp(-2.0 * y * y)
+    sh, ch, c, sn = np.sinh(s * q), np.cosh(s * q), np.cos(s * y), np.sin(s * y)
+    x_q = 2.0 * sh * sh - em1 * np.cosh(2.0 * s * q)  # X less 2 sin^2(s y)
+    ht, tt = 8.0 * h * t, 4.0 * t * t
+    fq = eq * np.array([re * re + im * im - 2.0 * (em1 * t) ** 2 + tt * x_q * x_q,
+                        ht * re * sh * sh, 4.0 * tt * x_q - ht * re * ch * ch,
+                        -2.0 * ht * im * sh * ch, np.full_like(q, 4.0 * tt)])
+    fy = ey * np.array([np.ones_like(y), c * c, sn * sn, c * sn, sn ** 4])
+    # einsum, not @: see wigner_grid
+    return (2.0 / math.pi / dens) * np.einsum("ki,kj->ij", fq, fy)
 
 
 def report(p, x=0.0):
@@ -317,7 +332,7 @@ def report(p, x=0.0):
     and separations."""
     c_vac = vacuum_coefficient(p, x)
     c_cat = cat_coefficient(p, x)
-    dens, overlap2 = map(float, _kept_mode(p, x))
+    dens, overlap2 = map(float, _kept_mode(p, x)[:2])
     _check_density(dens, x)
     return PreparedStateReport(
         alpha0=p.alpha0, phi=p.phi, x=x,
@@ -369,7 +384,7 @@ def window_metrics(p, windows):
     # past alpha0 ~ 1e153 the squares overflow to inf as silently as in
     # floats, where the lobe's exp is 0
     with np.errstate(over="ignore"):
-        dens, overlap2 = _kept_mode(
+        dens, overlap2, _ = _kept_mode(
             p, np.concatenate([x for rule in rules for x, _ in rule]))
     metrics = []
     stop = 0

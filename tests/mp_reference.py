@@ -4,7 +4,8 @@ Everything is formed from the definitions in mpmath at REFERENCE_DPS digits,
 from the exact binary values of the float inputs: the source amplitudes
 a+- = i alpha0 e^{+-i phi/2}, coherent overlaps, quadrature amplitudes
 <x|A> = pi^(-1/4) exp(-x^2/2 + sqrt2 x A - A^2/2 - |A|^2/2), and Gram sums
-over the kept-mode terms (c1 |0> + c2 (|k> + |-k>)) / S2.  Near an odd source
+over the kept-mode terms (c1 |0> + c2 (|k> + |-k>)) / S2, and their Wigner
+pair sum.  Near an odd source
 S2 is about d0^2 and the Gram sum of the kept mode cancels to about
 4 log10(1/d0) digits; at d0 = 1e-8 and alpha0 ~ 1e9 the textbook exponents
 lose another 18, which REFERENCE_DPS leaves ample room for.  Window integrals
@@ -39,6 +40,7 @@ class Conditioning:
     def __init__(self, alpha0, phi):
         with mpmath.workdps(REFERENCE_DPS):
             alpha0, phi = mpmath.mpf(alpha0), mpmath.mpf(phi)
+            self.alpha0, self.phi = alpha0, phi
             r2 = mpmath.sqrt(2)
             a_plus = 1j * alpha0 * mpmath.expj(phi / 2)
             a_minus = 1j * alpha0 * mpmath.expj(-phi / 2)
@@ -80,6 +82,41 @@ class Conditioning:
     def fidelity(self, x):
         with mpmath.workdps(REFERENCE_DPS):
             return float(self._overlap2(x) / self._density(x))
+
+    def _wigner(self, x, cells):
+        with mpmath.workdps(REFERENCE_DPS):
+            kept = self._kept(mpmath.mpf(x))
+            pairs = [(mpmath.conj(wi) * wj * _overlap(ai, aj), ai, aj)
+                     for wi, ai in kept for wj, aj in kept]
+            scale = 2 / mpmath.pi / mpmath.fsum(c for c, _, _ in pairs).real
+            return [scale * mpmath.fsum(
+                c * mpmath.exp(-2 * (mpmath.conj(g) - mpmath.conj(ai)) * (g - aj))
+                for c, ai, aj in pairs).real
+                for g in (mpmath.mpc(q, y) for q, y in cells)]
+
+    def wigner(self, x, q_vals, y_vals):
+        """W(q + i y) of the kept mode conditioned on X = x, as rows over
+        q_vals: the pair sum (2/pi) sum_ij conj(w_i) w_j <k_i|k_j>
+        e^{-2 (conj(g) - conj(k_i)) (g - k_j)} over the kept terms at
+        g = q + i y, divided by their density."""
+        w = iter(self._wigner(x, [(q, y) for q in q_vals for y in y_vals]))
+        return [[float(next(w)) for _ in y_vals] for _ in q_vals]
+
+    def wigner_theta_slope(self, x, q, y):
+        """theta dW/dtheta, theta = alpha0^2 sin(phi), with the separation
+        d0 = 2 alpha0 sin(phi/2) held: a central difference over
+        alpha0 (1 -+ 1e-30), each side's phi set to keep d0."""
+        with mpmath.workdps(REFERENCE_DPS):
+            d0 = 2 * self.alpha0 * mpmath.sin(self.phi / 2)
+            sides = []
+            for a in (self.alpha0 * (1 - mpmath.mpf(10) ** -30),
+                      self.alpha0 * (1 + mpmath.mpf(10) ** -30)):
+                phi = 2 * mpmath.asin(d0 / (2 * a))
+                sides.append((a * a * mpmath.sin(phi),
+                              Conditioning(a, phi)._wigner(x, [(q, y)])[0]))
+            (t0, w0), (t1, w1) = sides
+            theta = self.alpha0 ** 2 * mpmath.sin(self.phi)
+            return float(theta * (w1 - w0) / (t1 - t0))
 
     def window(self, lo, hi):
         """(probability, fidelity) of accepting X in [lo, hi]."""

@@ -391,10 +391,10 @@ class TestWigner:
         edge = "1.8384776310834052e+154"
         assert out.split("\n") == [
             "x,y,w",
-            f"-{edge},-{edge},0", f"-{edge},0,0.31830988618379075",
+            f"-{edge},-{edge},0", f"-{edge},0,0.31830988618379064",
             f"-{edge},{edge},0",
-            f"0,-{edge},0", "0,0,0.63661977236758149", f"0,{edge},0",
-            f"{edge},-{edge},0", f"{edge},0,0.31830988618379075",
+            f"0,-{edge},0", "0,0,0.63661977236758127", f"0,{edge},0",
+            f"{edge},-{edge},0", f"{edge},0,0.31830988618379064",
             f"{edge},{edge},0", ""]
 
     @pytest.mark.parametrize("points", [67, 130])
@@ -405,26 +405,45 @@ class TestWigner:
                              "--points", str(points))
         assert (code, err) == (0, "")
         p = ProtocolParams(1.3, 0.9)
-        state = protocol.conditional_state(p, 0.2)
-        extent = max(abs(a) for a in state.amplitudes()) + 5.0
+        extent = protocol.separations(p).d0 / cv_core.SQRT2 + 5.0
         axis = [-extent + 2.0 * extent * i / (points - 1)
                 for i in range(points)]
-        w = cv_core.wigner_grid(state, axis, axis)
+        w = protocol.kept_wigner(p, 0.2, axis, axis)
         assert out == "x,y,w\n" + render(
             (x, y, w[i, j]) for i, x in enumerate(axis)
             for j, y in enumerate(axis))
 
     def test_refused_state_writes_nothing(self, capsys, tmp_path):
-        # at this odd source (d0 = 0.1) the coherent terms' Gram norm^2 misses
-        # 1 by 1.2e-10; the header used to reach stdout before the refusal
-        argv = ("wigner", "--alpha0", "62.83185307179586",
-                "--phi", "0.000795774715459477", "--points", "3")
+        # the density at x = 60 is 0; the header used to reach stdout before
+        # a refusal in the first block
+        argv = ("wigner", "--alpha0", "1", "--phi", "0.3", "--x", "60",
+                "--points", "3")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: the Wigner function needs norm^2 = 1")
+        assert err == ("error: conditioning density 0.000e+00 at x=60.0 "
+                       "below floor\n")
         path = tmp_path / "w.csv"
         assert run(capsys, *argv, "--out", str(path))[0] == 2
         assert not path.exists()
+
+    def test_nan_x_is_refused_by_the_density_floor(self, capsys):
+        code, out, err = run(capsys, "wigner", "--alpha0", "1", "--phi", "0.3",
+                             "--x", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: conditioning density nan at x=nan below floor\n"
+
+    def test_odd_source(self, capsys):
+        # at this odd source (d0 = 0.1) the coherent terms' Gram norm^2
+        # missed 1 by 1.2e-10, and wigner refused the state
+        code, out, err = run(capsys, "wigner", "--alpha0", "62.83185307179586",
+                             "--phi", "0.000795774715459477", "--points", "3")
+        assert (code, err) == (0, "")
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.splitlines()[1:]]
+        assert len(rows) == 9
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert rows[4][:2] == [0.0, 0.0]
+        assert abs(rows[4][2] - 2.0 / math.pi) <= 1e-15
 
     def test_half_extent_must_be_finite_and_positive(self, capsys):
         for extent in ("nan", "0", "-2"):

@@ -37,7 +37,7 @@ class TestPointChecks:
     def test_quantity_coverage(self):
         devs = crosscheck_point(ProtocolParams(0.5, 0.5))
         names = {d.quantity for d in devs}
-        assert {"vacuum_coeff", "cat_coeff", "ratio", "conditional"} <= names
+        assert {"vacuum_coeff", "cat_coeff", "ratio", "fidelity"} <= names
         assert any(n.startswith("density@") for n in names)
         assert any(n.startswith("window_prob@") for n in names)
         assert any(n.startswith("window_fid@") for n in names)

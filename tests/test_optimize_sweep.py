@@ -34,7 +34,7 @@ def window_reference(p, window):
     ws = np.concatenate([w for _, w in rules])
     # two contiguous arrays, as the kernel's: a strided one sums differently
     dens, overlap2 = map(np.array, zip(*[
-        protocol._kept_mode(p, x)
+        protocol._kept_mode(p, x)[:2]
         for x in np.concatenate([x for x, _ in rules]).tolist()]))
     prob = float(ws @ dens)
     if prob < ZERO_DENSITY:

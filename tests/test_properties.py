@@ -9,12 +9,12 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow,
-                              superposition_inner)
+from catforge.cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
+                              HomodyneWindow, superposition_inner)
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
-                               conditional_state, homodyne_density,
-                               ideal_cat, report, source_state,
-                               vacuum_null_alpha, window_metrics)
+                               homodyne_density, ideal_cat, kept_wigner,
+                               report, source_state, vacuum_null_alpha,
+                               window_metrics)
 
 # the same examples on every run, no database, no per-example deadline
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -27,10 +27,10 @@ xs = st.floats(-2.0, 2.0)
 
 
 @PROPERTY
-@given(alpha0s, phis, xs)
-def test_normalized_states_have_unit_gram_norm(alpha0, phi, x):
+@given(alpha0s, phis)
+def test_normalized_states_have_unit_gram_norm(alpha0, phi):
     p = ProtocolParams(alpha0, phi)
-    for s in (source_state(p), conditional_state(p, x), ideal_cat(p)):
+    for s in (source_state(p), ideal_cat(p)):
         assert abs(superposition_inner(s, s).real - 1.0) <= 1e-13
 
 
@@ -84,7 +84,28 @@ def test_vacuum_null_condition(phi, k):
 @given(st.floats(0.0, 1e154), phis)
 def test_ideal_cat_has_the_conditioned_amplitudes(alpha0, phi):
     p = ProtocolParams(alpha0, phi)
-    # past alpha0 ~ 10 the vacuum branch projects to 0 and drops out
-    cat = {a for _, a in conditional_state(p).terms} - {0}
+    # the kept amplitudes (a_i - a_j) / sqrt2 of the beam splitter's images
+    # of the source pairs, coalesced as the source terms are
+    src = source_state(p).terms
+    kept = CoherentSuperposition.from_terms(
+        [(1.0, (ai - aj) / SQRT2) for _, ai in src for _, aj in src])
+    cat = {a for _, a in kept.terms} - {0}
     assume(len(cat) == 2)  # +-s apart from 0 and from each other
     assert {a for _, a in ideal_cat(p).terms} == cat
+
+
+@PROPERTY
+@given(alpha0s, phis, xs, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_kept_wigner_mirrors_under_x_to_minus_x(alpha0, phi, x, q, y):
+    # x -> -x conjugates the kept mode's coordinates, which mirrors W in y
+    p = ProtocolParams(alpha0, phi)
+    assert abs(kept_wigner(p, x, [q], [y])[0, 0]
+               - kept_wigner(p, -x, [q], [-y])[0, 0]) <= 1e-15
+
+
+@PROPERTY
+@given(alpha0s, phis, xs)
+def test_kept_wigner_at_the_origin_is_two_over_pi(alpha0, phi, x):
+    # |0> and |s> + |-s> are both even, and W(0) is 2/pi times the parity
+    w = kept_wigner(ProtocolParams(alpha0, phi), x, [0.0], [0.0])
+    assert abs(w[0, 0] - 2.0 / math.pi) <= 1e-15

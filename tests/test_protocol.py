@@ -17,14 +17,14 @@ from catforge.crosscheck import oracle_pipeline
 from catforge.cv_core import (PI_QUARTER_INV, CoherentSuperposition,
                               HomodyneWindow, coherent_overlap, even_cat, gram,
                               quadrature_overlap, superposition_inner,
-                              superposition_norm, vacuum)
+                              superposition_norm, vacuum, wigner_grid)
 from catforge.errors import (CatforgeError, DegenerateState, DomainError,
                              TruncationTooLarge, ZeroProbability)
 from catforge.quadrature import gauss_legendre
 from catforge.protocol import (ProtocolParams, cat_coefficient,
                                coefficient_ratio, coefficient_ratio_second_order,
-                               coefficient_ratio_small_angle, conditional_state,
-                               homodyne_density, ideal_cat, report,
+                               coefficient_ratio_small_angle,
+                               homodyne_density, ideal_cat, kept_wigner, report,
                                separations, source_state, vacuum_coefficient,
                                vacuum_null_alpha, vacuum_null_alpha_approx,
                                window_metrics)
@@ -293,26 +293,32 @@ class TestVacuumNull:
                 null(phi)
 
 
+# an asymmetric axis: W(q, y) and W(q, -y) differ off the cat's axes
+AXIS = (-5.5, -2.2, -0.7, 0.0, 0.4, 1.9, 4.6)
+
+
 class TestConditionalState:
     def test_perfect_cat_at_null(self):
+        # fidelity F bounds the Wigner difference by (2/pi) 2 sqrt(1 - F)
         for phi in (0.05, 0.1, 0.3):
             p = ProtocolParams(vacuum_null_alpha(phi), phi)
-            fid = abs(superposition_inner(ideal_cat(p),
-                                          conditional_state(p))) ** 2
-            assert fid >= 1.0 - 1e-10
+            assert report(p).fidelity >= 1.0 - 1e-10
+            w = kept_wigner(p, 0.0, AXIS, AXIS)
+            assert np.max(np.abs(w - wigner_grid(ideal_cat(p), AXIS, AXIS))) \
+                <= 4.0 / math.pi * 1e-5
 
     def test_reference_fidelity(self):
         r = report(ProtocolParams(1.0, 0.1))
         assert r.fidelity == pytest.approx(0.99999690356844, abs=1e-12)
 
     def test_dark_input_gives_vacuum(self):
-        cond = conditional_state(ProtocolParams(0.0, 0.3))
-        assert len(cond.terms) == 1
-        assert cond.terms[0][1] == 0.0
+        for x in (0.0, 1.3):
+            w = kept_wigner(ProtocolParams(0.0, 0.3), x, AXIS, AXIS)
+            assert np.max(np.abs(w - wigner_grid(vacuum(), AXIS, AXIS))) <= 1e-15
 
     def test_zero_probability(self):
         with pytest.raises(ZeroProbability):
-            conditional_state(ProtocolParams(0.0, 0.3), x=10.0)
+            kept_wigner(ProtocolParams(0.0, 0.3), 10.0, AXIS, AXIS)
 
 
 class TestHomodyneDensity:
@@ -454,6 +460,11 @@ def conditional_renormalized(p, x):
     return CoherentSuperposition.from_terms(kept.terms).normalize()
 
 
+def wigner_renormalized(p, x):
+    """kept_wigner by coherent terms: wigner_grid of conditional_renormalized."""
+    return wigner_grid(conditional_renormalized(p, x), AXIS, AXIS)
+
+
 def window_metrics_renormalized(p, windows):
     """window_metrics by coherent terms: the Gram matrices of the kept terms
     of interfere_renormalized(p, merge=False), and of the ideal cat against
@@ -520,15 +531,13 @@ class TestOneGramPerState:
     def check_point(self, p, x):
         kept, dens = projected_renormalized(p, x, merge=False)
         assert abs(homodyne_density(p, x) - max(dens, 0.0)) <= self.TOL
-        want = outcome(conditional_renormalized, p, x)
-        got = outcome(conditional_state, p, x)
+        want = outcome(wigner_renormalized, p, x)
+        got = outcome(kept_wigner, p, x, AXIS, AXIS)
         if isinstance(want, tuple):
             assert got == want
             assert outcome(report, p, x) == want
             return
-        assert [a for _, a in got.terms] == [a for _, a in want.terms]
-        assert max(abs(u - v) for (u, _), (v, _)
-                   in zip(got.terms, want.terms)) <= self.TOL
+        assert np.max(np.abs(got - want)) <= self.TOL
         r = report(p, x)
         assert abs(r.fidelity - abs(superposition_inner(
             ideal_cat(p), kept)) ** 2 / dens) <= self.TOL
@@ -546,7 +555,8 @@ class TestOneGramPerState:
             self.check_point(p, x)
 
     def test_coalescing_edges_are_hit(self):
-        terms = [(len(source_state(p).terms), len(conditional_state(p).terms))
+        terms = [(len(source_state(p).terms),
+                  len(conditional_renormalized(p, 0.0).terms))
                  for p in self.EDGES[3:]]
         assert terms == [(1, 1), (2, 1), (2, 1), (2, 3)]
 
@@ -556,14 +566,14 @@ class TestOneGramPerState:
         assert homodyne_density(p, 60.0) == 0.0
         self.check_point(p, 60.0)
         with pytest.raises(ZeroProbability, match="density 0.000e"):
-            conditional_state(p, 60.0)
+            kept_wigner(p, 60.0, AXIS, AXIS)
 
     def test_degenerate_floor_between_the_two_floors(self):
         # density e^-x^2 / sqrt(pi) of the dark source lands in [1e-30, 1e-28)
         p, x = ProtocolParams(0.0, 0.5), 8.136
         assert ZERO_DENSITY <= homodyne_density(p, x) < 1e-28
         with pytest.raises(DegenerateState):
-            conditional_state(p, x)
+            kept_wigner(p, x, AXIS, AXIS)
         self.check_point(p, x)
 
     def test_window_metrics(self):
@@ -650,6 +660,26 @@ class TestOddSourceReference:
         for g, w in zip(got, ref.window(-0.1, 0.1)):
             assert rel(g, w) <= self.TOL
 
+    # off both axes, so the term odd in y (through Im alpha) enters
+    CELLS = ((-1.5, 0.9), (0.9, -0.4), (0.3, 1.7))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("d0", [10.0 ** -e for e in range(1, 9)])
+    def test_wigner_family(self, k, d0):
+        # kept_wigner takes theta = alpha0^2 sin(phi) from the rounded sin(phi),
+        # as report does.  Off x = 0 an ulp of theta moves W by theta |dW/dtheta|
+        # (about 1e4 at d0 = 1e-3, x = 0.7), so the tolerance adds four such ulps
+        alpha0, phi = odd_source(k, d0)
+        p = ProtocolParams(alpha0, phi)
+        ref = Conditioning(alpha0, phi)
+        for x in (0.0, 0.7, 2.0):
+            for q, y in self.CELLS:
+                tol = self.TOL
+                if x:
+                    tol += 4 * 2.0 ** -52 * abs(ref.wigner_theta_slope(x, q, y))
+                got = kept_wigner(p, x, [q], [y])
+                assert abs(got[0, 0] - ref.wigner(x, [q], [y])[0][0]) <= tol
+
     def test_window_example(self):
         # d0 = 1e-3: `window` printed probability 0.08380 at eps = 0.1
         alpha0, phi = 3141.592653589793, 3.183098861837907e-07
@@ -659,6 +689,40 @@ class TestOddSourceReference:
         want = Conditioning(alpha0, phi).window(-0.1, 0.1)
         assert rel(prob, want[0]) <= self.TOL
         assert rel(fid, want[1]) <= self.TOL
+
+
+class TestKeptWigner:
+    def test_random_points_against_the_coherent_terms(self):
+        # the coherent terms' pair sum rounds to about an ulp times
+        # (sum |w_i|)^2 times 2/pi; past sum |w_i| = 3 (near an odd source,
+        # about 1.5% of draws) the 80-digit pair sum is the reference instead
+        rng = np.random.default_rng(94)
+        big = set()
+        for _ in range(2000):
+            p = ProtocolParams(rng.uniform(0.0, 6.0), rng.uniform(0.0, math.pi))
+            x = rng.uniform(-3.0, 3.0)
+            got = kept_wigner(p, x, AXIS, AXIS)
+            ref = conditional_renormalized(p, x)
+            if sum(abs(w) for w, _ in ref.terms) <= 3.0:
+                want = wigner_grid(ref, AXIS, AXIS)
+            else:
+                want = Conditioning(p.alpha0, p.phi).wigner(x, AXIS, AXIS)
+            assert np.max(np.abs(got - want)) <= 1e-14
+            big.add(0.5 * separations(p).d0 ** 2 > 1.0)
+        assert big == {False, True}
+
+    @pytest.mark.parametrize("phi", [0.4, 1.2, math.pi / 2, 2.7])
+    def test_continuous_across_the_branch_threshold(self, phi):
+        # neighbouring alpha0 either side of s^2 = 1, where the kernel hands
+        # the kept mode to wigner_grid as coherent terms
+        alpha0 = 1.0 / (SQRT2 * math.sin(0.5 * phi))
+        ps = [ProtocolParams(alpha0 + k * math.ulp(alpha0), phi)
+              for k in range(-8, 9)]
+        s2 = [0.5 * separations(p).d0 ** 2 for p in ps]
+        k = next(k for k in range(16) if s2[k] <= 1.0 < s2[k + 1])
+        for x in (0.0, 0.6, -1.9):
+            below, above = (kept_wigner(p, x, AXIS, AXIS) for p in ps[k:k + 2])
+            assert np.max(np.abs(below - above)) <= 1e-14
 
 
 def test_coefficients_at_ordinary_points():

@@ -4,8 +4,10 @@ Subcommands map one-to-one onto the analysis operations: ratio, prepare,
 sweep, optimize, window, wigner, validate.  Angles are radians by default
 (--phi-degrees converts); every run is deterministic.  CSV output uses LF
 line endings and 17-significant-digit floats so parsed values round-trip
-exactly; sweep and wigner write it row by row as it is computed, so their
-memory does not grow with the grid.  JSON never contains NaN or infinities.
+exactly.  Its cells are the bytes of format(v, ".17g"), written for blocks
+of up to CHUNK values at a time by the numpy kernel in _format17; sweep and
+wigner write each block as soon as it is computed, so their memory does not
+grow with the grid.  JSON never contains NaN or infinities.
 
 Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 """
@@ -21,6 +23,7 @@ import sys
 import numpy as np
 
 from . import crosscheck, cv_core, optimize_sweep, protocol
+from ._format17 import CHUNK, WIDTH, cells
 from .errors import CatforgeError, DomainError
 from .config import CROSSCHECK_TOL, GRID_STEP_CAP
 
@@ -48,28 +51,50 @@ def _floats(text, flag):
 
 
 def _write(path, chunks):
+    """Write ASCII byte chunks to path, or to stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:  # a text stream only, such as an io.StringIO
+            sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+            return
+        sys.stdout.flush()
+        binary.writelines(chunks)
         return
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(chunks)
 
 
-def _csv(header, blocks):
-    """The header line, then one chunk per (template, values) block.
+def _csv(header, lines):
+    yield header.encode("ascii") + b"\n"
+    yield from lines
 
-    Each template line holds its formatted axis cells and a "%.17g" slot per
-    value; "%.17g" % v is format(v, ".17g"), done for a whole block at once.
+
+def _lines(fields):
+    """CSV lines from a (lines, columns, WIDTH) block of cells.
+
+    The last byte of a cell is free: it takes the comma or the line end,
+    then every NUL is dropped at once.
     """
-    yield header + "\n"
-    for template, values in blocks:
-        yield template % tuple(values.ravel().tolist())
+    fields[:, :, -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    return fields[fields != 0].tobytes()
+
+
+def _grid_lines(first, second, values):
+    """CSV lines of one block of a grid: the cells first[i, j] and
+    second[i, j], each broadcast over the block, then values[i, j, :]."""
+    r, n, k = values.shape
+    fields = np.empty((r, n, 2 + k, WIDTH), np.uint8)
+    fields[:, :, 0] = first
+    fields[:, :, 1] = second
+    fields[:, :, 2:] = cells(values).reshape(r, n, k, WIDTH)
+    return _lines(fields.reshape(r * n, 2 + k, WIDTH))
 
 
 def _json_text(payload):
     # allow_nan=False turns non-finite numbers into an error instead of
     # emitting invalid JSON
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("ascii")
 
 
 def cmd_ratio(args):
@@ -98,13 +123,18 @@ def cmd_sweep(args):
         alpha0_min=args.alpha0_min, alpha0_max=args.alpha0_max,
         alpha0_steps=args.alpha0_steps,
         phi_min=args.phi_min, phi_max=args.phi_max, phi_steps=args.phi_steps)
-    # "@" marks the phi cell, filled in per row
-    template = "".join([_fmt(a) + ",@,%.17g,%.17g,%.17g,%.17g\n"
-                        for a in grid.alpha0_values()])
-    rows = zip(grid.phi_values(), optimize_sweep.sweep_ratio(grid))
-    blocks = ((template.replace("@", _fmt(phi)), np.column_stack(cols))
-              for phi, cols in rows)
-    _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", blocks))
+    alpha0 = cells(grid.alpha0_values())
+    phi = cells(grid.phi_values())
+    rows = optimize_sweep.sweep_ratio(grid)
+    per_block = max(1, CHUNK // (4 * len(alpha0)))  # phi rows per kernel call
+
+    def lines():
+        for lo in range(0, len(phi), per_block):
+            block = np.stack([np.column_stack(cols)
+                              for cols in itertools.islice(rows, per_block)])
+            yield _grid_lines(alpha0[None], phi[lo:lo + len(block), None], block)
+
+    _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", lines()))
     return 0
 
 
@@ -134,8 +164,8 @@ def cmd_window(args):
                    for e, pr, f in rows]
         _write(args.out, [_json_text(payload)])
     else:
-        block = ("%.17g,%.17g,%.17g\n" * len(rows), np.array(rows))
-        _write(args.out, _csv("epsilon,probability,fidelity", [block]))
+        fields = cells(rows).reshape(len(rows), 3, WIDTH)
+        _write(args.out, _csv("epsilon,probability,fidelity", [_lines(fields)]))
     return 0
 
 
@@ -158,16 +188,20 @@ def cmd_wigner(args):
     if not math.isfinite(axis[-1]):
         raise DomainError(
             f"--half-extent {extent:g} is too large: the grid values overflow")
-    cells = [_fmt(v) for v in axis]
-    # "@" marks the x cell; row blocks give the full grid's values bit for bit
-    template = "".join(["@," + y + ",%.17g\n" for y in cells])
-    rows = (row for lo in range(0, args.points, WIGNER_BLOCK_ROWS)
-            for row in zip(cells[lo:], grid(axis[lo:lo + WIGNER_BLOCK_ROWS], axis)))
+    y = cells(axis)
+    starts = range(0, args.points, WIGNER_BLOCK_ROWS)
+    blocks = (grid(axis[lo:lo + WIGNER_BLOCK_ROWS], axis) for lo in starts)
     # the first block runs the state's checks before anything is written
-    first = next(rows)
-    blocks = ((template.replace("@", x), w_row)
-              for x, w_row in itertools.chain([first], rows))
-    _write(args.out, _csv("x,y,w", blocks))
+    first = next(blocks)
+    per_batch = max(1, CHUNK // args.points)  # x rows per kernel call
+
+    def lines():
+        for start, block in zip(starts, itertools.chain([first], blocks)):
+            for lo in range(0, len(block), per_batch):
+                w = block[lo:lo + per_batch, :, None]
+                yield _grid_lines(y[start + lo:start + lo + len(w), None], y[None], w)
+
+    _write(args.out, _csv("x,y,w", lines()))
     return 0
 
 

@@ -144,11 +144,12 @@ def find_min_alpha(phi, k=0, validate_numeric=False):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
             break
-        if flo * f(mid) <= 0:
+        fmid = f(mid)
+        if flo * fmid <= 0:
             hi = mid
         else:
             lo = mid
-            flo = f(mid)
+            flo = fmid
     numeric = 0.5 * (lo + hi)
     if abs(numeric - exact) > tol:
         raise DomainError(

@@ -32,7 +32,9 @@ def gauss_legendre(a, b):
         raise ValueError(f"empty integration range [{a}, {b}]")
     panels = math.ceil((b - a) / MAX_PANEL_WIDTH)
     base_x, base_w = _gl_rule()
-    edges = np.linspace(a, b, panels + 1)
+    # np.linspace(a, b, panels + 1) bit for bit, without its overhead
+    edges = np.arange(panels + 1) * ((b - a) / panels) + a
+    edges[-1] = b
     mids = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
     xs = (mids[:, None] + halves[:, None] * base_x[None, :]).ravel()

@@ -4,6 +4,8 @@ Everything goes through cli.main(argv) so exit codes and emitted text are
 exercised exactly as a shell user sees them.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,9 +15,11 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from catforge import cli, cv_core, protocol
+from catforge._format17 import CHUNK, cells
 from catforge.optimize_sweep import GridSpec, window_tradeoff
 from catforge.protocol import ProtocolParams
 
@@ -51,6 +55,88 @@ def parse_keyvals(text):
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def formatted(values):
+    """The CSV line of values, split back into its cells."""
+    return cli._lines(cells(values)[None]).decode("ascii")[:-1].split(",")
+
+
+class TestCells:
+    # each edge beside format(v, ".17g") of it
+    EDGES = [
+        0.0, -0.0, math.inf, -math.inf, math.nan,
+        5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,  # subnormals
+        1e-5, 9.9999999999999e-05, 1e-4,  # the fixed/exponent switch
+        9.999999999999999e16, 1e17, 1e16, 123456789012345680.0,
+        1e100, -1.5e-250, 1.7976931348623157e308, 1e-300, 1e300,
+        1 + 2 ** -17,  # 1.00000762939453125: an exact tie, rounded to even
+        1e-14,  # 9.99999999999999999e-15 to 17 digits carries to 1e-14
+        1e98,  # likewise, below 1e98
+        1e-200,  # 9.9999999999999998e-201: its 16 digits round up to 10^16
+        0.1, 0.5, 2.0, -1.0, 100.0, 0.30000000000000004]
+
+    def test_edge_table(self):
+        # alone, and in a block where other values take the kernel's
+        # redo and slow paths
+        expected = [format(v, ".17g") for v in self.EDGES]
+        assert formatted(self.EDGES) == expected
+        assert [formatted([v])[0] for v in self.EDGES] == expected
+
+    def test_neighbours_of_powers_of_ten(self):
+        # log10 rounds to the integer at and next to these, one decade off
+        # the exponent of their digits
+        tens = np.array([float(f"1e{m}") for m in range(-323, 309)])
+        v = np.concatenate([tens, np.nextafter(tens, 0.0),
+                            np.nextafter(tens, np.inf), 5 * tens[:-1], -tens])
+        assert formatted(v) == [format(x, ".17g") for x in v.tolist()]
+        # alone, where no other value takes the redo path
+        alone = np.concatenate([tens, np.nextafter(tens, 0.0)]).tolist()
+        assert ([formatted([x])[0] for x in alone]
+                == [format(x, ".17g") for x in alone])
+
+    def test_more_than_one_chunk(self):
+        v = np.linspace(-3.0, 7.0, 2 * CHUNK + 5) ** 3
+        assert formatted(v) == [format(x, ".17g") for x in v.tolist()]
+
+    def test_import_builds_no_table(self):
+        # the tables are built on first use, so importing the CLI costs a
+        # process that writes no CSV nothing
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        code = ("import catforge.cli, catforge._format17 as f; "
+                "print(f._tables.cache_info().currsize); f.cells([1.0]); "
+                "print(f._tables.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n1\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--alpha0-steps", "40", "--phi-steps", "7", "--phi-min", "-0.3"),
+    ("wigner", "--alpha0", "1", "--phi", "0.5", "--points", "23"),
+    ("wigner", "--alpha0", "2", "--phi", "1.5707963", "--state", "cat",
+     "--points", "150"),
+    ("window", "--alpha0", "1.7", "--phi", "0.5"),
+    ("window", "--alpha0", "1.7", "--phi", "0.5", "--format", "json"),
+])
+def test_stdout_and_out_get_the_same_bytes(capsysbinary, tmp_path, argv):
+    assert cli.main(list(argv)) == 0
+    captured = capsysbinary.readouterr()
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert captured.err == b""
+    assert captured.out == path.read_bytes()
+    assert captured.out.count(b"\n") > 1
+
+
+def test_text_only_stdout_gets_the_same_text(tmp_path):
+    # an io.StringIO has no binary buffer beneath it
+    argv = ["wigner", "--alpha0", "1", "--phi", "0.5", "--points", "5"]
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert cli.main(argv) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert text.getvalue().encode("ascii") == (tmp_path / "out").read_bytes()
 
 
 class TestRatio:

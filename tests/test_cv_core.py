@@ -396,3 +396,23 @@ class TestHomodyneWindow:
             HomodyneWindow(0.0, -1.0)
         with pytest.raises(ValueError):
             HomodyneWindow(math.nan, 1.0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("a, b", [
+        (-8.0, 8.0), (0.0, math.pi), (-1e-4, 1e-4), (0.0, 1e-300),
+        (-1e-300, 0.0), (2.5e-7, 0.30000000000000004), (-37.2, 61.9),
+        (1e3, 1e3 + 7.3), (-0.15, 0.05)])
+    def test_panels_are_linspace_edges(self, a, b):
+        # the edges are np.linspace(a, b, panels + 1) bit for bit, so every
+        # node and weight is as well
+        from catforge.config import MAX_PANEL_WIDTH
+        from catforge.quadrature import _gl_rule, gauss_legendre
+        edges = np.linspace(a, b, math.ceil((b - a) / MAX_PANEL_WIDTH) + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halves = 0.5 * (edges[1:] - edges[:-1])
+        base_x, base_w = _gl_rule()
+        xs, ws = gauss_legendre(a, b)
+        assert np.array_equal(
+            xs, (mids[:, None] + halves[:, None] * base_x[None, :]).ravel())
+        assert np.array_equal(ws, (halves[:, None] * base_w[None, :]).ravel())

@@ -6,9 +6,12 @@ deterministic; no example database is written.
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from catforge import cli
+from catforge._format17 import cells
 from catforge.cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
                               HomodyneWindow, superposition_inner)
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
@@ -109,3 +112,12 @@ def test_kept_wigner_at_the_origin_is_two_over_pi(alpha0, phi, x):
     # |0> and |s> + |-s> are both even, and W(0) is 2/pi times the parity
     w = kept_wigner(ProtocolParams(alpha0, phi), x, [0.0], [0.0])
     assert abs(w[0, 0] - 2.0 / math.pi) <= 1e-15
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_csv_cells_are_format_17g(patterns):
+    # any float64, nan, infinities and subnormals included, from its bits
+    v = np.array(patterns, dtype=np.uint64).view(np.float64)
+    line = ",".join(format(x, ".17g") for x in v.tolist()) + "\n"
+    assert cli._lines(cells(v)[None]) == line.encode("ascii")

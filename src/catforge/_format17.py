@@ -1,18 +1,18 @@
 """format(v, ".17g") for whole blocks of float64 values, byte for byte.
 
 cells(values) returns one row of ASCII bytes per value, with NUL bytes in
-the places a shorter string leaves empty: the CSV writers join rows and drop
-every NUL once.  The 17 significant digits are exact.  With
-e10 = floor(log10|v|) and k = 16 - e10, |v| 10^k is formed as a
-double-double: Dekker's two-product of |v| and the double nearest 10^k
-(Veltkamp splits; numpy has no fused multiply-add), plus |v| times that
-double's remainder, from a table whose pairs hold 10^k within 2^-106
-relative (T. J. Dekker, Numer. Math. 18, 224 (1971)).  The integer part is
-exact and the fraction is off by less than 1e-13, so rounding to the integer
-n is decided exactly.  A log10 one decade off (floor(|v| 10^k) outside
-[10^16, 10^17)) is redone, and a rounding up to 10^17 moves the exponent.
-Values whose fraction lies within 1e-6 of one half (exact ties such as
-1 + 2^-17 round half to even), nan, infinities and |v| outside
+the places a shorter string leaves empty; csv_lines(prefix, values) joins
+such rows into CSV lines and drops every NUL once.  The 17 significant
+digits are exact.  With e10 = floor(log10|v|) and k = 16 - e10, |v| 10^k is
+formed as a double-double: Dekker's two-product of |v| and the double
+nearest 10^k (Veltkamp splits; numpy has no fused multiply-add), plus |v|
+times that double's remainder, from a table whose pairs hold 10^k within
+2^-106 relative (T. J. Dekker, Numer. Math. 18, 224 (1971)).  The integer
+part is exact and the fraction is off by less than 1e-13, so rounding to
+the integer n is decided exactly.  A log10 one decade off (floor(|v| 10^k)
+outside [10^16, 10^17)) is redone, and a rounding up to 10^17 moves the
+exponent.  Values whose fraction lies within 1e-6 of one half (exact ties
+such as 1 + 2^-17 round half to even), nan, infinities and |v| outside
 [1e-282, 1e300) go to format() one at a time.
 
 A row is four little-endian uint64 words, so that every step is a
@@ -194,3 +194,23 @@ def cells(values):
     v = np.asarray(values, dtype=np.float64).ravel()
     return np.concatenate([_kernel(v[lo:lo + CHUNK])
                            for lo in range(0, v.size or 1, CHUNK)])
+
+
+def csv_lines(prefix, values):
+    """CSV lines, as ASCII bytes, over the leading axes of values.
+
+    The line at index i holds the cells prefix[0][i], prefix[1][i], ...
+    (arrays from cells(), broadcast over values.shape[:-1]), then
+    format(v, ".17g") of each v in values[i].
+    """
+    values = np.asarray(values, dtype=np.float64)
+    *lead, k = values.shape
+    fields = np.empty((*lead, len(prefix) + k, WIDTH), np.uint8)
+    for j, column in enumerate(prefix):
+        fields[..., j, :] = column
+    fields[..., len(prefix):, :] = cells(values).reshape(*lead, k, WIDTH)
+    # the last byte of a cell is free: it takes the comma or the line end,
+    # then every NUL is dropped at once
+    fields[..., -1] = ord(",")
+    fields[..., -1, -1] = ord("\n")
+    return fields[fields != 0].tobytes()

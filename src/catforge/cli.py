@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import crosscheck, cv_core, optimize_sweep, protocol
-from ._format17 import CHUNK, WIDTH, cells
+from ._format17 import CHUNK, cells, csv_lines
 from .errors import CatforgeError, DomainError
 from .config import CROSSCHECK_TOL, GRID_STEP_CAP
 
@@ -53,12 +53,7 @@ def _floats(text, flag):
 def _write(path, chunks):
     """Write ASCII byte chunks to path, or to stdout for None or "-"."""
     if path is None or path == "-":
-        binary = getattr(sys.stdout, "buffer", None)
-        if binary is None:  # a text stream only, such as an io.StringIO
-            sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
-            return
-        sys.stdout.flush()
-        binary.writelines(chunks)
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
         return
     with open(path, "wb") as fh:
         fh.writelines(chunks)
@@ -67,28 +62,6 @@ def _write(path, chunks):
 def _csv(header, lines):
     yield header.encode("ascii") + b"\n"
     yield from lines
-
-
-def _lines(fields):
-    """CSV lines from a (lines, columns, WIDTH) block of cells.
-
-    The last byte of a cell is free: it takes the comma or the line end,
-    then every NUL is dropped at once.
-    """
-    fields[:, :, -1] = ord(",")
-    fields[:, -1, -1] = ord("\n")
-    return fields[fields != 0].tobytes()
-
-
-def _grid_lines(first, second, values):
-    """CSV lines of one block of a grid: the cells first[i, j] and
-    second[i, j], each broadcast over the block, then values[i, j, :]."""
-    r, n, k = values.shape
-    fields = np.empty((r, n, 2 + k, WIDTH), np.uint8)
-    fields[:, :, 0] = first
-    fields[:, :, 1] = second
-    fields[:, :, 2:] = cells(values).reshape(r, n, k, WIDTH)
-    return _lines(fields.reshape(r * n, 2 + k, WIDTH))
 
 
 def _json_text(payload):
@@ -132,7 +105,7 @@ def cmd_sweep(args):
         for lo in range(0, len(phi), per_block):
             block = np.stack([np.column_stack(cols)
                               for cols in itertools.islice(rows, per_block)])
-            yield _grid_lines(alpha0[None], phi[lo:lo + len(block), None], block)
+            yield csv_lines((alpha0[None], phi[lo:lo + len(block), None]), block)
 
     _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", lines()))
     return 0
@@ -164,8 +137,7 @@ def cmd_window(args):
                    for e, pr, f in rows]
         _write(args.out, [_json_text(payload)])
     else:
-        fields = cells(rows).reshape(len(rows), 3, WIDTH)
-        _write(args.out, _csv("epsilon,probability,fidelity", [_lines(fields)]))
+        _write(args.out, _csv("epsilon,probability,fidelity", [csv_lines((), rows)]))
     return 0
 
 
@@ -199,7 +171,7 @@ def cmd_wigner(args):
         for start, block in zip(starts, itertools.chain([first], blocks)):
             for lo in range(0, len(block), per_batch):
                 w = block[lo:lo + per_batch, :, None]
-                yield _grid_lines(y[start + lo:start + lo + len(w), None], y[None], w)
+                yield csv_lines((y[start + lo:start + lo + len(w), None], y[None]), w)
 
     _write(args.out, _csv("x,y,w", lines()))
     return 0

@@ -4,8 +4,6 @@ Everything goes through cli.main(argv) so exit codes and emitted text are
 exercised exactly as a shell user sees them.
 """
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -19,7 +17,7 @@ import numpy as np
 import pytest
 
 from catforge import cli, cv_core, protocol
-from catforge._format17 import CHUNK, cells
+from catforge._format17 import CHUNK, csv_lines
 from catforge.optimize_sweep import GridSpec, window_tradeoff
 from catforge.protocol import ProtocolParams
 
@@ -59,7 +57,7 @@ def parse_keyvals(text):
 
 def formatted(values):
     """The CSV line of values, split back into its cells."""
-    return cli._lines(cells(values)[None]).decode("ascii")[:-1].split(",")
+    return csv_lines((), [values]).decode("ascii")[:-1].split(",")
 
 
 class TestCells:
@@ -128,15 +126,6 @@ def test_stdout_and_out_get_the_same_bytes(capsysbinary, tmp_path, argv):
     assert captured.err == b""
     assert captured.out == path.read_bytes()
     assert captured.out.count(b"\n") > 1
-
-
-def test_text_only_stdout_gets_the_same_text(tmp_path):
-    # an io.StringIO has no binary buffer beneath it
-    argv = ["wigner", "--alpha0", "1", "--phi", "0.5", "--points", "5"]
-    with contextlib.redirect_stdout(io.StringIO()) as text:
-        assert cli.main(argv) == 0
-    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
-    assert text.getvalue().encode("ascii") == (tmp_path / "out").read_bytes()
 
 
 class TestRatio:

@@ -10,8 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catforge import cli
-from catforge._format17 import cells
+from catforge._format17 import csv_lines
 from catforge.cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
                               HomodyneWindow, superposition_inner)
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
@@ -120,4 +119,4 @@ def test_csv_cells_are_format_17g(patterns):
     # any float64, nan, infinities and subnormals included, from its bits
     v = np.array(patterns, dtype=np.uint64).view(np.float64)
     line = ",".join(format(x, ".17g") for x in v.tolist()) + "\n"
-    assert cli._lines(cells(v)[None]) == line.encode("ascii")
+    assert csv_lines((), v[None]) == line.encode("ascii")

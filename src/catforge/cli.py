@@ -178,6 +178,9 @@ def cmd_wigner(args):
 
 
 def cmd_validate(args):
+    if not 0.0 <= args.tolerance < math.inf:
+        raise DomainError(
+            f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     alpha0s = _floats(args.alpha0_values, "--alpha0-values")
     phis = _floats(args.phi_values, "--phi-values")
     max_dev, worst, devs = crosscheck.crosscheck_grid(

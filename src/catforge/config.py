@@ -23,10 +23,10 @@ ZERO_DENSITY = 1e-30
 
 # default Fock-space dimension cap: a cold crosscheck_point at dimension n
 # takes about FOCK_SECONDS_PER_DIM3 * n^3 seconds (2-core Xeon under KVM, one
-# BLAS thread: 2.0 s at 512, 6.6 s at 768, 9.5 s at 860), so at the cap a
-# crosscheck point finishes in about 10 s
+# BLAS thread, medians of 8 cold points: 1.3 s at 516, 3.7 s at 724, 5.9 s at
+# 860, 10.5 s at 1024), so at the cap a crosscheck point finishes in about 6 s
 DEFAULT_FOCK_CAP = 860
-FOCK_SECONDS_PER_DIM3 = 1.5e-8
+FOCK_SECONDS_PER_DIM3 = 9.5e-9
 FOCK_CAP_ENV = "CATFORGE_MAX_FOCK"
 
 # composite Gauss-Legendre rule used for every 1D window / marginal integral

@@ -38,8 +38,18 @@ class Deviation:
 def oracle_pipeline(p, cap=None):
     """Pure-Fock sources through the beam splitter: (out, dim, raw_norm2).
 
-    out is the normalized two-mode output; raw_norm2 the squared norm of the
-    unnormalized source vector.
+    The source pair is truncated by total photon number: src (x) src is kept
+    on the triangle n + m < dim and zeroed elsewhere.  It is a sum of
+    coherent pairs |a>|b> with |a| = |b| = alpha0, and the total photon
+    number of each is distributed as that of one coherent state of
+    amplitude sqrt(|a|^2 + |b|^2) = sqrt2 alpha0, the amplitude the
+    truncation is chosen for, so the dropped weight is the tail that
+    choose_truncation bounds.  The beam splitter conserves total photon
+    number and is exactly unitary on the triangle, so out, the two-mode
+    output, is the exact image of the kept source: zero on n + m >= dim,
+    with the squared norm of the kept part of the normalized source pair.
+    raw_norm2 is the squared norm of the unnormalized single-mode source
+    vector.
     """
     dim = fock_oracle.choose_truncation(SQRT2 * p.alpha0, cap)
     half = complex(math.cos(0.5 * p.phi), math.sin(0.5 * p.phi))
@@ -47,7 +57,10 @@ def oracle_pipeline(p, cap=None):
            + fock_oracle.coherent_fock(1j * p.alpha0 * half.conjugate(), dim))
     raw_norm2 = float(np.vdot(raw, raw).real)
     src = raw / math.sqrt(raw_norm2)
-    out = fock_oracle.apply_beam_splitter(fock_oracle.product_state(src, src))
+    pair = fock_oracle.product_state(src, src)
+    for n in range(1, dim):
+        pair[n, dim - n:] = 0.0  # m >= dim - n
+    out = fock_oracle.apply_beam_splitter(pair)
     return out, dim, raw_norm2
 
 
@@ -60,9 +73,11 @@ def _cat_fock(p, dim):
 def oracle_conditioning(p, cap=None):
     """Run the full pipeline in Fock space and resolve the branch coefficients.
 
-    Returns (vac_coeff, cat_coeff, ratio, density_at_0, cond_vector, out, dim):
+    Returns (vac_coeff, cat_coeff, ratio, density_at_0, cond_vector, out, cat):
     the coefficients are rescaled by the raw (unnormalized) source norm so they
-    are directly comparable to the analytic projection coefficients.
+    are directly comparable to the analytic projection coefficients; out is
+    the oracle_pipeline output and cat the normalized Fock carrier of the
+    cat, the oracle's fidelity target.
     """
     out, dim, raw_norm2 = oracle_pipeline(p, cap)
     v, dens = fock_oracle.project_quadrature(out, 0.0)
@@ -78,15 +93,8 @@ def oracle_conditioning(p, cap=None):
     c_cat = complex(np.vdot(tail, v[1:])) / tail_norm2
     c_vac = complex(v[0]) - c_cat * u_cat[0].real
     ratio = abs(c_vac) / abs(c_cat)
-    return (c_vac * raw_norm2, c_cat * raw_norm2, ratio, dens, v, out, dim)
-
-
-def oracle_window(p, window, out, dim):
-    """Oracle of protocol.window_metrics on the oracle_pipeline output (out, dim):
-    the Fock-space window integrals, with the Fock carrier of the cat as
-    target."""
-    cat = _cat_fock(p, dim)[1]
-    return fock_oracle.window_metrics(out, window, cat / np.linalg.norm(cat))
+    return (c_vac * raw_norm2, c_cat * raw_norm2, ratio, dens, v, out,
+            u_cat / np.linalg.norm(u_cat))
 
 
 def window_metrics_analytic(p, window):
@@ -127,22 +135,21 @@ def crosscheck_point(p, cap=None):
     def add(name, value):
         devs.append(Deviation(name, p.alpha0, p.phi, float(value)))
 
-    c_vac_o, c_cat_o, ratio_o, dens0_o, v, out, dim = oracle_conditioning(p, cap)
+    c_vac_o, c_cat_o, ratio_o, dens0_o, v, out, cat = oracle_conditioning(p, cap)
     add("vacuum_coeff", abs(protocol.vacuum_coefficient(p) - c_vac_o))
     add("cat_coeff", abs(protocol.cat_coefficient(p) - c_cat_o))
     add("ratio", abs(protocol.coefficient_ratio(p) - ratio_o))
 
     for x in DENSITY_SAMPLES:
-        _, dens = fock_oracle.project_quadrature(out, x)
+        dens = dens0_o if x == 0.0 else fock_oracle.project_quadrature(out, x)[1]
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
-    cat = _cat_fock(p, dim)[1]
     add("fidelity", abs(protocol.report(p).fidelity - fock_oracle.fidelity(
-        v / np.linalg.norm(v), cat / np.linalg.norm(cat))))
+        v / np.linalg.norm(v), cat)))
 
     windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
     for w, (prob_a, fid_a) in zip(windows, protocol.window_metrics(p, windows)):
-        prob_o, fid_o = oracle_window(p, w, out, dim)
+        prob_o, fid_o = fock_oracle.window_metrics(out, w, cat)
         add(f"window_prob@eps={w.half_width:g}", abs(prob_o - prob_a))
         add(f"window_fid@eps={w.half_width:g}", abs(fid_o - fid_a))
     return devs

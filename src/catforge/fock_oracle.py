@@ -11,8 +11,12 @@ validates the closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
 two-mode pure state is a 2D array amps[n, m] with n indexing the measured
-mode and m the output mode.  A windowed, mixed output is reduced to its
-probability and fidelity without forming its density matrix.
+mode and m the output mode.  The truncated beam splitter is exactly unitary
+on the triangle n + m < dim of complete total-photon blocks and maps it onto
+itself, so two-mode states are truncated by total photon number, and the
+beam splitter builds only the blocks a state occupies.  A windowed, mixed
+output is reduced to its probability and fidelity without forming its
+density matrix.
 """
 
 import math
@@ -32,7 +36,11 @@ def choose_truncation(max_amp, cap=None):
     """Fock dimension guaranteeing coherent tails <= 1e-12 up to |alpha| = max_amp.
 
     The margin ceil(max_amp^2 + 10*max_amp + 20) is far past the Poisson bulk
-    at every scale of interest; dimensions above the cap (default
+    at every scale of interest.  The bound covers a coherent pair |a>|b>
+    truncated to total photon number n + m < dim as well, for
+    sqrt(|a|^2 + |b|^2) <= max_amp: the pair's total photon number is
+    Poisson distributed like that of one coherent state of that amplitude.
+    Dimensions above the cap (default
     DEFAULT_FOCK_CAP, or the CATFORGE_MAX_FOCK environment variable) raise
     TruncationTooLarge, with the predicted time of a cold crosscheck there.
     """
@@ -151,16 +159,34 @@ def _bs_blocks(dim):
         yield lo, mat
 
 
+def _last_antidiagonal(amps):
+    """Largest n + m with amps[n, m] != 0 in a square state, or -1 for the
+    zero state.
+
+    The dim^2-sized temporaries are boolean; the rest is one entry per row:
+    the last occupied column of row n is the first occupied one of the row
+    reversed.
+    """
+    occupied = amps != 0
+    dim = len(amps)
+    ends = np.arange(dim) + (dim - 1) - np.argmax(occupied[:, ::-1], axis=1)
+    return int(np.max(ends, initial=-1, where=occupied.any(axis=1)))
+
+
 def apply_beam_splitter(amps):
     """Apply the balanced beam splitter to a two-mode Fock state.
 
-    Exactly unitary on every total-photon block below the truncation; blocks
-    reaching the truncation edge are projected, which is the usual (and here
-    negligible, by choose_truncation) source of norm loss.
+    Exactly unitary on every total-photon block below the truncation, that
+    is on states supported on the triangle n + m < dim, which it maps onto
+    itself; blocks reaching the truncation edge are projected, so weight on
+    n + m >= dim loses norm.
 
     Block S acts on the anti-diagonal n + m = S, a basic slice of step dim - 1
     of the flattened C-ordered state; viewed as (re, im) float pairs, each
-    block is one real matrix product on that slice.
+    block is one real matrix product on that slice.  The recursion stops
+    after the last anti-diagonal holding a nonzero amplitude: every later
+    block would multiply zeros, so a triangle state builds only the dim
+    exact blocks.
     """
     amps = np.ascontiguousarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
@@ -171,7 +197,8 @@ def apply_beam_splitter(amps):
     src = amps.view(float).reshape(-1, 2)
     dst = out.view(float).reshape(-1, 2)
     step = max(dim - 1, 1)  # at dim 1 every block is one entry
-    for s, (lo, mat) in enumerate(_bs_blocks(dim)):
+    blocks = zip(range(_last_antidiagonal(amps) + 1), _bs_blocks(dim))
+    for s, (lo, mat) in blocks:
         start = lo * dim + s - lo  # flat index of (lo, s - lo)
         diag = slice(start, start + step * (mat.shape[0] - 1) + 1, step)
         dst[diag] = mat @ src[diag]

@@ -573,6 +573,15 @@ class TestValidate:
         assert code == 1
         assert "validation FAILED" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tolerance_outside_domain_refused(self, capsys, tol):
+        # no deviation can meet nan or a negative bound: refused before the
+        # grid runs, naming the flag
+        code, out, err = run(capsys, "validate", "--alpha0-values", "1",
+                             "--phi-values", "0.1", f"--tolerance={tol}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tolerance must be finite and >= 0")
+
     def test_fock_cap_guard(self, capsys):
         code, _, err = run(capsys, "validate", "--alpha0-values", "50",
                            "--phi-values", "0.1")

@@ -4,17 +4,38 @@ import ast
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from catforge.crosscheck import (crosscheck_grid, crosscheck_point,
                                  oracle_conditioning, oracle_pipeline,
-                                 oracle_window,
                                  window_metrics_analytic)
 from catforge import fock_oracle, protocol, quadrature
 from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DegenerateState
 from catforge.protocol import ProtocolParams, window_metrics
+
+
+class TestOraclePipeline:
+    @pytest.mark.parametrize("alpha0, phi", [
+        (0.5, 0.05), (1.0, 0.1), (2.0, 0.5), (3.0, 0.5)])
+    def test_output_is_the_kept_source_triangle(self, alpha0, phi):
+        # the source pair is kept on n + m < dim, where the beam splitter
+        # is exactly unitary: nothing leaves the triangle and no norm is lost
+        # beyond the blocks' rounding (3.3e-15 at dim 81 here; it grows
+        # about linearly, to 1.2e-14 at the odd source's dim 188)
+        p = ProtocolParams(alpha0, phi)
+        out, dim, raw_norm2 = oracle_pipeline(p)
+        half = complex(math.cos(0.5 * phi), math.sin(0.5 * phi))
+        raw = (fock_oracle.coherent_fock(1j * alpha0 * half, dim)
+               + fock_oracle.coherent_fock(1j * alpha0 * half.conjugate(), dim))
+        assert raw_norm2 == float(np.vdot(raw, raw).real)
+        weight = np.abs(raw) ** 2 / raw_norm2
+        n, m = np.indices(out.shape)
+        kept = float(np.sum(np.outer(weight, weight)[n + m < dim]))
+        assert not np.any(out[n + m >= dim])
+        assert abs(np.vdot(out, out).real - kept) <= 1e-14
 
 
 class TestOracleConditioning:
@@ -47,8 +68,8 @@ class TestPointChecks:
         p = ProtocolParams(1.5, 0.3)
         w = HomodyneWindow(0.0, 0.2)
         [(prob, fid)] = window_metrics(p, [w])
-        out, dim, _ = oracle_pipeline(p)
-        prob_fock, fid_fock = oracle_window(p, w, out, dim)
+        *_, out, cat = oracle_conditioning(p)
+        prob_fock, fid_fock = fock_oracle.window_metrics(out, w, cat)
         prob_loop, fid_loop = window_metrics_analytic(p, w)
         assert type(prob) is float and type(fid) is float
         assert abs(prob - prob_fock) < 1e-10

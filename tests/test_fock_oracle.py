@@ -65,13 +65,33 @@ def exact_bs_blocks(dim):
     return blocks
 
 
+def triangle(amps):
+    """amps with every entry on n + m >= dim set to zero: the complete
+    total-photon blocks of the truncation."""
+    amps = np.array(amps, dtype=complex)
+    n1, n2 = np.indices(amps.shape)
+    amps[n1 + n2 >= amps.shape[0]] = 0.0
+    return amps
+
+
 def random_block_state(dim, seed):
     """Random two-mode state supported on complete total-photon blocks."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    n1, n2 = np.indices((dim, dim))
-    v[n1 + n2 >= dim] = 0.0
+    v = triangle(rng.standard_normal((dim, dim))
+                 + 1j * rng.standard_normal((dim, dim)))
     return v / np.linalg.norm(v)
+
+
+def blockwise_reference(v):
+    """The beam splitter applied block by block, each block gathering and
+    scattering its anti-diagonal n + m = S entry by entry, on the complex
+    state, for every S."""
+    want = np.zeros_like(v)
+    for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(v.shape[0])):
+        for i in range(mat.shape[0]):
+            want[lo + i, s - lo - i] = sum(
+                mat[i, k] * v[lo + k, s - lo - k] for k in range(mat.shape[0]))
+    return want
 
 
 class TestChooseTruncation:
@@ -289,21 +309,58 @@ class TestBeamSplitter:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 24, 57])
     def test_blocks_act_on_their_antidiagonals(self, dim):
-        # reference: each block gathers and scatters its anti-diagonal
-        # n + m = S entry by entry, on the complex state
         rng = np.random.default_rng(dim)
         v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         v /= np.linalg.norm(v)
-        want = np.zeros_like(v)
-        for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(dim)):
-            for i in range(mat.shape[0]):
-                want[lo + i, s - lo - i] = sum(
-                    mat[i, k] * v[lo + k, s - lo - k]
-                    for k in range(mat.shape[0]))
+        want = blockwise_reference(v)
         assert np.max(np.abs(apply_beam_splitter(v) - want)) <= 1e-14
         # a strided view is read as the array it shows
         assert np.array_equal(apply_beam_splitter(v.T),
                               apply_beam_splitter(v.T.copy()))
+
+    @pytest.mark.parametrize("dim", [1, 2, 24, 57])
+    @pytest.mark.parametrize("kind", ["triangle", "corner", "zero"])
+    def test_stops_after_last_occupied_antidiagonal(self, monkeypatch, dim,
+                                                    kind):
+        # the output is the all-blocks reference, from only the blocks up to
+        # the last anti-diagonal that holds an amplitude
+        if kind == "triangle":
+            v = random_block_state(dim, seed=dim)
+        else:
+            v = np.zeros((dim, dim), dtype=complex)
+            if kind == "corner":
+                v[dim - 1, dim - 1] = 0.6 - 0.8j
+        want = blockwise_reference(v)
+        built = []
+        all_blocks = fock_oracle._bs_blocks
+
+        def counted(d):
+            for block in all_blocks(d):
+                built.append(block)
+                yield block
+        monkeypatch.setattr(fock_oracle, "_bs_blocks", counted)
+        got = apply_beam_splitter(v)
+        assert len(built) == {"triangle": dim, "corner": 2 * dim - 1,
+                              "zero": 0}[kind]
+        assert np.max(np.abs(got - want)) <= 1e-14
+        if kind == "zero":
+            assert not np.any(got)
+
+    def test_triangle_coherent_pair_maps_exactly(self):
+        # total photon number is conserved, so the triangle n + m < dim of a
+        # coherent pair maps onto the triangle of the output pair, even at a
+        # truncation that cuts deep into both modes (square truncation is
+        # off by about 1e-3 here)
+        rng = np.random.default_rng(30)
+        dim = 30
+        for _ in range(10):
+            a, b = (complex(v) for v in rng.uniform(2.0, 4.0, 2)
+                    * np.exp(2j * np.pi * rng.uniform(size=2)))
+            out = apply_beam_splitter(triangle(
+                product_state(coherent_fock(a, dim), coherent_fock(b, dim))))
+            want = triangle(product_state(coherent_fock((a + b) / SQRT2, dim),
+                                          coherent_fock((a - b) / SQRT2, dim)))
+            assert np.max(np.abs(out - want)) <= 1e-14
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
@@ -463,5 +520,5 @@ def test_cap_message_predicts_cost_and_names_overrides():
         choose_truncation(50.0)
     msg = str(info.value)
     assert "3020 exceeds cap 860" in msg
-    assert "predicted to take about 413 s" in msg
+    assert "predicted to take about 262 s" in msg
     assert "--max-fock" in msg and "CATFORGE_MAX_FOCK" in msg

@@ -7,7 +7,7 @@ The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the conditioned vector is resolved against the Fock carriers
 of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
 fock_oracle.window_metrics, serves here only, as the oracle of
-protocol.window_metrics; both take their nodes from the one quadrature rule.
+protocol.window_metrics; each takes a table of windows in one rule pass.
 """
 
 import math
@@ -106,7 +106,7 @@ def window_metrics_analytic(p, window):
     integrates the Gram sum of the conditioned (unnormalized) superposition,
     and the fidelity numerator the squared overlap of the ideal cat with it.
     """
-    xs, ws = gauss_legendre(window.lo, window.hi)
+    xs, ws, _ = gauss_legendre([[(window.lo, window.hi)]])
     src = protocol.source_state(p).terms
     two = [(wi * wj, (ai + aj) / SQRT2, (ai - aj) / SQRT2)
            for wi, ai in src for wj, aj in src]
@@ -140,16 +140,18 @@ def crosscheck_point(p, cap=None):
     add("cat_coeff", abs(protocol.cat_coefficient(p) - c_cat_o))
     add("ratio", abs(protocol.coefficient_ratio(p) - ratio_o))
 
-    for x in DENSITY_SAMPLES:
-        dens = dens0_o if x == 0.0 else fock_oracle.project_quadrature(out, x)[1]
+    # x = 0 is projected above; the other samples with the window nodes
+    windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
+    windows_o, dens_o = fock_oracle.window_metrics(
+        out, windows, cat, DENSITY_SAMPLES[1:])
+    for x, dens in zip(DENSITY_SAMPLES, [dens0_o, *dens_o]):
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
     add("fidelity", abs(protocol.report(p).fidelity - fock_oracle.fidelity(
         v / np.linalg.norm(v), cat)))
 
-    windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
-    for w, (prob_a, fid_a) in zip(windows, protocol.window_metrics(p, windows)):
-        prob_o, fid_o = fock_oracle.window_metrics(out, w, cat)
+    for w, (prob_a, fid_a), (prob_o, fid_o) in zip(
+            windows, protocol.window_metrics(p, windows), windows_o):
         add(f"window_prob@eps={w.half_width:g}", abs(prob_o - prob_a))
         add(f"window_fid@eps={w.half_width:g}", abs(fid_o - fid_a))
     return devs

@@ -225,12 +225,13 @@ def project_quadrature(amps, x):
     return v, dens
 
 
-def window_metrics(amps, window, target):
-    """Acceptance probability of a finite window on X, and the fidelity of
-    the accepted state to a normalized pure target.
+def window_metrics(amps, windows, target, points=()):
+    """Per window on X, the acceptance probability and the fidelity of the
+    accepted state to a normalized pure target, and |v(x)|^2 at each point:
+    returns ([(probability, fidelity), ...], [density, ...]).
 
     With v_j = sum_n h_n(x_j) amps[n, :] projected at every node x_j of the
-    quadrature rule at once, and w_j > 0 its weights:
+    windows' rule (and the points) at once, and w_j > 0 its weights:
         probability = sum_j w_j |v_j|^2,
         fidelity = sum_j w_j |<target|v_j>|^2 / probability, clamped at 1,
     the trace and <target|rho|target> of the windowed density, never formed.
@@ -238,13 +239,22 @@ def window_metrics(amps, window, target):
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
-    xs, ws = gauss_legendre(window.lo, window.hi)
-    v = quadrature_eigvec(xs, amps.shape[0]) @ amps
-    prob = float(ws @ np.sum(np.abs(v) ** 2, axis=1))
-    if prob < ZERO_DENSITY:
-        raise ZeroProbability(f"window probability {prob:.3e} below floor")
-    numer = float(ws @ np.abs(v @ np.conj(target)) ** 2)
-    return prob, min(numer / prob, 1.0)
+    if np.shape(target) != amps.shape[1:]:
+        raise DimensionMismatch(
+            f"target shape {np.shape(target)} is not {amps.shape[1:]}")
+    xs, ws, spans = gauss_legendre([[(w.lo, w.hi)] for w in windows])
+    k = len(points)
+    v = quadrature_eigvec(np.concatenate([points, xs]), amps.shape[0]) @ amps
+    dens = np.sum(np.abs(v) ** 2, axis=1)
+    node_dens, overlap2 = dens[k:], np.abs(v[k:] @ np.conj(target)) ** 2
+    metrics = []
+    for span in spans:
+        w = ws[span]
+        prob = float(w.dot(node_dens[span]))
+        if prob < ZERO_DENSITY:
+            raise ZeroProbability(f"window probability {prob:.3e} below floor")
+        metrics.append((prob, min(float(w.dot(overlap2[span])) / prob, 1.0)))
+    return metrics, dens[:k].tolist()
 
 
 def fidelity(state, target):

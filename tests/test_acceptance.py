@@ -200,7 +200,7 @@ def test_criterion_09():
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))
         worst_unitary = max(worst_unitary, dev)
     out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
-    xs, ws = gauss_legendre(-8.0, 8.0)
+    xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
     mass = 0.0
     for x, w in zip(xs, ws):
         _, dens = project_quadrature(out, x)
@@ -218,7 +218,7 @@ def test_criterion_10():
         w0 = wigner_point(cat, 0j)
         ok = ok and abs(w0 - 2.0 / math.pi) <= 1e-10
         extent = beta + 5.0
-        xs, ws = gauss_legendre(-extent, extent)
+        xs, ws, _ = gauss_legendre([[(-extent, extent)]])
         w = wigner_grid(cat, xs, xs)
         mass = float(ws @ w @ ws)
         ok = ok and abs(mass - 1.0) <= 1e-6

@@ -69,7 +69,7 @@ class TestPointChecks:
         w = HomodyneWindow(0.0, 0.2)
         [(prob, fid)] = window_metrics(p, [w])
         *_, out, cat = oracle_conditioning(p)
-        prob_fock, fid_fock = fock_oracle.window_metrics(out, w, cat)
+        [(prob_fock, fid_fock)], _ = fock_oracle.window_metrics(out, [w], cat)
         prob_loop, fid_loop = window_metrics_analytic(p, w)
         assert type(prob) is float and type(fid) is float
         assert abs(prob - prob_fock) < 1e-10

@@ -94,7 +94,7 @@ class TestQuadratureOverlap:
         from catforge.quadrature import gauss_legendre
         for a in (0.0, 1.5, 1 - 2j):
             c = SQRT2 * complex(a).real
-            xs, ws = gauss_legendre(c - 10.0, c + 10.0)
+            xs, ws, _ = gauss_legendre([[(c - 10.0, c + 10.0)]])
             total = sum(w * abs(quadrature_overlap(x, a)) ** 2
                         for x, w in zip(xs, ws))
             assert abs(total - 1.0) < 1e-8
@@ -366,7 +366,7 @@ class TestWigner:
     def test_unit_mass(self):
         from catforge.quadrature import gauss_legendre
         s = even_cat(1.0)
-        xs, ws = gauss_legendre(-6.0, 6.0)
+        xs, ws, _ = gauss_legendre([[(-6.0, 6.0)]])
         w = wigner_grid(s, xs, xs)
         total = float(ws @ w @ ws)
         assert abs(total - 1.0) < 1e-6
@@ -399,20 +399,44 @@ class TestHomodyneWindow:
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("a, b", [
+    INTERVALS = [
         (-8.0, 8.0), (0.0, math.pi), (-1e-4, 1e-4), (0.0, 1e-300),
         (-1e-300, 0.0), (2.5e-7, 0.30000000000000004), (-37.2, 61.9),
-        (1e3, 1e3 + 7.3), (-0.15, 0.05)])
-    def test_panels_are_linspace_edges(self, a, b):
-        # the edges are np.linspace(a, b, panels + 1) bit for bit, so every
-        # node and weight is as well
+        (1e3, 1e3 + 7.3), (-0.15, 0.05)]
+
+    @staticmethod
+    def linspace_rule(a, b):
+        """Nodes and weights on the panels of np.linspace(a, b, panels + 1)."""
         from catforge.config import MAX_PANEL_WIDTH
-        from catforge.quadrature import _gl_rule, gauss_legendre
+        from catforge.quadrature import _gl_rule
         edges = np.linspace(a, b, math.ceil((b - a) / MAX_PANEL_WIDTH) + 1)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * (edges[1:] - edges[:-1])
         base_x, base_w = _gl_rule()
-        xs, ws = gauss_legendre(a, b)
-        assert np.array_equal(
-            xs, (mids[:, None] + halves[:, None] * base_x[None, :]).ravel())
-        assert np.array_equal(ws, (halves[:, None] * base_w[None, :]).ravel())
+        return ((mids[:, None] + halves[:, None] * base_x[None, :]).ravel(),
+                (halves[:, None] * base_w[None, :]).ravel())
+
+    @pytest.mark.parametrize("a, b", INTERVALS)
+    def test_panels_are_linspace_edges(self, a, b):
+        # the edges are np.linspace(a, b, panels + 1) bit for bit, so every
+        # node and weight is as well
+        from catforge.quadrature import gauss_legendre
+        want_x, want_w = self.linspace_rule(a, b)
+        xs, ws, spans = gauss_legendre([[(a, b)]])
+        assert np.array_equal(xs, want_x) and np.array_equal(ws, want_w)
+        assert spans == [slice(0, xs.size)]
+
+    def test_table_panels_are_linspace_edges(self):
+        # a table of many intervals in groups: each interval's slice of the
+        # one pass is its own linspace rule, and each group spans its
+        # intervals
+        from catforge.quadrature import gauss_legendre
+        groups = [self.INTERVALS[:1], self.INTERVALS[1:5], self.INTERVALS[5:]]
+        xs, ws, spans = gauss_legendre(groups)
+        rules = [self.linspace_rule(a, b) for a, b in self.INTERVALS]
+        assert np.array_equal(xs, np.concatenate([x for x, _ in rules]))
+        assert np.array_equal(ws, np.concatenate([w for _, w in rules]))
+        sizes = [x.size for x, _ in rules]
+        first, fifth, last = sum(sizes[:1]), sum(sizes[:5]), sum(sizes)
+        assert spans == [slice(0, first), slice(first, fifth),
+                         slice(fifth, last)]

@@ -388,7 +388,7 @@ class TestProjection:
     def test_marginal_integrates_to_one(self):
         from catforge import crosscheck, protocol
         out, _, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(1.0, 0.1))
-        xs, ws = gauss_legendre(-8.0, 8.0)
+        xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
         total = 0.0
         for x, w in zip(xs, ws):
             _, dens = project_quadrature(out, x)
@@ -402,25 +402,25 @@ class TestProjection:
 
 class TestGaussLegendre:
     def test_exact_on_smooth_integrand(self):
-        xs, ws = gauss_legendre(0.0, math.pi)
+        xs, ws, _ = gauss_legendre([[(0.0, math.pi)]])
         assert abs(np.sum(ws * np.sin(xs)) - 2.0) < 1e-14
 
     def test_partition_of_length(self):
-        xs, ws = gauss_legendre(-3.0, 5.0)
+        xs, ws, _ = gauss_legendre([[(-3.0, 5.0)]])
         assert abs(ws.sum() - 8.0) < 1e-13
         assert xs.size == 80 * 16
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            gauss_legendre(1.0, 1.0)
+            gauss_legendre([[(1.0, 1.0)]])
         with pytest.raises(ValueError):
-            gauss_legendre(1.0, 0.0)
+            gauss_legendre([[(1.0, 0.0)]])
 
     def test_default_panels(self):
         # the fewest panels of width <= 0.1, GL_ORDER = 16 nodes each
-        assert gauss_legendre(-0.2, 0.2)[0].size == 4 * 16
-        assert gauss_legendre(-0.2, 0.21)[0].size == 5 * 16
-        assert gauss_legendre(-1e-4, 1e-4)[0].size == 16
+        assert gauss_legendre([[(-0.2, 0.2)]])[0].size == 4 * 16
+        assert gauss_legendre([[(-0.2, 0.21)]])[0].size == 5 * 16
+        assert gauss_legendre([[(-1e-4, 1e-4)]])[0].size == 16
 
 
 class TestWindowState:
@@ -438,7 +438,7 @@ class TestWindowState:
         for k in range(out.shape[0]):
             basis = np.zeros(out.shape[0], dtype=complex)
             basis[k] = 1.0
-            prob, fid = window_metrics(out, window, basis)
+            [(prob, fid)], _ = window_metrics(out, [window], basis)
             assert 0.0 < prob < 1.0
             fids.append(fid)
         assert min(fids) >= 0.0
@@ -448,13 +448,14 @@ class TestWindowState:
         out = self.pipeline()
         v, _ = project_quadrature(out, 0.0)
         vhat = v / np.linalg.norm(v)
-        _, fid = window_metrics(out, HomodyneWindow(0.0, 1e-4), vhat)
+        [(_, fid)], _ = window_metrics(out, [HomodyneWindow(0.0, 1e-4)], vhat)
         assert fid >= 1.0 - 1e-6
 
     def test_wide_window_captures_everything(self):
         out = self.pipeline()
         target = np.eye(out.shape[0], dtype=complex)[0]
-        prob, _ = window_metrics(out, HomodyneWindow(0.0, 10.0), target)
+        [(prob, _)], _ = window_metrics(out, [HomodyneWindow(0.0, 10.0)],
+                                        target)
         assert abs(prob - 1.0) < 1e-6
 
     def test_matches_node_loop(self):
@@ -463,8 +464,8 @@ class TestWindowState:
         window = HomodyneWindow(0.1, 0.4)
         target = coherent_fock(0.8 - 0.3j, out.shape[0])
         target /= np.linalg.norm(target)
-        prob, fid = window_metrics(out, window, target)
-        xs, ws = gauss_legendre(window.lo, window.hi)
+        [(prob, fid)], _ = window_metrics(out, [window], target)
+        xs, ws, _ = gauss_legendre([[(window.lo, window.hi)]])
         ref = np.zeros((out.shape[0],) * 2, dtype=complex)
         for x, w in zip(xs, ws):
             v = quadrature_eigvec(x, out.shape[0]) @ out
@@ -477,12 +478,35 @@ class TestWindowState:
         out = self.pipeline()
         target = np.eye(out.shape[0], dtype=complex)[0]
         with pytest.raises(ZeroProbability):
-            window_metrics(out, HomodyneWindow(40.0, 0.1), target)
+            window_metrics(out, [HomodyneWindow(40.0, 0.1)], target)
 
     def test_rejects_vector(self):
         with pytest.raises(DimensionMismatch):
-            window_metrics(np.zeros(5, dtype=complex), HomodyneWindow(0.0, 0.1),
+            window_metrics(np.zeros(5, dtype=complex),
+                           [HomodyneWindow(0.0, 0.1)],
                            np.zeros(5, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [
+        lambda dim: (dim - 1,), lambda dim: (dim + 1,), lambda dim: (1, dim),
+        lambda dim: (dim, dim)], ids=["short", "long", "row", "matrix"])
+    def test_rejects_mismatched_target(self, shape):
+        out = self.pipeline()
+        target = np.ones(shape(out.shape[0]), dtype=complex)
+        with pytest.raises(DimensionMismatch, match="target"):
+            window_metrics(out, [HomodyneWindow(0.0, 0.1)], target)
+
+    def test_densities_at_points(self):
+        # the points are projected with the nodes: |v(x)|^2 as
+        # project_quadrature gives it, up to the rounding of the product
+        out = self.pipeline(alpha0=2.0, phi=0.3)
+        target = np.eye(out.shape[0], dtype=complex)[0]
+        points = [0.3, -0.9, 1.7]
+        metrics, dens = window_metrics(
+            out, [HomodyneWindow(0.0, 0.05), HomodyneWindow(0.0, 0.2)], target,
+            points)
+        assert len(metrics) == 2
+        for x, d in zip(points, dens):
+            assert abs(d - project_quadrature(out, x)[1]) <= 1e-15
 
 
 class TestFidelity:

@@ -29,8 +29,9 @@ def window_reference(p, window):
     """protocol.window_metrics for one window, node by node: the density and
     squared cat overlap of protocol._kept_mode at each node as a float."""
     d0 = separations(p).d0
-    rules = [gauss_legendre(lo, hi)
-             for lo, hi in protocol._window_pieces(window, {0.0, d0, -d0})]
+    # each piece's rule on its own: the kernel builds the table's in one pass
+    rules = [gauss_legendre([[piece]])[:2]
+             for piece in protocol._window_pieces(window, {0.0, d0, -d0})]
     ws = np.concatenate([w for _, w in rules])
     # two contiguous arrays, as the kernel's: a strided one sums differently
     dens, overlap2 = map(np.array, zip(*[
@@ -264,4 +265,48 @@ class TestWindowKernel:
             window_reference(p, window)
         with pytest.raises(ZeroProbability) as got:
             protocol.window_metrics(p, [HomodyneWindow(0.0, 0.1), window])
+        assert str(got.value) == str(want.value)
+
+    # alpha0 = 15, phi = pi: the lobes at 0 and +-30 lie 30 apart, more than
+    # twice MARGINAL_HALF_RANGE, so a window over several of them has
+    # disjoint pieces
+    FAR_LOBES = ProtocolParams(15.0, math.pi)
+    FAR_WINDOWS = [
+        (HomodyneWindow(0.0, 0.1), 1),
+        (HomodyneWindow(0.0, 35.0), 3),
+        (HomodyneWindow(25.0, 10.0), 1),    # off centre: [20, 35]
+        (HomodyneWindow(-15.0, 30.0), 2),   # [-40, -20] and [-10, 10]
+        (HomodyneWindow(5.0, 1e308), 3),
+        (HomodyneWindow(30.0, 1e-3), 1),
+    ]
+
+    @pytest.mark.parametrize("window, pieces", FAR_WINDOWS)
+    def test_disjoint_pieces_equal_the_node_loop(self, window, pieces):
+        p = self.FAR_LOBES
+        centres = {0.0, 30.0, -30.0}
+        assert len(protocol._window_pieces(window, centres)) == pieces
+        want = [window_reference(p, window)]
+        assert protocol.window_metrics(p, [window]) == want
+
+    def test_mixed_table_equals_the_node_loop(self):
+        # one-, two- and three-piece windows in one table, each a contiguous
+        # slice of the one rule
+        p = self.FAR_LOBES
+        windows = [window for window, _ in self.FAR_WINDOWS]
+        want = [window_reference(p, window) for window in windows]
+        assert protocol.window_metrics(p, windows) == want
+
+    def test_ill_spaced_lobe_beats_an_earlier_refusal(self):
+        # every window's pieces are formed before any window is summed, so a
+        # later window reaching a lobe too coarse for the nodes (at +-2e16,
+        # where doubles lie 4 apart) raises before an earlier window's
+        # probability is found below the floor
+        p = ProtocolParams(1e16, math.pi)
+        low, coarse = HomodyneWindow(9.5, 1e-3), HomodyneWindow(0.0, 1e17)
+        with pytest.raises(ZeroProbability, match="below floor"):
+            window_reference(p, low)
+        with pytest.raises(DomainError) as want:
+            window_reference(p, coarse)
+        with pytest.raises(DomainError) as got:
+            protocol.window_metrics(p, [low, coarse])
         assert str(got.value) == str(want.value)

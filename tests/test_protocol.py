@@ -331,7 +331,7 @@ class TestHomodyneDensity:
 
     def test_unit_mass(self):
         p = ProtocolParams(2.0, 0.3)
-        xs, ws = gauss_legendre(-8.0, 8.0)
+        xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
         total = sum(w * homodyne_density(p, x) for x, w in zip(xs, ws))
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -395,6 +395,10 @@ class TestWindowMetrics:
         windows = [HomodyneWindow(0.0, eps) for eps in (1e-4, 1e-2, 1e-1, 1.0)]
         for _, fid in window_metrics(p, windows):
             assert 1.0 - 1e-9 <= fid <= 1.0
+
+    def test_empty_window_list(self):
+        with pytest.raises(ValueError, match="empty window list"):
+            window_metrics(ProtocolParams(1.0, 0.3), [])
 
     def test_window_off_the_marginal(self):
         with pytest.raises(ZeroProbability):
@@ -477,10 +481,9 @@ def window_metrics_renormalized(p, windows):
     d0 = separations(p).d0
     metrics = []
     for window in windows:
-        rules = [gauss_legendre(lo, hi) for lo, hi
-                 in protocol._window_pieces(window, {0.0, d0, -d0})]
-        ws = np.concatenate([w for _, w in rules])
-        x = np.concatenate([x for x, _ in rules])[:, None]
+        x, ws, _ = gauss_legendre(
+            [protocol._window_pieces(window, {0.0, d0, -d0})])
+        x = x[:, None]
         q = PI_QUARTER_INV * np.exp(-0.5 * (x - SQRT2 * a.real) ** 2
                                     + 1j * a.imag * (SQRT2 * x - a.real))
         quad = (q.conj().T * ws) @ q

@@ -239,7 +239,7 @@ def build_parser():
     sp.add_argument("--phi-degrees", action="store_true")
     sp.add_argument("--k", type=int, default=0, help="optimum branch index")
     sp.add_argument("--no-validate", action="store_true",
-                    help="skip the bisection cross-check")
+                    help="skip the sign-change check of the closed form")
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("window", help="finite-window probability/fidelity table")

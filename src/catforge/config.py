@@ -39,9 +39,9 @@ MARGINAL_HALF_RANGE = 10.0
 # largest float spacing at a lobe centre a window may reach (see README)
 MAX_LOBE_ULP = 0.25
 
-# bisection used to cross-check closed-form optimum locations
-BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
+# relative distance from a closed-form optimum location within which
+# cos(alpha0^2 sin phi) must change sign for the numeric cross-check to pass
+NULL_CHECK_TOL = 1e-12
 
 # per-axis cap on sweep grids
 GRID_STEP_CAP = 2001

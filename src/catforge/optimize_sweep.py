@@ -13,7 +13,7 @@ import numpy as np
 
 from . import protocol
 from .cv_core import SQRT2
-from .config import BISECTION_MAX_ITER, BISECTION_TOL, GRID_STEP_CAP
+from .config import GRID_STEP_CAP, NULL_CHECK_TOL
 from .errors import DomainError, GridTooLarge
 
 
@@ -102,12 +102,25 @@ def sweep_ratio(grid):
 
 
 def zero_count(phi, alpha_max):
-    """Number of exact vacuum nulls with alpha0 <= alpha_max at this phi."""
+    """Number of exact vacuum nulls with alpha0 <= alpha_max at this phi: the
+    first k whose vacuum_null_alpha(phi, k) exceeds alpha_max, bisected on
+    the nulls themselves (a floor of the rounded quotient can miss it)."""
     protocol.check_null_phi(phi)
-    u_max = alpha_max * alpha_max * math.sin(phi)
-    if u_max < 0.5 * math.pi:
-        return 0
-    return int(math.floor((u_max - 0.5 * math.pi) / math.pi)) + 1
+    if not (alpha_max >= 0.0 and math.isfinite(alpha_max * alpha_max)):
+        raise DomainError(
+            f"alpha_max must be >= 0 with a finite square, got {alpha_max}")
+    sin_phi = math.sin(phi)
+    # nulls k <= lo lie within alpha_max, k >= hi beyond: twice the quotient
+    # is far past its rounding
+    lo, hi = -1, 2 * max(0, math.floor(
+        (alpha_max * alpha_max * sin_phi - 0.5 * math.pi) / math.pi)) + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if protocol._null_alpha(sin_phi, mid) > alpha_max:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def zero_alphas(phi, alpha_max):
@@ -117,43 +130,27 @@ def zero_alphas(phi, alpha_max):
 
 
 def find_min_alpha(phi, k=0, validate_numeric=False):
-    """Closed-form k-th optimum alpha0, optionally cross-checked by bisection.
+    """Closed-form k-th optimum alpha0, optionally certified by a sign change.
 
-    The bisection brackets the sign change of cos(alpha0^2 sin phi) around
-    pi/2 + k pi and must agree with the closed form within BISECTION_TOL
-    relative to max(1, alpha0): at large k the optimum grows past the point
-    where an absolute tolerance is below one ulp of alpha0.
+    cos(u), u = alpha0^2 sin phi, must change sign between alpha0 = exact -+
+    tol, tol = NULL_CHECK_TOL max(1, alpha0) (relative at large k, where an
+    absolute tol falls below an ulp of alpha0), with u clamped to the k-th
+    bracket, within 1 of pi/2 + k pi, which holds no other null: a root lies
+    within tol of the closed form.  Past k ~ 1e11 the bracket is the
+    narrower interval.
     """
     exact = protocol.vacuum_null_alpha(phi, k)
     if not validate_numeric:
         return exact
-    sin_phi = math.sin(phi)
-    u_star = 0.5 * math.pi + k * math.pi
-
-    # a^2 and (u_star + 1) / sin_phi overflow for phi near 1e-308
-    def f(a):
-        return math.cos(a * (a * sin_phi))
-
-    lo = math.sqrt(u_star - 1.0) / math.sqrt(sin_phi)
-    hi = math.sqrt(u_star + 1.0) / math.sqrt(sin_phi)
-    tol = BISECTION_TOL * max(1.0, exact)
-    flo = f(lo)
-    if flo * f(hi) > 0:
-        raise DomainError(f"bisection bracket failed at phi={phi}, k={k}")
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            break
-        fmid = f(mid)
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = fmid
-    numeric = 0.5 * (lo + hi)
-    if abs(numeric - exact) > tol:
-        raise DomainError(
-            f"bisection {numeric!r} disagrees with closed form {exact!r}")
+    sin_phi, u_star = math.sin(phi), 0.5 * math.pi + k * math.pi
+    tol = NULL_CHECK_TOL * max(1.0, exact)
+    a, b = exact - tol, exact + tol
+    # a * (a * sin_phi): b * b overflows for phi near 1e-308
+    u_a = max(a * (a * sin_phi), u_star - 1.0)
+    u_b = min(b * (b * sin_phi), u_star + 1.0)
+    if not (u_a <= u_b and math.cos(u_a) * math.cos(u_b) <= 0.0):
+        raise DomainError(f"cos(alpha0^2 sin phi) keeps its sign within {tol:.3g}"
+                          f" of the closed form {exact!r} (phi={phi}, k={k})")
     return exact
 
 

@@ -97,9 +97,13 @@ def source_state(p):
         [(1.0, a_plus), (1.0, a_minus)]).normalize()
 
 
+def _d0(p):
+    return 2.0 * p.alpha0 * math.sin(0.5 * p.phi)
+
+
 def separations(p):
     """Separations d0 = 2 alpha0 sin(phi/2) of each source and d = sqrt2 d0."""
-    d0 = 2.0 * p.alpha0 * math.sin(0.5 * p.phi)
+    d0 = _d0(p)
     return Separations(d0, SQRT2 * d0)
 
 
@@ -110,7 +114,7 @@ def ideal_cat(p, require_cat=False):
     (s coalescing with 0) give the vacuum; with require_cat=True that case
     raises DegenerateState instead.
     """
-    s = separations(p).d0 / SQRT2
+    s = _d0(p) / SQRT2
     cat = even_cat(s)
     if require_cat and len(cat.terms) < 2:
         raise DegenerateState(
@@ -194,12 +198,16 @@ def vacuum_null_alpha_approx(phi):
     return alpha0
 
 
+def _null_alpha(sin_phi, k):
+    return math.sqrt((0.5 * math.pi + k * math.pi) / sin_phi)
+
+
 def vacuum_null_alpha(phi, k=0):
     """Exact k-th vacuum null: alpha0 = sqrt((pi/2 + k pi) / sin phi)."""
     check_null_phi(phi)
     if k < 0 or k != int(k):
         raise DomainError(f"k must be a non-negative integer, got {k}")
-    alpha0 = math.sqrt((0.5 * math.pi + k * math.pi) / math.sin(phi))
+    alpha0 = _null_alpha(math.sin(phi), k)
     if not math.isfinite(alpha0 * alpha0):
         raise DomainError(f"phi = {phi:g} is too small: the k = {k} vacuum "
                           "null's alpha0^2 = (k + 1/2) pi / sin(phi) overflows")
@@ -231,6 +239,11 @@ def _phase(p):
     return 2.0 * math.sin(0.5 * r) ** 2, -math.cos(r), -math.sin(r)
 
 
+_ARRAY_OPS = (np.exp, np.sinh, np.minimum, np.copysign)
+_FLOAT_OPS = (lambda v: float(np.exp(v)), lambda v: float(np.sinh(v)),
+              min, math.copysign)
+
+
 def _kept_mode(p, x):
     """Density, squared ideal-cat overlap and (Re alpha, Im alpha, g(x), S2).
 
@@ -243,28 +256,31 @@ def _kept_mode(p, x):
     no cancellation near an odd source.  For s > 1, where nothing cancels,
     alpha S2 = g(x - d0) e^{-i theta} + g(x + d0) e^{i theta} + 2 h g(x), with
     no sinh to overflow.  The cat is (2 h, |F|) / sqrt(2 + 2 h^4).  x is a
-    float or an array, whose elements come out bit for bit as for floats.
+    float, taken in Python floats, or an array, whose elements come out bit
+    for bit as for floats: both take numpy's exp and sinh, not libm's.
     """
-    d0 = separations(p).d0
+    x, (exp, sinh, minimum, copysign) = (
+        (x, _ARRAY_OPS) if isinstance(x, np.ndarray) else (float(x), _FLOAT_OPS))
+    d0 = _d0(p)
     s2 = 0.5 * d0 * d0
     cos2, cos, sin = _phase(p)
     h = math.exp(-0.5 * s2)
     em1 = -math.expm1(-s2)  # |F| / sqrt2
-    g = PI_QUARTER_INV * np.exp(-0.5 * x * x)
+    g = PI_QUARTER_INV * exp(-0.5 * x * x)
     if s2 > 1.0:
         norm2 = 2.0 * (1.0 + math.exp(-s2) * cos)
-        g_plus = PI_QUARTER_INV * np.exp(-0.5 * (x - d0) * (x - d0))
-        g_minus = PI_QUARTER_INV * np.exp(-0.5 * (x + d0) * (x + d0))
+        g_plus = PI_QUARTER_INV * exp(-0.5 * (x - d0) * (x - d0))
+        g_minus = PI_QUARTER_INV * exp(-0.5 * (x + d0) * (x + d0))
         re = ((g_plus + g_minus) * cos + 2.0 * h * g) / norm2
         im = (g_minus - g_plus) * sin / norm2
     else:
         norm2 = 2.0 * (cos2 - cos * em1)
         # past |x| = 38.6 g is 0, and the bound keeps sinh finite there
-        u = d0 * np.minimum(abs(x), 40.0)
-        sh = np.sinh(0.5 * u)
+        u = d0 * minimum(abs(x), 40.0)
+        sh = sinh(0.5 * u)
         f = 2.0 * h * g / norm2
         re = f * (cos2 + cos * (2.0 * h * sh * sh + math.expm1(-0.5 * s2)))
-        im = -f * h * np.copysign(np.sinh(u), x) * sin
+        im = -f * h * copysign(sinh(u), x) * sin
     b = SQRT2 * em1 * g / norm2
     n = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s2))
     o_re = 2.0 * h / n * re + SQRT2 * em1 / n * b
@@ -303,7 +319,7 @@ def kept_wigner(p, x, re_vals, im_vals):
     """
     dens, _, (re, im, g, norm2) = _kept_mode(p, x)
     _check_density(dens, x)
-    d0 = separations(p).d0
+    d0 = _d0(p)
     s, s2 = d0 / SQRT2, 0.5 * d0 * d0  # s2 is inf near alpha0 = 1.3e154
     h, em1, t = math.exp(-0.5 * s2), -math.expm1(-s2), g / norm2
     if s2 > 1.0:
@@ -332,7 +348,7 @@ def report(p, x=0.0):
     and separations."""
     c_vac = vacuum_coefficient(p, x)
     c_cat = cat_coefficient(p, x)
-    dens, overlap2 = map(float, _kept_mode(p, x)[:2])
+    dens, overlap2, _ = _kept_mode(p, x)
     _check_density(dens, x)
     return PreparedStateReport(
         alpha0=p.alpha0, phi=p.phi, x=x,
@@ -380,7 +396,7 @@ def window_metrics(p, windows):
     """
     if not windows:
         raise ValueError("need at least one window, got an empty window list")
-    d0 = separations(p).d0
+    d0 = _d0(p)
     xs, ws, spans = gauss_legendre(
         [_window_pieces(window, {0.0, d0, -d0}) for window in windows])
     # past alpha0 ~ 1e153 the squares overflow to inf as silently as in

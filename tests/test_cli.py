@@ -303,7 +303,7 @@ class TestOptimize:
         assert float(vals["ratio_at_min"]) < 1e-12
 
     def test_large_branch_index(self, capsys):
-        # bisection and closed form differ by an ulp of alpha0 ~ 5.6e4
+        # alpha0 ~ 5.6e4: the check's tolerance is relative to alpha0
         code, out, err = run(capsys, "optimize", "--phi", "0.1",
                              "--k", "100000000")
         assert code == 0, err
@@ -324,7 +324,7 @@ class TestOptimize:
         assert "math domain" not in err
 
     def test_null_near_the_amplitude_cap(self, capsys):
-        # alpha0 = 1.25e154: the bisection's a^2 and upper bracket overflowed
+        # alpha0 = 1.25e154: a^2 and the bracket's (u + 1) / sin(phi) overflow
         code, out, err = run(capsys, "optimize", "--phi", "1e-308")
         assert (code, err) == (0, "")
         assert float(parse_keyvals(out)["alpha_min_exact"]) == \

@@ -8,7 +8,7 @@ import pytest
 import numpy as np
 
 from catforge import protocol
-from catforge.config import ZERO_DENSITY
+from catforge.config import NULL_CHECK_TOL, ZERO_DENSITY
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DomainError, GridTooLarge, ZeroProbability
 from catforge.fock_oracle import choose_truncation
@@ -181,6 +181,34 @@ class TestZeroCondition:
         with pytest.raises(DomainError):
             zero_count(math.pi, 5.0)
 
+    @pytest.mark.parametrize("alpha_max", [-5.0, -1e-300, 1e200, math.inf,
+                                           -math.inf, math.nan])
+    def test_bad_alpha_max(self, alpha_max):
+        with pytest.raises(DomainError, match="alpha_max"):
+            zero_count(0.1, alpha_max)
+
+    def test_count_agrees_with_the_nulls_at_the_boundary(self):
+        # alpha_max = the k-th null, as vacuum_null_alpha rounds it, counts
+        # that null; one ulp below does not
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            phi = rng.uniform(1e-3, math.pi - 1e-3)
+            k = int(rng.integers(0, 50)) if rng.random() < 0.7 \
+                else int(10 ** rng.uniform(0, 15))
+            null = vacuum_null_alpha(phi, k)
+            assert zero_count(phi, null) == k + 1
+            below = zero_count(phi, math.nextafter(null, 0.0))
+            assert below <= k
+            assert below == k or vacuum_null_alpha(phi, below) == null
+        assert zero_count(0.1, 0.0) == 0
+
+    def test_count_at_huge_alpha_max(self):
+        # past 2^53 nulls the count is the first k whose null exceeds alpha_max
+        phi, alpha_max = 0.1, 1e150
+        n = zero_count(phi, alpha_max)
+        assert vacuum_null_alpha(phi, n - 1) <= alpha_max
+        assert protocol._null_alpha(math.sin(phi), n) > alpha_max
+
 
 class TestFindMinAlpha:
     def test_closed_form_path(self):
@@ -197,6 +225,28 @@ class TestFindMinAlpha:
         for k in (1, 2):
             got = find_min_alpha(0.3, k, validate_numeric=True)
             assert got == vacuum_null_alpha(0.3, k)
+
+    @pytest.mark.parametrize("k", [10 ** 12, 10 ** 14])
+    def test_bracket_narrower_than_the_tolerance(self, k):
+        # alpha0^2 sin phi ~ 3e12: exact -+ tol leave the k-th bracket, whose
+        # ends then bound the sign change
+        assert find_min_alpha(0.1, k, validate_numeric=True) == \
+            vacuum_null_alpha(0.1, k)
+
+    @pytest.mark.parametrize("phi, k, shift", [
+        *((phi, k, shift) for phi, k in [(0.1, 0), (1.3, 2), (0.3, 1000),
+                                         (0.1, 10 ** 12), (1e-300, 0)]
+          for shift in (2.0, -2.0)),
+        # exact -+ tol miss the k-th bracket, beyond which cos changes sign
+        (0.1, 10 ** 13, 4.0), (0.1, 10 ** 13, -4.0)])
+    def test_shifted_closed_form_refused(self, monkeypatch, phi, k, shift):
+        # a closed form 2 tol off the root has no sign change within tol of it
+        exact = vacuum_null_alpha(phi, k)
+        monkeypatch.setattr(protocol, "vacuum_null_alpha", lambda phi, k=0:
+                            exact + shift * NULL_CHECK_TOL * max(1.0, exact))
+        with pytest.raises(DomainError, match="keeps its sign"):
+            find_min_alpha(phi, k, validate_numeric=True)
+        assert find_min_alpha(phi, k) != exact
 
     def test_domain(self):
         with pytest.raises(DomainError):

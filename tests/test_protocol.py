@@ -694,6 +694,52 @@ class TestOddSourceReference:
         assert rel(fid, want[1]) <= self.TOL
 
 
+class TestKeptModeFloatArray:
+    """_kept_mode takes a float in Python floats and an array in numpy; the
+    two must agree bit for bit, signed zeros included."""
+
+    POINTS = [(0.7, 0.4),    # s^2 <= 1
+              (3.0, 0.5),    # s^2 > 1
+              (0.0, 0.0),    # dark source, d0 = 0
+              odd_source(2, 1e-8)]  # the integer path of _phase
+    XS = [0.0, -0.0, 0.3, -1.7, 38.0, 45.0, -41.0, 1e3]
+
+    @staticmethod
+    def fields(out):
+        dens, overlap2, (re, im, g, norm2) = out
+        return dens, overlap2, re, im, g, norm2
+
+    @pytest.mark.parametrize("alpha0, phi", POINTS,
+                             ids=["small", "large", "dark", "odd"])
+    def test_float_equals_array_element(self, alpha0, phi):
+        p = ProtocolParams(alpha0, phi)
+        for x in self.XS:
+            got = self.fields(protocol._kept_mode(p, x))
+            assert all(type(v) is float for v in got)
+            want = [v[0] if isinstance(v, np.ndarray) else v for v in
+                    self.fields(protocol._kept_mode(p, np.array([x])))]
+            assert list(map(repr, got)) == list(map(repr, map(float, want))), x
+
+    def test_random_points(self):
+        # numpy's exp and sinh differ from libm's on a few percent of these
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            p = ProtocolParams(rng.uniform(0.0, 3.0), rng.uniform(0.0, math.pi))
+            x = rng.uniform(-6.0, 6.0)
+            got = self.fields(protocol._kept_mode(p, x))
+            want = self.fields(protocol._kept_mode(p, np.array([x])))
+            assert got[:2] == (want[0][0], want[1][0])
+            assert got[2:] == (want[2][0], want[3][0], want[4][0], want[5])
+
+    def test_int_and_numpy_scalars_take_the_float_path(self):
+        p = ProtocolParams(0.7, 0.4)
+        want = list(map(repr, self.fields(protocol._kept_mode(p, 1.0))))
+        for x in (1, np.float64(1.0), np.int64(1)):
+            got = self.fields(protocol._kept_mode(p, x))
+            assert all(type(v) is float for v in got)
+            assert list(map(repr, got)) == want
+
+
 class TestKeptWigner:
     def test_random_points_against_the_coherent_terms(self):
         # the coherent terms' pair sum rounds to about an ulp times

@@ -20,8 +20,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import crosscheck, cv_core, optimize_sweep, protocol
 from ._format17 import CHUNK, cells, csv_lines
 from .errors import CatforgeError, DomainError
@@ -98,14 +96,12 @@ def cmd_sweep(args):
         phi_min=args.phi_min, phi_max=args.phi_max, phi_steps=args.phi_steps)
     alpha0 = cells(grid.alpha0_values())
     phi = cells(grid.phi_values())
-    rows = optimize_sweep.sweep_ratio(grid)
-    per_block = max(1, CHUNK // (4 * len(alpha0)))  # phi rows per kernel call
 
     def lines():
-        for lo in range(0, len(phi), per_block):
-            block = np.stack([np.column_stack(cols)
-                              for cols in itertools.islice(rows, per_block)])
+        lo = 0
+        for block in optimize_sweep.sweep_ratio(grid):
             yield csv_lines((alpha0[None], phi[lo:lo + len(block), None]), block)
+            lo += len(block)
 
     _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", lines()))
     return 0

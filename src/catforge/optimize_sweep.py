@@ -3,7 +3,9 @@
 The swept landscape is the closed-form coefficient ratio; its dark valleys
 follow alpha0^2 sin(phi) = pi/2 + k pi exactly, so the sweep doubles as a
 visual check of the optimum-condition formulas.  sweep_ratio streams it as
-numpy rows, bit for bit equal to the point functions in protocol.
+numpy blocks of phi rows, bit for bit equal to the point functions in
+protocol: both go through protocol's ratio formulas, the blocks with libm's
+exp and cos looped in C through numpy's complex exp.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
+from ._format17 import CHUNK
 from .cv_core import SQRT2
 from .config import GRID_STEP_CAP, NULL_CHECK_TOL
 from .errors import DomainError, GridTooLarge
@@ -71,34 +74,51 @@ class GridSpec:
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _libm(f, x):
-    # math.exp and math.cos, as the point functions call them; numpy's own
-    # differ from libm by an ulp on a few percent of inputs
-    return np.fromiter(map(f, x.tolist()), float, x.size)
+def _exp(x):
+    # glibc's cexp(x + 0i) has real part exp(x) * 1, libm's exp bit for bit,
+    # for x <= 0 (past x = 709 it rescales); numpy loops it in C, while its
+    # real np.exp differs from libm by an ulp on a few percent of inputs
+    return np.exp(x.astype(complex)).real
+
+
+def _cos(x):
+    # cexp(0 + xi) has real part 1 * cos(x), libm's cos bit for bit
+    z = np.zeros(x.shape, complex)
+    z.imag = x
+    return np.exp(z).real
 
 
 def sweep_ratio(grid):
-    """Yield the ratio landscape one phi row at a time, phi-major.
+    """Yield the ratio landscape in blocks of phi rows, phi-major.
 
-    Each row is (ratio_exact, ratio_o1, ratio_o2, d): four float arrays over
-    grid.alpha0_values() at one value of grid.phi_values().  Every element
-    equals, bit for bit, coefficient_ratio, coefficient_ratio_small_angle,
+    A block has shape (rows, alpha0_steps, 4): at each of its values of
+    grid.phi_values() and each of grid.alpha0_values(), (ratio_exact,
+    ratio_o1, ratio_o2, d).  Every element equals, bit for bit,
+    coefficient_ratio, coefficient_ratio_small_angle,
     coefficient_ratio_second_order and separations(p).d at
-    ProtocolParams(alpha0, phi): the arrays repeat those functions'
-    operations in their order, with exp and cos taken from libm.  A row is
-    computed only when asked for, so memory does not grow with phi_steps.
+    ProtocolParams(alpha0, phi): the block goes through protocol's ratio
+    formulas with libm's exp and cos looped in C.  A block holds at most
+    CHUNK values, the csv_lines pass of the CLI, but at least one row; it
+    is computed only when asked for, so memory does not grow with phi_steps.
     """
     a = np.array(grid.alpha0_values())
     a2 = a * a
-    for phi in map(protocol.canonical_phi, grid.phi_values()):
-        half = math.sin(0.5 * phi)
+    phis = [protocol.canonical_phi(phi) for phi in grid.phi_values()]
+    rows = max(1, CHUNK // (4 * a.size))
+    for lo in range(0, len(phis), rows):
+        chunk = phis[lo:lo + rows]
+        phi = np.array(chunk)[:, None]
+        half = np.array([math.sin(0.5 * v) for v in chunk])[:, None]
+        sin_phi = np.array([math.sin(v) for v in chunk])[:, None]
+        block = np.empty((len(phi), a.size, 4))
         # the exponents overflow past alpha0 ~ 1e154 as silently as in floats
         with np.errstate(over="ignore", invalid="ignore"):
-            exact = (2.0 * _libm(math.exp, -2.0 * (a2 * half * half))
-                     * np.abs(_libm(math.cos, a2 * math.sin(phi))))
-            o1 = 2.0 * np.abs(_libm(math.cos, a2 * phi))
-            o2 = _libm(math.exp, -0.5 * a2 * phi * phi) * o1
-        yield exact, o1, o2, SQRT2 * (2.0 * a * half)
+            block[..., 0] = protocol._ratio_exact(a2, half, sin_phi, _exp, _cos)
+            block[..., 1] = protocol._ratio_small_angle(a2 * phi, _cos)
+            block[..., 2] = protocol._ratio_second_order(
+                a2, phi, block[..., 1], _exp)
+        block[..., 3] = SQRT2 * (2.0 * a * half)
+        yield block
 
 
 def zero_count(phi, alpha_max):
@@ -124,9 +144,15 @@ def zero_count(phi, alpha_max):
 
 
 def zero_alphas(phi, alpha_max):
-    """All exact vacuum-null locations with alpha0 <= alpha_max at this phi."""
-    return [protocol.vacuum_null_alpha(phi, k)
-            for k in range(zero_count(phi, alpha_max))]
+    """All exact vacuum-null locations with alpha0 <= alpha_max at this phi.
+
+    Refuses a listing longer than GRID_STEP_CAP, the cap on a sweep axis.
+    """
+    count = zero_count(phi, alpha_max)
+    if count > GRID_STEP_CAP:
+        raise DomainError(f"{count:.6g} nulls lie within alpha_max = "
+                          f"{alpha_max:g}, more than the cap {GRID_STEP_CAP}")
+    return [protocol.vacuum_null_alpha(phi, k) for k in range(count)]
 
 
 def find_min_alpha(phi, k=0, validate_numeric=False):
@@ -137,12 +163,19 @@ def find_min_alpha(phi, k=0, validate_numeric=False):
     absolute tol falls below an ulp of alpha0), with u clamped to the k-th
     bracket, within 1 of pi/2 + k pi, which holds no other null: a root lies
     within tol of the closed form.  Past k ~ 1e11 the bracket is the
-    narrower interval.
+    narrower interval.  From u = 2^53 on, doubles lie 2 or more apart, wider
+    than the bracket's half-width, so a k with pi/2 + k pi >= 2^53 (k above
+    about 2.87e15) is refused rather than decided by rounding.
     """
     exact = protocol.vacuum_null_alpha(phi, k)
     if not validate_numeric:
         return exact
     sin_phi, u_star = math.sin(phi), 0.5 * math.pi + k * math.pi
+    if u_star >= 2.0 ** 53:
+        raise DomainError(
+            f"k = {k} is past the sign check's limit: (k + 1/2) pi = "
+            f"{u_star:.17g} must lie below 2^53 (k up to about 2.87e15), "
+            "past which doubles lie further apart than its bracket of +-1")
     tol = NULL_CHECK_TOL * max(1.0, exact)
     a, b = exact - tol, exact + tol
     # a * (a * sin_phi): b * b overflows for phi near 1e-308

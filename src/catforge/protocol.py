@@ -143,6 +143,22 @@ def cat_coefficient(p, x=0.0):
     return quadrature_overlap(x, c)
 
 
+# The ratio formulas take exp and cos as arguments, as _kept_mode takes its
+# ops: the point functions pass math's on floats, and optimize_sweep libm's
+# looped over arrays, so a swept cell equals the point value bit for bit.
+def _ratio_exact(a2, half, sin_phi, exp, cos):
+    # a2 * half * half first: -2 a2 alone overflows past alpha0 ~ 9.5e153
+    return 2.0 * exp(-2.0 * (a2 * half * half)) * abs(cos(a2 * sin_phi))
+
+
+def _ratio_small_angle(u, cos):
+    return 2.0 * abs(cos(u))
+
+
+def _ratio_second_order(a2, phi, small_angle, exp):
+    return exp(-0.5 * a2 * phi * phi) * small_angle
+
+
 def coefficient_ratio(p):
     """|vacuum_coefficient| / |cat_coefficient| at x = 0, in closed form:
 
@@ -150,11 +166,8 @@ def coefficient_ratio(p):
 
     the exponent alpha0^2 (1 - cos phi) in a form that does not cancel.
     """
-    a2 = p.alpha0 * p.alpha0
-    half = math.sin(0.5 * p.phi)
-    # a2 * half * half first: -2 a2 alone overflows past alpha0 ~ 9.5e153
-    return (2.0 * math.exp(-2.0 * (a2 * half * half))
-            * abs(math.cos(a2 * math.sin(p.phi))))
+    return _ratio_exact(p.alpha0 * p.alpha0, math.sin(0.5 * p.phi),
+                        math.sin(p.phi), math.exp, math.cos)
 
 
 def _small_angle_argument(p):
@@ -168,7 +181,7 @@ def _small_angle_argument(p):
 
 def coefficient_ratio_small_angle(p):
     """First order in phi: 2 |cos(alpha0^2 phi)|."""
-    return 2.0 * abs(math.cos(_small_angle_argument(p)))
+    return _ratio_small_angle(_small_angle_argument(p), math.cos)
 
 
 def coefficient_ratio_second_order(p):
@@ -178,8 +191,8 @@ def coefficient_ratio_second_order(p):
     is exp(-d^2/4) and the oscillation argument is alpha0 d / sqrt2, so for
     d >= 4 the ratio is bounded by 2 e^-4 regardless of phase.
     """
-    a2 = p.alpha0 * p.alpha0
-    return math.exp(-0.5 * a2 * p.phi * p.phi) * coefficient_ratio_small_angle(p)
+    return _ratio_second_order(p.alpha0 * p.alpha0, p.phi,
+                               coefficient_ratio_small_angle(p), math.exp)
 
 
 def check_null_phi(phi):

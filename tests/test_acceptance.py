@@ -132,7 +132,7 @@ def test_criterion_07():
     grid = GridSpec()
     alphas = np.array(grid.alpha0_values())
     phis = grid.phi_values()
-    ratios = np.array([exact for exact, _, _, _ in sweep_ratio(grid)])
+    ratios = np.concatenate([block[..., 0] for block in sweep_ratio(grid)])
     cell = alphas[1] - alphas[0]
     missed = 0
     worst_offset = 0.0

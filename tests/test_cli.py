@@ -323,6 +323,19 @@ class TestOptimize:
         assert err.startswith("error: phi = 9.99989e-321 is too small: ")
         assert "math domain" not in err
 
+    def test_branch_past_the_check_limit(self, capsys):
+        # (k + 1/2) pi = 1.7e16 > 2^53: the sign check cannot tell, so it
+        # refuses; the closed form alone is still given
+        argv = ("optimize", "--phi", "1.8218873576655399",
+                "--k", "5487525777109650")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: k = 5487525777109650 is past the sign check's limit: ")
+        assert "must lie below 2^53" in err
+        code, out, err = run(capsys, *argv, "--no-validate")
+        assert (code, err) == (0, "")
+
     def test_null_near_the_amplitude_cap(self, capsys):
         # alpha0 = 1.25e154: a^2 and the bracket's (u + 1) / sin(phi) overflow
         code, out, err = run(capsys, "optimize", "--phi", "1e-308")

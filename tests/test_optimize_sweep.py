@@ -1,6 +1,8 @@
 """Tests for the sweep grid, optimum finder, and window trade-off table."""
 
 import math
+import sys
+import time
 from collections import namedtuple
 
 import pytest
@@ -8,12 +10,14 @@ import pytest
 import numpy as np
 
 from catforge import protocol
-from catforge.config import NULL_CHECK_TOL, ZERO_DENSITY
+from catforge._format17 import CHUNK
+from catforge.config import GRID_STEP_CAP, NULL_CHECK_TOL, ZERO_DENSITY
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DomainError, GridTooLarge, ZeroProbability
 from catforge.fock_oracle import choose_truncation
-from catforge.optimize_sweep import (GridSpec, find_min_alpha, sweep_ratio,
-                                     window_tradeoff, zero_alphas, zero_count)
+from catforge.optimize_sweep import (GridSpec, _cos, _exp, find_min_alpha,
+                                     sweep_ratio, window_tradeoff, zero_alphas,
+                                     zero_count)
 from catforge.protocol import (ProtocolParams, coefficient_ratio,
                                coefficient_ratio_second_order,
                                coefficient_ratio_small_angle, separations,
@@ -52,11 +56,16 @@ def alpha0_at_dim(dim):
 
 
 def sweep_cells(grid):
-    """The rows sweep_ratio yields, one Cell per grid point, phi-major."""
+    """The blocks sweep_ratio yields, one Cell per grid point, phi-major."""
+    rows = np.concatenate(list(sweep_ratio(grid))).tolist()
     return [Cell(alpha0, phi, *values)
-            for phi, row in zip(grid.phi_values(), sweep_ratio(grid))
-            for alpha0, *values in zip(grid.alpha0_values(),
-                                       *(col.tolist() for col in row))]
+            for phi, row in zip(grid.phi_values(), rows)
+            for alpha0, values in zip(grid.alpha0_values(), row)]
+
+
+def libm(f, x):
+    """f (math.exp or math.cos) of each element of x, as int64 bit patterns."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).view(np.int64)
 
 
 class TestGridSpec:
@@ -145,19 +154,86 @@ class TestSweep:
                  phi_min=-1e-3, phi_max=3.14, phi_steps=9),
     ], ids=["default", "phi-beyond-pi", "phi-winding", "large-alpha0"])
     def test_rows_equal_the_point_functions(self, grid):
-        # exact equality: the row kernel repeats the point functions'
-        # arithmetic with libm's exp and cos, so no tolerance is needed
+        # exact equality: each block goes through protocol's ratio formulas,
+        # as the point functions do, with libm's exp and cos looped in C by
+        # numpy's complex exp (glibc's cexp: exp(x + 0i) = exp(x) * 1 and
+        # exp(0 + xi) = 1 * cos(x)), so no tolerance is needed
         alphas = grid.alpha0_values()
+        phis = grid.phi_values()
         assert alphas[0] == 0.0
         n_rows = 0
-        for phi, (exact, o1, o2, d) in zip(grid.phi_values(), sweep_ratio(grid)):
-            ps = [ProtocolParams(a, phi) for a in alphas]
-            assert exact.tolist() == [coefficient_ratio(p) for p in ps]
-            assert o1.tolist() == [coefficient_ratio_small_angle(p) for p in ps]
-            assert o2.tolist() == [coefficient_ratio_second_order(p) for p in ps]
-            assert d.tolist() == [separations(p).d for p in ps]
-            n_rows += 1
+        for block in sweep_ratio(grid):
+            for exact, o1, o2, d in (row.T for row in block):
+                ps = [ProtocolParams(a, phis[n_rows]) for a in alphas]
+                assert exact.tolist() == [coefficient_ratio(p) for p in ps]
+                assert o1.tolist() == [coefficient_ratio_small_angle(p)
+                                       for p in ps]
+                assert o2.tolist() == [coefficient_ratio_second_order(p)
+                                       for p in ps]
+                assert d.tolist() == [separations(p).d for p in ps]
+                n_rows += 1
         assert n_rows == grid.phi_steps
+
+    @pytest.mark.parametrize("alpha0_steps, phi_steps", [
+        (300, 17),   # 6 rows per block: blocks of 6, 6 and 5
+        (1100, 3),   # 4 alpha0_steps > CHUNK // 2: one row per block
+        (50, 2),     # the fewest phi rows, in one block
+    ], ids=["ragged", "single-row", "two-rows"])
+    def test_blocks_hold_every_row_once(self, alpha0_steps, phi_steps):
+        grid = GridSpec(alpha0_steps=alpha0_steps, phi_steps=phi_steps,
+                        phi_max=3.0)
+        rows = max(1, CHUNK // (4 * alpha0_steps))
+        blocks = list(sweep_ratio(grid))
+        assert [block.shape for block in blocks] == [
+            (min(rows, phi_steps - lo), alpha0_steps, 4)
+            for lo in range(0, phi_steps, rows)]
+        # d at the largest alpha0 rises with phi in [0, pi]: one value per
+        # row, in grid order
+        top = grid.alpha0_values()[-1]
+        assert [row[-1, 3] for block in blocks for row in block] == [
+            separations(ProtocolParams(top, phi)).d
+            for phi in grid.phi_values()]
+
+
+class TestLibmHelpers:
+    """_exp and _cos equal math.exp and math.cos bit for bit."""
+
+    def test_exp(self):
+        rng = np.random.default_rng(18)
+        x = np.concatenate([
+            -rng.uniform(0.0, 746.0, 400_000),
+            # results below the smallest normal, down to 0
+            -rng.uniform(708.3, 745.2, 100_000),
+            # exponents near 0, down to subnormal ones
+            -10.0 ** rng.uniform(-323.0, 0.0, 100_000),
+            [-math.inf, -0.0, 0.0, -5e-324, -746.0],
+            *(np.nextafter(edge, [-math.inf, math.inf])
+              for edge in (-708.3964185322641, -745.1332191019411))])
+        assert np.array_equal(_exp(x).view(np.int64), libm(math.exp, x))
+
+    def test_cos(self):
+        rng = np.random.default_rng(19)
+        dbl_min, dbl_max = sys.float_info.min, sys.float_info.max
+        x = np.concatenate([
+            # the default and wider sweeps' arguments alpha0^2 sin phi
+            rng.uniform(0.0, 1e3, 300_000),
+            # arguments up to the sweep's 1e300, subnormal ones included
+            10.0 ** rng.uniform(-323.0, 300.0, 150_000),
+            -10.0 ** rng.uniform(-323.0, 300.0, 50_000),
+            [0.0, -0.0, 5e-324, -5e-324, dbl_min, -dbl_min,
+             math.nextafter(dbl_min, 0.0), 1e300, -1e300, dbl_max, -dbl_max,
+             0.5 * math.pi, math.pi, 1e22]])
+        assert np.array_equal(_cos(x).view(np.int64), libm(math.cos, x))
+
+    def test_block(self):
+        # one 2-D block, as sweep_ratio forms it
+        rng = np.random.default_rng(20)
+        a2 = rng.uniform(0.0, 30.0, (1, 301)) ** 2
+        phi = rng.uniform(0.0, math.pi, (7, 1))
+        u, v = a2 * phi, -0.5 * a2 * phi * phi
+        assert _cos(u).shape == _exp(v).shape == (7, 301)
+        assert np.array_equal(_cos(u).view(np.int64).ravel(), libm(math.cos, u))
+        assert np.array_equal(_exp(v).view(np.int64).ravel(), libm(math.exp, v))
 
 
 class TestZeroCondition:
@@ -174,6 +250,21 @@ class TestZeroCondition:
                 u = alphas[-1] ** 2 * math.sin(phi)
                 # one more half-period would overshoot alpha_max
                 assert math.sqrt((u + math.pi) / math.sin(phi)) > 5.0
+
+    def test_listing_capped(self):
+        # 3.2e298 nulls: refused before any is built (the range hung)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError,
+                           match=r"^3\.1778e\+298 nulls .*alpha_max = 1e\+150"
+                                 r".*cap 2001$"):
+            zero_alphas(0.1, 1e150)
+        assert time.perf_counter() - t0 < 0.5
+        # the cap on a sweep axis, and no further
+        phi = 0.2
+        assert len(zero_alphas(phi, vacuum_null_alpha(phi, GRID_STEP_CAP - 1))) \
+            == GRID_STEP_CAP
+        with pytest.raises(DomainError, match=f"^{GRID_STEP_CAP + 1} nulls"):
+            zero_alphas(phi, vacuum_null_alpha(phi, GRID_STEP_CAP))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -247,6 +338,27 @@ class TestFindMinAlpha:
         with pytest.raises(DomainError, match="keeps its sign"):
             find_min_alpha(phi, k, validate_numeric=True)
         assert find_min_alpha(phi, k) != exact
+
+    # the largest k with pi/2 + k pi below 2^53, where the ulp of u reaches 2
+    K_LIMIT = 2867080569611328
+
+    def test_k_past_2_53_refused(self):
+        # the parent's check passed this one by rounding
+        phi, k = 1.8218873576655399, 5487525777109650
+        with pytest.raises(DomainError, match=r"^k = 5487525777109650 is past"
+                                              r" .* below 2\^53"):
+            find_min_alpha(phi, k, validate_numeric=True)
+        assert find_min_alpha(phi, k) == vacuum_null_alpha(phi, k)
+
+    @pytest.mark.parametrize("phi", [0.1, 1.0, 1.8218873576655399, 3.0])
+    def test_limit_of_the_check(self, phi):
+        k = self.K_LIMIT
+        assert 0.5 * math.pi + k * math.pi < 2.0 ** 53
+        assert 0.5 * math.pi + (k + 1) * math.pi >= 2.0 ** 53
+        assert find_min_alpha(phi, k, validate_numeric=True) == \
+            vacuum_null_alpha(phi, k)
+        with pytest.raises(DomainError, match=r"2\^53"):
+            find_min_alpha(phi, k + 1, validate_numeric=True)
 
     def test_domain(self):
         with pytest.raises(DomainError):

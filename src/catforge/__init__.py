@@ -8,19 +8,7 @@ optimization tools built on top of them.
 """
 
 from .config import fock_cap
-from .cv_core import (
-    CoherentSuperposition,
-    HomodyneWindow,
-    coherent,
-    coherent_overlap,
-    even_cat,
-    quadrature_overlap,
-    superposition_inner,
-    superposition_norm,
-    vacuum,
-    wigner_grid,
-    wigner_point,
-)
+from .cv_core import HomodyneWindow, coherent_overlap, quadrature_overlap
 from .errors import (
     CatforgeError,
     DegenerateState,
@@ -39,11 +27,9 @@ from .protocol import (
     coefficient_ratio_second_order,
     coefficient_ratio_small_angle,
     homodyne_density,
-    ideal_cat,
     kept_wigner,
     report,
     separations,
-    source_state,
     vacuum_coefficient,
     vacuum_null_alpha,
     vacuum_null_alpha_approx,
@@ -63,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatforgeError",
-    "CoherentSuperposition",
     "DegenerateState",
     "DimensionMismatch",
     "DomainError",
@@ -76,32 +61,23 @@ __all__ = [
     "TruncationTooLarge",
     "ZeroProbability",
     "cat_coefficient",
-    "coherent",
     "coherent_overlap",
     "coefficient_ratio",
     "coefficient_ratio_second_order",
     "coefficient_ratio_small_angle",
     "crosscheck_grid",
     "crosscheck_point",
-    "even_cat",
     "find_min_alpha",
     "fock_cap",
     "homodyne_density",
-    "ideal_cat",
     "kept_wigner",
     "quadrature_overlap",
     "report",
     "separations",
-    "source_state",
-    "superposition_inner",
-    "superposition_norm",
     "sweep_ratio",
-    "vacuum",
     "vacuum_coefficient",
     "vacuum_null_alpha",
     "vacuum_null_alpha_approx",
-    "wigner_grid",
-    "wigner_point",
     "window_metrics",
     "window_tradeoff",
     "zero_alphas",

@@ -144,13 +144,13 @@ def cmd_wigner(args):
     if extent is not None and not 0.0 < extent < math.inf:
         raise DomainError(f"--half-extent must be finite and positive, got {extent}")
     p = _params(args)
+    s = protocol.separations(p).d0 / cv_core.SQRT2
     if args.state == "cat":
-        grid = functools.partial(cv_core.wigner_grid,
-                                 protocol.ideal_cat(p, require_cat=True))
+        grid = functools.partial(protocol.cat_wigner, s)
     else:
         grid = functools.partial(protocol.kept_wigner, p, args.x)
     if extent is None:
-        extent = protocol.separations(p).d0 / cv_core.SQRT2 + 5.0
+        extent = s + 5.0
     axis = [(-extent + 2.0 * extent * i / (args.points - 1))
             for i in range(args.points)]
     if not math.isfinite(axis[-1]):

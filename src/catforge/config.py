@@ -9,14 +9,11 @@ import os
 
 from .errors import CatforgeError
 
-# amplitude coalescing: terms whose coherent amplitudes agree this closely merge
-COALESCE_TOL = 1e-12
+# cat_wigner refuses a cat whose branches +-s lie this close or closer
+CAT_SEPARATION_FLOOR = 1e-12
 
-# a superposition with Gram norm below this is treated as fully cancelled
+# a conditioned state whose norm is below this is treated as fully cancelled
 DEGENERATE_NORM = 1e-14
-
-# wigner_grid refuses a state whose Gram norm^2 is further than this from 1
-NORM_TOL = 1e-12
 
 # conditioning density below this raises ZeroProbability
 ZERO_DENSITY = 1e-30

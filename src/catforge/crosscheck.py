@@ -1,8 +1,9 @@
 """Cross-representation validation: closed forms against the Fock oracle.
 
-The analytic route (cv_core + protocol) and the truncated-Fock route
-(fock_oracle) compute every conditioning quantity independently; this module
-runs both over a parameter grid and reports the worst absolute deviation.
+The analytic route (protocol's closed forms, on cv_core's overlaps) and the
+truncated-Fock route (fock_oracle) compute every conditioning quantity
+independently; this module runs both over a parameter grid and reports the
+worst absolute deviation.
 The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the conditioned vector is resolved against the Fock carriers
 of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
@@ -101,16 +102,21 @@ def window_metrics_analytic(p, window):
     """All-analytic window probability and fidelity via 1D quadrature.
 
     The coherent-term loop reference of protocol.window_metrics.  Each pair
-    of source terms leaves the beam splitter as (weight, measured, kept)
-    amplitudes; the windowed density matrix never materializes: probability
-    integrates the Gram sum of the conditioned (unnormalized) superposition,
-    and the fidelity numerator the squared overlap of the ideal cat with it.
+    of the normalized source terms u (|a+> + |a->) leaves the beam splitter
+    as (weight, measured, kept) amplitudes; the windowed density matrix never
+    materializes: probability integrates the Gram sum of the conditioned
+    (unnormalized) superposition, and the fidelity numerator the squared
+    overlap of the ideal cat c (|s> + |-s>), s = d0 / sqrt2, with it.
     """
     xs, ws, _ = gauss_legendre([[(window.lo, window.hi)]])
-    src = protocol.source_state(p).terms
+    a_plus, a_minus = protocol._source_amplitudes(p)
+    u = 1.0 / math.sqrt(2.0 + 2.0 * coherent_overlap(a_plus, a_minus).real)
+    src = [(u, a_plus), (u, a_minus)]
     two = [(wi * wj, (ai + aj) / SQRT2, (ai - aj) / SQRT2)
            for wi, ai in src for wj, aj in src]
-    cat = protocol.ideal_cat(p)
+    s = protocol.separations(p).d0 / SQRT2
+    c = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s * s))
+    cat = [(c, s), (c, -s)]
     prob = 0.0
     numer = 0.0
     for x, w in zip(xs, ws):
@@ -120,9 +126,9 @@ def window_metrics_analytic(p, window):
             for wj, bj in terms:
                 dens += (wi.conjugate() * wj * coherent_overlap(bi, bj)).real
         overlap = 0j
-        for wc, ac in cat.terms:
+        for wc, ac in cat:
             for wj, bj in terms:
-                overlap += wc.conjugate() * wj * coherent_overlap(ac, bj)
+                overlap += wc * wj * coherent_overlap(ac, bj)
         prob += w * dens
         numer += w * abs(overlap) ** 2
     return prob, numer / prob

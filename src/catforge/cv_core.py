@@ -1,9 +1,10 @@
-"""Exact algebra of finite weighted superpositions of coherent states.
+"""Closed-form overlaps of coherent states, and the homodyne window.
 
-Every state handled here is a finite list of (weight, amplitude) pairs over
-coherent states |alpha>.  Overlaps, norms, quadrature projections and Wigner
-values then reduce to small Gram-matrix sums, so all protocol quantities stay
-in closed form with no truncation.
+A coherent state |alpha> is fixed by its complex amplitude, and the
+protocol's states are short fixed sums of them: the sources' two components,
+and the kept mode's |0>, |s> and |-s>.  The overlaps here and the pair factor
+of their Wigner function are what protocol writes those states' quantities
+from, in closed form with no truncation.
 
 Conventions
 -----------
@@ -23,20 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COALESCE_TOL, DEGENERATE_NORM, NORM_TOL
-from .errors import DegenerateState
-
 SQRT2 = math.sqrt(2.0)
 PI_QUARTER_INV = math.pi ** -0.25
 # exp of any real part below this is exactly 0.0 in double precision
 EXP_UNDERFLOW = -745.2
-
-
-def _finite(z, what):
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{what} must be finite, got {z!r}")
-    return z
 
 
 def coherent_overlap(alpha, beta):
@@ -81,43 +72,6 @@ def quadrature_overlap(x, alpha):
         complex(re, alpha.imag * (SQRT2 * x - alpha.real)))
 
 
-def _coalesce(terms, what):
-    """Merge terms whose amplitudes agree within COALESCE_TOL; drop cancelled ones."""
-    reps = []
-    for w, a in terms:
-        w = _finite(w, f"{what} weight")
-        a = _finite(a, f"{what} amplitude")
-        for entry in reps:
-            if abs(entry[1] - a) <= COALESCE_TOL:
-                entry[0] += w
-                break
-        else:
-            reps.append([w, a])
-    kept = tuple((w, a) for w, a in reps if w != 0)
-    if not kept:
-        raise DegenerateState(f"{what}: every term cancelled under coalescing")
-    return kept
-
-
-@dataclass(frozen=True)
-class CoherentSuperposition:
-    """Finite superposition sum_i w_i |alpha_i> of one mode; terms are (w, alpha).
-
-    from_terms coalesces terms whose amplitudes agree within the coalescing
-    tolerance.
-    """
-
-    terms: tuple
-
-    @classmethod
-    def from_terms(cls, terms):
-        return cls(_coalesce(terms, cls.__name__))
-
-    def normalize(self):
-        n = norm_from_square(superposition_inner(self, self).real)
-        return type(self)(tuple((w / n, a) for w, a in self.terms))
-
-
 @dataclass(frozen=True)
 class HomodyneWindow:
     """Acceptance window [center - half_width, center + half_width] on X."""
@@ -140,48 +94,6 @@ class HomodyneWindow:
         return self.center + self.half_width
 
 
-def gram(a, b):
-    """Gram matrix [[conj(w_i) w_j <a_i|b_j>]] over the terms of a and b, as lists."""
-    return [[wi.conjugate() * wj * coherent_overlap(ai, bj)
-             for wj, bj in b.terms] for wi, ai in a.terms]
-
-
-def superposition_inner(a, b):
-    """Hermitian inner product <a|b> of two superpositions: the sum of gram(a, b)."""
-    return sum(g for row in gram(a, b) for g in row)
-
-
-def norm_from_square(n2):
-    """sqrt(n2) for a Gram norm^2; raises DegenerateState below DEGENERATE_NORM^2."""
-    if n2 < DEGENERATE_NORM ** 2:
-        raise DegenerateState(f"superposition norm^2 = {n2:.3e} below floor")
-    return math.sqrt(n2)
-
-
-def superposition_norm(s):
-    """Gram norm sqrt(<s|s>); raises DegenerateState when fully cancelled."""
-    return norm_from_square(superposition_inner(s, s).real)
-
-
-def vacuum():
-    return CoherentSuperposition.from_terms([(1.0, 0.0)]).normalize()
-
-
-def coherent(alpha):
-    return CoherentSuperposition.from_terms([(1.0, alpha)]).normalize()
-
-
-def even_cat(beta):
-    """Normalized symmetric superposition of |beta> and |-beta>."""
-    return CoherentSuperposition.from_terms([(1.0, beta), (1.0, -beta)]).normalize()
-
-
-def wigner_point(s, gamma):
-    """Wigner function of a normalized superposition at phase-space point gamma."""
-    g = complex(gamma)
-    return float(wigner_grid(s, [g.real], [g.imag])[0, 0])
-
-
 def _pair_factor(u, centre, freq):
     """exp(-2 (u - centre)^2 + i freq u) per pair (rows) and grid value (columns).
 
@@ -193,38 +105,3 @@ def _pair_factor(u, centre, freq):
     arg = -2.0 * np.where(near, du, 0.0) ** 2 + 1j * (freq * np.where(near, u, 0.0))
     return np.where(near, np.exp(arg), 0.0)
 
-
-def wigner_grid(s, re_vals, im_vals):
-    """Wigner function of a normalized superposition on a rectangular grid.
-
-    Uses the cross-term kernel of |alpha><beta| projectors,
-
-        W(gamma) = (2/pi) sum_ij conj(w_i) w_j <a_i|a_j>
-                   exp(-2 (conj(gamma) - conj(a_i)) (gamma - a_j)),
-
-    whose imaginary parts cancel pairwise; the real part is returned.  Each
-    pair's overlap and exponential form one exponent, m = (a_i + a_j)/2,
-        -2 |gamma - m|^2 + i (2 Im(conj(gamma) (a_j - a_i)) + Im(a_i conj(a_j))),
-    whose real part is never positive, so its exponential never overflows
-    (_pair_factor).  It splits into a Re(gamma) factor times an Im(gamma) factor:
-    the grid is one contraction of (pairs x re) with (pairs x im).
-
-    Returns W with shape (len(re_vals), len(im_vals)), W[i, j] evaluated at
-    gamma = re_vals[i] + 1j * im_vals[j].
-    """
-    n2 = superposition_inner(s, s).real
-    if not abs(n2 - 1.0) <= NORM_TOL:
-        raise ValueError(f"the Wigner function needs norm^2 = 1, got {n2!r}")
-    re = np.asarray(re_vals, dtype=float)
-    im = np.asarray(im_vals, dtype=float)
-    pairs = [(wi.conjugate() * wj, ai, aj)
-             for wi, ai in s.terms for wj, aj in s.terms]
-    c = np.array([w * cmath.exp(1j * (ai * aj.conjugate()).imag)
-                  for w, ai, aj in pairs])
-    m = np.array([0.5 * (ai + aj) for _, ai, aj in pairs])[:, None]
-    d = np.array([aj - ai for _, ai, aj in pairs])[:, None]
-    fx = _pair_factor(re, m.real, 2.0 * d.imag)
-    fy = _pair_factor(im, m.imag, -2.0 * d.real)
-    # einsum, not @: after a first BLAS product the pure-Python sweep ran 30-50%
-    # slower in the same process (one BLAS thread, 2-core Xeon under KVM)
-    return (2.0 / math.pi) * np.einsum("pi,pj->ij", c[:, None] * fx, fy).real

@@ -5,7 +5,8 @@ from the exact binary values of the float inputs: the source amplitudes
 a+- = i alpha0 e^{+-i phi/2}, coherent overlaps, quadrature amplitudes
 <x|A> = pi^(-1/4) exp(-x^2/2 + sqrt2 x A - A^2/2 - |A|^2/2), and Gram sums
 over the kept-mode terms (c1 |0> + c2 (|k> + |-k>)) / S2, and their Wigner
-pair sum.  Near an odd source
+pair sum, which also gives the ideal cat's; the branch ratio and its
+second-order form are taken from their closed forms.  Near an odd source
 S2 is about d0^2 and the Gram sum of the kept mode cancels to about
 4 log10(1/d0) digits; at d0 = 1e-8 and alpha0 ~ 1e9 the textbook exponents
 lose another 18, which REFERENCE_DPS leaves ample room for.  Window integrals
@@ -32,6 +33,43 @@ def _quadrature(x, a):
     return (mpmath.pi ** mpmath.mpf(-0.25)
             * mpmath.exp(-x * x / 2 + mpmath.sqrt(2) * x * a - a * a / 2
                          - abs(a) ** 2 / 2))
+
+
+def _pair_wigner(terms, cells):
+    """W at each cell (q, y) of the state sum_i w_i |a_i> over its norm^2:
+    the pair sum (2/pi) sum_ij conj(w_i) w_j <a_i|a_j>
+    e^{-2 (conj(g) - conj(a_i)) (g - a_j)} at g = q + i y, over the Gram sum."""
+    pairs = [(mpmath.conj(wi) * wj * _overlap(ai, aj), ai, aj)
+             for wi, ai in terms for wj, aj in terms]
+    scale = 2 / mpmath.pi / mpmath.fsum(c for c, _, _ in pairs).real
+    return [scale * mpmath.fsum(
+        c * mpmath.exp(-2 * (mpmath.conj(g) - mpmath.conj(ai)) * (g - aj))
+        for c, ai, aj in pairs).real
+        for g in (mpmath.mpc(q, y) for q, y in cells)]
+
+
+def cat_wigner(s, q_vals, y_vals):
+    """W(q + i y) of the cat |s> + |-s>, normalized, as rows over q_vals."""
+    with mpmath.workdps(REFERENCE_DPS):
+        s = mpmath.mpf(s)
+        w = iter(_pair_wigner([(1, s), (1, -s)],
+                              [(q, y) for q in q_vals for y in y_vals]))
+        return [[float(next(w)) for _ in y_vals] for _ in q_vals]
+
+
+def coefficient_ratio(alpha0, phi):
+    """2 exp(-2 alpha0^2 sin^2(phi/2)) |cos(alpha0^2 sin phi)|."""
+    with mpmath.workdps(REFERENCE_DPS):
+        a, f = mpmath.mpf(alpha0), mpmath.mpf(phi)
+        return float(2 * mpmath.exp(-2 * a * a * mpmath.sin(f / 2) ** 2)
+                     * abs(mpmath.cos(a * a * mpmath.sin(f))))
+
+
+def coefficient_ratio_second_order(alpha0, phi):
+    """exp(-alpha0^2 phi^2 / 2) 2 |cos(alpha0^2 phi)|."""
+    with mpmath.workdps(REFERENCE_DPS):
+        a, f = mpmath.mpf(alpha0), mpmath.mpf(phi)
+        return float(mpmath.exp(-a * a * f * f / 2) * 2 * abs(mpmath.cos(a * a * f)))
 
 
 class Conditioning:
@@ -85,14 +123,7 @@ class Conditioning:
 
     def _wigner(self, x, cells):
         with mpmath.workdps(REFERENCE_DPS):
-            kept = self._kept(mpmath.mpf(x))
-            pairs = [(mpmath.conj(wi) * wj * _overlap(ai, aj), ai, aj)
-                     for wi, ai in kept for wj, aj in kept]
-            scale = 2 / mpmath.pi / mpmath.fsum(c for c, _, _ in pairs).real
-            return [scale * mpmath.fsum(
-                c * mpmath.exp(-2 * (mpmath.conj(g) - mpmath.conj(ai)) * (g - aj))
-                for c, ai, aj in pairs).real
-                for g in (mpmath.mpc(q, y) for q, y in cells)]
+            return _pair_wigner(self._kept(mpmath.mpf(x)), cells)
 
     def wigner(self, x, q_vals, y_vals):
         """W(q + i y) of the kept mode conditioned on X = x, as rows over

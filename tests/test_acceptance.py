@@ -23,13 +23,12 @@ import time
 import numpy as np
 
 from catforge.crosscheck import oracle_conditioning, oracle_pipeline
-from catforge.cv_core import (PI_QUARTER_INV, even_cat, wigner_grid,
-                              wigner_point)
+from catforge.cv_core import PI_QUARTER_INV
 from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
                                   product_state, project_quadrature)
 from catforge import fock_oracle
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff, zero_alphas
-from catforge.protocol import (ProtocolParams, cat_coefficient,
+from catforge.protocol import (ProtocolParams, cat_coefficient, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
                                homodyne_density, report, separations,
                                vacuum_null_alpha, vacuum_null_alpha_approx)
@@ -214,12 +213,11 @@ def test_criterion_10():
     t0 = time.perf_counter()
     ok = True
     for beta in (0.5, 1.0, 2.0):
-        cat = even_cat(beta)
-        w0 = wigner_point(cat, 0j)
+        w0 = cat_wigner(beta, [0.0], [0.0])[0, 0]
         ok = ok and abs(w0 - 2.0 / math.pi) <= 1e-10
         extent = beta + 5.0
         xs, ws, _ = gauss_legendre([[(-extent, extent)]])
-        w = wigner_grid(cat, xs, xs)
+        w = cat_wigner(beta, xs, xs)
         mass = float(ws @ w @ ws)
         ok = ok and abs(mass - 1.0) <= 1e-6
     ok = ok and time.perf_counter() - t0 < 10.0

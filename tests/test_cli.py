@@ -336,6 +336,14 @@ class TestOptimize:
         code, out, err = run(capsys, *argv, "--no-validate")
         assert (code, err) == (0, "")
 
+    def test_branch_index_past_the_float_range(self, capsys):
+        # k * pi overflowed: an OverflowError traceback and exit 1
+        k = "1" + "0" * 400
+        code, out, err = run(capsys, "optimize", "--phi", "0.1", "--k", k)
+        assert (code, out) == (2, "")
+        assert err == ("error: k must be a non-negative integer whose "
+                       f"(k + 1/2) pi is finite, got k = {k}\n")
+
     def test_null_near_the_amplitude_cap(self, capsys):
         # alpha0 = 1.25e154: a^2 and the bracket's (u + 1) / sin(phi) overflow
         code, out, err = run(capsys, "optimize", "--phi", "1e-308")

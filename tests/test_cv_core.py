@@ -1,8 +1,10 @@
-"""Tests for the closed-form superposition algebra.
+"""Tests for the closed-form overlaps, the coherent-term reference and the
+cat's Wigner function.
 
 The independent checks here are deliberately dumb: truncated Fock series
 summed in-test, so any error in the closed forms shows up against a
-different derivation.
+different derivation.  The coherent-term reference (coherent_terms), which
+the protocol tests compare the package against, is checked the same way.
 """
 
 import cmath
@@ -13,12 +15,11 @@ import numpy as np
 import pytest
 
 from catforge import cv_core
-from catforge.cv_core import (CoherentSuperposition, HomodyneWindow,
-                              coherent, coherent_overlap, even_cat,
-                              quadrature_overlap, superposition_inner,
-                              superposition_norm, vacuum,
-                              wigner_grid, wigner_point)
+from catforge.cv_core import HomodyneWindow, coherent_overlap, quadrature_overlap
 from catforge.errors import DegenerateState
+from catforge.protocol import cat_wigner
+from coherent_terms import (coalesce, coherent, even_cat, inner, norm,
+                            normalize, vacuum, wigner_point)
 
 SQRT2 = math.sqrt(2.0)
 PI_QUARTER_INV = math.pi ** -0.25
@@ -233,18 +234,20 @@ class TestLargeAmplitudeReference:
 
 
 class TestSuperpositionAlgebra:
+    """The reference's Gram sums against closed forms and Fock series."""
+
     def test_single_term_norm(self):
-        assert abs(superposition_norm(coherent(1.7 - 0.2j)) - 1.0) < 1e-14
+        assert abs(norm(coherent(1.7 - 0.2j)) - 1.0) < 1e-14
 
     def test_coalesced_vacuum_norm(self):
-        s = CoherentSuperposition.from_terms([(1.0, 0.0), (1.0, 0.0)])
-        assert len(s.terms) == 1
-        assert abs(superposition_norm(s) - 2.0) < 1e-14
+        s = coalesce([(1.0, 0.0), (1.0, 0.0)])
+        assert len(s) == 1
+        assert abs(norm(s) - 2.0) < 1e-14
 
     def test_even_pair_norm(self):
-        s = CoherentSuperposition.from_terms([(1.0, 1.0), (1.0, -1.0)])
+        s = coalesce([(1.0, 1.0), (1.0, -1.0)])
         want = math.sqrt(2.0 + 2.0 * math.exp(-2.0))
-        assert abs(superposition_norm(s) - want) < 1e-12
+        assert abs(norm(s) - want) < 1e-12
         # norm^2 = sum_even 4 e^-1 / n! = 4 e^-1 cosh(1) = 2 (1 + e^-2)
         series = 4.0 * math.exp(-1.0) * math.cosh(1.0)
         assert abs(want ** 2 - series) < 1e-12
@@ -252,42 +255,40 @@ class TestSuperpositionAlgebra:
 
     def test_full_cancellation_raises(self):
         with pytest.raises(DegenerateState):
-            CoherentSuperposition.from_terms([(1.0, 0.5), (-1.0, 0.5)])
+            coalesce([(1.0, 0.5), (-1.0, 0.5)])
 
     def test_norm_squared_matches_inner(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            terms = [(complex(*rng.standard_normal(2)),
-                      complex(*rng.uniform(-2, 2, 2))) for _ in range(3)]
-            s = CoherentSuperposition.from_terms(terms)
-            inner = superposition_inner(s, s)
-            assert abs(superposition_norm(s) ** 2 - inner.real) < 1e-12
-            assert abs(inner.imag) < 1e-12
+            s = coalesce([(complex(*rng.standard_normal(2)),
+                           complex(*rng.uniform(-2, 2, 2))) for _ in range(3)])
+            n2 = inner(s, s)
+            assert abs(norm(s) ** 2 - n2.real) < 1e-12
+            assert abs(n2.imag) < 1e-12
 
     def test_inner_conjugate_symmetry(self):
-        a = CoherentSuperposition.from_terms([(1.0, 0.3 + 1j), (0.5j, -0.7)])
-        b = CoherentSuperposition.from_terms([(2.0, 0.1), (1 - 1j, 1.1j)])
-        assert abs(superposition_inner(a, b)
-                   - superposition_inner(b, a).conjugate()) < 1e-14
+        a = coalesce([(1.0, 0.3 + 1j), (0.5j, -0.7)])
+        b = coalesce([(2.0, 0.1), (1 - 1j, 1.1j)])
+        assert abs(inner(a, b) - inner(b, a).conjugate()) < 1e-14
 
     def test_vacuum_inner_examples(self):
-        assert abs(superposition_inner(vacuum(), vacuum()) - 1.0) < 1e-14
-        assert abs(superposition_inner(vacuum(), even_cat(0.0)) - 1.0) < 1e-14
+        assert abs(inner(vacuum(), vacuum()) - 1.0) < 1e-14
+        assert abs(inner(vacuum(), even_cat(0.0)) - 1.0) < 1e-14
         want = 2.0 * math.exp(-0.5) / math.sqrt(2.0 + 2.0 * math.exp(-2.0))
-        got = superposition_inner(vacuum(), even_cat(1.0))
+        got = inner(vacuum(), even_cat(1.0))
         assert abs(got - want) < 1e-12
         assert abs(want - 0.805018) < 1e-6
 
     def test_normalize(self):
-        s = CoherentSuperposition.from_terms([(3.0, 0.9), (1j, -0.2)]).normalize()
-        assert abs(superposition_norm(s) - 1.0) < 1e-12
+        s = normalize(coalesce([(3.0, 0.9), (1j, -0.2)]))
+        assert abs(norm(s) - 1.0) < 1e-12
 
 
 def wigner_parity_fock(s, nmax=80):
     """Origin Wigner value from the parity expectation in the number basis."""
     amps = np.zeros(nmax, dtype=complex)
     coefs = np.zeros(nmax, dtype=complex)
-    for w, a in s.terms:
+    for w, a in s:
         a = complex(a)
         c = math.exp(-0.5 * abs(a) ** 2)
         term = complex(c)
@@ -303,8 +304,8 @@ def wigner_displaced_overlap(s, gamma):
     """Wigner value from displaced parity, using only coherent overlaps."""
     g = complex(gamma)
     acc = 0j
-    for wi, ai in s.terms:
-        for wj, aj in s.terms:
+    for wi, ai in s:
+        for wj, aj in s:
             phase_i = cmath.exp((g.conjugate() * ai - g * complex(ai).conjugate()) / 2)
             phase_j = cmath.exp((g.conjugate() * aj - g * complex(aj).conjugate()) / 2)
             acc += (complex(wi).conjugate() * wj * phase_i.conjugate() * phase_j
@@ -312,7 +313,15 @@ def wigner_displaced_overlap(s, gamma):
     return (2.0 / math.pi) * acc.real
 
 
+def cat_point(beta, gamma):
+    g = complex(gamma)
+    return float(cat_wigner(beta, [g.real], [g.imag])[0, 0])
+
+
 class TestWigner:
+    """The reference's pair sum, and the package's cat_wigner, against
+    parity in the number basis and displaced parity."""
+
     def test_vacuum_peak(self):
         assert abs(wigner_point(vacuum(), 0.0) - 2.0 / math.pi) < 1e-14
 
@@ -320,11 +329,10 @@ class TestWigner:
         assert abs(wigner_point(coherent(1.0), 1.0) - 2.0 / math.pi) < 1e-14
 
     def test_even_cat_origin(self):
-        cat = even_cat(1.5)
-        assert abs(wigner_point(cat, 0.0) - wigner_parity_fock(cat)) < 1e-12
+        assert abs(cat_point(1.5, 0.0) - wigner_parity_fock(even_cat(1.5))) < 1e-12
         # by parity, W(0) = 2/pi for every even cat, at any amplitude
-        for beta in (1.5, 30.0, 1e3, 1e8):
-            assert abs(wigner_point(even_cat(beta), 0.0) - 2.0 / math.pi) < 1e-12
+        for beta in (0.3, 1.5, 30.0, 1e3, 1e8):
+            assert abs(cat_point(beta, 0.0) - 2.0 / math.pi) < 1e-12
 
     def test_matches_displaced_parity(self):
         rng = np.random.default_rng(9)
@@ -334,54 +342,46 @@ class TestWigner:
                 g = complex(*rng.uniform(-2, 2, 2))
                 assert abs(wigner_point(s, g)
                            - wigner_displaced_overlap(s, g)) < 1e-12
+        # the cat on both sides of cat_wigner's branch switch at s^2 = 1
+        for beta in (0.6, 1.0, 1.2):
+            for _ in range(10):
+                g = complex(*rng.uniform(-2, 2, 2))
+                assert abs(cat_point(beta, g) - wigner_displaced_overlap(
+                    even_cat(beta), g)) < 1e-12
 
     def test_imaginary_residue_small(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            terms = [(complex(*rng.standard_normal(2)),
-                      complex(*rng.uniform(-1.5, 1.5, 2))) for _ in range(3)]
-            s = CoherentSuperposition.from_terms(terms).normalize()
+            s = normalize(coalesce([(complex(*rng.standard_normal(2)),
+                                     complex(*rng.uniform(-1.5, 1.5, 2)))
+                                    for _ in range(3)]))
             g = complex(*rng.uniform(-2, 2, 2))
             # re-sum the kernel keeping the imaginary part
             acc = 0j
-            for wi, ai in s.terms:
-                for wj, aj in s.terms:
-                    acc += (complex(wi).conjugate() * wj
-                            * coherent_overlap(ai, aj)
-                            * cmath.exp(-2.0 * (g.conjugate() - complex(ai).conjugate())
+            for wi, ai in s:
+                for wj, aj in s:
+                    acc += (wi.conjugate() * wj * coherent_overlap(ai, aj)
+                            * cmath.exp(-2.0 * (g.conjugate() - ai.conjugate())
                                         * (g - aj)))
             assert abs(acc.imag) < 1e-12
             assert abs((2.0 / math.pi) * acc.real - wigner_point(s, g)) < 1e-14
 
     def test_grid_matches_pointwise(self):
-        s = even_cat(1.0)
         re = [-0.5, 0.0, 1.3]
         im = [-1.0, 0.2]
-        w = wigner_grid(s, re, im)
-        assert w.shape == (3, 2)
-        for i, x in enumerate(re):
-            for j, y in enumerate(im):
-                assert abs(w[i, j] - wigner_point(s, x + 1j * y)) < 1e-13
+        for beta in (0.7, 1.5):
+            w = cat_wigner(beta, re, im)
+            assert w.shape == (3, 2)
+            for i, x in enumerate(re):
+                for j, y in enumerate(im):
+                    assert abs(w[i, j] - cat_point(beta, x + 1j * y)) < 1e-13
 
     def test_unit_mass(self):
         from catforge.quadrature import gauss_legendre
-        s = even_cat(1.0)
         xs, ws, _ = gauss_legendre([[(-6.0, 6.0)]])
-        w = wigner_grid(s, xs, xs)
-        total = float(ws @ w @ ws)
-        assert abs(total - 1.0) < 1e-6
-
-    def test_requires_normalized(self):
-        s = CoherentSuperposition.from_terms([(2.0, 0.3)])
-        with pytest.raises(ValueError):
-            wigner_point(s, 0.0)
-
-    def test_accepts_any_state_of_unit_norm(self):
-        # the check measures the Gram norm, whatever built the state
-        s = CoherentSuperposition(((1.0, 0.3),))
-        re, im = [-1.0, 0.3, 2.0], [0.0, 0.5]
-        assert np.array_equal(wigner_grid(s, re, im),
-                              wigner_grid(coherent(0.3), re, im))
+        for beta in (0.7, 1.0, 1.5):
+            total = float(ws @ cat_wigner(beta, xs, xs) @ ws)
+            assert abs(total - 1.0) < 1e-6
 
 
 class TestHomodyneWindow:
@@ -440,3 +440,16 @@ class TestGaussLegendre:
         first, fifth, last = sum(sizes[:1]), sum(sizes[:5]), sum(sizes)
         assert spans == [slice(0, first), slice(first, fifth),
                          slice(fifth, last)]
+
+
+def test_exports_resolve_and_leave_out_the_coherent_term_algebra():
+    # the algebra is the tests' reference (coherent_terms), not the package's
+    import catforge
+    from catforge import config, protocol
+    assert all(hasattr(catforge, name) for name in catforge.__all__)
+    gone = {"CoherentSuperposition", "coherent", "even_cat", "gram",
+            "ideal_cat", "source_state", "superposition_inner",
+            "superposition_norm", "vacuum", "wigner_grid", "wigner_point",
+            "_coalesce", "_finite", "COALESCE_TOL", "NORM_TOL"}
+    for module in (catforge, cv_core, protocol, config):
+        assert not gone & set(vars(module)), module.__name__

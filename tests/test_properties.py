@@ -11,12 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catforge._format17 import csv_lines
-from catforge.cv_core import (PI_QUARTER_INV, SQRT2, CoherentSuperposition,
-                              HomodyneWindow, superposition_inner)
+from catforge.cv_core import PI_QUARTER_INV, SQRT2, HomodyneWindow
 from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
-                               homodyne_density, ideal_cat, kept_wigner,
-                               report, source_state, vacuum_null_alpha,
-                               window_metrics)
+                               homodyne_density, kept_wigner, report,
+                               vacuum_null_alpha, window_metrics)
+from coherent_terms import coalesce, ideal_cat, inner, source_state
 
 # the same examples on every run, no database, no per-example deadline
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -32,8 +31,9 @@ xs = st.floats(-2.0, 2.0)
 @given(alpha0s, phis)
 def test_normalized_states_have_unit_gram_norm(alpha0, phi):
     p = ProtocolParams(alpha0, phi)
+    # the coherent terms of the reference
     for s in (source_state(p), ideal_cat(p)):
-        assert abs(superposition_inner(s, s).real - 1.0) <= 1e-13
+        assert abs(inner(s, s).real - 1.0) <= 1e-13
 
 
 @PROPERTY
@@ -88,12 +88,11 @@ def test_ideal_cat_has_the_conditioned_amplitudes(alpha0, phi):
     p = ProtocolParams(alpha0, phi)
     # the kept amplitudes (a_i - a_j) / sqrt2 of the beam splitter's images
     # of the source pairs, coalesced as the source terms are
-    src = source_state(p).terms
-    kept = CoherentSuperposition.from_terms(
-        [(1.0, (ai - aj) / SQRT2) for _, ai in src for _, aj in src])
-    cat = {a for _, a in kept.terms} - {0}
+    src = source_state(p)
+    kept = coalesce([(1.0, (ai - aj) / SQRT2) for _, ai in src for _, aj in src])
+    cat = {a for _, a in kept} - {0}
     assume(len(cat) == 2)  # +-s apart from 0 and from each other
-    assert {a for _, a in ideal_cat(p).terms} == cat
+    assert {a for _, a in ideal_cat(p)} == cat
 
 
 @PROPERTY

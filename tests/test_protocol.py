@@ -7,27 +7,31 @@ crosscheck suite keeps guarding that agreement on a full grid.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from catforge import protocol
-from catforge.config import COALESCE_TOL, ZERO_DENSITY
+from catforge.config import ZERO_DENSITY
 from catforge.crosscheck import oracle_pipeline
-from catforge.cv_core import (PI_QUARTER_INV, CoherentSuperposition,
-                              HomodyneWindow, coherent_overlap, even_cat, gram,
-                              quadrature_overlap, superposition_inner,
-                              superposition_norm, vacuum, wigner_grid)
+from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow, coherent_overlap,
+                              quadrature_overlap)
 from catforge.errors import (CatforgeError, DegenerateState, DomainError,
                              TruncationTooLarge, ZeroProbability)
+from catforge.optimize_sweep import find_min_alpha
 from catforge.quadrature import gauss_legendre
-from catforge.protocol import (ProtocolParams, cat_coefficient,
+from catforge.protocol import (ProtocolParams, cat_coefficient, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
                                coefficient_ratio_small_angle,
-                               homodyne_density, ideal_cat, kept_wigner, report,
-                               separations, source_state, vacuum_coefficient,
+                               homodyne_density, kept_wigner, report,
+                               separations, vacuum_coefficient,
                                vacuum_null_alpha, vacuum_null_alpha_approx,
                                window_metrics)
+from coherent_terms import (COALESCE_TOL, coalesce, even_cat, gram, ideal_cat,
+                            inner, norm, normalize, source_state, vacuum,
+                            wigner_grid)
+import mp_reference
 from mp_reference import Conditioning
 
 SQRT2 = math.sqrt(2.0)
@@ -58,6 +62,17 @@ def ratio_tolerance(p, ulps=4):
     return ulps * 2.0 ** -52 * (env + cond)
 
 
+def second_order_tolerance(p, ulps=4):
+    """A few ulps times the absolute condition number of the second-order ratio.
+
+    R2 = E2 |cos(a^2 phi)| with envelope E2 = 2 exp(-a^2 phi^2 / 2), so
+        |a dR2/da| + |phi dR2/dphi| <= E2 a^2 phi (2 phi + 3).
+    """
+    a2, phi = p.alpha0 ** 2, p.phi
+    env = 2.0 * math.exp(-0.5 * a2 * phi * phi)
+    return ulps * 2.0 ** -52 * env * (1.0 + a2 * phi * (2.0 * phi + 3.0))
+
+
 class TestParams:
     def test_phase_canonicalized_to_half_period(self):
         assert ProtocolParams(1.0, -0.3).phi == pytest.approx(0.3, abs=1e-15)
@@ -84,15 +99,17 @@ class TestParams:
 
 
 class TestSourceState:
+    """The coherent terms of the reference's source state."""
+
     def test_dark_source_is_vacuum(self):
         s = source_state(ProtocolParams(0.0, 0.7))
-        assert len(s.terms) == 1
-        assert s.terms[0][1] == 0.0
+        assert len(s) == 1
+        assert s[0][1] == 0.0
 
     def test_aligned_source_is_coherent(self):
         s = source_state(ProtocolParams(1.0, 0.0))
-        assert len(s.terms) == 1
-        w, a = s.terms[0]
+        assert len(s) == 1
+        w, a = s[0]
         assert abs(a - 1j) < 1e-15
         assert abs(abs(w) - 1.0) < 1e-12
 
@@ -100,14 +117,13 @@ class TestSourceState:
         p = ProtocolParams(2.0, 0.2)
         d0 = separations(p).d0
         assert d0 == pytest.approx(4.0 * math.sin(0.1), abs=1e-15)
-        s = source_state(p)
-        amps = [a for _, a in s.terms]
+        amps = [a for _, a in source_state(p)]
         assert abs(amps[0] - amps[1]) == pytest.approx(d0, abs=1e-13)
 
     def test_source_is_normalized(self):
         rng = np.random.default_rng(4)
         for p in params_grid(rng, 30):
-            assert superposition_norm(source_state(p)) == pytest.approx(
+            assert norm(source_state(p)) == pytest.approx(
                 1.0, abs=1e-12)
 
 
@@ -123,31 +139,40 @@ class TestSeparations:
         assert sep.d0 == 2.0 * math.sin(0.15)
 
 
+def cat_half_separation(p):
+    """s = d0 / sqrt2, where the beam splitter places the cat's branches."""
+    return separations(p).d0 / SQRT2
+
+
 class TestIdealCat:
+    """The reference's cat terms, and the refusal of cat_wigner."""
+
     def test_branch_amplitudes(self):
         cat = ideal_cat(ProtocolParams(SQRT2, math.pi))
-        amps = sorted(a.real for _, a in cat.terms)
+        amps = sorted(a.real for _, a in cat)
         assert amps == pytest.approx([-2.0, 2.0], abs=1e-15)
 
     def test_degenerate_collapses_to_vacuum(self):
         cat = ideal_cat(ProtocolParams(1.0, 0.0))
-        assert len(cat.terms) == 1
-        assert cat.terms[0][1] == 0.0
-        assert abs(superposition_inner(cat, vacuum())) == pytest.approx(
-            1.0, abs=1e-12)
+        assert len(cat) == 1
+        assert cat[0][1] == 0.0
+        assert abs(inner(cat, vacuum())) == pytest.approx(1.0, abs=1e-12)
 
     def test_require_cat_raises_when_degenerate(self):
-        with pytest.raises(DegenerateState):
-            ideal_cat(ProtocolParams(1.0, 0.0), require_cat=True)
-        with pytest.raises(DegenerateState):
-            ideal_cat(ProtocolParams(0.0, 0.5), require_cat=True)
+        # a separation 2 s at or below 1e-12 leaves no cat to draw
+        for p in (ProtocolParams(1.0, 0.0), ProtocolParams(0.0, 0.5)):
+            with pytest.raises(DegenerateState, match="too small to form a cat"):
+                cat_wigner(cat_half_separation(p), AXIS, AXIS)
+        with pytest.raises(DegenerateState, match="separation 1.000e-12 "):
+            cat_wigner(0.5e-12, AXIS, AXIS)
+        assert cat_wigner(math.nextafter(0.5e-12, 1.0), [0.0], [0.0])[0, 0] \
+            == pytest.approx(2.0 / math.pi, abs=1e-15)
 
     def test_matches_even_cat_helper(self):
         # alpha0 = 1, phi = pi/2 puts the branches exactly at +-1
         cat = ideal_cat(ProtocolParams(1.0, math.pi / 2))
         want = even_cat(1.0)
-        assert abs(superposition_inner(cat, want)) == pytest.approx(
-            1.0, abs=1e-12)
+        assert abs(inner(cat, want)) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_overlap_closed_form(self):
         rng = np.random.default_rng(8)
@@ -157,7 +182,7 @@ class TestIdealCat:
                 continue
             want = 2.0 * math.exp(-0.5 * s * s) / math.sqrt(
                 2.0 + 2.0 * math.exp(-2.0 * s * s))
-            got = superposition_inner(vacuum(), ideal_cat(p))
+            got = inner(vacuum(), ideal_cat(p))
             assert got.real == pytest.approx(want, abs=1e-12)
             assert got.imag == pytest.approx(0.0, abs=1e-13)
 
@@ -220,13 +245,24 @@ class TestCoefficientRatio:
 
     @pytest.mark.parametrize("alpha0,phi", TINY_PHI_POINTS)
     def test_tiny_phi_against_high_precision(self, alpha0, phi):
-        import mpmath
-        with mpmath.workdps(50):
-            a, f = mpmath.mpf(alpha0), mpmath.mpf(phi)
-            want = float(2 * mpmath.exp(-2 * a * a * mpmath.sin(f / 2) ** 2)
-                         * abs(mpmath.cos(a * a * mpmath.sin(f))))
+        want = mp_reference.coefficient_ratio(alpha0, phi)
         p = ProtocolParams(alpha0, phi)
         assert abs(coefficient_ratio(p) - want) <= ratio_tolerance(p)
+
+    def test_ordinary_points_against_high_precision(self):
+        rng = np.random.default_rng(95)
+        for p in params_grid(rng, 200):
+            want = mp_reference.coefficient_ratio(p.alpha0, p.phi)
+            assert abs(coefficient_ratio(p) - want) <= ratio_tolerance(p)
+
+    def test_second_order_against_high_precision(self):
+        rng = np.random.default_rng(96)
+        points = list(params_grid(rng, 200))
+        points += [ProtocolParams(a, phi) for a, phi in TINY_PHI_POINTS]
+        for p in points:
+            want = mp_reference.coefficient_ratio_second_order(p.alpha0, p.phi)
+            assert abs(coefficient_ratio_second_order(p) - want) \
+                <= second_order_tolerance(p)
 
     def test_small_angle_limits(self):
         assert coefficient_ratio_small_angle(ProtocolParams(2.0, 0.0)) == 2.0
@@ -285,6 +321,16 @@ class TestVacuumNull:
         with pytest.raises(DomainError):
             vacuum_null_alpha(0.1, k=0.5)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 10 ** 400, 1e308],
+                             ids=["inf", "nan", "int-past-floats", "1e308"])
+    def test_k_whose_null_phase_overflows_names_k(self, k):
+        # (k + 1/2) pi is not finite: inf and 10^400 raised OverflowError,
+        # nan a ValueError, from k * pi and int(k)
+        for null in (vacuum_null_alpha, find_min_alpha):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"(k + 1/2) pi is finite, got k = {k}")):
+                null(0.1, k)
+
     @pytest.mark.parametrize("phi", [1e-320, 5e-324])
     def test_overflowing_null_names_phi(self, phi):
         # pi / (2 phi) overflows: the small-angle form returned inf
@@ -304,8 +350,8 @@ class TestConditionalState:
             p = ProtocolParams(vacuum_null_alpha(phi), phi)
             assert report(p).fidelity >= 1.0 - 1e-10
             w = kept_wigner(p, 0.0, AXIS, AXIS)
-            assert np.max(np.abs(w - wigner_grid(ideal_cat(p), AXIS, AXIS))) \
-                <= 4.0 / math.pi * 1e-5
+            cat = cat_wigner(cat_half_separation(p), AXIS, AXIS)
+            assert np.max(np.abs(w - cat)) <= 4.0 / math.pi * 1e-5
 
     def test_reference_fidelity(self):
         r = report(ProtocolParams(1.0, 0.1))
@@ -319,6 +365,21 @@ class TestConditionalState:
     def test_zero_probability(self):
         with pytest.raises(ZeroProbability):
             kept_wigner(ProtocolParams(0.0, 0.3), 10.0, AXIS, AXIS)
+
+
+class TestCatWigner:
+    """cat_wigner against the 80-digit pair sum on both sides of
+    _plane_wigner's switch at s^2 = 1, and next to its refusal at 2 s = 1e-12,
+    where the pair sum would cancel in doubles."""
+
+    TOL = 4 * 2.0 ** -52  # a few ulps of the peak W(0) = 2/pi
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, math.nextafter(0.5e-12, 1.0)],
+                             ids=["s2=0.25", "s2=1", "s2=4", "floor"])
+    def test_against_high_precision(self, s):
+        got = cat_wigner(s, AXIS, AXIS)
+        want = mp_reference.cat_wigner(s, AXIS, AXIS)
+        assert np.max(np.abs(got - want)) <= self.TOL
 
 
 class TestHomodyneDensity:
@@ -430,9 +491,9 @@ def interfere_renormalized(p, merge=True):
     if merge:
         src = source_state(p)
     else:
-        src = CoherentSuperposition(tuple(
-            (1.0, a) for a in protocol._source_amplitudes(p))).normalize()
-    product = [(wi * wj, ai, aj) for wi, ai in src.terms for wj, aj in src.terms]
+        src = normalize(tuple(
+            (1.0, complex(a)) for a in protocol._source_amplitudes(p)))
+    product = [(wi * wj, ai, aj) for wi, ai in src for wj, aj in src]
     if merge:
         # the pairs of a coalesced source are pairwise distinct: coalescing
         # the product would merge nothing
@@ -449,10 +510,9 @@ def interfere_renormalized(p, merge=True):
 
 def projected_renormalized(p, x, merge=True):
     """Raw projected kept-mode terms and their 16-term Gram density."""
-    kept = CoherentSuperposition(tuple(
-        (w * quadrature_overlap(x, a), b)
-        for w, a, b in interfere_renormalized(p, merge)))
-    return kept, superposition_inner(kept, kept).real
+    kept = tuple((w * quadrature_overlap(x, a), b)
+                 for w, a, b in interfere_renormalized(p, merge))
+    return kept, inner(kept, kept).real
 
 
 def conditional_renormalized(p, x):
@@ -461,7 +521,7 @@ def conditional_renormalized(p, x):
     if dens < ZERO_DENSITY:
         raise ZeroProbability(
             f"conditioning density {dens:.3e} at x={x} below floor")
-    return CoherentSuperposition.from_terms(kept.terms).normalize()
+    return normalize(coalesce(kept))
 
 
 def wigner_renormalized(p, x):
@@ -474,7 +534,7 @@ def window_metrics_renormalized(p, windows):
     of interfere_renormalized(p, merge=False), and of the ideal cat against
     them, contracted with the window integrals of the terms' projections."""
     two = interfere_renormalized(p, merge=False)
-    kept = CoherentSuperposition(tuple((w, b) for w, _, b in two))
+    kept = tuple((w, b) for w, _, b in two)
     a = np.array([a for _, a, _ in two])
     gram_kept = np.array(gram(kept, kept))
     u = np.array(gram(ideal_cat(p), kept)).sum(axis=0)
@@ -542,8 +602,8 @@ class TestOneGramPerState:
             return
         assert np.max(np.abs(got - want)) <= self.TOL
         r = report(p, x)
-        assert abs(r.fidelity - abs(superposition_inner(
-            ideal_cat(p), kept)) ** 2 / dens) <= self.TOL
+        assert abs(r.fidelity - abs(inner(ideal_cat(p), kept)) ** 2 / dens) \
+            <= self.TOL
         assert abs(r.density_at_x - max(dens, 0.0)) <= self.TOL
 
     def test_random_points(self):
@@ -558,8 +618,7 @@ class TestOneGramPerState:
             self.check_point(p, x)
 
     def test_coalescing_edges_are_hit(self):
-        terms = [(len(source_state(p).terms),
-                  len(conditional_renormalized(p, 0.0).terms))
+        terms = [(len(source_state(p)), len(conditional_renormalized(p, 0.0)))
                  for p in self.EDGES[3:]]
         assert terms == [(1, 1), (2, 1), (2, 1), (2, 3)]
 
@@ -752,7 +811,7 @@ class TestKeptWigner:
             x = rng.uniform(-3.0, 3.0)
             got = kept_wigner(p, x, AXIS, AXIS)
             ref = conditional_renormalized(p, x)
-            if sum(abs(w) for w, _ in ref.terms) <= 3.0:
+            if sum(abs(w) for w, _ in ref) <= 3.0:
                 want = wigner_grid(ref, AXIS, AXIS)
             else:
                 want = Conditioning(p.alpha0, p.phi).wigner(x, AXIS, AXIS)
@@ -762,8 +821,8 @@ class TestKeptWigner:
 
     @pytest.mark.parametrize("phi", [0.4, 1.2, math.pi / 2, 2.7])
     def test_continuous_across_the_branch_threshold(self, phi):
-        # neighbouring alpha0 either side of s^2 = 1, where the kernel hands
-        # the kept mode to wigner_grid as coherent terms
+        # neighbouring alpha0 either side of s^2 = 1, where _plane_wigner
+        # switches from its five products to the sum over 9 pairs
         alpha0 = 1.0 / (SQRT2 * math.sin(0.5 * phi))
         ps = [ProtocolParams(alpha0 + k * math.ulp(alpha0), phi)
               for k in range(-8, 9)]

@@ -1,9 +1,8 @@
 """Cross-representation validation: closed forms against the Fock oracle.
 
-The analytic route (protocol's closed forms, on cv_core's overlaps) and the
-truncated-Fock route (fock_oracle) compute every conditioning quantity
-independently; this module runs both over a parameter grid and reports the
-worst absolute deviation.
+The analytic route (protocol's closed forms) and the truncated-Fock route
+(fock_oracle) compute every conditioning quantity independently; this module
+runs both over a parameter grid and reports the worst absolute deviation.
 The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the conditioned vector is resolved against the Fock carriers
 of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
@@ -11,6 +10,7 @@ fock_oracle.window_metrics, serves here only, as the oracle of
 protocol.window_metrics; each takes a table of windows in one rule pass.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -109,7 +109,7 @@ def window_metrics_analytic(p, window):
     overlap of the ideal cat c (|s> + |-s>), s = d0 / sqrt2, with it.
     """
     xs, ws, _ = gauss_legendre([[(window.lo, window.hi)]])
-    a_plus, a_minus = protocol._source_amplitudes(p)
+    a_plus, a_minus = (1j * p.alpha0 * cmath.exp(t * p.phi) for t in (0.5j, -0.5j))
     u = 1.0 / math.sqrt(2.0 + 2.0 * coherent_overlap(a_plus, a_minus).real)
     src = [(u, a_plus), (u, a_minus)]
     two = [(wi * wj, (ai + aj) / SQRT2, (ai - aj) / SQRT2)

@@ -1,10 +1,9 @@
 """Closed-form overlaps of coherent states, and the homodyne window.
 
 A coherent state |alpha> is fixed by its complex amplitude, and the
-protocol's states are short fixed sums of them: the sources' two components,
-and the kept mode's |0>, |s> and |-s>.  The overlaps here and the pair factor
-of their Wigner function are what protocol writes those states' quantities
-from, in closed form with no truncation.
+protocol's states are short fixed sums of them.  protocol draws their Wigner
+functions with the pair factor here; the overlaps serve only crosscheck's
+coherent-term window reference, window_metrics_analytic.
 
 Conventions
 -----------
@@ -53,12 +52,9 @@ def coherent_overlap(alpha, beta):
 def quadrature_overlap(x, alpha):
     """Position amplitude <x|alpha> for X = (a + a^dag)/sqrt(2).
 
-    Purely imaginary alpha gives pi^(-1/4) at x = 0 exactly: the alpha^2/2 and
-    |alpha|^2/2 terms cancel, which is what makes the cat branch coefficient of
-    the conditioning protocol parameter-independent.  The exponent is formed
-    as its exact real and imaginary parts,
+    The exponent is formed as its exact real and imaginary parts,
         -(x - sqrt2 Re(alpha))^2/2 + i Im(alpha) (sqrt2 x - Re(alpha)),
-    so that cancellation holds in floating point too, with no rounding
+    so a purely imaginary alpha gives pi^(-1/4) at x = 0 with no rounding
     residue, and the real part does not cancel near x = sqrt2 Re(alpha) at
     large amplitudes.  Below EXP_UNDERFLOW the amplitude is 0 and the phase
     is not formed, as in coherent_overlap.

@@ -9,15 +9,13 @@ the X quadrature of one output near x = 0 leaves the other output in
 
 so the separation of the surviving superposition grows by sqrt(2) while the
 vacuum branch can be switched off entirely: |c1|/|c2| has zeros on
-alpha0^2 sin(phi) = pi/2 + k pi.  report, homodyne_density, window_metrics
-and kept_wigner take that state as two closed-form coordinates in the plane
-of |0> and |s> + |-s>, which stay accurate near an odd source (alpha0^2
-sin(phi) near (2k+1) pi, where the source norm^2 is about d0^2); windows are
-1D quadratures of them, and cat_wigner draws the ideal cat in the same plane.
-crosscheck holds the Fock route that checks them.
+alpha0^2 sin(phi) = pi/2 + k pi.  One kernel, _kept_mode, writes that state
+as two closed-form coordinates in the plane of |0> and |s> + |-s>, accurate
+near an odd source (alpha0^2 sin(phi) near (2k+1) pi, where the source norm^2
+is about d0^2); c1, c2, the density, the window quadratures and the Wigner
+grids are read off it.  crosscheck holds the Fock route that checks them.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,8 +23,7 @@ import numpy as np
 
 from .config import (CAT_SEPARATION_FLOOR, DEGENERATE_NORM,
                      MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY)
-from .cv_core import (PI_QUARTER_INV, SQRT2, HomodyneWindow, _pair_factor,
-                      quadrature_overlap)
+from .cv_core import PI_QUARTER_INV, SQRT2, HomodyneWindow, _pair_factor
 from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
 
@@ -84,13 +81,6 @@ class PreparedStateReport:
     separations: Separations
 
 
-def _source_amplitudes(p):
-    # magnitude alpha0, phases pi/2 +- phi/2: both components sit on the
-    # imaginary axis for phi -> 0
-    return (1j * p.alpha0 * cmath.exp(0.5j * p.phi),
-            1j * p.alpha0 * cmath.exp(-0.5j * p.phi))
-
-
 def _d0(p):
     return 2.0 * p.alpha0 * math.sin(0.5 * p.phi)
 
@@ -102,24 +92,17 @@ def separations(p):
 
 
 def vacuum_coefficient(p, x=0.0):
-    """Projection coefficient of the vacuum branch, <x|a+> + <x|a->.
-
-    The branch amplitudes sqrt2 i alpha0 e^{+-i phi/2} are the beam-splitter
-    images of the aligned source pairs.
-    """
-    a_plus, a_minus = _source_amplitudes(p)
-    return (quadrature_overlap(x, SQRT2 * a_plus)
-            + quadrature_overlap(x, SQRT2 * a_minus))
+    """Projection coefficient of the vacuum branch at X = x, <x|A+> + <x|A->
+    of the images A+- = sqrt2 i alpha0 e^{+-i phi/2} of the aligned source
+    pairs: e^{ikx} [g(x + d0) e^{i theta} + g(x - d0) e^{-i theta}], with
+    g(y) = pi^(-1/4) e^{-y^2/2}."""
+    return _branches(p, x)[3]
 
 
 def cat_coefficient(p, x=0.0):
-    """Projection coefficient shared by both cat branches.
-
-    The measured-mode amplitude sqrt2 i alpha0 cos(phi/2) is purely imaginary,
-    so at x = 0 this is pi^(-1/4) for every (alpha0, phi).
-    """
-    c = SQRT2 * 1j * p.alpha0 * math.cos(0.5 * p.phi)
-    return quadrature_overlap(x, c)
+    """Projection coefficient shared by both cat branches, g(x) e^{ikx},
+    k = 2 alpha0 cos(phi/2): pi^(-1/4) at x = 0 for every (alpha0, phi)."""
+    return _branches(p, x)[4]
 
 
 # The ratio formulas take exp and cos as arguments, as _kept_mode takes its
@@ -149,18 +132,13 @@ def coefficient_ratio(p):
                         math.sin(p.phi), math.exp, math.cos)
 
 
-def _small_angle_argument(p):
-    """alpha0^2 phi, the cosine argument of both small-angle forms."""
+def coefficient_ratio_small_angle(p):
+    """First order in phi: 2 |cos(alpha0^2 phi)|."""
     u = p.alpha0 * p.alpha0 * p.phi
     if not math.isfinite(u):
         raise DomainError(
             f"alpha0 = {p.alpha0:g} is too large: alpha0^2 phi overflows")
-    return u
-
-
-def coefficient_ratio_small_angle(p):
-    """First order in phi: 2 |cos(alpha0^2 phi)|."""
-    return _ratio_small_angle(_small_angle_argument(p), math.cos)
+    return _ratio_small_angle(u, math.cos)
 
 
 def coefficient_ratio_second_order(p):
@@ -243,22 +221,25 @@ _FLOAT_OPS = (lambda v: float(np.exp(v)), lambda v: float(np.sinh(v)),
 
 
 def _kept_mode(p, x):
-    """Density, squared ideal-cat overlap and (Re alpha, Im alpha, g(x), S2).
+    """Density, squared ideal-cat overlap and (Re alpha, Im alpha, g(x), S2,
+    d0, vac).
 
     The kept mode (c1 |0> + c2 (|s> + |-s>)) / S2 (S2 the source norm^2) is
     (alpha, beta) on e0 = |0>, e1 = F / |F|, F = |s> + |-s> - 2 h |0>,
-    h = e^{-s^2/2}.  Up to the phase of c2, with g(y) = pi^(-1/4) e^{-y^2/2},
+    h = e^{-s^2/2}.  Up to the phase e^{ikx} of c1 = e^{ikx} vac and c2, with
     u = x d0, c = cos theta and t = g(x) / S2: beta = sqrt2 |expm1(-s^2)| t,
     and alpha = 2 h t (R + i I) with R = 1 + c + c (2 h sinh^2(u/2) +
     expm1(-s^2/2)), I = -h sinh(u) sin theta, S2 = 2 (1 + c + c expm1(-s^2)):
     no cancellation near an odd source.  For s > 1, where nothing cancels,
-    alpha S2 = g(x - d0) e^{-i theta} + g(x + d0) e^{i theta} + 2 h g(x), with
-    no sinh to overflow.  The cat is (2 h, |F|) / sqrt(2 + 2 h^4).  x is a
-    float, taken in Python floats, or an array, whose elements come out bit
-    for bit as for floats: both take numpy's exp and sinh, not libm's.
+    alpha S2 = vac + 2 h g(x), vac = g(x + d0) e^{i theta} + g(x - d0)
+    e^{-i theta}, with no sinh to overflow; for s <= 1 (float x only) vac =
+    2 h^2 g(x) (cosh(u) c - i sinh(u) sin theta).  The cat is (2 h, |F|) /
+    sqrt(2 + 2 h^4).  x is a float, in Python floats, or an array whose
+    elements come out bit for bit as for floats (numpy's exp and sinh both).
     """
+    array = isinstance(x, np.ndarray)
     x, (exp, sinh, minimum, copysign) = (
-        (x, _ARRAY_OPS) if isinstance(x, np.ndarray) else (float(x), _FLOAT_OPS))
+        (x, _ARRAY_OPS) if array else (float(x), _FLOAT_OPS))
     d0 = _d0(p)
     s2 = 0.5 * d0 * d0
     cos2, cos, sin = _phase(p)
@@ -269,21 +250,35 @@ def _kept_mode(p, x):
         norm2 = 2.0 * (1.0 + math.exp(-s2) * cos)
         g_plus = PI_QUARTER_INV * exp(-0.5 * (x - d0) * (x - d0))
         g_minus = PI_QUARTER_INV * exp(-0.5 * (x + d0) * (x + d0))
-        re = ((g_plus + g_minus) * cos + 2.0 * h * g) / norm2
-        im = (g_minus - g_plus) * sin / norm2
+        vac = ((g_plus + g_minus) * cos, (g_minus - g_plus) * sin)
+        re = (vac[0] + 2.0 * h * g) / norm2
+        im = vac[1] / norm2
     else:
         norm2 = 2.0 * (cos2 - cos * em1)
         # past |x| = 38.6 g is 0, and the bound keeps sinh finite there
         u = d0 * minimum(abs(x), 40.0)
         sh = sinh(0.5 * u)
+        sh_u = copysign(sinh(u), x)
         f = 2.0 * h * g / norm2
         re = f * (cos2 + cos * (2.0 * h * sh * sh + math.expm1(-0.5 * s2)))
-        im = -f * h * copysign(sinh(u), x) * sin
+        im = -f * h * sh_u * sin
+        t = 2.0 * h * h * g
+        vac = None if array else (t * (1.0 + 2.0 * sh * sh) * cos, -t * sh_u * sin)
     b = SQRT2 * em1 * g / norm2
     n = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s2))
     o_re = 2.0 * h / n * re + SQRT2 * em1 / n * b
     o_im = 2.0 * h / n * im
-    return re * re + im * im + b * b, o_re * o_re + o_im * o_im, (re, im, g, norm2)
+    return (re * re + im * im + b * b, o_re * o_re + o_im * o_im,
+            (re, im, g, norm2, d0, vac))
+
+
+def _branches(p, x):
+    """_kept_mode at a float x: density, overlap^2, d0, c_vac and c_cat."""
+    dens, overlap2, (_, _, g, _, d0, vac) = _kept_mode(p, x)
+    kx = 2.0 * p.alpha0 * math.cos(0.5 * p.phi) * x
+    # e^{ikx}; k x = +-inf lies past every lobe, short of theta ~ 1e308
+    e = complex(math.cos(kx), math.sin(kx)) if abs(kx) < math.inf else 0j
+    return dens, overlap2, d0, complex(*vac) * e, g * e
 
 
 def _check_density(dens, x):
@@ -359,9 +354,8 @@ def _plane_wigner(alpha, t, s, s2, dens, re_vals, im_vals):
 def kept_wigner(p, x, re_vals, im_vals):
     """Kept-mode Wigner function at X = x, W[i, j] at re_vals[i] + 1j im_vals[j]:
     _plane_wigner of _kept_mode's coordinates."""
-    dens, _, (re, im, g, norm2) = _kept_mode(p, x)
+    dens, _, (re, im, g, norm2, d0, _) = _kept_mode(p, x)
     _check_density(dens, x)
-    d0 = _d0(p)
     return _plane_wigner(complex(re, im), g / norm2, d0 / SQRT2, 0.5 * d0 * d0,
                          dens, re_vals, im_vals)
 
@@ -383,19 +377,29 @@ def cat_wigner(s, re_vals, im_vals):
 
 
 def report(p, x=0.0):
-    """Bundle of coefficients, fidelity (clamped to [0, 1]) to the ideal cat,
-    and separations."""
-    c_vac = vacuum_coefficient(p, x)
-    c_cat = cat_coefficient(p, x)
-    dens, overlap2, _ = _kept_mode(p, x)
+    """Bundle of coefficients, their ratio, fidelity (clamped to [0, 1]) to
+    the ideal cat, and separations, all read off one _kept_mode.  The ratio
+    2 e^{-s^2} sqrt(c^2 + sinh^2 u), c = cos theta, u = x d0, is taken as
+    2 e^{|u| - s^2} sqrt(w c^2 + m^2), w = e^{-2|u|}, m = (1 - w) / 2: no sinh
+    to overflow, and at u = 0 (w = 1, m = 0, sqrt(c c) = |c|) _ratio_exact's
+    factors, coefficient_ratio bit for bit.  DomainError past the float range.
+    """
+    dens, overlap2, d0, c_vac, c_cat = _branches(p, x)
     _check_density(dens, x)
-    return PreparedStateReport(
-        alpha0=p.alpha0, phi=p.phi, x=x,
-        vacuum_coeff=c_vac, cat_coeff=c_cat,
-        ratio=abs(c_vac) / abs(c_cat),
-        fidelity=min(overlap2 / dens, 1.0),
-        density_at_x=dens,
-        separations=separations(p))
+    a2, half, a = p.alpha0 * p.alpha0, math.sin(0.5 * p.phi), abs(x * d0)
+    c = math.cos(a2 * math.sin(p.phi))
+    w, m = math.exp(-2.0 * a), -0.5 * math.expm1(-2.0 * a)
+    try:
+        ratio = (2.0 * math.exp(a - 2.0 * (a2 * half * half))
+                 * math.sqrt(w * c * c + m * m))
+    except OverflowError:
+        ratio = math.inf
+    if not ratio < math.inf:
+        raise DomainError(f"branch ratio |c_vac| / |c_cat| overflows at x={x}")
+    # positional: keywords add to the frozen dataclass's per-field setattr
+    return PreparedStateReport(p.alpha0, p.phi, x, c_vac, c_cat, ratio,
+                               min(overlap2 / dens, 1.0), dens,
+                               Separations(d0, SQRT2 * d0))
 
 
 def _window_pieces(window, centres):

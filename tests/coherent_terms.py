@@ -8,6 +8,7 @@ against it at ordinary points; mp_reference holds the same sums in 80-digit
 arithmetic for the points where they cancel.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from catforge.config import DEGENERATE_NORM
 from catforge.cv_core import coherent_overlap
 from catforge.errors import DegenerateState
-from catforge.protocol import _source_amplitudes, separations
+from catforge.protocol import separations
 
 # terms whose amplitudes agree this closely merge
 COALESCE_TOL = 1e-12
@@ -76,9 +77,16 @@ def even_cat(beta):
     return normalize(coalesce([(1.0, beta), (1.0, -beta)]))
 
 
+def source_amplitudes(p):
+    """The components i alpha0 e^{+-i phi/2} of each source: magnitude alpha0,
+    phases pi/2 +- phi/2, both on the imaginary axis as phi -> 0."""
+    return (1j * p.alpha0 * cmath.exp(0.5j * p.phi),
+            1j * p.alpha0 * cmath.exp(-0.5j * p.phi))
+
+
 def source_state(p):
     """Normalized symmetric superposition emitted by each source."""
-    return normalize(coalesce([(1.0, a) for a in _source_amplitudes(p)]))
+    return normalize(coalesce([(1.0, a) for a in source_amplitudes(p)]))
 
 
 def ideal_cat(p):

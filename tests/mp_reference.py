@@ -5,8 +5,9 @@ from the exact binary values of the float inputs: the source amplitudes
 a+- = i alpha0 e^{+-i phi/2}, coherent overlaps, quadrature amplitudes
 <x|A> = pi^(-1/4) exp(-x^2/2 + sqrt2 x A - A^2/2 - |A|^2/2), and Gram sums
 over the kept-mode terms (c1 |0> + c2 (|k> + |-k>)) / S2, and their Wigner
-pair sum, which also gives the ideal cat's; the branch ratio and its
-second-order form are taken from their closed forms.  Near an odd source
+pair sum, which also gives the ideal cat's; the branch ratio at X = x is
+|c1| / |c2| of those amplitudes, and at x = 0 it and its second-order form
+are also taken from their closed forms.  Near an odd source
 S2 is about d0^2 and the Gram sum of the kept mode cancels to about
 4 log10(1/d0) digits; at d0 = 1e-8 and alpha0 ~ 1e9 the textbook exponents
 lose another 18, which REFERENCE_DPS leaves ample room for.  Window integrals
@@ -104,6 +105,12 @@ class Conditioning:
         by the source norm^2."""
         with mpmath.workdps(REFERENCE_DPS):
             return tuple(complex(c) for c in self._coefficients(mpmath.mpf(x)))
+
+    def ratio(self, x):
+        """|c1| / |c2| at X = x, the branch ratio of report."""
+        with mpmath.workdps(REFERENCE_DPS):
+            c1, c2 = self._coefficients(mpmath.mpf(x))
+            return float(abs(c1) / abs(c2))
 
     def _density(self, x):
         with mpmath.workdps(REFERENCE_DPS):

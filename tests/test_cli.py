@@ -226,6 +226,12 @@ class TestPrepare:
         assert 0.0 <= json.loads(out)["fidelity"] <= 1.0
 
 
+    def test_ratio_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "prepare", "--alpha0", "19", "--phi",
+                             "3.14159", "--x", "38")
+        assert (code, out) == (2, "")
+        assert err == "error: branch ratio |c_vac| / |c_cat| overflows at x=38.0\n"
+
     def test_nan_x_is_refused_by_the_density_floor(self, capsys):
         code, out, err = run(capsys, "prepare", "--alpha0", "1", "--phi", "0.3",
                              "--x", "nan")

@@ -29,8 +29,8 @@ from catforge.protocol import (ProtocolParams, cat_coefficient, cat_wigner,
                                vacuum_null_alpha, vacuum_null_alpha_approx,
                                window_metrics)
 from coherent_terms import (COALESCE_TOL, coalesce, even_cat, gram, ideal_cat,
-                            inner, norm, normalize, source_state, vacuum,
-                            wigner_grid)
+                            inner, norm, normalize, source_amplitudes,
+                            source_state, vacuum, wigner_grid)
 import mp_reference
 from mp_reference import Conditioning
 
@@ -71,6 +71,37 @@ def second_order_tolerance(p, ulps=4):
     a2, phi = p.alpha0 ** 2, p.phi
     env = 2.0 * math.exp(-0.5 * a2 * phi * phi)
     return ulps * 2.0 ** -52 * env * (1.0 + a2 * phi * (2.0 * phi + 3.0))
+
+
+def branch_tolerances(p, x, ulps=4):
+    """A few ulps times the absolute condition numbers of c_vac, c_cat and
+    the ratio at X = x, for relative perturbations of alpha0, phi and x.
+
+    With g(y) = pi^(-1/4) e^{-y^2/2}, k = 2 a cos(phi/2), theta = a^2 sin phi,
+    each lobe L+- = g(x +- d0) e^{i(kx +- theta)} of c_vac moves by |L+-| times
+        |x +- d0| (|x| + d0 + phi a cos(phi/2)) + 2 |kx| + 2 theta
+            + phi (a^2 |cos phi| + |x| a sin(phi/2)),
+    and c_cat = g(x) e^{ikx} by |c_cat| (x^2 + 2 |kx| + phi |x| a sin(phi/2)).
+    The ratio R = E sqrt(cos^2 theta + sinh^2 u), E = 2 e^{-s^2}, u = x d0,
+    moves by at most E cosh(u) (2 s^2 + theta phi + 3 |u|) through s^2 and u,
+    and by E (2 theta + a^2 phi |cos phi|) through theta: at x = 0 the bound
+    of ratio_tolerance.
+    """
+    a, phi, x = p.alpha0, p.phi, float(x)
+    d0, k, theta = (2.0 * a * math.sin(0.5 * phi), 2.0 * a * math.cos(0.5 * phi),
+                    a * a * math.sin(phi))
+    kx, s2, u = abs(k * x), 0.5 * d0 * d0, x * d0
+    phase = 2.0 * kx + 2.0 * theta + phi * (a * a * abs(math.cos(phi))
+                                             + abs(x) * a * math.sin(0.5 * phi))
+    vac = sum(PI_QUARTER_INV * math.exp(-0.5 * y * y)
+              * (1.0 + abs(y) * (abs(x) + d0 + phi * a * math.cos(0.5 * phi)) + phase)
+              for y in (x + d0, x - d0))
+    cat = PI_QUARTER_INV * math.exp(-0.5 * x * x) * (
+        1.0 + x * x + 2.0 * kx + phi * abs(x) * a * math.sin(0.5 * phi))
+    env = 2.0 * math.exp(-s2)
+    ratio = env * (math.cosh(u) * (1.0 + 2.0 * s2 + theta * phi + 3.0 * abs(u))
+                   + 2.0 * theta + a * a * phi * abs(math.cos(phi)))
+    return tuple(ulps * 2.0 ** -52 * t for t in (vac, cat, ratio))
 
 
 class TestParams:
@@ -214,12 +245,87 @@ class TestCoefficients:
             assert vacuum_coefficient(p).imag == 0.0
 
     def test_vacuum_coefficient_matches_direct_overlaps(self):
+        # the closed form is not the overlaps' route, so the two agree to the
+        # coefficient's condition number: here the closed form is 1.3 ulps
+        # from the 80-digit value and the overlaps 3 ulps
         p = ProtocolParams(1.7, 0.45)
         a_plus = 1j * p.alpha0 * cmath.exp(0.5j * p.phi)
         a_minus = 1j * p.alpha0 * cmath.exp(-0.5j * p.phi)
         want = (quadrature_overlap(0.0, SQRT2 * a_plus)
                 + quadrature_overlap(0.0, SQRT2 * a_minus))
-        assert vacuum_coefficient(p) == want
+        tol = branch_tolerances(p, 0.0)[0]
+        assert abs(vacuum_coefficient(p) - want) <= tol
+        ref = Conditioning(p.alpha0, p.phi).coefficients(0.0)[0]
+        assert abs(vacuum_coefficient(p) - ref) <= abs(want - ref)
+
+    @staticmethod
+    def one_route_points():
+        """Seeded ordinary points, nulls, and points with phi < 2^-20 (the
+        integer path of _phase) or near an odd source."""
+        rng = np.random.default_rng(98)
+        points = list(params_grid(rng, 150, alpha_max=6.0))
+        points += [ProtocolParams(rng.uniform(0.1, 6.0),
+                                  rng.uniform(0.0, 2.0 ** -20)) for _ in range(30)]
+        points += [ProtocolParams(vacuum_null_alpha(phi, k), phi)
+                   for phi in rng.uniform(0.05, 3.1, 10) for k in range(3)]
+        points += [ProtocolParams(a, phi) for a, phi in TINY_PHI_POINTS]
+        points += [ProtocolParams(*odd_source(k, d0))
+                   for k in range(3) for d0 in (1e-8, 1e-3, 0.5)]
+        return points + TestCoefficients.NULL_POINTS
+
+    def test_report_at_origin_is_the_closed_forms_bit_for_bit(self):
+        for p in self.one_route_points():
+            r = report(p, 0.0)
+            assert r.ratio == coefficient_ratio(p)
+            assert r.cat_coeff == PI_QUARTER_INV
+            assert r.cat_coeff.imag == 0.0
+
+    def test_coefficients_are_the_report_fields_bit_for_bit(self):
+        rng = np.random.default_rng(99)
+        for p in self.one_route_points():
+            for x in (0.0, -0.0, *rng.uniform(-3.0, 3.0, 3)):
+                r = report(p, x)
+                assert repr(vacuum_coefficient(p, x)) == repr(r.vacuum_coeff)
+                assert repr(cat_coefficient(p, x)) == repr(r.cat_coeff)
+                assert r.separations == separations(p)
+
+    def test_far_from_every_lobe(self):
+        # k x overflows at x = 1e308; every lobe is 0 long before
+        p = ProtocolParams(1e8, 0.3)
+        for x in (1e3, 1e308, -math.inf):
+            assert vacuum_coefficient(p, x) == 0j
+            assert cat_coefficient(p, x) == 0j
+
+
+class TestBranchCoefficientsReference:
+    """c_vac, c_cat and the ratio at X = x against the 80-digit amplitudes."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(97)
+        points = []
+        for i in range(400):
+            phi = (rng.uniform(0.0, 2.0 ** -20) if i % 8 == 0
+                   else rng.uniform(0.0, math.pi))
+            points.append((ProtocolParams(rng.uniform(0.1, 6.0), phi),
+                           rng.uniform(-2.0, 2.0)))
+        # odd sources within alpha0 <= 6, on both sides of s^2 = 1
+        for k, d0 in ((0, 0.6), (0, 1.0), (0, 1.5), (1, 2.0), (2, 3.0)):
+            for x in (0.0, 0.4, -1.3, 2.0):
+                points.append((ProtocolParams(*odd_source(k, d0)), x))
+        return points
+
+    def test_against_high_precision(self):
+        points = self.points()
+        s2 = [0.5 * separations(p).d0 ** 2 for p, _ in points]
+        assert min(s2) < 1e-12 and sum(v > 1.0 for v in s2) > 100
+        for p, x in points:
+            ref = Conditioning(p.alpha0, p.phi)
+            want = (*ref.coefficients(x), ref.ratio(x))
+            r = report(p, x)
+            got = (r.vacuum_coeff, r.cat_coeff, r.ratio)
+            for g, w, tol in zip(got, want, branch_tolerances(p, x)):
+                assert abs(g - w) <= tol, (p, x)
 
 
 class TestCoefficientRatio:
@@ -431,6 +537,23 @@ class TestReport:
         r = report(ProtocolParams(0.0, 0.4))
         assert r.ratio == pytest.approx(2.0, abs=1e-13)
 
+    def test_ratio_past_the_float_range_names_x(self):
+        # |c_cat| = g(38) is about 2e-314 and |c_vac| about 0.46
+        p = ProtocolParams(19.0, 3.14159)
+        with pytest.raises(DomainError, match=r"overflows at x=38\.0$"):
+            report(p, 38.0)
+        # one lobe apart: the ratio is about 1.1e297, its exponent x d0 - s^2
+        # of condition number about x d0 = 1406
+        got = report(p, 37.0).ratio
+        assert rel(got, Conditioning(19.0, 3.14159).ratio(37.0)) <= 1e-12
+
+    def test_ratio_where_both_coefficients_underflow(self):
+        # at alpha0 = 1e154 s^2 overflows; the lobe at x = d0 has a density,
+        # but |c_vac| / |c_cat| is inf / inf there
+        p = ProtocolParams(1e154, 0.3)
+        with pytest.raises(DomainError, match="overflows at x="):
+            report(p, separations(p).d0)
+
 
 class TestWindowMetrics:
     def test_reference_window(self):
@@ -492,7 +615,7 @@ def interfere_renormalized(p, merge=True):
         src = source_state(p)
     else:
         src = normalize(tuple(
-            (1.0, complex(a)) for a in protocol._source_amplitudes(p)))
+            (1.0, complex(a)) for a in source_amplitudes(p)))
     product = [(wi * wj, ai, aj) for wi, ai in src for wj, aj in src]
     if merge:
         # the pairs of a coalesced source are pairwise distinct: coalescing
@@ -683,7 +806,7 @@ def check_coefficients(p, x, ulps=4):
     the condition numbers of <x|A>; the tolerance weighs each |<x|A>| by
     them.  The phase alone fails at phi near pi, where |Re A| is large.
     """
-    a_plus, a_minus = protocol._source_amplitudes(p)
+    a_plus, a_minus = source_amplitudes(p)
     measured = ((SQRT2 * a_plus, SQRT2 * a_minus), ((a_plus + a_minus) / SQRT2,))
     got = (vacuum_coefficient(p, x), cat_coefficient(p, x))
     want = Conditioning(p.alpha0, p.phi).coefficients(x)
@@ -765,7 +888,7 @@ class TestKeptModeFloatArray:
 
     @staticmethod
     def fields(out):
-        dens, overlap2, (re, im, g, norm2) = out
+        dens, overlap2, (re, im, g, norm2, _, _) = out
         return dens, overlap2, re, im, g, norm2
 
     @pytest.mark.parametrize("alpha0, phi", POINTS,

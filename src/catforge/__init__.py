@@ -8,7 +8,7 @@ optimization tools built on top of them.
 """
 
 from .config import fock_cap
-from .cv_core import HomodyneWindow, coherent_overlap, quadrature_overlap
+from .cv_core import HomodyneWindow
 from .errors import (
     CatforgeError,
     DegenerateState,
@@ -61,7 +61,6 @@ __all__ = [
     "TruncationTooLarge",
     "ZeroProbability",
     "cat_coefficient",
-    "coherent_overlap",
     "coefficient_ratio",
     "coefficient_ratio_second_order",
     "coefficient_ratio_small_angle",
@@ -71,7 +70,6 @@ __all__ = [
     "fock_cap",
     "homodyne_density",
     "kept_wigner",
-    "quadrature_overlap",
     "report",
     "separations",
     "sweep_ratio",

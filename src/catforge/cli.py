@@ -259,8 +259,8 @@ def build_parser():
     sp.set_defaults(func=cmd_wigner)
 
     sp = sub.add_parser("validate", help="closed forms vs Fock oracle")
-    sp.add_argument("--alpha0-values", default="0.5,1,2,3")
-    sp.add_argument("--phi-values", default="0.05,0.1,0.5")
+    sp.add_argument("--alpha0-values", default=",".join(map(repr, crosscheck.GRID_ALPHA0)))
+    sp.add_argument("--phi-values", default=",".join(map(repr, crosscheck.GRID_PHI)))
     sp.add_argument("--tolerance", type=float, default=CROSSCHECK_TOL)
     sp.add_argument("--max-fock", type=int, default=None,
                     help="override the Fock dimension cap")

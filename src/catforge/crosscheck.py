@@ -4,8 +4,8 @@ The analytic route (protocol's closed forms) and the truncated-Fock route
 (fock_oracle) compute every conditioning quantity independently; this module
 runs both over a parameter grid and reports the worst absolute deviation.
 The extraction of the branch coefficients from the oracle state uses only
-Fock-side data: the conditioned vector is resolved against the Fock carriers
-of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
+Fock-side data: the x = 0 row of the density samples is resolved against the
+Fock carriers of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
 fock_oracle.window_metrics, serves here only, as the oracle of
 protocol.window_metrics; each takes a table of windows in one rule pass.
 """
@@ -19,12 +19,16 @@ import numpy as np
 from . import fock_oracle, protocol
 from .cv_core import (SQRT2, HomodyneWindow, coherent_overlap,
                       quadrature_overlap)
-from .errors import DegenerateState
+from .config import CROSSCHECK_TOL, ZERO_DENSITY
+from .errors import DegenerateState, ZeroProbability
 from .quadrature import gauss_legendre
 
 GRID_ALPHA0 = (0.5, 1.0, 2.0, 3.0)
 GRID_PHI = (0.05, 0.1, 0.5)
+# x = 0 first: oracle_conditioning resolves the branches from its row
 DENSITY_SAMPLES = (0.0, 0.3, 0.9, 1.7)
+# split rounding per unit of the cat carrier's tail: 14 ulps at most seen
+SPLIT_ROUNDING = 16 * np.finfo(float).eps
 WINDOW_EPSILONS = (0.05, 0.2)
 
 
@@ -58,43 +62,45 @@ def oracle_pipeline(p, cap=None):
            + fock_oracle.coherent_fock(1j * p.alpha0 * half.conjugate(), dim))
     raw_norm2 = float(np.vdot(raw, raw).real)
     src = raw / math.sqrt(raw_norm2)
-    pair = fock_oracle.product_state(src, src)
+    pair = np.outer(src, src)
     for n in range(1, dim):
         pair[n, dim - n:] = 0.0  # m >= dim - n
     out = fock_oracle.apply_beam_splitter(pair)
     return out, dim, raw_norm2
 
 
-def _cat_fock(p, dim):
-    """Half-separation s and the unnormalized Fock carrier of |s> + |-s>."""
-    s = SQRT2 * p.alpha0 * math.sin(0.5 * p.phi)
-    return s, fock_oracle.coherent_fock(s, dim) + fock_oracle.coherent_fock(-s, dim)
-
-
 def oracle_conditioning(p, cap=None):
     """Run the full pipeline in Fock space and resolve the branch coefficients.
 
-    Returns (vac_coeff, cat_coeff, ratio, density_at_0, cond_vector, out, cat):
-    the coefficients are rescaled by the raw (unnormalized) source norm so they
-    are directly comparable to the analytic projection coefficients; out is
-    the oracle_pipeline output and cat the normalized Fock carrier of the
-    cat, the oracle's fidelity target.
+    Returns (vac_coeff, cat_coeff, samples, out, cat): samples[j] is out
+    projected on <x| at DENSITY_SAMPLES[j], and samples[0] the conditioned
+    vector; the coefficients are rescaled by the raw (unnormalized) source
+    norm so they are directly comparable to the analytic projection
+    coefficients; out is the oracle_pipeline output and cat the normalized
+    Fock carrier of the cat, the oracle's fidelity target.
     """
     out, dim, raw_norm2 = oracle_pipeline(p, cap)
-    v, dens = fock_oracle.project_quadrature(out, 0.0)
+    samples = fock_oracle.project_quadrature(out, DENSITY_SAMPLES)
+    v = samples[0]
+    dens = float(np.vdot(v, v).real)
+    if dens < ZERO_DENSITY:
+        raise ZeroProbability(f"quadrature density {dens:.3e} at x=0 below floor")
 
-    s, u_cat = _cat_fock(p, dim)
+    s = SQRT2 * p.alpha0 * math.sin(0.5 * p.phi)
+    u_cat = fock_oracle.coherent_fock(s, dim) + fock_oracle.coherent_fock(-s, dim)
     tail = u_cat[1:]
     tail_norm2 = float(np.vdot(tail, tail).real)
-    if tail_norm2 == 0.0:
-        # all branches coalesce at the vacuum, so v determines only the sum
-        # of the coefficients and the split is not recoverable from Fock data
+    tail_norm = math.sqrt(tail_norm2)
+    # c_cat divides v's rounding by the tail, whose norm shrinks as s^2; at
+    # s = 0 the branches coalesce at the vacuum and v fixes only their sum
+    if SPLIT_ROUNDING > CROSSCHECK_TOL * tail_norm:
         raise DegenerateState(
-            f"cannot resolve branch coefficients at separation {2 * s:.3e}")
+            f"cannot resolve branch coefficients at separation {2 * s:.3e}: "
+            f"the cat's Fock carrier leaves the vacuum by {tail_norm:.3e}, "
+            f"too little to split within {CROSSCHECK_TOL:g}")
     c_cat = complex(np.vdot(tail, v[1:])) / tail_norm2
     c_vac = complex(v[0]) - c_cat * u_cat[0].real
-    ratio = abs(c_vac) / abs(c_cat)
-    return (c_vac * raw_norm2, c_cat * raw_norm2, ratio, dens, v, out,
+    return (c_vac * raw_norm2, c_cat * raw_norm2, samples, out,
             u_cat / np.linalg.norm(u_cat))
 
 
@@ -141,21 +147,20 @@ def crosscheck_point(p, cap=None):
     def add(name, value):
         devs.append(Deviation(name, p.alpha0, p.phi, float(value)))
 
-    c_vac_o, c_cat_o, ratio_o, dens0_o, v, out, cat = oracle_conditioning(p, cap)
+    c_vac_o, c_cat_o, samples, out, cat = oracle_conditioning(p, cap)
     add("vacuum_coeff", abs(protocol.vacuum_coefficient(p) - c_vac_o))
     add("cat_coeff", abs(protocol.cat_coefficient(p) - c_cat_o))
-    add("ratio", abs(protocol.coefficient_ratio(p) - ratio_o))
+    add("ratio", abs(protocol.coefficient_ratio(p) - abs(c_vac_o) / abs(c_cat_o)))
 
-    # x = 0 is projected above; the other samples with the window nodes
-    windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
-    windows_o, dens_o = fock_oracle.window_metrics(
-        out, windows, cat, DENSITY_SAMPLES[1:])
-    for x, dens in zip(DENSITY_SAMPLES, [dens0_o, *dens_o]):
+    dens_o = np.sum(np.abs(samples) ** 2, axis=1)
+    for x, dens in zip(DENSITY_SAMPLES, dens_o):
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
-    add("fidelity", abs(protocol.report(p).fidelity - fock_oracle.fidelity(
-        v / np.linalg.norm(v), cat)))
+    fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
+    add("fidelity", abs(protocol.report(p).fidelity - fid_o))
 
+    windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
+    windows_o = fock_oracle.window_metrics(out, windows, cat)
     for w, (prob_a, fid_a), (prob_o, fid_o) in zip(
             windows, protocol.window_metrics(p, windows), windows_o):
         add(f"window_prob@eps={w.half_width:g}", abs(prob_o - prob_a))

@@ -1,6 +1,6 @@
-"""Truncated photon-number-basis oracle for the coherent-superposition algebra.
+"""Truncated photon-number-basis oracle for the conditioning closed forms.
 
-This module deliberately shares no formulas with cv_core beyond the state
+This module deliberately shares no formulas with protocol beyond the state
 definitions: coherent states are expanded into Fock amplitudes, the balanced
 beam splitter is built one total-photon block at a time in floats by Risbo's
 Wigner-d recursion at beta = pi/2 (see _bs_blocks), and quadrature
@@ -14,9 +14,9 @@ two-mode pure state is a 2D array amps[n, m] with n indexing the measured
 mode and m the output mode.  The truncated beam splitter is exactly unitary
 on the triangle n + m < dim of complete total-photon blocks and maps it onto
 itself, so two-mode states are truncated by total photon number, and the
-beam splitter builds only the blocks a state occupies.  A windowed, mixed
-output is reduced to its probability and fidelity without forming its
-density matrix.
+beam splitter builds only the blocks a state occupies.  project_quadrature
+conditions on a whole array of x at once.  A windowed, mixed output is
+reduced to its probability and fidelity without forming its density matrix.
 """
 
 import math
@@ -72,27 +72,24 @@ def quadrature_eigvec(x, dim):
 
     Stable three-term recurrence
         h_{n+1} = x sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1},
-    seeded by h_0 = pi^(-1/4) exp(-x^2/2).  x may be an array of nodes; the
-    recurrence then runs over n for all nodes at once, and the result has
-    shape x.shape + (dim,).  Dotting with coherent_fock reproduces the
-    closed-form <x|alpha> of cv_core.
+    seeded by h_0 = pi^(-1/4) exp(-x^2/2).  x is an array of nodes; the
+    recurrence runs over n for all nodes at once, and the result has shape
+    x.shape + (dim,).  A row dotted with coherent_fock(alpha, dim) is the
+    wavefunction <x|alpha> of a coherent state.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((dim,) + x.shape, dtype=float)
-    if x.ndim == 0:
-        x = float(x)  # a float steps through the recurrence faster than a 0-d array
     out[0] = _PI_QUARTER_INV * np.exp(-0.5 * x * x)
     if dim > 1:
         out[1] = _SQRT2 * x * out[0]
-    for n in range(1, dim - 1):
-        out[n + 1] = (x * math.sqrt(2.0 / (n + 1)) * out[n]
-                      - math.sqrt(n / (n + 1)) * out[n - 1])
+    k = np.arange(1.0, dim - 1)
+    up = np.multiply.outer(np.sqrt(2.0 / (k + 1)), x.ravel())  # x sqrt(2/(n+1))
+    h = list(out.reshape(dim, x.size))  # views of the rows of out
+    # three ufunc calls a step on row views: at a few nodes, call overhead is the cost
+    for n, u, d in zip(range(1, dim - 1), up, np.sqrt(k / (k + 1)).tolist()):
+        np.multiply(u, h[n], out=h[n + 1])
+        h[n + 1] -= d * h[n - 1]
     return np.moveaxis(out, 0, -1)
-
-
-def product_state(va, vb):
-    """Two-mode product state amps[n, m] = va[n] * vb[m]."""
-    return np.outer(np.asarray(va, dtype=complex), np.asarray(vb, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -209,61 +206,41 @@ def apply_beam_splitter(amps):
 # homodyne projection
 # ---------------------------------------------------------------------------
 
-def project_quadrature(amps, x):
-    """Project the measured mode on <x|; returns (mode-4 vector, density).
+def project_quadrature(amps, xs):
+    """Project the measured mode on <x| at each x of xs, in one pass.
 
-    The vector v[m] = sum_n h_n(x) amps[n, m] is left unnormalized; density
-    is |v|^2, the quadrature marginal when amps is normalized.
+    Returns v[j, m] = sum_n h_n(x_j) amps[n, m]: row j is the unnormalized
+    output-mode vector conditioned on x_j, and |v[j]|^2 the quadrature
+    marginal there when amps is normalized.
     """
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
-    v = quadrature_eigvec(x, amps.shape[0]) @ amps
-    dens = float(np.vdot(v, v).real)
-    if dens < ZERO_DENSITY:
-        raise ZeroProbability(f"quadrature density {dens:.3e} at x={x} below floor")
-    return v, dens
+    return quadrature_eigvec(xs, amps.shape[0]) @ amps
 
 
-def window_metrics(amps, windows, target, points=()):
+def window_metrics(amps, windows, target):
     """Per window on X, the acceptance probability and the fidelity of the
-    accepted state to a normalized pure target, and |v(x)|^2 at each point:
-    returns ([(probability, fidelity), ...], [density, ...]).
+    accepted state to a normalized pure target: [(probability, fidelity), ...].
 
-    With v_j = sum_n h_n(x_j) amps[n, :] projected at every node x_j of the
-    windows' rule (and the points) at once, and w_j > 0 its weights:
+    With v_j the projection at node x_j of the windows' rule (all nodes in
+    one pass) and w_j > 0 its weight:
         probability = sum_j w_j |v_j|^2,
         fidelity = sum_j w_j |<target|v_j>|^2 / probability, clamped at 1,
     the trace and <target|rho|target> of the windowed density, never formed.
     """
-    amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 2:
-        raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
-    if np.shape(target) != amps.shape[1:]:
-        raise DimensionMismatch(
-            f"target shape {np.shape(target)} is not {amps.shape[1:]}")
     xs, ws, spans = gauss_legendre([[(w.lo, w.hi)] for w in windows])
-    k = len(points)
-    v = quadrature_eigvec(np.concatenate([points, xs]), amps.shape[0]) @ amps
+    v = project_quadrature(amps, xs)
+    if np.shape(target) != v.shape[1:]:
+        raise DimensionMismatch(
+            f"target shape {np.shape(target)} is not {v.shape[1:]}")
     dens = np.sum(np.abs(v) ** 2, axis=1)
-    node_dens, overlap2 = dens[k:], np.abs(v[k:] @ np.conj(target)) ** 2
+    overlap2 = np.abs(v @ np.conj(target)) ** 2
     metrics = []
     for span in spans:
         w = ws[span]
-        prob = float(w.dot(node_dens[span]))
+        prob = float(w.dot(dens[span]))
         if prob < ZERO_DENSITY:
             raise ZeroProbability(f"window probability {prob:.3e} below floor")
         metrics.append((prob, min(float(w.dot(overlap2[span])) / prob, 1.0)))
-    return metrics, dens[:k].tolist()
-
-
-def fidelity(state, target):
-    """Fidelity |<target|state>|^2 of a pure state against a normalized pure
-    target, clamped at 1."""
-    state = np.asarray(state, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if target.ndim != 1 or state.shape != target.shape:
-        raise DimensionMismatch(
-            f"expected two pure states of one dimension, got shapes "
-            f"{state.shape} and {target.shape}")
-    return float(min(abs(np.vdot(target, state)) ** 2, 1.0))
+    return metrics

@@ -25,7 +25,7 @@ import numpy as np
 from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import PI_QUARTER_INV
 from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
-                                  product_state, project_quadrature)
+                                  project_quadrature)
 from catforge import fock_oracle
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff, zero_alphas
 from catforge.protocol import (ProtocolParams, cat_coefficient, cat_wigner,
@@ -62,7 +62,8 @@ def test_criterion_02():
     for phi in (0.05, 0.1, 0.5):
         for alpha0 in (0.5, 1.0, 2.0, 3.0):
             p = ProtocolParams(alpha0, phi)
-            _, _, ratio_o, _, _, _, _ = oracle_conditioning(p)
+            c_vac_o, c_cat_o, *_ = oracle_conditioning(p)
+            ratio_o = abs(c_vac_o) / abs(c_cat_o)
             worst = max(worst, abs(coefficient_ratio(p) - ratio_o))
     ok = worst <= 1e-8 and time.perf_counter() - t0 < 30.0
     _verdict(2, ok, "closed-form ratio matches the number-basis oracle", t0)
@@ -188,9 +189,9 @@ def test_criterion_09():
         x, y, u, v = rng.uniform(-1.2, 1.2, 4)
         a, b = complex(x, y), complex(u, v)
         out = apply_beam_splitter(
-            product_state(coherent_fock(a, dim), coherent_fock(b, dim)))
-        want = product_state(coherent_fock((a + b) / SQRT2, dim),
-                             coherent_fock((a - b) / SQRT2, dim))
+            np.outer(coherent_fock(a, dim), coherent_fock(b, dim)))
+        want = np.outer(coherent_fock((a + b) / SQRT2, dim),
+                        coherent_fock((a - b) / SQRT2, dim))
         worst_map = max(worst_map, float(np.linalg.norm(out - want)))
     worst_unitary = 0.0
     for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(dim)):
@@ -200,10 +201,7 @@ def test_criterion_09():
         worst_unitary = max(worst_unitary, dev)
     out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
     xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
-    mass = 0.0
-    for x, w in zip(xs, ws):
-        _, dens = project_quadrature(out, x)
-        mass += w * dens
+    mass = float(ws @ np.sum(np.abs(project_quadrature(out, xs)) ** 2, axis=1))
     ok = (worst_map <= 1e-8 and worst_unitary <= 1e-10
           and abs(mass - 1.0) <= 1e-6 and time.perf_counter() - t0 < 30.0)
     _verdict(9, ok, "number-basis beam splitter is exact and norm preserving", t0)

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catforge import cli, cv_core, protocol
+from catforge import cli, crosscheck, cv_core, protocol
 from catforge._format17 import CHUNK, csv_lines
 from catforge.optimize_sweep import GridSpec, window_tradeoff
 from catforge.protocol import ProtocolParams
@@ -593,6 +593,31 @@ class TestValidate:
         assert code == 0
         assert "validation PASSED" in out
         assert "max deviation" in out
+
+    def test_default_grid_is_the_crosscheck_grid(self, capsys, monkeypatch):
+        # the flags' defaults are crosscheck's grid, point for point
+        seen = []
+
+        def record(p, cap=None):
+            seen.append((p.alpha0, p.phi))
+            return [crosscheck.Deviation("ratio", p.alpha0, p.phi, 0.0)]
+        monkeypatch.setattr(crosscheck, "crosscheck_point", record)
+        crosscheck.crosscheck_grid()
+        want, seen[:] = seen[:], []
+        code, out, _ = run(capsys, "validate")
+        assert code == 0 and len(want) == 12
+        assert seen == want
+        assert "over 12 parameter points" in out
+
+    def test_unresolvable_split_refused(self, capsys):
+        # the cat's Fock carrier lies within rounding of the vacuum: the
+        # oracle cannot split the branches, which is no failure of the
+        # closed forms
+        code, out, err = run(capsys, "validate", "--alpha0-values", "1",
+                             "--phi-values", "1e-9")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot resolve branch coefficients")
+        assert "separation 1.414e-09" in err and err.count("\n") == 1
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "validate", "--alpha0-values", "1",

@@ -7,13 +7,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from catforge.crosscheck import (crosscheck_grid, crosscheck_point,
-                                 oracle_conditioning, oracle_pipeline,
-                                 window_metrics_analytic)
+from catforge.crosscheck import (DENSITY_SAMPLES, crosscheck_grid,
+                                 crosscheck_point, oracle_conditioning,
+                                 oracle_pipeline, window_metrics_analytic)
 from catforge import fock_oracle, protocol, quadrature
 from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
-from catforge.errors import DegenerateState
+from catforge.errors import DegenerateState, ZeroProbability
 from catforge.protocol import ProtocolParams, window_metrics
 
 
@@ -40,8 +40,10 @@ class TestOraclePipeline:
 
 class TestOracleConditioning:
     def test_reference_point(self):
-        c_vac, c_cat, ratio, dens, _, _, _ = oracle_conditioning(
-            ProtocolParams(1.0, 0.1))
+        c_vac, c_cat, samples, _, _ = oracle_conditioning(ProtocolParams(1.0, 0.1))
+        ratio = abs(c_vac) / abs(c_cat)
+        dens = np.vdot(samples[0], samples[0]).real
+        assert samples.shape[0] == len(DENSITY_SAMPLES) and DENSITY_SAMPLES[0] == 0
         assert c_vac == pytest.approx(1.4873220467199977 + 0j, abs=1e-10)
         assert c_cat == pytest.approx(0.7511255444649425 + 0j, abs=1e-10)
         assert ratio == pytest.approx(1.9801244381583083, abs=1e-10)
@@ -52,6 +54,29 @@ class TestOracleConditioning:
             oracle_conditioning(ProtocolParams(1.0, 0.0))
         with pytest.raises(DegenerateState):
             oracle_conditioning(ProtocolParams(0.0, 0.4))
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.0, 3.0])
+    def test_split_below_the_rounding_raises(self, alpha0):
+        # at phi = 1e-4 the cat's carrier leaves the vacuum by about d0^2 /
+        # sqrt2 (7e-9 at alpha0 = 1); the split's rounding, about eps over
+        # that, puts the ratio off by 1.1e-8 to 8.4e-8 at these points:
+        # refused rather than reported as a deviation of the closed forms
+        with pytest.raises(DegenerateState, match="separation"):
+            oracle_conditioning(ProtocolParams(alpha0, 1e-4))
+
+    def test_smallest_benchmark_separation_is_resolved(self):
+        # the validate-cold workload's closest branches: dimension 25 at
+        # phi = 0.05, d0 = 0.0136
+        p = ProtocolParams(0.272, 0.05)
+        assert protocol.separations(p).d0 < 0.0137
+        assert max(d.value for d in crosscheck_point(p)) <= 1e-11
+
+    def test_zero_density_at_origin_raises(self, monkeypatch):
+        # the conditioned vector is divided by its density: the floor holds
+        monkeypatch.setattr(fock_oracle, "project_quadrature",
+                            lambda amps, xs: np.zeros((len(xs), len(amps)), complex))
+        with pytest.raises(ZeroProbability, match="x=0"):
+            oracle_conditioning(ProtocolParams(1.0, 0.1))
 
 
 class TestPointChecks:
@@ -69,7 +94,7 @@ class TestPointChecks:
         w = HomodyneWindow(0.0, 0.2)
         [(prob, fid)] = window_metrics(p, [w])
         *_, out, cat = oracle_conditioning(p)
-        [(prob_fock, fid_fock)], _ = fock_oracle.window_metrics(out, [w], cat)
+        [(prob_fock, fid_fock)] = fock_oracle.window_metrics(out, [w], cat)
         prob_loop, fid_loop = window_metrics_analytic(p, w)
         assert type(prob) is float and type(fid) is float
         assert abs(prob - prob_fock) < 1e-10

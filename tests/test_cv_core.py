@@ -453,3 +453,6 @@ def test_exports_resolve_and_leave_out_the_coherent_term_algebra():
             "_coalesce", "_finite", "COALESCE_TOL", "NORM_TOL"}
     for module in (catforge, cv_core, protocol, config):
         assert not gone & set(vars(module)), module.__name__
+    # the overlaps stay in cv_core for the window reference, unexported
+    overlaps = {"coherent_overlap", "quadrature_overlap"}
+    assert not overlaps & (set(vars(catforge)) | set(catforge.__all__))

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 """
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -82,9 +81,11 @@ def cmd_ratio(args):
 
 
 def cmd_prepare(args):
-    p = _params(args)
+    r = protocol.report(_params(args), args.x)
     payload = {k: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
-               for k, v in dataclasses.asdict(protocol.report(p, args.x)).items()}
+               for k, v in r._asdict().items()}
+    # in place: the key keeps its position, last
+    payload["separations"] = r.separations._asdict()
     _write(args.out, [_json_text(payload)])
     return 0
 

@@ -148,16 +148,17 @@ def crosscheck_point(p, cap=None):
         devs.append(Deviation(name, p.alpha0, p.phi, float(value)))
 
     c_vac_o, c_cat_o, samples, out, cat = oracle_conditioning(p, cap)
-    add("vacuum_coeff", abs(protocol.vacuum_coefficient(p) - c_vac_o))
-    add("cat_coeff", abs(protocol.cat_coefficient(p) - c_cat_o))
-    add("ratio", abs(protocol.coefficient_ratio(p) - abs(c_vac_o) / abs(c_cat_o)))
+    r = protocol.report(p)
+    add("vacuum_coeff", abs(r.vacuum_coeff - c_vac_o))
+    add("cat_coeff", abs(r.cat_coeff - c_cat_o))
+    add("ratio", abs(r.ratio - abs(c_vac_o) / abs(c_cat_o)))
 
     dens_o = np.sum(np.abs(samples) ** 2, axis=1)
     for x, dens in zip(DENSITY_SAMPLES, dens_o):
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
     fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
-    add("fidelity", abs(protocol.report(p).fidelity - fid_o))
+    add("fidelity", abs(r.fidelity - fid_o))
 
     windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
     windows_o = fock_oracle.window_metrics(out, windows, cat)

@@ -18,6 +18,7 @@ grids are read off it.  crosscheck holds the Fock route that checks them.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +59,14 @@ def canonical_phi(phi):
     return 2.0 * math.pi - p if p > math.pi else p
 
 
-@dataclass(frozen=True)
-class Separations:
+class Separations(NamedTuple):
     """Input separation d0 of each source and output separation d of the cat."""
 
     d0: float
     d: float
 
 
-@dataclass(frozen=True)
-class PreparedStateReport:
+class PreparedStateReport(NamedTuple):
     """Everything the conditioning at one quadrature value produces."""
 
     alpha0: float
@@ -396,7 +395,6 @@ def report(p, x=0.0):
         ratio = math.inf
     if not ratio < math.inf:
         raise DomainError(f"branch ratio |c_vac| / |c_cat| overflows at x={x}")
-    # positional: keywords add to the frozen dataclass's per-field setattr
     return PreparedStateReport(p.alpha0, p.phi, x, c_vac, c_cat, ratio,
                                min(overlap2 / dens, 1.0), dens,
                                Separations(d0, SQRT2 * d0))

@@ -15,6 +15,8 @@ take Gauss-Legendre quadrature at QUAD_DPS digits of an integrand evaluated
 at REFERENCE_DPS.
 """
 
+import sys
+
 import mpmath
 
 REFERENCE_DPS = 80
@@ -71,6 +73,16 @@ def coefficient_ratio_second_order(alpha0, phi):
     with mpmath.workdps(REFERENCE_DPS):
         a, f = mpmath.mpf(alpha0), mpmath.mpf(phi)
         return float(mpmath.exp(-a * a * f * f / 2) * 2 * abs(mpmath.cos(a * a * f)))
+
+
+def vacuum_null_alpha(phi, k):
+    """(alpha0, alpha0^2 / the largest double - 1) at the k-th vacuum null,
+    alpha0^2 = (k + 1/2) pi / sin(phi): the second is positive where alpha0^2
+    leaves the float range (alpha0 may then be inf)."""
+    with mpmath.workdps(REFERENCE_DPS):
+        a2 = (k + mpmath.mpf(0.5)) * mpmath.pi / mpmath.sin(mpmath.mpf(phi))
+        return (float(mpmath.sqrt(a2)),
+                float(a2 / mpmath.mpf(sys.float_info.max) - 1))
 
 
 class Conditioning:

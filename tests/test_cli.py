@@ -207,6 +207,57 @@ class TestPrepare:
         assert code == 0
         assert json.loads(out)["alpha0"] == 1.0
 
+    # the full output, byte for byte: key order, nesting and number format
+    GOLDEN = {
+        ("--alpha0", "1", "--phi", "0.1"): """\
+{
+  "alpha0": 1.0,
+  "phi": 0.1,
+  "x": 0.0,
+  "vacuum_coeff": {
+    "re": 1.4873220467199975,
+    "im": 0.0
+  },
+  "cat_coeff": {
+    "re": 0.7511255444649425,
+    "im": 0.0
+  },
+  "ratio": 1.9801244381583083,
+  "fidelity": 0.99999690356844,
+  "density_at_x": 0.5627776700410809,
+  "separations": {
+    "d0": 0.09995833854135666,
+    "d": 0.14136243803746787
+  }
+}
+""",
+        ("--alpha0", "2.3", "--phi", "1.1", "--x", "0.7"): """\
+{
+  "alpha0": 2.3,
+  "phi": 1.1,
+  "x": 0.7,
+  "vacuum_coeff": {
+    "re": -0.0658817801714103,
+    "im": -0.15638647356021101
+  },
+  "cat_coeff": {
+    "re": -0.5423066151725712,
+    "im": 0.22702635385641473
+  },
+  "ratio": 0.2886451606165944,
+  "fidelity": 0.9645528148032986,
+  "density_at_x": 0.18056205005154058,
+  "separations": {
+    "d0": 2.4043612530810323,
+    "d": 3.4002802929515656
+  }
+}
+"""}
+
+    @pytest.mark.parametrize("argv", GOLDEN, ids=["origin", "off-origin"])
+    def test_golden_bytes(self, capsys, argv):
+        assert run(capsys, "prepare", *argv) == (0, self.GOLDEN[argv], "")
+
     @pytest.mark.parametrize("alpha0", ["1e16", "1e17", "1e154"])
     def test_large_amplitude_fidelity(self, capsys, alpha0):
         # the conditioned state is the cat; an ulp between the two forms of

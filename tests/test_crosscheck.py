@@ -7,9 +7,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from catforge.crosscheck import (DENSITY_SAMPLES, crosscheck_grid,
-                                 crosscheck_point, oracle_conditioning,
-                                 oracle_pipeline, window_metrics_analytic)
+from catforge.crosscheck import (DENSITY_SAMPLES, GRID_ALPHA0, GRID_PHI,
+                                 crosscheck_grid, crosscheck_point,
+                                 oracle_conditioning, oracle_pipeline,
+                                 window_metrics_analytic)
 from catforge import fock_oracle, protocol, quadrature
 from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
@@ -114,6 +115,24 @@ class TestOddSource:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("phi", GRID_PHI)
+    @pytest.mark.parametrize("alpha0", GRID_ALPHA0)
+    def test_analytic_values_are_the_public_calls(self, alpha0, phi):
+        # crosscheck_point reads the coefficients, the ratio and the fidelity
+        # off one report; each deviation is the one of the separate calls
+        p = ProtocolParams(alpha0, phi)
+        c_vac_o, c_cat_o, samples, _, cat = oracle_conditioning(p)
+        dens_o = np.sum(np.abs(samples) ** 2, axis=1)
+        fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
+        want = {
+            "vacuum_coeff": abs(protocol.vacuum_coefficient(p) - c_vac_o),
+            "cat_coeff": abs(protocol.cat_coefficient(p) - c_cat_o),
+            "ratio": abs(protocol.coefficient_ratio(p)
+                         - abs(c_vac_o) / abs(c_cat_o)),
+            "fidelity": abs(protocol.report(p).fidelity - fid_o)}
+        got = {d.quantity: d.value for d in crosscheck_point(p)}
+        assert {name: got[name] for name in want} == want
+
     def test_full_grid_agreement(self):
         max_dev, worst, devs = crosscheck_grid()
         assert max_dev <= 1e-10

@@ -8,6 +8,8 @@ crosscheck suite keeps guarding that agreement on a full grid.
 import cmath
 import math
 import re
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +170,44 @@ class TestSeparations:
     def test_dataclass_roundtrip(self):
         sep = separations(ProtocolParams(1.0, 0.3))
         assert sep.d0 == 2.0 * math.sin(0.15)
+
+
+REPORT_FIELDS = ("alpha0", "phi", "x", "vacuum_coeff", "cat_coeff", "ratio",
+                 "fidelity", "density_at_x", "separations")
+
+
+class TestRecords:
+    """The report records are immutable named tuples with fixed fields."""
+
+    def test_field_names_and_order(self):
+        assert protocol.PreparedStateReport._fields == REPORT_FIELDS
+        assert protocol.Separations._fields == ("d0", "d")
+
+    @pytest.mark.parametrize("field", REPORT_FIELDS)
+    def test_report_fields_are_read_only(self, field):
+        r = report(ProtocolParams(1.0, 0.3), 0.2)
+        with pytest.raises(AttributeError):
+            setattr(r, field, 0.0)
+
+    @pytest.mark.parametrize("field", ["d0", "d"])
+    def test_separation_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(separations(ProtocolParams(1.0, 0.3)), field, 0.0)
+
+    def test_report_as_dict(self):
+        r = report(ProtocolParams(2.3, 1.1), 0.7)
+        fields = r._asdict()
+        assert tuple(fields) == REPORT_FIELDS
+        assert tuple(fields.values()) == r
+        assert fields["separations"] is r.separations
+        assert protocol.PreparedStateReport(**fields) == r
+
+    def test_separations_round_trip(self):
+        sep = separations(ProtocolParams(1.0, 0.3))
+        d0, d = sep
+        assert sep == (d0, d) == (sep.d0, sep.d)
+        assert sep._asdict() == {"d0": d0, "d": d}
+        assert protocol.Separations(**sep._asdict()) == sep
 
 
 def cat_half_separation(p):
@@ -443,6 +483,65 @@ class TestVacuumNull:
         for null in (vacuum_null_alpha, vacuum_null_alpha_approx):
             with pytest.raises(DomainError, match=f"phi = {phi:g} is too small"):
                 null(phi)
+
+
+NULL_K = (0, 1, 2, 10 ** 6)
+EPS = sys.float_info.epsilon
+
+
+def double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def null_refusal_edge(k):
+    """The smallest phi whose k-th null vacuum_null_alpha returns: a
+    bisection over the bits of the positive doubles, whose order is theirs."""
+    def returns(bits):
+        try:
+            vacuum_null_alpha(double(bits), k)
+        except DomainError:
+            return False
+        return True
+    lo, hi = 1, struct.unpack("<q", struct.pack("<d", 1e-290))[0]
+    assert returns(hi) and not returns(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if returns(mid) else (mid, hi)
+    return double(hi)
+
+
+class TestVacuumNullReference:
+    """vacuum_null_alpha against the 80-digit sqrt((k + 1/2) pi / sin phi),
+    down to where alpha0^2 leaves the float range and next to pi, where
+    sin phi is about 1e-16.  The reference takes the exact binary phi, so
+    its condition number (phi cot(phi) / 2, 1.4e15 next to pi) does not
+    enter; 0.77 ulp was the largest error seen."""
+
+    @pytest.mark.parametrize("phi", [
+        1e-200, 1e-250, 1e-300, 1e-307, 2.0 ** -1020, 1e-3, 1.0, 3.0,
+        math.pi - 1e-6, math.pi - 1e-12, math.nextafter(math.pi, 0.0)])
+    @pytest.mark.parametrize("k", NULL_K)
+    def test_within_ulps(self, phi, k):
+        want, excess = mp_reference.vacuum_null_alpha(phi, k)
+        if excess > 0.0:  # k = 10^6 at phi <= 1e-307
+            with pytest.raises(DomainError, match="too small"):
+                vacuum_null_alpha(phi, k)
+            return
+        assert abs(vacuum_null_alpha(phi, k) - want) <= 2.0 * EPS * want
+
+    @pytest.mark.parametrize("k", NULL_K)
+    def test_refusal_edge(self, k):
+        # the edge lies within 2 ulps of where alpha0^2 leaves the float
+        # range: the last phi returned needs no more, the first refused no
+        # less (k = 0: subnormal phi, 2.6 ulps apart)
+        edge = null_refusal_edge(k)
+        want, excess = mp_reference.vacuum_null_alpha(edge, k)
+        assert abs(vacuum_null_alpha(edge, k) - want) <= 2.0 * EPS * want
+        assert excess < 2.0 * EPS
+        past = math.nextafter(edge, 0.0)
+        with pytest.raises(DomainError, match=f"phi = {past:g} is too small"):
+            vacuum_null_alpha(past, k)
+        assert mp_reference.vacuum_null_alpha(past, k)[1] > -2.0 * EPS
 
 
 # an asymmetric axis: W(q, y) and W(q, -y) differ off the cat's axes

@@ -114,7 +114,7 @@ def window_metrics_analytic(p, window):
     (unnormalized) superposition, and the fidelity numerator the squared
     overlap of the ideal cat c (|s> + |-s>), s = d0 / sqrt2, with it.
     """
-    xs, ws, _ = gauss_legendre([[(window.lo, window.hi)]])
+    xs, ws, _ = gauss_legendre((((window.lo, window.hi),),))
     a_plus, a_minus = (1j * p.alpha0 * cmath.exp(t * p.phi) for t in (0.5j, -0.5j))
     u = 1.0 / math.sqrt(2.0 + 2.0 * coherent_overlap(a_plus, a_minus).real)
     src = [(u, a_plus), (u, a_minus)]

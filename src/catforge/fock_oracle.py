@@ -43,18 +43,21 @@ def choose_truncation(max_amp, cap=None):
     Dimensions above the cap (default
     DEFAULT_FOCK_CAP, or the CATFORGE_MAX_FOCK environment variable) raise
     TruncationTooLarge, with the predicted time of a cold crosscheck there.
+    Both are formed in floats before any ceil, so a dimension or a time
+    past the float range is refused the same way, as inf.
     """
     if max_amp < 0 or not math.isfinite(max_amp):
         raise ValueError(f"max_amp must be finite and >= 0, got {max_amp}")
-    n = math.ceil(max_amp * max_amp + 10.0 * max_amp + 20.0)
+    dim = max_amp * max_amp + 10.0 * max_amp + 20.0
     limit = fock_cap(cap)
-    if n > limit:
+    if not dim <= limit:
+        shown = math.ceil(dim) if dim < 2.0 ** 53 else f"{dim:.3g}"
         raise TruncationTooLarge(
-            f"requested Fock dimension {n} exceeds cap {limit}: a cold "
+            f"requested Fock dimension {shown} exceeds cap {limit}: a cold "
             f"crosscheck there is predicted to take about "
-            f"{FOCK_SECONDS_PER_DIM3 * n ** 3:.3g} s; raise the cap with "
-            f"--max-fock or {FOCK_CAP_ENV}")
-    return n
+            f"{FOCK_SECONDS_PER_DIM3 * dim * dim * dim:.3g} s; raise the cap "
+            f"with --max-fock or {FOCK_CAP_ENV}")
+    return math.ceil(dim)
 
 
 def coherent_fock(alpha, dim):
@@ -229,7 +232,7 @@ def window_metrics(amps, windows, target):
         fidelity = sum_j w_j |<target|v_j>|^2 / probability, clamped at 1,
     the trace and <target|rho|target> of the windowed density, never formed.
     """
-    xs, ws, spans = gauss_legendre([[(w.lo, w.hi)] for w in windows])
+    xs, ws, spans = gauss_legendre(tuple(((w.lo, w.hi),) for w in windows))
     v = project_quadrature(amps, xs)
     if np.shape(target) != v.shape[1:]:
         raise DimensionMismatch(

@@ -401,7 +401,8 @@ def report(p, x=0.0):
 
 
 def _window_pieces(window, centres):
-    """Parts of the window within MARGINAL_HALF_RANGE of a marginal lobe centre.
+    """Parts of the window within MARGINAL_HALF_RANGE of a marginal lobe
+    centre, as a tuple of (lo, hi) pairs; centres must be sorted.
 
     Every lobe is below exp(-100) beyond that range, so the integrals lose
     nothing and the node count stays bounded however wide the window.  A
@@ -410,20 +411,20 @@ def _window_pieces(window, centres):
     """
     w_lo, w_hi = window.lo, window.hi
     pieces = []
-    for c in sorted(centres):
+    for c in centres:
         lo = max(w_lo, c - MARGINAL_HALF_RANGE)
         hi = min(w_hi, c + MARGINAL_HALF_RANGE)
         if lo <= hi and math.ulp(c) > MAX_LOBE_ULP:
             raise DomainError(f"window reaches the marginal lobe at {c:.6g}, "
                               f"where doubles lie {math.ulp(c):g} apart")
         if pieces and lo <= pieces[-1][1]:
-            pieces[-1][1] = max(pieces[-1][1], hi)
+            pieces[-1] = (pieces[-1][0], max(pieces[-1][1], hi))
         elif lo < hi:
-            pieces.append([lo, hi])
+            pieces.append((lo, hi))
     if not pieces:
         raise ZeroProbability(
             f"window [{w_lo:g}, {w_hi:g}] misses the homodyne marginal")
-    return pieces
+    return tuple(pieces)
 
 
 def window_metrics(p, windows):
@@ -438,8 +439,9 @@ def window_metrics(p, windows):
     if not windows:
         raise ValueError("need at least one window, got an empty window list")
     d0 = _d0(p)
+    centres = (-d0, 0.0, d0)  # sorted: d0 >= 0, as phi is in [0, pi]
     xs, ws, spans = gauss_legendre(
-        [_window_pieces(window, {0.0, d0, -d0}) for window in windows])
+        tuple(_window_pieces(window, centres) for window in windows))
     # past alpha0 ~ 1e153 the squares overflow to inf as silently as in
     # floats, where the lobe's exp is 0
     with np.errstate(over="ignore"):

@@ -200,7 +200,7 @@ def test_criterion_09():
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))
         worst_unitary = max(worst_unitary, dev)
     out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
-    xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
+    xs, ws, _ = gauss_legendre((((-8.0, 8.0),),))
     mass = float(ws @ np.sum(np.abs(project_quadrature(out, xs)) ** 2, axis=1))
     ok = (worst_map <= 1e-8 and worst_unitary <= 1e-10
           and abs(mass - 1.0) <= 1e-6 and time.perf_counter() - t0 < 30.0)
@@ -214,7 +214,7 @@ def test_criterion_10():
         w0 = cat_wigner(beta, [0.0], [0.0])[0, 0]
         ok = ok and abs(w0 - 2.0 / math.pi) <= 1e-10
         extent = beta + 5.0
-        xs, ws, _ = gauss_legendre([[(-extent, extent)]])
+        xs, ws, _ = gauss_legendre((((-extent, extent),),))
         w = cat_wigner(beta, xs, xs)
         mass = float(ws @ w @ ws)
         ok = ok and abs(mass - 1.0) <= 1e-6

@@ -410,6 +410,48 @@ class TestOptimize:
 
 
 class TestWindow:
+    # the full output of two tables, pinned byte for byte
+    GOLDEN_CSV = (
+        "epsilon,probability,fidelity\n"
+        "0.0001,0.00011027954904398696,0.99976723807924262\n"
+        "0.01,0.011027603928934907,0.9997672376718979\n"
+        "0.10000000000000001,0.10992953168954914,0.99976719744473486\n"
+        "1,0.83311148647021305,0.99976410853411346\n")
+    GOLDEN_JSON = (
+        "[\n"
+        "  {\n"
+        '    "epsilon": 0.01,\n'
+        '    "probability": 0.005643985670036869,\n'
+        '    "fidelity": 0.999999902808677\n'
+        "  },\n"
+        "  {\n"
+        '    "epsilon": 0.5,\n'
+        '    "probability": 0.26035225829975606,\n'
+        '    "fidelity": 0.9999898630639078\n'
+        "  },\n"
+        "  {\n"
+        '    "epsilon": 3.0,\n'
+        '    "probability": 0.6030499580571955,\n'
+        '    "fidelity": 0.8293384983574759\n'
+        "  },\n"
+        "  {\n"
+        '    "epsilon": 30.0,\n'
+        '    "probability": 1.0,\n'
+        '    "fidelity": 0.5014375473334449\n'
+        "  }\n"
+        "]\n")
+
+    def test_default_table_bytes(self, capsys):
+        code, out, err = run(capsys, "window", "--alpha0", "1", "--phi", "0.3")
+        assert (code, err) == (0, "")
+        assert out == self.GOLDEN_CSV
+
+    def test_json_table_bytes(self, capsys):
+        code, out, err = run(capsys, "window", "--alpha0", "2.2", "--phi", "1.9",
+                             "--epsilons", "0.01,0.5,3,30", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == self.GOLDEN_JSON
+
     def test_csv_matches_tradeoff(self, capsys):
         code, out, _ = run(capsys, "window",
                            "--alpha0", str(math.sqrt(math.pi)),
@@ -690,6 +732,18 @@ class TestValidate:
                            "--phi-values", "0.1")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("alpha0, dim", [("1.3e154", "inf"),
+                                             ("1e100", "2e+200")])
+    def test_amplitude_past_the_float_range_refused(self, capsys, alpha0, dim):
+        # the dimension's square leaves the float range (1.3e154) or its
+        # cube does (1e100): both are refused, not crashed on
+        code, out, err = run(capsys, "validate", "--alpha0-values", alpha0,
+                             "--phi-values", "0.3")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: requested Fock dimension {dim} exceeds "
+                              "cap 860")
+        assert err.count("\n") == 1
 
     def test_malformed_fock_cap_names_the_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("CATFORGE_MAX_FOCK", "abc")

@@ -95,7 +95,7 @@ class TestQuadratureOverlap:
         from catforge.quadrature import gauss_legendre
         for a in (0.0, 1.5, 1 - 2j):
             c = SQRT2 * complex(a).real
-            xs, ws, _ = gauss_legendre([[(c - 10.0, c + 10.0)]])
+            xs, ws, _ = gauss_legendre((((c - 10.0, c + 10.0),),))
             total = sum(w * abs(quadrature_overlap(x, a)) ** 2
                         for x, w in zip(xs, ws))
             assert abs(total - 1.0) < 1e-8
@@ -378,7 +378,7 @@ class TestWigner:
 
     def test_unit_mass(self):
         from catforge.quadrature import gauss_legendre
-        xs, ws, _ = gauss_legendre([[(-6.0, 6.0)]])
+        xs, ws, _ = gauss_legendre((((-6.0, 6.0),),))
         for beta in (0.7, 1.0, 1.5):
             total = float(ws @ cat_wigner(beta, xs, xs) @ ws)
             assert abs(total - 1.0) < 1e-6
@@ -399,10 +399,10 @@ class TestHomodyneWindow:
 
 
 class TestGaussLegendre:
-    INTERVALS = [
+    INTERVALS = (
         (-8.0, 8.0), (0.0, math.pi), (-1e-4, 1e-4), (0.0, 1e-300),
         (-1e-300, 0.0), (2.5e-7, 0.30000000000000004), (-37.2, 61.9),
-        (1e3, 1e3 + 7.3), (-0.15, 0.05)]
+        (1e3, 1e3 + 7.3), (-0.15, 0.05))
 
     @staticmethod
     def linspace_rule(a, b):
@@ -422,24 +422,97 @@ class TestGaussLegendre:
         # node and weight is as well
         from catforge.quadrature import gauss_legendre
         want_x, want_w = self.linspace_rule(a, b)
-        xs, ws, spans = gauss_legendre([[(a, b)]])
+        xs, ws, spans = gauss_legendre((((a, b),),))
         assert np.array_equal(xs, want_x) and np.array_equal(ws, want_w)
-        assert spans == [slice(0, xs.size)]
+        assert spans == (slice(0, xs.size),)
 
     def test_table_panels_are_linspace_edges(self):
         # a table of many intervals in groups: each interval's slice of the
         # one pass is its own linspace rule, and each group spans its
         # intervals
         from catforge.quadrature import gauss_legendre
-        groups = [self.INTERVALS[:1], self.INTERVALS[1:5], self.INTERVALS[5:]]
+        groups = (self.INTERVALS[:1], self.INTERVALS[1:5], self.INTERVALS[5:])
         xs, ws, spans = gauss_legendre(groups)
         rules = [self.linspace_rule(a, b) for a, b in self.INTERVALS]
         assert np.array_equal(xs, np.concatenate([x for x, _ in rules]))
         assert np.array_equal(ws, np.concatenate([w for _, w in rules]))
         sizes = [x.size for x, _ in rules]
         first, fifth, last = sum(sizes[:1]), sum(sizes[:5]), sum(sizes)
-        assert spans == [slice(0, first), slice(first, fifth),
-                         slice(fifth, last)]
+        assert spans == (slice(0, first), slice(first, fifth),
+                         slice(fifth, last))
+
+    # the memo: one rule per interval table, shared and read-only
+    TABLE = (((-1e-4, 1e-4),), ((-0.01, 0.01),), ((-0.1, 0.1),), ((-1.0, 1.0),))
+
+    def test_equal_table_returns_the_same_arrays(self):
+        from catforge.quadrature import gauss_legendre
+        first = gauss_legendre(self.TABLE)
+        again = gauss_legendre(tuple(tuple(g) for g in self.TABLE))
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_results_are_read_only(self):
+        from catforge.quadrature import gauss_legendre
+        xs, ws, spans = gauss_legendre(self.TABLE)
+        assert isinstance(spans, tuple)
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+        with pytest.raises(ValueError):
+            ws *= 2.0
+
+    def test_list_table_is_refused(self):
+        from catforge.quadrature import gauss_legendre
+        with pytest.raises(TypeError, match="unhashable"):
+            gauss_legendre([[(-1.0, 1.0)]])
+
+    def test_rebuild_after_clear_is_bit_identical(self):
+        from catforge.quadrature import gauss_legendre
+        xs, ws, spans = gauss_legendre(self.TABLE)
+        xs, ws = xs.copy(), ws.copy()
+        gauss_legendre.cache_clear()
+        again = gauss_legendre(self.TABLE)
+        assert again[0].tobytes() == xs.tobytes()
+        assert again[1].tobytes() == ws.tobytes()
+        assert again[2] == spans
+
+    def test_negative_zero_endpoint_gives_the_same_rule(self):
+        # -0.0 == 0.0 and both hash alike, so the two tables share one
+        # entry; built apart, their rules agree bit for bit as well
+        from catforge.quadrature import gauss_legendre
+        rules = []
+        for zero in (-0.0, 0.0):
+            gauss_legendre.cache_clear()
+            xs, ws, _ = gauss_legendre((((zero, 0.35),), ((-0.35, zero),)))
+            rules.append((xs.tobytes(), ws.tobytes()))
+        assert rules[0] == rules[1]
+        xs, ws, _ = gauss_legendre((((-0.0, 0.35),), ((-0.35, -0.0),)))
+        assert gauss_legendre.cache_info().hits == 1
+        assert (xs.tobytes(), ws.tobytes()) == rules[0]
+
+    def test_empty_range_raises_every_call(self):
+        # exceptions are not cached
+        from catforge.quadrature import gauss_legendre
+        gauss_legendre.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="empty integration range"):
+                gauss_legendre((((1.0, 1.0),),))
+        info = gauss_legendre.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_memo_bound_is_documented(self):
+        from catforge import quadrature
+        info = quadrature.gauss_legendre.cache_info()
+        assert info.maxsize == quadrature.RULE_TABLES == 8
+        assert "RULE_TABLES" in quadrature.__doc__
+
+    def test_validate_grid_builds_one_rule(self):
+        # both routes at each of the 12 default points integrate the same
+        # window, so one miss builds the rule and 23 calls reuse it
+        from catforge import crosscheck
+        from catforge.quadrature import gauss_legendre
+        gauss_legendre.cache_clear()
+        crosscheck.crosscheck_grid()
+        info = gauss_legendre.cache_info()
+        assert (info.hits, info.misses) == (23, 1)
 
 
 def test_exports_resolve_and_leave_out_the_coherent_term_algebra():

@@ -134,6 +134,18 @@ class TestChooseTruncation:
         with pytest.raises(ValueError):
             choose_truncation(-1.0)
 
+    @pytest.mark.parametrize("max_amp", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, max_amp):
+        with pytest.raises(ValueError):
+            choose_truncation(max_amp)
+
+    @pytest.mark.parametrize("max_amp", [1e100, 1.9e154])
+    def test_refuses_past_the_float_range(self, max_amp):
+        # the predicted time's cube (1e100) and the dimension's square
+        # (1.9e154) leave the float range: both are refusals, not crashes
+        with pytest.raises(TruncationTooLarge, match="exceeds cap 860"):
+            choose_truncation(max_amp)
+
     def test_tail_bound_property(self):
         # the guaranteed tail <= 1e-12 at the chosen dimension
         rng = np.random.default_rng(21)
@@ -416,7 +428,7 @@ class TestProjection:
     def test_marginal_integrates_to_one(self):
         from catforge import crosscheck, protocol
         out, _, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(1.0, 0.1))
-        xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
+        xs, ws, _ = gauss_legendre((((-8.0, 8.0),),))
         dens = np.sum(np.abs(project_quadrature(out, xs)) ** 2, axis=1)
         assert abs(ws @ dens - 1.0) < 1e-6
 
@@ -427,25 +439,25 @@ class TestProjection:
 
 class TestGaussLegendre:
     def test_exact_on_smooth_integrand(self):
-        xs, ws, _ = gauss_legendre([[(0.0, math.pi)]])
+        xs, ws, _ = gauss_legendre((((0.0, math.pi),),))
         assert abs(np.sum(ws * np.sin(xs)) - 2.0) < 1e-14
 
     def test_partition_of_length(self):
-        xs, ws, _ = gauss_legendre([[(-3.0, 5.0)]])
+        xs, ws, _ = gauss_legendre((((-3.0, 5.0),),))
         assert abs(ws.sum() - 8.0) < 1e-13
         assert xs.size == 80 * 16
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            gauss_legendre([[(1.0, 1.0)]])
+            gauss_legendre((((1.0, 1.0),),))
         with pytest.raises(ValueError):
-            gauss_legendre([[(1.0, 0.0)]])
+            gauss_legendre((((1.0, 0.0),),))
 
     def test_default_panels(self):
         # the fewest panels of width <= 0.1, GL_ORDER = 16 nodes each
-        assert gauss_legendre([[(-0.2, 0.2)]])[0].size == 4 * 16
-        assert gauss_legendre([[(-0.2, 0.21)]])[0].size == 5 * 16
-        assert gauss_legendre([[(-1e-4, 1e-4)]])[0].size == 16
+        assert gauss_legendre((((-0.2, 0.2),),))[0].size == 4 * 16
+        assert gauss_legendre((((-0.2, 0.21),),))[0].size == 5 * 16
+        assert gauss_legendre((((-1e-4, 1e-4),),))[0].size == 16
 
 
 class TestWindowState:
@@ -489,7 +501,7 @@ class TestWindowState:
         target = coherent_fock(0.8 - 0.3j, out.shape[0])
         target /= np.linalg.norm(target)
         [(prob, fid)] = window_metrics(out, [window], target)
-        xs, ws, _ = gauss_legendre([[(window.lo, window.hi)]])
+        xs, ws, _ = gauss_legendre((((window.lo, window.hi),),))
         ref = np.zeros((out.shape[0],) * 2, dtype=complex)
         for x, w in zip(xs, ws):
             v = quadrature_eigvec(x, out.shape[0]) @ out

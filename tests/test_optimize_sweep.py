@@ -34,8 +34,8 @@ def window_reference(p, window):
     squared cat overlap of protocol._kept_mode at each node as a float."""
     d0 = separations(p).d0
     # each piece's rule on its own: the kernel builds the table's in one pass
-    rules = [gauss_legendre([[piece]])[:2]
-             for piece in protocol._window_pieces(window, {0.0, d0, -d0})]
+    rules = [gauss_legendre(((piece,),))[:2]
+             for piece in protocol._window_pieces(window, (-d0, 0.0, d0))]
     ws = np.concatenate([w for _, w in rules])
     # two contiguous arrays, as the kernel's: a strided one sums differently
     dens, overlap2 = map(np.array, zip(*[
@@ -445,7 +445,7 @@ class TestWindowKernel:
     @pytest.mark.parametrize("window, pieces", FAR_WINDOWS)
     def test_disjoint_pieces_equal_the_node_loop(self, window, pieces):
         p = self.FAR_LOBES
-        centres = {0.0, 30.0, -30.0}
+        centres = (-30.0, 0.0, 30.0)
         assert len(protocol._window_pieces(window, centres)) == pieces
         want = [window_reference(p, window)]
         assert protocol.window_metrics(p, [window]) == want

@@ -597,7 +597,7 @@ class TestHomodyneDensity:
 
     def test_unit_mass(self):
         p = ProtocolParams(2.0, 0.3)
-        xs, ws, _ = gauss_legendre([[(-8.0, 8.0)]])
+        xs, ws, _ = gauss_legendre((((-8.0, 8.0),),))
         total = sum(w * homodyne_density(p, x) for x, w in zip(xs, ws))
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -764,7 +764,7 @@ def window_metrics_renormalized(p, windows):
     metrics = []
     for window in windows:
         x, ws, _ = gauss_legendre(
-            [protocol._window_pieces(window, {0.0, d0, -d0})])
+            (protocol._window_pieces(window, (-d0, 0.0, d0)),))
         x = x[:, None]
         q = PI_QUARTER_INV * np.exp(-0.5 * (x - SQRT2 * a.real) ** 2
                                     + 1j * a.imag * (SQRT2 * x - a.real))

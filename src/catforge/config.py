@@ -19,11 +19,13 @@ DEGENERATE_NORM = 1e-14
 ZERO_DENSITY = 1e-30
 
 # default Fock-space dimension cap: a cold crosscheck_point at dimension n
-# takes about FOCK_SECONDS_PER_DIM3 * n^3 seconds (2-core Xeon under KVM, one
-# BLAS thread, medians of 8 cold points: 1.3 s at 516, 3.7 s at 724, 5.9 s at
-# 860, 10.5 s at 1024), so at the cap a crosscheck point finishes in about 6 s
-DEFAULT_FOCK_CAP = 860
-FOCK_SECONDS_PER_DIM3 = 9.5e-9
+# takes about FOCK_SECONDS_PER_DIM3 * n^3 seconds, the cubic fit to medians
+# of 3 cold points each (2-core Xeon under KVM, one BLAS thread, one pinned
+# CPU: 0.57 s at 724, 0.96 s at 860, 1.9 s at 1024, 3.0 s at 1200, 4.6 s at
+# 1400, 6.6 s at 1600, 10.2 s at 1800; a free exponent fits 3.13), so at
+# the cap a crosscheck point finishes in about 10 s
+DEFAULT_FOCK_CAP = 1800
+FOCK_SECONDS_PER_DIM3 = 1.65e-9
 FOCK_CAP_ENV = "CATFORGE_MAX_FOCK"
 
 # composite Gauss-Legendre rule used for every 1D window / marginal integral

@@ -400,26 +400,41 @@ def report(p, x=0.0):
                                Separations(d0, SQRT2 * d0))
 
 
-def _window_pieces(window, centres):
-    """Parts of the window within MARGINAL_HALF_RANGE of a marginal lobe
-    centre, as a tuple of (lo, hi) pairs; centres must be sorted.
+def _lobe_ranges(d0):
+    """Where the marginal's lobes at -d0, 0 and d0 (d0 >= 0) lie, once per
+    table: their ranges c -+ MARGINAL_HALF_RANGE, sorted, overlapping ones
+    merged, as (lo, hi, coarse) with coarse the centre whose float spacing
+    exceeds MAX_LOBE_ULP, else None.  Such a centre is at least 2^51, so
+    its range is never merged."""
+    ranges = []
+    for c in (-d0, 0.0, d0):
+        lo, hi = c - MARGINAL_HALF_RANGE, c + MARGINAL_HALF_RANGE
+        if ranges and lo <= ranges[-1][1]:
+            ranges[-1] = (ranges[-1][0], hi, None)
+        else:
+            ranges.append((lo, hi, c if math.ulp(c) > MAX_LOBE_ULP else None))
+    return tuple(ranges)
 
-    Every lobe is below exp(-100) beyond that range, so the integrals lose
-    nothing and the node count stays bounded however wide the window.  A
-    window reaching a lobe whose centre's float spacing exceeds MAX_LOBE_ULP,
-    too coarse for the quadrature nodes, raises DomainError.
+
+def _window_pieces(window, ranges):
+    """Parts of the window within the lobe ranges of _lobe_ranges, as a
+    tuple of (lo, hi) pairs.
+
+    Every lobe is below exp(-100) beyond MARGINAL_HALF_RANGE, so the
+    integrals lose nothing and the node count stays bounded however wide
+    the window.  A window reaching a coarse lobe, too coarse for the
+    quadrature nodes, raises DomainError.
     """
     w_lo, w_hi = window.lo, window.hi
     pieces = []
-    for c in centres:
-        lo = max(w_lo, c - MARGINAL_HALF_RANGE)
-        hi = min(w_hi, c + MARGINAL_HALF_RANGE)
-        if lo <= hi and math.ulp(c) > MAX_LOBE_ULP:
-            raise DomainError(f"window reaches the marginal lobe at {c:.6g}, "
-                              f"where doubles lie {math.ulp(c):g} apart")
-        if pieces and lo <= pieces[-1][1]:
-            pieces[-1] = (pieces[-1][0], max(pieces[-1][1], hi))
-        elif lo < hi:
+    for r_lo, r_hi, coarse in ranges:
+        lo = max(w_lo, r_lo)
+        hi = min(w_hi, r_hi)
+        if lo <= hi and coarse is not None:
+            raise DomainError(
+                f"window reaches the marginal lobe at {coarse:.6g}, "
+                f"where doubles lie {math.ulp(coarse):g} apart")
+        if lo < hi:
             pieces.append((lo, hi))
     if not pieces:
         raise ZeroProbability(
@@ -438,10 +453,9 @@ def window_metrics(p, windows):
     """
     if not windows:
         raise ValueError("need at least one window, got an empty window list")
-    d0 = _d0(p)
-    centres = (-d0, 0.0, d0)  # sorted: d0 >= 0, as phi is in [0, pi]
+    ranges = _lobe_ranges(_d0(p))  # d0 >= 0, as phi is in [0, pi]
     xs, ws, spans = gauss_legendre(
-        tuple(_window_pieces(window, centres) for window in windows))
+        tuple(_window_pieces(window, ranges) for window in windows))
     # past alpha0 ~ 1e153 the squares overflow to inf as silently as in
     # floats, where the lobe's exp is 0
     with np.errstate(over="ignore"):

@@ -26,13 +26,13 @@ from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import PI_QUARTER_INV
 from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
                                   project_quadrature)
-from catforge import fock_oracle
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff, zero_alphas
 from catforge.protocol import (ProtocolParams, cat_coefficient, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
                                homodyne_density, report, separations,
                                vacuum_null_alpha, vacuum_null_alpha_approx)
 from catforge.quadrature import gauss_legendre
+from test_fock_oracle import bs_blocks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -194,7 +194,7 @@ def test_criterion_09():
                         coherent_fock((a - b) / SQRT2, dim))
         worst_map = max(worst_map, float(np.linalg.norm(out - want)))
     worst_unitary = 0.0
-    for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(dim)):
+    for s, (lo, mat) in enumerate(bs_blocks(dim)):
         if s >= dim:
             break
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))

@@ -742,7 +742,7 @@ class TestValidate:
                              "--phi-values", "0.3")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: requested Fock dimension {dim} exceeds "
-                              "cap 860")
+                              "cap 1800")
         assert err.count("\n") == 1
 
     def test_malformed_fock_cap_names_the_variable(self, capsys, monkeypatch):

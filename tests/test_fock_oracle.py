@@ -17,9 +17,10 @@ from catforge.config import DEFAULT_FOCK_CAP, ZERO_DENSITY
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import (CatforgeError, DimensionMismatch,
                              TruncationTooLarge, ZeroProbability)
-from catforge.fock_oracle import (apply_beam_splitter, choose_truncation,
-                                  coherent_fock, project_quadrature,
-                                  quadrature_eigvec, window_metrics)
+from catforge.fock_oracle import (MAX_TOTAL_PHOTONS, apply_beam_splitter,
+                                  choose_truncation, coherent_fock,
+                                  project_quadrature, quadrature_eigvec,
+                                  window_metrics)
 from catforge.quadrature import gauss_legendre
 from coherent_terms import even_cat
 
@@ -65,6 +66,17 @@ def exact_bs_blocks(dim):
     return blocks
 
 
+def bs_blocks(dim):
+    """(lo, U_S) for S = 0 .. 2 dim - 2: fock_oracle._bs_blocks with each
+    block formed as U_S = diag(w_S) T_S diag(w_S) when it is drawn, since
+    the T_S view is overwritten two blocks later.  w_S is anti-diagonal S
+    of fock_oracle._bs_scales(dim)."""
+    flipped = fock_oracle._bs_scales(dim)[:, ::-1]
+    for s, (lo, t) in enumerate(fock_oracle._bs_blocks(dim)):
+        w = flipped.diagonal(dim - 1 - s)
+        yield lo, w[:, None] * t * w
+
+
 def triangle(amps):
     """amps with every entry on n + m >= dim set to zero: the complete
     total-photon blocks of the truncation."""
@@ -87,7 +99,7 @@ def blockwise_reference(v):
     scattering its anti-diagonal n + m = S entry by entry, on the complex
     state, for every S."""
     want = np.zeros_like(v)
-    for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(v.shape[0])):
+    for s, (lo, mat) in enumerate(bs_blocks(v.shape[0])):
         for i in range(mat.shape[0]):
             want[lo + i, s - lo - i] = sum(
                 mat[i, k] * v[lo + k, s - lo - k] for k in range(mat.shape[0]))
@@ -143,7 +155,7 @@ class TestChooseTruncation:
     def test_refuses_past_the_float_range(self, max_amp):
         # the predicted time's cube (1e100) and the dimension's square
         # (1.9e154) leave the float range: both are refusals, not crashes
-        with pytest.raises(TruncationTooLarge, match="exceeds cap 860"):
+        with pytest.raises(TruncationTooLarge, match="exceeds cap 1800"):
             choose_truncation(max_amp)
 
     def test_tail_bound_property(self):
@@ -272,7 +284,7 @@ class TestBeamSplitter:
 
     def test_block_orthogonality(self):
         dim = 30
-        for s, (lo, mat) in enumerate(fock_oracle._bs_blocks(dim)):
+        for s, (lo, mat) in enumerate(bs_blocks(dim)):
             if s >= dim:
                 break
             dev = np.max(np.abs(mat.T @ mat - np.eye(s + 1)))
@@ -281,7 +293,7 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("dim", [25, 57, 81])
     def test_blocks_match_exact_reference(self, dim):
         # every S, the truncated S >= dim blocks included
-        got = list(fock_oracle._bs_blocks(dim))
+        got = list(bs_blocks(dim))
         want = exact_bs_blocks(dim)
         assert len(got) == len(want) == 2 * dim - 1
         for (lo, mat), (lo_ref, ref) in zip(got, want):
@@ -292,12 +304,36 @@ class TestBeamSplitter:
     def test_large_dimension_unitary_and_involutory(self):
         dim = 262
         t0 = time.perf_counter()
-        blocks = list(fock_oracle._bs_blocks(dim))
+        blocks = list(bs_blocks(dim))
         assert time.perf_counter() - t0 < 5.0
         for s, (lo, mat) in enumerate(blocks[:dim]):
             eye = np.eye(s + 1)
             assert np.max(np.abs(mat.T @ mat - eye)) <= 1e-10
             assert np.max(np.abs(mat @ mat - eye)) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [25, 57])
+    def test_unit_weight_stencil_accuracy(self, dim):
+        # every weight of the rescaled recursion is one, so each entry
+        # carries only a few roundings (at most 3.4e-16 at dims 25 to 81)
+        for (lo, mat), (_, ref) in zip(bs_blocks(dim), exact_bs_blocks(dim)):
+            assert np.max(np.abs(mat - ref)) <= 1e-15
+
+    def test_unit_weight_stencil_unitary_at_262(self):
+        # 4.1e-15 measured; the complete blocks only
+        for s, (lo, mat) in zip(range(262), bs_blocks(262)):
+            eye = np.eye(s + 1)
+            assert np.max(np.abs(mat.T @ mat - eye)) <= 2e-14
+            assert np.max(np.abs(mat @ mat - eye)) <= 2e-14
+
+    def test_refuses_past_the_float_range_of_the_blocks(self):
+        # the unit-weight blocks overflow at S = 2069; at S = 2048 the
+        # refusal comes before any block is built
+        v = np.zeros((1025, 1025), dtype=complex)
+        v[1024, 1023] = 1.0  # S = 2047: within range
+        assert fock_oracle._last_antidiagonal(v) == MAX_TOTAL_PHOTONS
+        v[1024, 1024] = 1.0
+        with pytest.raises(TruncationTooLarge, match="photon number 2048"):
+            apply_beam_splitter(v)
 
     def test_blocks_streamed_without_cache(self):
         assert inspect.isgeneratorfunction(fock_oracle._bs_blocks)
@@ -547,13 +583,13 @@ class TestWindowState:
 
 
 def test_default_cap_is_documented_value():
-    assert DEFAULT_FOCK_CAP == 860
+    assert DEFAULT_FOCK_CAP == 1800
 
 
 def test_cap_message_predicts_cost_and_names_overrides():
     with pytest.raises(TruncationTooLarge) as info:
         choose_truncation(50.0)
     msg = str(info.value)
-    assert "3020 exceeds cap 860" in msg
-    assert "predicted to take about 262 s" in msg
+    assert "3020 exceeds cap 1800" in msg
+    assert "predicted to take about 45.4 s" in msg
     assert "--max-fock" in msg and "CATFORGE_MAX_FOCK" in msg

@@ -34,8 +34,9 @@ def window_reference(p, window):
     squared cat overlap of protocol._kept_mode at each node as a float."""
     d0 = separations(p).d0
     # each piece's rule on its own: the kernel builds the table's in one pass
+    ranges = protocol._lobe_ranges(d0)
     rules = [gauss_legendre(((piece,),))[:2]
-             for piece in protocol._window_pieces(window, (-d0, 0.0, d0))]
+             for piece in protocol._window_pieces(window, ranges)]
     ws = np.concatenate([w for _, w in rules])
     # two contiguous arrays, as the kernel's: a strided one sums differently
     dens, overlap2 = map(np.array, zip(*[
@@ -445,8 +446,8 @@ class TestWindowKernel:
     @pytest.mark.parametrize("window, pieces", FAR_WINDOWS)
     def test_disjoint_pieces_equal_the_node_loop(self, window, pieces):
         p = self.FAR_LOBES
-        centres = (-30.0, 0.0, 30.0)
-        assert len(protocol._window_pieces(window, centres)) == pieces
+        ranges = protocol._lobe_ranges(30.0)
+        assert len(protocol._window_pieces(window, ranges)) == pieces
         want = [window_reference(p, window)]
         assert protocol.window_metrics(p, [window]) == want
 

@@ -764,7 +764,7 @@ def window_metrics_renormalized(p, windows):
     metrics = []
     for window in windows:
         x, ws, _ = gauss_legendre(
-            (protocol._window_pieces(window, (-d0, 0.0, d0)),))
+            (protocol._window_pieces(window, protocol._lobe_ranges(d0)),))
         x = x[:, None]
         q = PI_QUARTER_INV * np.exp(-0.5 * (x - SQRT2 * a.real) ** 2
                                     + 1j * a.imag * (SQRT2 * x - a.real))

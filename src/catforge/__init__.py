@@ -7,7 +7,6 @@ branch coefficients, an independent Fock-basis oracle, and the sweep and
 optimization tools built on top of them.
 """
 
-from .config import fock_cap
 from .cv_core import HomodyneWindow
 from .errors import (
     CatforgeError,
@@ -22,7 +21,6 @@ from .protocol import (
     PreparedStateReport,
     ProtocolParams,
     Separations,
-    cat_coefficient,
     coefficient_ratio,
     coefficient_ratio_second_order,
     coefficient_ratio_small_angle,
@@ -30,7 +28,6 @@ from .protocol import (
     kept_wigner,
     report,
     separations,
-    vacuum_coefficient,
     vacuum_null_alpha,
     vacuum_null_alpha_approx,
     window_metrics,
@@ -40,8 +37,6 @@ from .optimize_sweep import (
     find_min_alpha,
     sweep_ratio,
     window_tradeoff,
-    zero_alphas,
-    zero_count,
 )
 from .crosscheck import crosscheck_grid, crosscheck_point
 
@@ -60,24 +55,19 @@ __all__ = [
     "Separations",
     "TruncationTooLarge",
     "ZeroProbability",
-    "cat_coefficient",
     "coefficient_ratio",
     "coefficient_ratio_second_order",
     "coefficient_ratio_small_angle",
     "crosscheck_grid",
     "crosscheck_point",
     "find_min_alpha",
-    "fock_cap",
     "homodyne_density",
     "kept_wigner",
     "report",
     "separations",
     "sweep_ratio",
-    "vacuum_coefficient",
     "vacuum_null_alpha",
     "vacuum_null_alpha_approx",
     "window_metrics",
     "window_tradeoff",
-    "zero_alphas",
-    "zero_count",
 ]

@@ -124,11 +124,8 @@ def cmd_optimize(args):
 
 def cmd_window(args):
     p = _params(args)
-    eps = sorted(_floats(args.epsilons, "--epsilons"))
-    if not all(0.0 < e < math.inf for e in eps) or len(set(eps)) < len(eps):
-        raise DomainError("--epsilons takes distinct positive finite numbers, "
-                          f"got {args.epsilons!r}")
-    rows = optimize_sweep.window_tradeoff(p, eps)
+    rows = optimize_sweep.window_tradeoff(
+        p, sorted(_floats(args.epsilons, "--epsilons")))
     if args.format == "json":
         payload = [{"epsilon": e, "probability": pr, "fidelity": f}
                    for e, pr, f in rows]

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 SQRT2 = math.sqrt(2.0)
 PI_QUARTER_INV = math.pi ** -0.25
 # exp of any real part below this is exactly 0.0 in double precision
@@ -76,10 +78,12 @@ class HomodyneWindow:
     half_width: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
-            raise ValueError("window parameters must be finite")
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not math.isfinite(self.center):
+            raise DomainError(
+                f"window centre must be finite, got {self.center}")
+        if not 0.0 < self.half_width < math.inf:
+            raise DomainError("window half-width must be finite and positive, "
+                              f"got {self.half_width}")
 
     @property
     def lo(self):

@@ -21,8 +21,11 @@ class DimensionMismatch(CatforgeError):
     """Fock-space operands have incompatible dimensions."""
 
 
-class DomainError(CatforgeError):
-    """Parameter outside the mathematical domain of an operation."""
+class DomainError(CatforgeError, ValueError):
+    """Parameter outside the mathematical domain of an operation.
+
+    Also a ValueError, so that callers catching ValueError for a refused
+    input keep working."""
 
 
 class GridTooLarge(CatforgeError):

@@ -204,9 +204,9 @@ def apply_beam_splitter(amps):
     amplitude, so a triangle state builds only the dim exact blocks.
     """
     amps = np.ascontiguousarray(amps, dtype=complex)
-    if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
-        raise DimensionMismatch(
-            f"two-mode state must be square, got shape {amps.shape}")
+    if amps.ndim != 2 or not 0 < amps.shape[0] == amps.shape[1]:
+        raise DimensionMismatch("two-mode state must be square and non-empty, "
+                                f"got shape {amps.shape}")
     last = _last_antidiagonal(amps)
     if last > MAX_TOTAL_PHOTONS:
         raise TruncationTooLarge(f"state reaches total photon number {last}, "

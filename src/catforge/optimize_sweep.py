@@ -40,30 +40,30 @@ class GridSpec:
                 raise GridTooLarge(
                     f"{axis} axis has {steps} steps, cap is {GRID_STEP_CAP}")
             if steps < 2:
-                raise ValueError(f"{axis} axis needs at least 2 steps")
+                raise DomainError(f"{axis} axis needs at least 2 steps")
         for name in ("alpha0_min", "alpha0_max", "phi_min", "phi_max"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise DomainError(f"{name} must be finite, got {value}")
         if not self.alpha0_min < self.alpha0_max:
-            raise ValueError("empty alpha0 range")
+            raise DomainError("empty alpha0 range")
         if not self.phi_min < self.phi_max:
-            raise ValueError("empty phi range")
+            raise DomainError("empty phi range")
         if self.alpha0_min < 0:
-            raise ValueError(f"alpha0_min must be >= 0, got {self.alpha0_min}")
+            raise DomainError(f"alpha0_min must be >= 0, got {self.alpha0_min}")
         # axis values rise with the index, so the last is the largest
         phis = self.phi_values()
         if not math.isfinite(phis[-1]):
-            raise ValueError(
+            raise DomainError(
                 "phi_max - phi_min is too wide: the grid values overflow")
         top = self.alpha0_values()[-1]
         a2 = top * top
         if not math.isfinite(a2):
-            raise ValueError(f"alpha0_max = {self.alpha0_max:g} is too large: "
-                             "alpha0_max^2 overflows")
+            raise DomainError(f"alpha0_max = {self.alpha0_max:g} is too large: "
+                              "alpha0_max^2 overflows")
         if not math.isfinite(a2 * max(map(protocol.canonical_phi, phis))):
-            raise ValueError(f"alpha0_max = {self.alpha0_max:g} is too large: "
-                             "alpha0_max^2 phi overflows")
+            raise DomainError(f"alpha0_max = {self.alpha0_max:g} is too large: "
+                              "alpha0_max^2 phi overflows")
 
     def alpha0_values(self):
         lo, hi, n = self.alpha0_min, self.alpha0_max, self.alpha0_steps
@@ -121,40 +121,6 @@ def sweep_ratio(grid):
         yield block
 
 
-def zero_count(phi, alpha_max):
-    """Number of exact vacuum nulls with alpha0 <= alpha_max at this phi: the
-    first k whose vacuum_null_alpha(phi, k) exceeds alpha_max, bisected on
-    the nulls themselves (a floor of the rounded quotient can miss it)."""
-    protocol.check_null_phi(phi)
-    if not (alpha_max >= 0.0 and math.isfinite(alpha_max * alpha_max)):
-        raise DomainError(
-            f"alpha_max must be >= 0 with a finite square, got {alpha_max}")
-    sin_phi = math.sin(phi)
-    # nulls k <= lo lie within alpha_max, k >= hi beyond: twice the quotient
-    # is far past its rounding
-    lo, hi = -1, 2 * max(0, math.floor(
-        (alpha_max * alpha_max * sin_phi - 0.5 * math.pi) / math.pi)) + 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if protocol._null_alpha(sin_phi, mid) > alpha_max:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def zero_alphas(phi, alpha_max):
-    """All exact vacuum-null locations with alpha0 <= alpha_max at this phi.
-
-    Refuses a listing longer than GRID_STEP_CAP, the cap on a sweep axis.
-    """
-    count = zero_count(phi, alpha_max)
-    if count > GRID_STEP_CAP:
-        raise DomainError(f"{count:.6g} nulls lie within alpha_max = "
-                          f"{alpha_max:g}, more than the cap {GRID_STEP_CAP}")
-    return [protocol.vacuum_null_alpha(phi, k) for k in range(count)]
-
-
 def find_min_alpha(phi, k=0, validate_numeric=False):
     """Closed-form k-th optimum alpha0, optionally certified by a sign change.
 
@@ -190,14 +156,14 @@ def find_min_alpha(phi, k=0, validate_numeric=False):
 def window_tradeoff(p, epsilons):
     """Probability/fidelity table over a sorted list of window half-widths.
 
-    Returns rows (epsilon, probability, fidelity); epsilons must be positive
-    and strictly increasing.
+    Returns rows (epsilon, probability, fidelity); epsilons must strictly
+    increase.  HomodyneWindow refuses a half-width that is not finite and
+    positive, and window_metrics an empty list.
     """
     eps = list(epsilons)
-    if not eps:
-        raise ValueError("need at least one window half-width")
-    if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be positive and strictly increasing")
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise DomainError("window half-widths must be distinct and in "
+                          f"increasing order, got {eps}")
     windows = [protocol.HomodyneWindow(0.0, e) for e in eps]
     return [(e, prob, fid) for e, (prob, fid)
             in zip(eps, protocol.window_metrics(p, windows))]

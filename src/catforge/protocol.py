@@ -44,11 +44,11 @@ class ProtocolParams:
         a = float(self.alpha0)
         p = float(self.phi)
         if not (math.isfinite(a) and math.isfinite(p)):
-            raise ValueError("parameters must be finite")
+            raise DomainError("parameters must be finite")
         if a < 0:
-            raise ValueError(f"alpha0 must be >= 0, got {a}")
+            raise DomainError(f"alpha0 must be >= 0, got {a}")
         if not math.isfinite(a * a):
-            raise ValueError(f"alpha0 = {a:g} is too large: alpha0^2 overflows")
+            raise DomainError(f"alpha0 = {a:g} is too large: alpha0^2 overflows")
         object.__setattr__(self, "alpha0", a)
         object.__setattr__(self, "phi", canonical_phi(p))
 
@@ -90,20 +90,6 @@ def separations(p):
     return Separations(d0, SQRT2 * d0)
 
 
-def vacuum_coefficient(p, x=0.0):
-    """Projection coefficient of the vacuum branch at X = x, <x|A+> + <x|A->
-    of the images A+- = sqrt2 i alpha0 e^{+-i phi/2} of the aligned source
-    pairs: e^{ikx} [g(x + d0) e^{i theta} + g(x - d0) e^{-i theta}], with
-    g(y) = pi^(-1/4) e^{-y^2/2}."""
-    return _branches(p, x)[3]
-
-
-def cat_coefficient(p, x=0.0):
-    """Projection coefficient shared by both cat branches, g(x) e^{ikx},
-    k = 2 alpha0 cos(phi/2): pi^(-1/4) at x = 0 for every (alpha0, phi)."""
-    return _branches(p, x)[4]
-
-
 # The ratio formulas take exp and cos as arguments, as _kept_mode takes its
 # ops: the point functions pass math's on floats, and optimize_sweep libm's
 # looped over arrays, so a swept cell equals the point value bit for bit.
@@ -121,7 +107,7 @@ def _ratio_second_order(a2, phi, small_angle, exp):
 
 
 def coefficient_ratio(p):
-    """|vacuum_coefficient| / |cat_coefficient| at x = 0, in closed form:
+    """|c_vac| / |c_cat| of report at x = 0, in closed form:
 
         2 exp(-2 alpha0^2 sin^2(phi/2)) |cos(alpha0^2 sin phi)|,
 
@@ -167,10 +153,6 @@ def vacuum_null_alpha_approx(phi):
     return alpha0
 
 
-def _null_alpha(sin_phi, k):
-    return math.sqrt((0.5 * math.pi + k * math.pi) / sin_phi)
-
-
 def vacuum_null_alpha(phi, k=0):
     """Exact k-th vacuum null: alpha0 = sqrt((pi/2 + k pi) / sin phi)."""
     check_null_phi(phi)
@@ -182,7 +164,7 @@ def vacuum_null_alpha(phi, k=0):
     if not (k >= 0 and math.isfinite(top) and k == int(k)):
         raise DomainError("k must be a non-negative integer whose (k + 1/2) pi "
                           f"is finite, got k = {k}")
-    alpha0 = _null_alpha(math.sin(phi), k)
+    alpha0 = math.sqrt(top / math.sin(phi))
     if not math.isfinite(alpha0 * alpha0):
         raise DomainError(f"phi = {phi:g} is too small: the k = {k} vacuum "
                           "null's alpha0^2 = (k + 1/2) pi / sin(phi) overflows")
@@ -452,7 +434,7 @@ def window_metrics(p, windows):
     Returns one (probability, fidelity) pair of floats per window.
     """
     if not windows:
-        raise ValueError("need at least one window, got an empty window list")
+        raise DomainError("need at least one window, got an empty window list")
     ranges = _lobe_ranges(_d0(p))  # d0 >= 0, as phi is in [0, pi]
     xs, ws, spans = gauss_legendre(
         tuple(_window_pieces(window, ranges) for window in windows))

@@ -17,6 +17,7 @@ alpha0^2 (phi - sin phi) plus the damping term, under 0.5% on the grid.
 See README, known limitations.
 """
 
+import itertools
 import math
 import time
 
@@ -26,8 +27,8 @@ from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import PI_QUARTER_INV
 from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
                                   project_quadrature)
-from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff, zero_alphas
-from catforge.protocol import (ProtocolParams, cat_coefficient, cat_wigner,
+from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
+from catforge.protocol import (ProtocolParams, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
                                homodyne_density, report, separations,
                                vacuum_null_alpha, vacuum_null_alpha_approx)
@@ -51,7 +52,7 @@ def test_criterion_01():
     for _ in range(100):
         p = ProtocolParams(rng.uniform(0.0, 5.0),
                            rng.uniform(0.0, math.pi / 2))
-        worst = max(worst, abs(cat_coefficient(p) - PI_QUARTER_INV))
+        worst = max(worst, abs(report(p).cat_coeff - PI_QUARTER_INV))
     ok = worst <= 1e-12 and time.perf_counter() - t0 < 1.0
     _verdict(1, ok, "cat-branch coefficient is pi^(-1/4) at x=0 everywhere", t0)
 
@@ -140,7 +141,10 @@ def test_criterion_07():
     for j, phi in enumerate(phis):
         if phi <= 0.0:
             continue
-        nulls = zero_alphas(phi, grid.alpha0_max)
+        # the exact nulls within the grid, k = 0, 1, ... in turn
+        nulls = list(itertools.takewhile(
+            lambda a: a <= grid.alpha0_max,
+            (vacuum_null_alpha(phi, k) for k in itertools.count())))
         if not nulls:
             continue
         row = ratios[j]

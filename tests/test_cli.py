@@ -498,13 +498,20 @@ class TestWindow:
         assert abs(prob - 1.0) <= 1e-12
         assert abs(fid - 0.5) <= 1e-12
 
-    @pytest.mark.parametrize("epsilons", ["0.1,0.1", "0", "-0.1", "0.2,inf"])
-    def test_epsilons_must_be_distinct_and_positive(self, capsys, epsilons):
+    @pytest.mark.parametrize("epsilons, message", [
+        ("0.1,0.1", "window half-widths must be distinct and in increasing "
+                    "order, got [0.1, 0.1]"),
+        ("0", "window half-width must be finite and positive, got 0.0"),
+        ("-0.1", "window half-width must be finite and positive, got -0.1"),
+        ("0.2,inf", "window half-width must be finite and positive, got inf")],
+        ids=["0.1,0.1", "0", "-0.1", "0.2,inf"])
+    def test_epsilons_must_be_distinct_and_positive(self, capsys, epsilons,
+                                                    message):
+        # window_tradeoff refuses the repeat, HomodyneWindow the half-width
         code, out, err = run(capsys, "window", "--alpha0", "1", "--phi", "0.3",
                              "--epsilons", epsilons)
         assert (code, out) == (2, "")
-        assert err == ("error: --epsilons takes distinct positive finite "
-                       f"numbers, got {epsilons!r}\n")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("alpha0, phi, epsilons", [
         ("3e16", "1.5", "1e308"), ("1e16", "1.5", "1e308"),

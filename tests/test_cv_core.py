@@ -16,7 +16,7 @@ import pytest
 
 from catforge import cv_core
 from catforge.cv_core import HomodyneWindow, coherent_overlap, quadrature_overlap
-from catforge.errors import DegenerateState
+from catforge.errors import CatforgeError, DegenerateState, DomainError
 from catforge.protocol import cat_wigner
 from coherent_terms import (coalesce, coherent, even_cat, inner, norm,
                             normalize, vacuum, wigner_point)
@@ -390,11 +390,13 @@ class TestHomodyneWindow:
         assert (w.lo, w.hi) == (0.3, 0.7)
 
     def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            HomodyneWindow(0.0, 0.0)
-        with pytest.raises(ValueError):
-            HomodyneWindow(0.0, -1.0)
-        with pytest.raises(ValueError):
+        # the one check of a half-width: window_tradeoff and the CLI leave
+        # it here
+        for width in (0.0, -0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="^window half-width must be "
+                               f"finite and positive, got {width}$"):
+                HomodyneWindow(0.0, width)
+        with pytest.raises(DomainError, match="^window centre must be finite"):
             HomodyneWindow(math.nan, 1.0)
 
 
@@ -529,3 +531,22 @@ def test_exports_resolve_and_leave_out_the_coherent_term_algebra():
     # the overlaps stay in cv_core for the window reference, unexported
     overlaps = {"coherent_overlap", "quadrature_overlap"}
     assert not overlaps & (set(vars(catforge)) | set(catforge.__all__))
+
+
+def test_exports_leave_out_what_no_caller_uses():
+    # report's fields replace the coefficient functions; the null listing had
+    # no caller; the Fock cap stays in config, unexported
+    import catforge
+    from catforge import optimize_sweep, protocol
+    removed = {"vacuum_coefficient", "cat_coefficient", "_null_alpha",
+               "zero_count", "zero_alphas"}
+    for module in (catforge, protocol, optimize_sweep):
+        assert not removed & set(vars(module)), module.__name__
+    assert not removed & set(catforge.__all__)
+    assert "fock_cap" not in set(vars(catforge)) | set(catforge.__all__)
+
+
+def test_domain_error_is_a_value_error():
+    # library callers that catch ValueError for a refused input keep working
+    assert issubclass(DomainError, CatforgeError)
+    assert issubclass(DomainError, ValueError)

@@ -414,6 +414,9 @@ class TestBeamSplitter:
             apply_beam_splitter(np.zeros((3, 4), dtype=complex))
         with pytest.raises(DimensionMismatch):
             apply_beam_splitter(np.zeros(5, dtype=complex))
+        # the empty state, before the search for its last anti-diagonal
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            apply_beam_splitter(np.zeros((0, 0), dtype=complex))
 
 
 class TestProjection:

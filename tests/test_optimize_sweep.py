@@ -2,7 +2,6 @@
 
 import math
 import sys
-import time
 from collections import namedtuple
 
 import pytest
@@ -11,13 +10,12 @@ import numpy as np
 
 from catforge import protocol
 from catforge._format17 import CHUNK
-from catforge.config import GRID_STEP_CAP, NULL_CHECK_TOL, ZERO_DENSITY
+from catforge.config import NULL_CHECK_TOL, ZERO_DENSITY
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DomainError, GridTooLarge, ZeroProbability
 from catforge.fock_oracle import choose_truncation
 from catforge.optimize_sweep import (GridSpec, _cos, _exp, find_min_alpha,
-                                     sweep_ratio, window_tradeoff, zero_alphas,
-                                     zero_count)
+                                     sweep_ratio, window_tradeoff)
 from catforge.protocol import (ProtocolParams, coefficient_ratio,
                                coefficient_ratio_second_order,
                                coefficient_ratio_small_angle, separations,
@@ -77,13 +75,13 @@ class TestGridSpec:
         assert g.phi_values() == [0.0, 0.1, 0.2]
 
     def test_rejects_degenerate_axes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             GridSpec(alpha0_steps=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             GridSpec(phi_steps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             GridSpec(alpha0_min=2.0, alpha0_max=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             GridSpec(phi_min=0.3, phi_max=0.1)
 
     def test_step_cap(self):
@@ -108,7 +106,7 @@ class TestGridSpec:
     def test_rejects_what_a_cell_would_reject(self, kwargs, field):
         # each of these grids has a cell where ProtocolParams or a ratio
         # formula raises; the grid must refuse before any row is computed
-        with pytest.raises(ValueError, match=field.replace("-", r"\-")):
+        with pytest.raises(DomainError, match=field.replace("-", r"\-")):
             GridSpec(**{"alpha0_steps": 3, "phi_steps": 3, **kwargs})
 
 
@@ -237,71 +235,6 @@ class TestLibmHelpers:
         assert np.array_equal(_exp(v).view(np.int64).ravel(), libm(math.exp, v))
 
 
-class TestZeroCondition:
-    def test_count_at_reference(self):
-        assert zero_count(0.2, 5.0) == 2
-        assert zero_count(0.01, 5.0) == 0
-
-    def test_count_matches_listing(self):
-        for phi in (0.05, 0.1, 0.2, 0.5):
-            alphas = zero_alphas(phi, 5.0)
-            assert len(alphas) == zero_count(phi, 5.0)
-            assert all(a <= 5.0 for a in alphas)
-            if alphas:
-                u = alphas[-1] ** 2 * math.sin(phi)
-                # one more half-period would overshoot alpha_max
-                assert math.sqrt((u + math.pi) / math.sin(phi)) > 5.0
-
-    def test_listing_capped(self):
-        # 3.2e298 nulls: refused before any is built (the range hung)
-        t0 = time.perf_counter()
-        with pytest.raises(DomainError,
-                           match=r"^3\.1778e\+298 nulls .*alpha_max = 1e\+150"
-                                 r".*cap 2001$"):
-            zero_alphas(0.1, 1e150)
-        assert time.perf_counter() - t0 < 0.5
-        # the cap on a sweep axis, and no further
-        phi = 0.2
-        assert len(zero_alphas(phi, vacuum_null_alpha(phi, GRID_STEP_CAP - 1))) \
-            == GRID_STEP_CAP
-        with pytest.raises(DomainError, match=f"^{GRID_STEP_CAP + 1} nulls"):
-            zero_alphas(phi, vacuum_null_alpha(phi, GRID_STEP_CAP))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            zero_count(0.0, 5.0)
-        with pytest.raises(DomainError):
-            zero_count(math.pi, 5.0)
-
-    @pytest.mark.parametrize("alpha_max", [-5.0, -1e-300, 1e200, math.inf,
-                                           -math.inf, math.nan])
-    def test_bad_alpha_max(self, alpha_max):
-        with pytest.raises(DomainError, match="alpha_max"):
-            zero_count(0.1, alpha_max)
-
-    def test_count_agrees_with_the_nulls_at_the_boundary(self):
-        # alpha_max = the k-th null, as vacuum_null_alpha rounds it, counts
-        # that null; one ulp below does not
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            phi = rng.uniform(1e-3, math.pi - 1e-3)
-            k = int(rng.integers(0, 50)) if rng.random() < 0.7 \
-                else int(10 ** rng.uniform(0, 15))
-            null = vacuum_null_alpha(phi, k)
-            assert zero_count(phi, null) == k + 1
-            below = zero_count(phi, math.nextafter(null, 0.0))
-            assert below <= k
-            assert below == k or vacuum_null_alpha(phi, below) == null
-        assert zero_count(0.1, 0.0) == 0
-
-    def test_count_at_huge_alpha_max(self):
-        # past 2^53 nulls the count is the first k whose null exceeds alpha_max
-        phi, alpha_max = 0.1, 1e150
-        n = zero_count(phi, alpha_max)
-        assert vacuum_null_alpha(phi, n - 1) <= alpha_max
-        assert protocol._null_alpha(math.sin(phi), n) > alpha_max
-
-
 class TestFindMinAlpha:
     def test_closed_form_path(self):
         assert find_min_alpha(0.1) == vacuum_null_alpha(0.1)
@@ -392,15 +325,17 @@ class TestWindowTradeoff:
         assert fids == sorted(fids, reverse=True)
 
     def test_input_validation(self):
+        # the order is checked here; the list and each half-width where
+        # window_metrics and HomodyneWindow check them
         p = ProtocolParams(1.0, 0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="empty window list"):
             window_tradeoff(p, [])
-        with pytest.raises(ValueError):
-            window_tradeoff(p, [0.1, 0.1])
-        with pytest.raises(ValueError):
-            window_tradeoff(p, [0.2, 0.1])
-        with pytest.raises(ValueError):
-            window_tradeoff(p, [-0.1, 0.2])
+        for eps in ([0.1, 0.1], [0.2, 0.1]):
+            with pytest.raises(DomainError, match="increasing order"):
+                window_tradeoff(p, eps)
+        for eps in ([-0.1, 0.2], [0.0], [0.2, math.inf], [math.nan]):
+            with pytest.raises(DomainError, match="finite and positive"):
+                window_tradeoff(p, eps)
 
 
 class TestWindowKernel:

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from catforge._format17 import csv_lines
 from catforge.cv_core import PI_QUARTER_INV, SQRT2, HomodyneWindow
-from catforge.protocol import (ProtocolParams, canonical_phi, cat_coefficient,
-                               homodyne_density, kept_wigner, report,
-                               vacuum_null_alpha, window_metrics)
+from catforge.protocol import (ProtocolParams, canonical_phi, homodyne_density,
+                               kept_wigner, report, vacuum_null_alpha,
+                               window_metrics)
 from coherent_terms import coalesce, ideal_cat, inner, source_state
 
 # the same examples on every run, no database, no per-example deadline
@@ -48,7 +48,7 @@ def test_density_is_even_in_x(alpha0, phi, x):
 @PROPERTY
 @given(st.floats(0.0, 1e6), phis)
 def test_cat_coefficient_at_origin_is_pi_to_the_minus_quarter(alpha0, phi):
-    c = cat_coefficient(ProtocolParams(alpha0, phi))
+    c = report(ProtocolParams(alpha0, phi)).cat_coeff
     assert (c.real, c.imag) == (PI_QUARTER_INV, 0.0)
 
 

@@ -7,7 +7,7 @@ environment variable; either must be a positive integer.
 
 import os
 
-from .errors import CatforgeError
+from .errors import DomainError
 
 # cat_wigner refuses a cat whose branches +-s lie this close or closer
 CAT_SEPARATION_FLOOR = 1e-12
@@ -51,7 +51,7 @@ CROSSCHECK_TOL = 1e-8
 
 def fock_cap(override=None):
     """Effective Fock dimension cap: explicit override, else env var, else
-    default.  Raises CatforgeError, naming the source, unless it is a positive
+    default.  Raises DomainError, naming the source, unless it is a positive
     integer."""
     value, source = override, "the Fock cap"
     if value is None:
@@ -63,5 +63,5 @@ def fock_cap(override=None):
     except (TypeError, ValueError):
         cap = 0
     if cap < 1:
-        raise CatforgeError(f"{source} must be a positive integer, got {value!r}")
+        raise DomainError(f"{source} must be a positive integer, got {value!r}")
     return cap

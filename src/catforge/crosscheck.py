@@ -43,18 +43,14 @@ class Deviation:
 def oracle_pipeline(p, cap=None):
     """Pure-Fock sources through the beam splitter: (out, dim, raw_norm2).
 
-    The source pair is truncated by total photon number: src (x) src is kept
-    on the triangle n + m < dim and zeroed elsewhere.  It is a sum of
-    coherent pairs |a>|b> with |a| = |b| = alpha0, and the total photon
-    number of each is distributed as that of one coherent state of
-    amplitude sqrt(|a|^2 + |b|^2) = sqrt2 alpha0, the amplitude the
+    The beam splitter maps the triangle n + m < dim of the source pair
+    src (x) src exactly (fock_oracle's truncation) and leaves zero past it.
+    The pair is a sum of coherent pairs |a>|b> with |a| = |b| = alpha0, and
+    the total photon number of each is distributed as that of one coherent
+    state of amplitude sqrt(|a|^2 + |b|^2) = sqrt2 alpha0, the amplitude the
     truncation is chosen for, so the dropped weight is the tail that
-    choose_truncation bounds.  The beam splitter conserves total photon
-    number and is exactly unitary on the triangle, so out, the two-mode
-    output, is the exact image of the kept source: zero on n + m >= dim,
-    with the squared norm of the kept part of the normalized source pair.
-    raw_norm2 is the squared norm of the unnormalized single-mode source
-    vector.
+    choose_truncation bounds, and out keeps the rest of the pair's norm.
+    raw_norm2 is the squared norm of the unnormalized single-mode source.
     """
     dim = fock_oracle.choose_truncation(SQRT2 * p.alpha0, cap)
     half = complex(math.cos(0.5 * p.phi), math.sin(0.5 * p.phi))
@@ -62,10 +58,7 @@ def oracle_pipeline(p, cap=None):
            + fock_oracle.coherent_fock(1j * p.alpha0 * half.conjugate(), dim))
     raw_norm2 = float(np.vdot(raw, raw).real)
     src = raw / math.sqrt(raw_norm2)
-    pair = np.outer(src, src)
-    for n in range(1, dim):
-        pair[n, dim - n:] = 0.0  # m >= dim - n
-    out = fock_oracle.apply_beam_splitter(pair)
+    out = fock_oracle.apply_beam_splitter(np.outer(src, src))
     return out, dim, raw_norm2
 
 

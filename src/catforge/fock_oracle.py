@@ -13,12 +13,12 @@ validates the closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
 two-mode pure state is a 2D array amps[n, m] with n indexing the measured
-mode and m the output mode.  The truncated beam splitter is exactly unitary
-on the triangle n + m < dim of complete total-photon blocks and maps it onto
-itself, so two-mode states are truncated by total photon number, and the
-beam splitter builds only the blocks a state occupies.  project_quadrature
-conditions on a whole array of x at once.  A windowed, mixed output is
-reduced to its probability and fidelity without forming its density matrix.
+mode and m the output mode.  Two-mode states are truncated by total photon
+number, a rule kept here alone: the beam splitter acts on the triangle
+n + m < dim of a square state, where it is exactly unitary, never uses an
+entry on n + m >= dim and leaves it zero.  project_quadrature conditions on
+a whole array of x at once.  A windowed, mixed output is reduced to its
+probability and fidelity without forming its density matrix.
 """
 
 import math
@@ -27,7 +27,8 @@ import numpy as np
 
 from .config import (FOCK_CAP_ENV, FOCK_SECONDS_PER_DIM3, ZERO_DENSITY,
                      fock_cap)
-from .errors import DimensionMismatch, TruncationTooLarge, ZeroProbability
+from .errors import (DimensionMismatch, DomainError, TruncationTooLarge,
+                     ZeroProbability)
 from .quadrature import gauss_legendre
 
 _SQRT2 = math.sqrt(2.0)
@@ -50,7 +51,7 @@ def choose_truncation(max_amp, cap=None):
     past the float range is refused the same way, as inf.
     """
     if max_amp < 0 or not math.isfinite(max_amp):
-        raise ValueError(f"max_amp must be finite and >= 0, got {max_amp}")
+        raise DomainError(f"max_amp must be finite and >= 0, got {max_amp}")
     dim = max_amp * max_amp + 10.0 * max_amp + 20.0
     limit = fock_cap(cap)
     if not dim <= limit:
@@ -120,13 +121,10 @@ def _bs_scales(dim):
 def _bs_blocks(dim):
     """Photon-number blocks of the balanced beam splitter, one per total S.
 
-    Yields (lo, T_S) for S = 0 .. 2 dim - 2: the block is
-    U_S = diag(w_S) T_S diag(w_S), w_S[i] = _bs_scales(dim)[lo+i, S-lo-i],
-    where U_S[i, k] is <lo+i, S-lo-i| U |lo+k, S-lo-k> on the occupations
-    lo .. hi of the first mode, lo = max(0, S - dim + 1), hi = min(S, dim - 1);
-    blocks with S >= dim are the truncated square submatrix with both
-    occupations below dim.  T_S is a view that the step after next
-    overwrites; nothing is kept across calls.
+    Yields T_S for S = 0 .. dim - 1, the blocks of the triangle n + m < dim:
+    U_S = diag(w_S) T_S diag(w_S), w_S[p] = _bs_scales(dim)[p, S-p], where
+    U_S[p, m] is <p, S-p| U |m, S-m>.  T_S is a view that the step after
+    next overwrites; nothing is kept across calls.
 
     The creation operators map a^dag -> (c^dag + d^dag)/sqrt2 and
     b^dag -> (c^dag - d^dag)/sqrt2.  Writing |m, S-m> as
@@ -148,78 +146,62 @@ def _bs_blocks(dim):
     with T = T_{S-1}.  Two buffers in turn hold T at row stride dim + 1,
     below a zero row; each row's pad entry is its column -1 and column dim
     of the row before.  So a step is four contiguous adds and a halving over
-    the flat span from (lo, lo) to (hi, hi), off-block entries staying zero
-    (truncated steps re-zero column lo - 1 and the pad).  The blocks match
-    exact integers to 3.4e-16 at dims 25 to 81 and are unitary to 5e-15 at
-    dims 262 and 512.  T_S peaks near 2^(S/2) / S, overflowing at S = 2069,
-    and its subnormal entries lose at most 2^(S/2 - 1075) once scaled.
+    the flat span from (0, 0) to (S, S), off-block entries and the pad
+    staying zero.  The blocks match exact integers to 3.4e-16 at dims 25 to
+    81 and are unitary to 5e-15 at dims 262 and 512.  T_S peaks near
+    2^(S/2) / S, overflowing at S = 2069, and its subnormal entries lose at
+    most 2^(S/2 - 1075) once scaled.
     """
     r = dim + 1
     bufs = np.zeros((2, r * r))
     grids = bufs.reshape(2, r, r)  # T_S[p, m] at grids[S % 2, p + 1, m + 1]
     bufs[0, r + 1] = 1.0
-    yield 0, grids[0, 1:2, 1:2]
-    for s in range(1, 2 * dim - 1):
-        old, new, grid = bufs[1 - s % 2], bufs[s % 2], grids[s % 2]
-        lo, hi = max(0, s - dim + 1), min(s, dim - 1)
-        a, b = (lo + 1) * (r + 1), (hi + 1) * (r + 1) + 1
-        t = new[a:b]
-        np.add(old[a - r - 1:b - r - 1], old[a - 1:b - 1], out=t)
-        t += old[a - r:b - r]
-        t -= old[a:b]
+    yield grids[0, 1:2, 1:2]
+    for s in range(1, dim):
+        old, new = bufs[1 - s % 2], bufs[s % 2]
+        b = (s + 1) * (r + 1) + 1  # past flat (s, s)
+        t = new[r + 1:b]
+        np.add(old[:b - r - 1], old[r:b - 1], out=t)
+        t += old[1:b - r]
+        t -= old[r + 1:b]
         t *= 0.5
-        if s >= dim:
-            grid[:, 0] = grid[:, lo] = 0.0
-        yield lo, grid[lo + 1:hi + 2, lo + 1:hi + 2]
+        yield grids[s % 2, 1:s + 2, 1:s + 2]
 
 
-def _last_antidiagonal(amps):
-    """Largest n + m with amps[n, m] != 0 in a square state, or -1 for the
-    zero state.
-
-    The dim^2-sized temporaries are boolean; the rest is one entry per row:
-    the last occupied column of row n is the first occupied one of the row
-    reversed.
-    """
-    occupied = amps != 0
-    dim = len(amps)
-    ends = np.arange(dim) + (dim - 1) - np.argmax(occupied[:, ::-1], axis=1)
-    return int(np.max(ends, initial=-1, where=occupied.any(axis=1)))
+def _check_square(amps):
+    if amps.ndim != 2 or not 0 < amps.shape[0] == amps.shape[1]:
+        raise DimensionMismatch("two-mode state must be square and non-empty, "
+                                f"got shape {amps.shape}")
 
 
 def apply_beam_splitter(amps):
-    """Apply the balanced beam splitter to a two-mode Fock state.
+    """Apply the balanced beam splitter to the triangle n + m < dim of a
+    square two-mode Fock state, which it maps onto itself exactly unitarily.
 
-    Exactly unitary on every total-photon block below the truncation, that
-    is on states supported on the triangle n + m < dim, which it maps onto
-    itself; blocks reaching the truncation edge are projected, so weight on
-    n + m >= dim loses norm.  An amplitude past total photon number
-    MAX_TOTAL_PHOTONS raises TruncationTooLarge.
+    Entries on n + m >= dim are never used and are zero in the output.  A
+    state wider than MAX_TOTAL_PHOTONS + 1 raises TruncationTooLarge before
+    any block is built.
 
     The blocks' scales are diagonal, so they multiply the whole state once
     before the blocks and once after.  Block T_S acts on the anti-diagonal
     n + m = S, a basic slice of step dim - 1 of the flattened C-ordered
-    state; viewed as (re, im) float pairs, it is one real matrix product.
-    The recursion stops after the last anti-diagonal holding a nonzero
-    amplitude, so a triangle state builds only the dim exact blocks.
+    state from (0, S) to (S, 0); viewed as (re, im) float pairs, it is one
+    real matrix product.
     """
     amps = np.ascontiguousarray(amps, dtype=complex)
-    if amps.ndim != 2 or not 0 < amps.shape[0] == amps.shape[1]:
-        raise DimensionMismatch("two-mode state must be square and non-empty, "
-                                f"got shape {amps.shape}")
-    last = _last_antidiagonal(amps)
-    if last > MAX_TOTAL_PHOTONS:
-        raise TruncationTooLarge(f"state reaches total photon number {last}, "
-                                 f"above the limit {MAX_TOTAL_PHOTONS}")
+    _check_square(amps)
     dim = amps.shape[0]
+    if dim > MAX_TOTAL_PHOTONS + 1:
+        raise TruncationTooLarge(
+            f"state of dimension {dim} reaches total photon number {dim - 1}, "
+            f"above the limit {MAX_TOTAL_PHOTONS}")
     scale = _bs_scales(dim)
     out = np.zeros_like(amps)
     src = (amps * scale).view(float).reshape(-1, 2)
     dst = out.view(float).reshape(-1, 2)
-    step = max(dim - 1, 1)  # at dim 1 every block is one entry
-    for s, (lo, t) in zip(range(last + 1), _bs_blocks(dim)):
-        start = lo * dim + s - lo  # flat index of (lo, s - lo)
-        diag = slice(start, start + step * (t.shape[0] - 1) + 1, step)
+    step = max(dim - 1, 1)  # at dim 1 the one block is one entry
+    for s, t in enumerate(_bs_blocks(dim)):
+        diag = slice(s, s * dim + 1, step)  # flat (0, s) .. (s, 0)
         dst[diag] = t @ src[diag]
     out *= scale
     return out
@@ -237,8 +219,7 @@ def project_quadrature(amps, xs):
     marginal there when amps is normalized.
     """
     amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 2:
-        raise DimensionMismatch(f"expected a two-mode state, got ndim={amps.ndim}")
+    _check_square(amps)
     return quadrature_eigvec(xs, amps.shape[0]) @ amps
 
 

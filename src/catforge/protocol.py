@@ -433,8 +433,6 @@ def window_metrics(p, windows):
     every window's nodes, which go through _kept_mode as one array.
     Returns one (probability, fidelity) pair of floats per window.
     """
-    if not windows:
-        raise DomainError("need at least one window, got an empty window list")
     ranges = _lobe_ranges(_d0(p))  # d0 >= 0, as phi is in [0, pi]
     xs, ws, spans = gauss_legendre(
         tuple(_window_pieces(window, ranges) for window in windows))

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .config import GL_ORDER, MAX_PANEL_WIDTH
+# DomainError as config passes it on: the rule imports from config alone
+from .config import GL_ORDER, MAX_PANEL_WIDTH, DomainError
 
 # interval tables gauss_legendre keeps; see the module docstring for memory
 RULE_TABLES = 8
@@ -55,13 +56,15 @@ def gauss_legendre(groups):
     every panel mapped from the fixed rule in one pass.  groups is a tuple
     of tuples of pairs, the memo's key (a list raises TypeError).  Returns
     read-only (xs, ws) and a tuple spans, spans[k] the slice of xs and ws
-    that group k covers."""
+    that group k covers.  An empty table or interval raises DomainError."""
+    if not groups:
+        raise DomainError("need at least one window, got an empty window list")
     lefts, rights, spans = [], [], []
     for group in groups:
         first = len(lefts)
         for a, b in group:
             if not b > a:
-                raise ValueError(f"empty integration range [{a}, {b}]")
+                raise DomainError(f"empty integration range [{a}, {b}]")
             panels = math.ceil((b - a) / MAX_PANEL_WIDTH)
             step = (b - a) / panels
             edges = [k * step + a for k in range(panels)]

@@ -198,9 +198,7 @@ def test_criterion_09():
                         coherent_fock((a - b) / SQRT2, dim))
         worst_map = max(worst_map, float(np.linalg.norm(out - want)))
     worst_unitary = 0.0
-    for s, (lo, mat) in enumerate(bs_blocks(dim)):
-        if s >= dim:
-            break
+    for s, mat in enumerate(bs_blocks(dim)):
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))
         worst_unitary = max(worst_unitary, dev)
     out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))

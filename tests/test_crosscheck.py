@@ -14,7 +14,7 @@ from catforge.crosscheck import (DENSITY_SAMPLES, GRID_ALPHA0, GRID_PHI,
 from catforge import fock_oracle, protocol, quadrature
 from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
-from catforge.errors import DegenerateState, ZeroProbability
+from catforge.errors import DegenerateState, DomainError, ZeroProbability
 from catforge.protocol import ProtocolParams, window_metrics
 
 
@@ -102,6 +102,15 @@ class TestPointChecks:
         assert abs(fid - fid_fock) < 1e-10
         assert abs(prob - prob_loop) < 1e-13
         assert abs(fid - fid_loop) < 1e-13
+
+    @pytest.mark.parametrize("route", ["closed form", "Fock"])
+    def test_window_routes_refuse_an_empty_list(self, route):
+        p = ProtocolParams(1.5, 0.3)
+        *_, out, cat = oracle_conditioning(p)
+        call = {"closed form": lambda: window_metrics(p, []),
+                "Fock": lambda: fock_oracle.window_metrics(out, [], cat)}[route]
+        with pytest.raises(DomainError, match="empty window list"):
+            call()
 
 
 class TestOddSource:

@@ -15,7 +15,7 @@ import pytest
 from catforge import cv_core, fock_oracle
 from catforge.config import DEFAULT_FOCK_CAP, ZERO_DENSITY
 from catforge.cv_core import HomodyneWindow
-from catforge.errors import (CatforgeError, DimensionMismatch,
+from catforge.errors import (CatforgeError, DimensionMismatch, DomainError,
                              TruncationTooLarge, ZeroProbability)
 from catforge.fock_oracle import (MAX_TOTAL_PHOTONS, apply_beam_splitter,
                                   choose_truncation, coherent_fock,
@@ -38,22 +38,19 @@ def exact_bs_blocks(dim):
         K = sum_j C(m, j) C(S-m, p-j) (-1)^((S-m)-(p-j)),
 
     with K accumulated in exact integer arithmetic (the alternating binomial
-    sum cancels catastrophically in floats).  Blocks with S >= dim are the
-    truncated square submatrix with both occupations below dim.  Cost grows
-    about as dim^4, so it serves dims up to about 81.
+    sum cancels catastrophically in floats), for the blocks S = 0 .. dim - 1
+    of the triangle n + m < dim.  Cost grows about as dim^4, so it serves
+    dims up to about 81.
     """
-    smax = 2 * dim - 2
-    rows = [[math.comb(n, j) for j in range(n + 1)] for n in range(smax + 1)]
-    fact = [math.factorial(n) for n in range(smax + 1)]
+    rows = [[math.comb(n, j) for j in range(n + 1)] for n in range(dim)]
+    fact = [math.factorial(n) for n in range(dim)]
     blocks = []
-    for s in range(smax + 1):
-        lo = max(0, s - dim + 1)
-        occ = range(lo, min(s, dim - 1) + 1)
-        mat = np.empty((len(occ), len(occ)))
-        for a, m in enumerate(occ):
+    for s in range(dim):
+        mat = np.empty((s + 1, s + 1))
+        for m in range(s + 1):
             rm, rn = rows[m], rows[s - m]
             # the block is symmetric (the one-photon matrix is), fill p >= m
-            for b, p in enumerate(occ[a:], start=a):
+            for p in range(m, s + 1):
                 acc = 0
                 for j in range(max(0, p - s + m), min(m, p) + 1):
                     t = rm[j] * rn[p - j]
@@ -61,20 +58,20 @@ def exact_bs_blocks(dim):
                 val = (acc * math.sqrt((fact[p] * fact[s - p])
                                        / (fact[m] * fact[s - m]))
                        * 0.5 ** (0.5 * s)) if acc else 0.0
-                mat[b, a] = mat[a, b] = val
-        blocks.append((lo, mat))
+                mat[p, m] = mat[m, p] = val
+        blocks.append(mat)
     return blocks
 
 
 def bs_blocks(dim):
-    """(lo, U_S) for S = 0 .. 2 dim - 2: fock_oracle._bs_blocks with each
-    block formed as U_S = diag(w_S) T_S diag(w_S) when it is drawn, since
-    the T_S view is overwritten two blocks later.  w_S is anti-diagonal S
-    of fock_oracle._bs_scales(dim)."""
+    """U_S for S = 0 .. dim - 1: fock_oracle._bs_blocks with each block
+    formed as U_S = diag(w_S) T_S diag(w_S) when it is drawn, since the T_S
+    view is overwritten two blocks later.  w_S is anti-diagonal S of
+    fock_oracle._bs_scales(dim)."""
     flipped = fock_oracle._bs_scales(dim)[:, ::-1]
-    for s, (lo, t) in enumerate(fock_oracle._bs_blocks(dim)):
+    for s, t in enumerate(fock_oracle._bs_blocks(dim)):
         w = flipped.diagonal(dim - 1 - s)
-        yield lo, w[:, None] * t * w
+        yield w[:, None] * t * w
 
 
 def triangle(amps):
@@ -97,12 +94,11 @@ def random_block_state(dim, seed):
 def blockwise_reference(v):
     """The beam splitter applied block by block, each block gathering and
     scattering its anti-diagonal n + m = S entry by entry, on the complex
-    state, for every S."""
+    state, for every S < dim."""
     want = np.zeros_like(v)
-    for s, (lo, mat) in enumerate(bs_blocks(v.shape[0])):
-        for i in range(mat.shape[0]):
-            want[lo + i, s - lo - i] = sum(
-                mat[i, k] * v[lo + k, s - lo - k] for k in range(mat.shape[0]))
+    for s, mat in enumerate(bs_blocks(v.shape[0])):
+        for i in range(s + 1):
+            want[i, s - i] = sum(mat[i, k] * v[k, s - k] for k in range(s + 1))
     return want
 
 
@@ -143,12 +139,12 @@ class TestChooseTruncation:
         assert repr(env if cap is None else cap) in msg
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             choose_truncation(-1.0)
 
     @pytest.mark.parametrize("max_amp", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite(self, max_amp):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             choose_truncation(max_amp)
 
     @pytest.mark.parametrize("max_amp", [1e100, 1.9e154])
@@ -211,10 +207,13 @@ class TestQuadratureEigvec:
         assert abs(got - math.pi ** -0.25) < 1e-12
 
     def test_recurrence_matches_direct_polynomial(self):
-        for x in (-5.0, -1.3, 0.0, 0.4, 2.2, 5.0):
-            v = quadrature_eigvec(x, 31)
-            for n in range(31):
-                assert abs(v[n] - hermite_direct(n, x)) < 1e-10
+        # dims 1 and 2 end before the recurrence, on its seeds
+        for dim in (1, 2, 31):
+            for x in (-5.0, -1.3, 0.0, 0.4, 2.2, 5.0):
+                v = quadrature_eigvec(x, dim)
+                assert v.shape == (dim,)
+                for n in range(dim):
+                    assert abs(v[n] - hermite_direct(n, x)) < 1e-10
 
     def test_node_array_matches_single_nodes(self):
         xs = np.array([-4.5, -0.3, 0.0, 1.1, 3.7])
@@ -284,20 +283,17 @@ class TestBeamSplitter:
 
     def test_block_orthogonality(self):
         dim = 30
-        for s, (lo, mat) in enumerate(bs_blocks(dim)):
-            if s >= dim:
-                break
+        for s, mat in enumerate(bs_blocks(dim)):
             dev = np.max(np.abs(mat.T @ mat - np.eye(s + 1)))
             assert dev < 1e-12
 
     @pytest.mark.parametrize("dim", [25, 57, 81])
     def test_blocks_match_exact_reference(self, dim):
-        # every S, the truncated S >= dim blocks included
+        # every block of the triangle, S = 0 .. dim - 1
         got = list(bs_blocks(dim))
         want = exact_bs_blocks(dim)
-        assert len(got) == len(want) == 2 * dim - 1
-        for (lo, mat), (lo_ref, ref) in zip(got, want):
-            assert lo == lo_ref
+        assert len(got) == len(want) == dim
+        for mat, ref in zip(got, want):
             assert mat.shape == ref.shape
             assert np.max(np.abs(mat - ref)) <= 1e-13
 
@@ -306,7 +302,7 @@ class TestBeamSplitter:
         t0 = time.perf_counter()
         blocks = list(bs_blocks(dim))
         assert time.perf_counter() - t0 < 5.0
-        for s, (lo, mat) in enumerate(blocks[:dim]):
+        for s, mat in enumerate(blocks):
             eye = np.eye(s + 1)
             assert np.max(np.abs(mat.T @ mat - eye)) <= 1e-10
             assert np.max(np.abs(mat @ mat - eye)) <= 1e-10
@@ -315,25 +311,45 @@ class TestBeamSplitter:
     def test_unit_weight_stencil_accuracy(self, dim):
         # every weight of the rescaled recursion is one, so each entry
         # carries only a few roundings (at most 3.4e-16 at dims 25 to 81)
-        for (lo, mat), (_, ref) in zip(bs_blocks(dim), exact_bs_blocks(dim)):
+        for mat, ref in zip(bs_blocks(dim), exact_bs_blocks(dim)):
             assert np.max(np.abs(mat - ref)) <= 1e-15
 
     def test_unit_weight_stencil_unitary_at_262(self):
-        # 4.1e-15 measured; the complete blocks only
-        for s, (lo, mat) in zip(range(262), bs_blocks(262)):
+        # 4.1e-15 measured
+        for s, mat in enumerate(bs_blocks(262)):
             eye = np.eye(s + 1)
             assert np.max(np.abs(mat.T @ mat - eye)) <= 2e-14
             assert np.max(np.abs(mat @ mat - eye)) <= 2e-14
 
     def test_refuses_past_the_float_range_of_the_blocks(self):
-        # the unit-weight blocks overflow at S = 2069; at S = 2048 the
-        # refusal comes before any block is built
-        v = np.zeros((1025, 1025), dtype=complex)
-        v[1024, 1023] = 1.0  # S = 2047: within range
-        assert fock_oracle._last_antidiagonal(v) == MAX_TOTAL_PHOTONS
-        v[1024, 1024] = 1.0
-        with pytest.raises(TruncationTooLarge, match="photon number 2048"):
-            apply_beam_splitter(v)
+        # the unit-weight blocks overflow at S = 2069; dimension 2049 would
+        # build S = 2048, and its shape alone is refused (the zeros are
+        # never touched)
+        assert MAX_TOTAL_PHOTONS == 2047
+        with pytest.raises(TruncationTooLarge, match="dimension 2049 reaches "
+                           "total photon number 2048, above the limit 2047"):
+            apply_beam_splitter(np.zeros((2049, 2049), dtype=complex))
+
+    def test_photon_limit_boundary(self, monkeypatch):
+        # at a limit L, dimension L + 1 (last block S = L) is admitted and
+        # L + 2 is refused before any block is built
+        limit = 5
+        ok = random_block_state(limit + 1, seed=5)
+        want = blockwise_reference(ok)
+        monkeypatch.setattr(fock_oracle, "MAX_TOTAL_PHOTONS", limit)
+        built = []
+        all_blocks = fock_oracle._bs_blocks
+
+        def counted(d):
+            built.append(d)
+            return all_blocks(d)
+        monkeypatch.setattr(fock_oracle, "_bs_blocks", counted)
+        assert np.max(np.abs(apply_beam_splitter(ok) - want)) <= 1e-14
+        assert built == [limit + 1]
+        with pytest.raises(TruncationTooLarge, match="photon number 6, above "
+                           "the limit 5"):
+            apply_beam_splitter(random_block_state(limit + 2, seed=6))
+        assert built == [limit + 1]
 
     def test_blocks_streamed_without_cache(self):
         assert inspect.isgeneratorfunction(fock_oracle._bs_blocks)
@@ -356,27 +372,33 @@ class TestBeamSplitter:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 24, 57])
     def test_blocks_act_on_their_antidiagonals(self, dim):
+        # a square state: only its triangle n + m < dim is used, and the
+        # output is zero past it
         rng = np.random.default_rng(dim)
         v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         v /= np.linalg.norm(v)
-        want = blockwise_reference(v)
-        assert np.max(np.abs(apply_beam_splitter(v) - want)) <= 1e-14
+        want = blockwise_reference(triangle(v))
+        got = apply_beam_splitter(v)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        n, m = np.indices(v.shape)
+        assert not np.any(got[n + m >= dim])
+        poisoned = v.copy()
+        poisoned[n + m >= dim] = np.nan
+        assert np.array_equal(apply_beam_splitter(poisoned), got)
         # a strided view is read as the array it shows
         assert np.array_equal(apply_beam_splitter(v.T),
                               apply_beam_splitter(v.T.copy()))
 
     @pytest.mark.parametrize("dim", [1, 2, 24, 57])
-    @pytest.mark.parametrize("kind", ["triangle", "corner", "zero"])
+    @pytest.mark.parametrize("kind", ["triangle", "zero"])
     def test_stops_after_last_occupied_antidiagonal(self, monkeypatch, dim,
                                                     kind):
-        # the output is the all-blocks reference, from only the blocks up to
-        # the last anti-diagonal that holds an amplitude
+        # the recursion stops after the triangle's last anti-diagonal,
+        # S = dim - 1: exactly dim blocks, whatever the state holds
         if kind == "triangle":
             v = random_block_state(dim, seed=dim)
         else:
             v = np.zeros((dim, dim), dtype=complex)
-            if kind == "corner":
-                v[dim - 1, dim - 1] = 0.6 - 0.8j
         want = blockwise_reference(v)
         built = []
         all_blocks = fock_oracle._bs_blocks
@@ -387,8 +409,7 @@ class TestBeamSplitter:
                 yield block
         monkeypatch.setattr(fock_oracle, "_bs_blocks", counted)
         got = apply_beam_splitter(v)
-        assert len(built) == {"triangle": dim, "corner": 2 * dim - 1,
-                              "zero": 0}[kind]
+        assert len(built) == dim
         assert np.max(np.abs(got - want)) <= 1e-14
         if kind == "zero":
             assert not np.any(got)
@@ -397,14 +418,14 @@ class TestBeamSplitter:
         # total photon number is conserved, so the triangle n + m < dim of a
         # coherent pair maps onto the triangle of the output pair, even at a
         # truncation that cuts deep into both modes (square truncation is
-        # off by about 1e-3 here)
+        # off by about 1e-3 here); the square product goes in as it is
         rng = np.random.default_rng(30)
         dim = 30
         for _ in range(10):
             a, b = (complex(v) for v in rng.uniform(2.0, 4.0, 2)
                     * np.exp(2j * np.pi * rng.uniform(size=2)))
-            out = apply_beam_splitter(triangle(
-                np.outer(coherent_fock(a, dim), coherent_fock(b, dim))))
+            out = apply_beam_splitter(
+                np.outer(coherent_fock(a, dim), coherent_fock(b, dim)))
             want = triangle(np.outer(coherent_fock((a + b) / SQRT2, dim),
                                           coherent_fock((a - b) / SQRT2, dim)))
             assert np.max(np.abs(out - want)) <= 1e-14
@@ -414,7 +435,7 @@ class TestBeamSplitter:
             apply_beam_splitter(np.zeros((3, 4), dtype=complex))
         with pytest.raises(DimensionMismatch):
             apply_beam_splitter(np.zeros(5, dtype=complex))
-        # the empty state, before the search for its last anti-diagonal
+        # the empty state, before any block is built
         with pytest.raises(DimensionMismatch, match="non-empty"):
             apply_beam_splitter(np.zeros((0, 0), dtype=complex))
 
@@ -474,6 +495,9 @@ class TestProjection:
     def test_rejects_vector(self):
         with pytest.raises(DimensionMismatch):
             project_quadrature(np.zeros(5, dtype=complex), [0.0])
+        # the empty state, with apply_beam_splitter's shape check
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            project_quadrature(np.zeros((0, 0), dtype=complex), [0.0])
 
 
 class TestGaussLegendre:
@@ -487,9 +511,9 @@ class TestGaussLegendre:
         assert xs.size == 80 * 16
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             gauss_legendre((((1.0, 1.0),),))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             gauss_legendre((((1.0, 0.0),),))
 
     def test_default_panels(self):

@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 from . import crosscheck, cv_core, optimize_sweep, protocol
@@ -191,8 +192,20 @@ def cmd_validate(args):
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a token such as -1e-3 as an option, not as the value
+    of the flag before it, unless it looks like -3 or -0.3.  This parser
+    takes every negative number float() takes as a value, exponent forms
+    and -inf included; no flag of the CLI looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catforge",
         description=("Conditional preparation of symmetric coherent-state "
                      "superpositions: closed-form analysis with an "
@@ -271,7 +284,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CatforgeError, ValueError) as exc:
+    except CatforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

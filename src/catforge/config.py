@@ -20,12 +20,14 @@ ZERO_DENSITY = 1e-30
 
 # default Fock-space dimension cap: a cold crosscheck_point at dimension n
 # takes about FOCK_SECONDS_PER_DIM3 * n^3 seconds, the cubic fit to medians
-# of 3 cold points each (2-core Xeon under KVM, one BLAS thread, one pinned
-# CPU: 0.57 s at 724, 0.96 s at 860, 1.9 s at 1024, 3.0 s at 1200, 4.6 s at
-# 1400, 6.6 s at 1600, 10.2 s at 1800; a free exponent fits 3.13), so at
-# the cap a crosscheck point finishes in about 10 s
-DEFAULT_FOCK_CAP = 1800
-FOCK_SECONDS_PER_DIM3 = 1.65e-9
+# of 3 cold points each at dims 724-1800 (2-core Xeon under KVM, one BLAS
+# thread, one pinned CPU: 0.31 s at 724, 0.47 s at 860, 0.87 s at 1024,
+# 1.6 s at 1200, 2.4 s at 1400, 3.8 s at 1600, 5.1 s at 1800; a free
+# exponent fits 3.18).  At the cap, 2048, the beam splitter's own limit
+# (fock_oracle.MAX_TOTAL_PHOTONS + 1), a cold point took 7.8 s, so a
+# crosscheck point finishes in under 10 s
+DEFAULT_FOCK_CAP = 2048
+FOCK_SECONDS_PER_DIM3 = 8.8e-10
 FOCK_CAP_ENV = "CATFORGE_MAX_FOCK"
 
 # composite Gauss-Legendre rule used for every 1D window / marginal integral

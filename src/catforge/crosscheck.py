@@ -7,7 +7,8 @@ The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the x = 0 row of the density samples is resolved against the
 Fock carriers of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
 fock_oracle.window_metrics, serves here only, as the oracle of
-protocol.window_metrics; each takes a table of windows in one rule pass.
+protocol.window_metrics: it reduces the rows that oracle_conditioning
+projects on the windows' rule nodes, in one pass with the density samples.
 """
 
 import cmath
@@ -30,6 +31,9 @@ DENSITY_SAMPLES = (0.0, 0.3, 0.9, 1.7)
 # split rounding per unit of the cat carrier's tail: 14 ulps at most seen
 SPLIT_ROUNDING = 16 * np.finfo(float).eps
 WINDOW_EPSILONS = (0.05, 0.2)
+WINDOWS = tuple(HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS)
+# the oracle's rule table: the windows as they are, not clipped
+_WINDOW_TABLE = tuple(((w.lo, w.hi),) for w in WINDOWS)
 
 
 @dataclass(frozen=True)
@@ -57,23 +61,27 @@ def oracle_pipeline(p, cap=None):
     raw = (fock_oracle.coherent_fock(1j * p.alpha0 * half, dim)
            + fock_oracle.coherent_fock(1j * p.alpha0 * half.conjugate(), dim))
     raw_norm2 = float(np.vdot(raw, raw).real)
-    src = raw / math.sqrt(raw_norm2)
-    out = fock_oracle.apply_beam_splitter(np.outer(src, src))
+    out = fock_oracle.apply_beam_splitter(raw / math.sqrt(raw_norm2))
     return out, dim, raw_norm2
 
 
 def oracle_conditioning(p, cap=None):
     """Run the full pipeline in Fock space and resolve the branch coefficients.
 
-    Returns (vac_coeff, cat_coeff, samples, out, cat): samples[j] is out
+    Returns (vac_coeff, cat_coeff, samples, windows, cat): samples[j] is out
     projected on <x| at DENSITY_SAMPLES[j], and samples[0] the conditioned
     vector; the coefficients are rescaled by the raw (unnormalized) source
     norm so they are directly comparable to the analytic projection
-    coefficients; out is the oracle_pipeline output and cat the normalized
-    Fock carrier of the cat, the oracle's fidelity target.
+    coefficients; windows holds fock_oracle.window_metrics of WINDOWS, and
+    cat is the normalized Fock carrier of the cat, the oracle's fidelity
+    target.  out (of oracle_pipeline) is projected once, on the density
+    samples and the windows' rule nodes together.
     """
     out, dim, raw_norm2 = oracle_pipeline(p, cap)
-    samples = fock_oracle.project_quadrature(out, DENSITY_SAMPLES)
+    xs, ws, spans = gauss_legendre(_WINDOW_TABLE)
+    rows = fock_oracle.project_quadrature(
+        out, np.concatenate((DENSITY_SAMPLES, xs)))
+    samples = rows[:len(DENSITY_SAMPLES)]
     v = samples[0]
     dens = float(np.vdot(v, v).real)
     if dens < ZERO_DENSITY:
@@ -93,8 +101,10 @@ def oracle_conditioning(p, cap=None):
             f"too little to split within {CROSSCHECK_TOL:g}")
     c_cat = complex(np.vdot(tail, v[1:])) / tail_norm2
     c_vac = complex(v[0]) - c_cat * u_cat[0].real
-    return (c_vac * raw_norm2, c_cat * raw_norm2, samples, out,
-            u_cat / np.linalg.norm(u_cat))
+    cat = u_cat / math.sqrt(tail_norm2 + u_cat[0].real ** 2)
+    windows = fock_oracle.window_metrics(
+        rows[len(DENSITY_SAMPLES):], ws, spans, cat)
+    return c_vac * raw_norm2, c_cat * raw_norm2, samples, windows, cat
 
 
 def window_metrics_analytic(p, window):
@@ -140,23 +150,22 @@ def crosscheck_point(p, cap=None):
     def add(name, value):
         devs.append(Deviation(name, p.alpha0, p.phi, float(value)))
 
-    c_vac_o, c_cat_o, samples, out, cat = oracle_conditioning(p, cap)
+    c_vac_o, c_cat_o, samples, windows_o, cat = oracle_conditioning(p, cap)
     r = protocol.report(p)
     add("vacuum_coeff", abs(r.vacuum_coeff - c_vac_o))
     add("cat_coeff", abs(r.cat_coeff - c_cat_o))
     add("ratio", abs(r.ratio - abs(c_vac_o) / abs(c_cat_o)))
 
-    dens_o = np.sum(np.abs(samples) ** 2, axis=1)
+    flat = samples.view(float)
+    dens_o = np.add.reduce(flat * flat, axis=1)
     for x, dens in zip(DENSITY_SAMPLES, dens_o):
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
 
     fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
     add("fidelity", abs(r.fidelity - fid_o))
 
-    windows = [HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS]
-    windows_o = fock_oracle.window_metrics(out, windows, cat)
     for w, (prob_a, fid_a), (prob_o, fid_o) in zip(
-            windows, protocol.window_metrics(p, windows), windows_o):
+            WINDOWS, protocol.window_metrics(p, WINDOWS), windows_o):
         add(f"window_prob@eps={w.half_width:g}", abs(prob_o - prob_a))
         add(f"window_fid@eps={w.half_width:g}", abs(fid_o - fid_a))
     return devs

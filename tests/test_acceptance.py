@@ -25,15 +25,14 @@ import numpy as np
 
 from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import PI_QUARTER_INV
-from catforge.fock_oracle import (apply_beam_splitter, coherent_fock,
-                                  project_quadrature)
+from catforge.fock_oracle import apply_beam_splitter, project_quadrature
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
 from catforge.protocol import (ProtocolParams, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
                                homodyne_density, report, separations,
                                vacuum_null_alpha, vacuum_null_alpha_approx)
 from catforge.quadrature import gauss_legendre
-from test_fock_oracle import bs_blocks
+from test_fock_oracle import bs_blocks, coherent_source
 
 SQRT2 = math.sqrt(2.0)
 
@@ -191,11 +190,8 @@ def test_criterion_09():
     worst_map = 0.0
     for _ in range(5):
         x, y, u, v = rng.uniform(-1.2, 1.2, 4)
-        a, b = complex(x, y), complex(u, v)
-        out = apply_beam_splitter(
-            np.outer(coherent_fock(a, dim), coherent_fock(b, dim)))
-        want = np.outer(coherent_fock((a + b) / SQRT2, dim),
-                        coherent_fock((a - b) / SQRT2, dim))
+        src, want = coherent_source((complex(x, y), complex(u, v)), dim)
+        out = apply_beam_splitter(src)
         worst_map = max(worst_map, float(np.linalg.norm(out - want)))
     worst_unitary = 0.0
     for s, mat in enumerate(bs_blocks(dim)):

@@ -749,7 +749,7 @@ class TestValidate:
                              "--phi-values", "0.3")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: requested Fock dimension {dim} exceeds "
-                              "cap 1800")
+                              "cap 2048")
         assert err.count("\n") == 1
 
     def test_malformed_fock_cap_names_the_variable(self, capsys, monkeypatch):
@@ -832,3 +832,50 @@ def test_python_m_runs_the_cli():
         [sys.executable, "-m", "catforge", "ratio", "--alpha0", "1e200",
          "--phi", "0.3"], capture_output=True, text=True, env=env, check=False)
     assert (refused.returncode, refused.stdout) == (2, "")
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("ratio", "--alpha0", "1", "--phi", "-1e-3"),
+     ("ratio", "--alpha0", "1", "--phi=-1e-3")),
+    (("prepare", "--alpha0", "1", "--phi", "0.3", "--x", "-2e-1"),
+     ("prepare", "--alpha0", "1", "--phi", "0.3", "--x=-2e-1")),
+    (("sweep", "--phi-min", "-1E-3", "--phi-max", "0.1", "--alpha0-steps",
+      "3", "--phi-steps", "3"),
+     ("sweep", "--phi-min=-1E-3", "--phi-max", "0.1", "--alpha0-steps", "3",
+      "--phi-steps", "3")),
+    (("ratio", "--alpha0", "-.5e+1", "--phi", "0.1"),
+     ("ratio", "--alpha0=-.5e+1", "--phi", "0.1")),
+    (("ratio", "--alpha0", "1", "--phi", "-inf"),
+     ("ratio", "--alpha0", "1", "--phi=-inf")),
+], ids=["phi", "x", "phi-min", "alpha0", "inf"])
+def test_negative_exponent_forms_are_values(capsysbinary, spaced, joined):
+    # argparse alone reads -1e-3 as an option ("expected one argument");
+    # every negative number is the flag's value, as with the = form
+    got = cli.main(list(spaced)), capsysbinary.readouterr()
+    want = cli.main(list(joined)), capsysbinary.readouterr()
+    assert got == want
+    assert b"expected one argument" not in got[1].err
+
+
+def test_a_word_after_a_flag_is_still_not_its_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["ratio", "--alpha0", "1", "--phi", "-x"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_an_internal_value_error_is_not_a_refusal(monkeypatch):
+    # only CatforgeError is a refusal (exit 2): any other exception, such as
+    # a "math domain error" from inside a command, is a bug and shows as a
+    # traceback; DomainError, also a ValueError, still exits 2
+    def broken(p):
+        raise ValueError("math domain error")
+    monkeypatch.setattr(protocol, "coefficient_ratio", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        cli.main(["ratio", "--alpha0", "1", "--phi", "0.1"])
+
+
+def test_a_domain_error_still_exits_2(capsys):
+    code, out, err = run(capsys, "ratio", "--alpha0", "-1", "--phi", "0.1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1

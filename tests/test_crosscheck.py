@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from catforge.crosscheck import (DENSITY_SAMPLES, GRID_ALPHA0, GRID_PHI,
-                                 crosscheck_grid, crosscheck_point,
+                                 WINDOWS, crosscheck_grid, crosscheck_point,
                                  oracle_conditioning, oracle_pipeline,
                                  window_metrics_analytic)
 from catforge import fock_oracle, protocol, quadrature
@@ -94,8 +94,10 @@ class TestPointChecks:
         p = ProtocolParams(1.5, 0.3)
         w = HomodyneWindow(0.0, 0.2)
         [(prob, fid)] = window_metrics(p, [w])
-        *_, out, cat = oracle_conditioning(p)
-        [(prob_fock, fid_fock)] = fock_oracle.window_metrics(out, [w], cat)
+        # the oracle's windows come with its conditioning, in one projection
+        *_, windows_o, _ = oracle_conditioning(p)
+        assert WINDOWS[1] == w
+        prob_fock, fid_fock = windows_o[1]
         prob_loop, fid_loop = window_metrics_analytic(p, w)
         assert type(prob) is float and type(fid) is float
         assert abs(prob - prob_fock) < 1e-10
@@ -105,10 +107,13 @@ class TestPointChecks:
 
     @pytest.mark.parametrize("route", ["closed form", "Fock"])
     def test_window_routes_refuse_an_empty_list(self, route):
+        # the Fock route takes its nodes from the same rule, which refuses
+        # the empty table before anything is projected
         p = ProtocolParams(1.5, 0.3)
-        *_, out, cat = oracle_conditioning(p)
+        out, _, _ = oracle_pipeline(p)
         call = {"closed form": lambda: window_metrics(p, []),
-                "Fock": lambda: fock_oracle.window_metrics(out, [], cat)}[route]
+                "Fock": lambda: fock_oracle.project_quadrature(
+                    out, quadrature.gauss_legendre(())[0])}[route]
         with pytest.raises(DomainError, match="empty window list"):
             call()
 
@@ -131,7 +136,8 @@ class TestGrid:
         # off one report; each deviation is the one of the separate calls
         p = ProtocolParams(alpha0, phi)
         c_vac_o, c_cat_o, samples, _, cat = oracle_conditioning(p)
-        dens_o = np.sum(np.abs(samples) ** 2, axis=1)
+        flat = samples.view(float)
+        dens_o = np.add.reduce(flat * flat, axis=1)
         fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
         r = protocol.report(p)
         want = {

@@ -63,15 +63,34 @@ def exact_bs_blocks(dim):
     return blocks
 
 
+def half_rows(dim):
+    """(S, T_S[:S//2 + 1]) for S = 0 .. dim - 1: the rows that
+    fock_oracle._bs_blocks builds, read off each group's slots while they
+    hold it, with the deferred halvings 2^(S mod 8) taken out."""
+    for s0, s1, slots in fock_oracle._bs_blocks(dim):
+        for s in range(s0, s1):
+            rows = slots[(s - 1) % len(slots), 1:s // 2 + 2, 1:s + 2]
+            yield s, rows * 2.0 ** -(s % 8)
+
+
+def mirror(rows, s):
+    """The whole T_S from its rows p <= S/2, by the flip
+    T_S[S-p, S-m] = (-1)^(S+p+m) T_S[p, m]."""
+    p, m = np.indices((s + 1, s + 1))
+    full = (-1.0) ** (s + p + m) * rows[:, ::-1][np.minimum(s - p, p), m]
+    full[:len(rows)] = rows
+    return full
+
+
 def bs_blocks(dim):
-    """U_S for S = 0 .. dim - 1: fock_oracle._bs_blocks with each block
-    formed as U_S = diag(w_S) T_S diag(w_S) when it is drawn, since the T_S
-    view is overwritten two blocks later.  w_S is anti-diagonal S of
-    fock_oracle._bs_scales(dim)."""
-    flipped = fock_oracle._bs_scales(dim)[:, ::-1]
-    for s, t in enumerate(fock_oracle._bs_blocks(dim)):
+    """U_S for S = 0 .. dim - 1: the half rows of fock_oracle._bs_blocks,
+    mirrored into the whole block and formed as U_S = diag(w_S) T_S
+    diag(w_S) when drawn.  w_S is anti-diagonal S of the output scales of
+    fock_oracle._bs_scales, read from the nearer end."""
+    flipped = fock_oracle._bs_scales(dim)[1][:, ::-1]
+    for s, rows in half_rows(dim):
         w = flipped.diagonal(dim - 1 - s)
-        yield w[:, None] * t * w
+        yield w[:, None] * mirror(rows, s) * w
 
 
 def triangle(amps):
@@ -83,23 +102,46 @@ def triangle(amps):
     return amps
 
 
-def random_block_state(dim, seed):
-    """Random two-mode state supported on complete total-photon blocks."""
+def random_source(dim, seed):
+    """Random normalized single-mode source of complex amplitudes."""
     rng = np.random.default_rng(seed)
-    v = triangle(rng.standard_normal((dim, dim))
-                 + 1j * rng.standard_normal((dim, dim)))
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def source_pair(src):
+    """The pair src (x) src kept on its triangle n + m < dim."""
+    return triangle(np.outer(src, src))
 
 
 def blockwise_reference(v):
     """The beam splitter applied block by block, each block gathering and
     scattering its anti-diagonal n + m = S entry by entry, on the complex
-    state, for every S < dim."""
+    two-mode state, for every S < dim."""
     want = np.zeros_like(v)
     for s, mat in enumerate(bs_blocks(v.shape[0])):
         for i in range(s + 1):
             want[i, s - i] = sum(mat[i, k] * v[k, s - k] for k in range(s + 1))
     return want
+
+
+def coherent_source(amps, dim):
+    """A source that is a sum of coherent states |a_i> (normalized in the
+    truncation) and what the beam splitter makes of its pair: the sum over
+    i, j of |(a_i + a_j)/sqrt2> |(a_i - a_j)/sqrt2>, on the triangle."""
+    raw = sum(coherent_fock(a, dim) for a in amps)
+    norm = np.linalg.norm(raw)
+    want = sum(np.outer(coherent_fock((a + b) / SQRT2, dim),
+                        coherent_fock((a - b) / SQRT2, dim))
+               for a in amps for b in amps)
+    return raw / norm, triangle(want) / norm ** 2
+
+
+def fock_windows(amps, windows, target):
+    """fock_oracle.window_metrics of amps over the windows: the rule of the
+    windows' table, amps projected on its nodes, and the rows reduced."""
+    xs, ws, spans = gauss_legendre(tuple(((w.lo, w.hi),) for w in windows))
+    return window_metrics(project_quadrature(amps, xs), ws, spans, target)
 
 
 class TestChooseTruncation:
@@ -151,7 +193,7 @@ class TestChooseTruncation:
     def test_refuses_past_the_float_range(self, max_amp):
         # the predicted time's cube (1e100) and the dimension's square
         # (1.9e154) leave the float range: both are refusals, not crashes
-        with pytest.raises(TruncationTooLarge, match="exceeds cap 1800"):
+        with pytest.raises(TruncationTooLarge, match="exceeds cap 2048"):
             choose_truncation(max_amp)
 
     def test_tail_bound_property(self):
@@ -232,54 +274,50 @@ class TestQuadratureEigvec:
 
 class TestBeamSplitter:
     def test_vacuum_fixed_point(self):
-        amps = np.zeros((6, 6), dtype=complex)
-        amps[0, 0] = 1.0
-        out = apply_beam_splitter(amps)
+        src = np.zeros(6, dtype=complex)
+        src[0] = 1.0
+        out = apply_beam_splitter(src)
         assert out[0, 0] == 1.0
         assert np.count_nonzero(out) == 1
 
     def test_one_photon_block_by_hand(self):
-        # |1,0> -> (|1,0> + |0,1>)/sqrt2 and |0,1> -> (|1,0> - |0,1>)/sqrt2
-        amps = np.zeros((4, 4), dtype=complex)
-        amps[1, 0] = 1.0
-        out = apply_beam_splitter(amps)
-        assert abs(out[1, 0] - 1 / SQRT2) < 1e-15
-        assert abs(out[0, 1] - 1 / SQRT2) < 1e-15
-        amps = np.zeros((4, 4), dtype=complex)
-        amps[0, 1] = 1.0
-        out = apply_beam_splitter(amps)
-        assert abs(out[1, 0] - 1 / SQRT2) < 1e-15
-        assert abs(out[0, 1] + 1 / SQRT2) < 1e-15
+        # |1,0> -> (|1,0> + |0,1>)/sqrt2 and |0,1> -> (|1,0> - |0,1>)/sqrt2,
+        # so the pair |1>|1> leaves as (|2,0> - |0,2>)/sqrt2: no |1,1>
+        src = np.zeros(4, dtype=complex)
+        src[1] = 1.0
+        out = apply_beam_splitter(src)
+        assert abs(out[2, 0] - 1 / SQRT2) < 1e-15
+        assert abs(out[0, 2] + 1 / SQRT2) < 1e-15
+        assert np.count_nonzero(out) == 2
 
     def test_coherent_mapping(self):
+        # a source of two coherent states: its pair is four coherent pairs
+        # |a_i>|a_j>, each leaving as |(a_i + a_j)/sqrt2>|(a_i - a_j)/sqrt2>
         rng = np.random.default_rng(7)
         dim = 60
         for _ in range(10):
             a, b = (complex(*v) for v in rng.uniform(-SQRT2, SQRT2, (2, 2)))
-            out = apply_beam_splitter(
-                np.outer(coherent_fock(a, dim), coherent_fock(b, dim)))
-            want = np.outer(coherent_fock((a + b) / SQRT2, dim),
-                                 coherent_fock((a - b) / SQRT2, dim))
-            assert np.linalg.norm(out - want) < 1e-8
+            src, want = coherent_source((a, b), dim)
+            assert np.linalg.norm(apply_beam_splitter(src) - want) < 1e-8
 
     def test_merging_equal_inputs(self):
         dim = 60
         a = 1.2 - 0.4j
-        out = apply_beam_splitter(
-            np.outer(coherent_fock(a, dim), coherent_fock(a, dim)))
+        out = apply_beam_splitter(coherent_fock(a, dim))
         want = np.outer(coherent_fock(SQRT2 * a, dim),
                              coherent_fock(0.0, dim))
         assert np.linalg.norm(out - want) < 1e-8
 
     def test_unitary_on_complete_blocks(self):
-        v = random_block_state(40, seed=7)
-        w = apply_beam_splitter(v)
-        assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+        src = random_source(40, seed=7)
+        w = apply_beam_splitter(src)
+        assert abs(np.linalg.norm(w) - np.linalg.norm(source_pair(src))) < 1e-12
 
     def test_involution_on_complete_blocks(self):
-        v = random_block_state(40, seed=8)
-        w = apply_beam_splitter(apply_beam_splitter(v))
-        assert np.max(np.abs(w - v)) < 1e-12
+        # each block is its own inverse: the blocks map the output back
+        src = random_source(40, seed=8)
+        w = blockwise_reference(apply_beam_splitter(src))
+        assert np.max(np.abs(w - source_pair(src))) < 1e-12
 
     def test_block_orthogonality(self):
         dim = 30
@@ -297,6 +335,64 @@ class TestBeamSplitter:
             assert mat.shape == ref.shape
             assert np.max(np.abs(mat - ref)) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [25, 57, 81])
+    def test_half_rows_match_exact_reference(self, dim):
+        # the rows p <= S/2 that _bs_blocks builds, against the exact
+        # blocks; the exact rows past S/2 are the flip of those rows
+        scales = fock_oracle._bs_scales(dim)[1][:, ::-1]
+        for (s, rows), ref in zip(half_rows(dim), exact_bs_blocks(dim)):
+            w = scales.diagonal(dim - 1 - s)
+            assert rows.shape == (s // 2 + 1, s + 1)
+            assert np.max(np.abs(w[:len(rows), None] * rows * w
+                                 - ref[:len(rows)])) <= 1e-13
+            p, m = np.indices(ref.shape)
+            assert np.max(np.abs(ref[::-1, ::-1]
+                                 - (-1.0) ** (s + p + m) * ref)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [25, 57, 81])
+    def test_deferred_halvings_are_exact(self, dim):
+        # the build that halves every step, with the same flip: R_S is 2^(S
+        # mod 8) times it bit for bit (no entry is subnormal at these dims)
+        r = dim + 1
+        t = np.zeros((dim + 2, r + 1))
+        t[1, 1] = 1.0
+        for s, rows in half_rows(dim):
+            if s:
+                h = s // 2
+                if not s % 2:
+                    t[h + 1, 1:s + 1] = ((-1.0) ** (h + 1 + np.arange(s))
+                                         * t[h, s:0:-1])
+                new = np.zeros_like(t)
+                new[1:h + 2, 1:r + 1] = t[:h + 1, :r] + t[1:h + 2, :r]
+                new[1:h + 2, 1:r + 1] += t[:h + 1, 1:]
+                new[1:h + 2, 1:r + 1] -= t[1:h + 2, 1:]
+                new *= 0.5
+                t = new
+            assert np.all(np.abs(rows[rows != 0]) >= np.finfo(float).tiny)
+            assert np.array_equal(rows, t[1:s // 2 + 2, 1:s + 2])
+
+    def test_pair_output_has_no_odd_kept_counts(self):
+        # the pair is swap-symmetric, so U_S[p, S-k] = (-1)^(S-p) U_S[p, k]
+        # leaves kept counts m even only: exactly, not to rounding
+        for dim, seed in ((2, 1), (7, 2), (40, 3), (81, 4)):
+            out = apply_beam_splitter(random_source(dim, seed))
+            assert not np.any(out[:, 1::2])
+        half = complex(math.cos(0.25), math.sin(0.25))
+        src, _ = coherent_source((2j * half, 2j * half.conjugate()), 57)
+        assert not np.any(apply_beam_splitter(src)[:, 1::2])
+
+    @pytest.mark.parametrize("ring", [2, 3, 5])
+    def test_output_does_not_depend_on_the_ring(self, monkeypatch, ring):
+        # large dimensions keep 2 slots, small ones 16: a group's padded
+        # products add exact zeros only, so the output is the same bits
+        want = {dim: apply_beam_splitter(random_source(dim, dim))
+                for dim in (7, 24, 57)}
+        for dim, out in want.items():
+            slot = 8 * ((dim + 1) // 2 + 1) * (dim + 1)
+            monkeypatch.setattr(fock_oracle, "_RING_BYTES", ring * slot)
+            assert np.array_equal(apply_beam_splitter(random_source(dim, dim)),
+                                  out)
+
     def test_large_dimension_unitary_and_involutory(self):
         dim = 262
         t0 = time.perf_counter()
@@ -310,7 +406,7 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("dim", [25, 57])
     def test_unit_weight_stencil_accuracy(self, dim):
         # every weight of the rescaled recursion is one, so each entry
-        # carries only a few roundings (at most 3.4e-16 at dims 25 to 81)
+        # carries only a few roundings (at most 3.9e-16 at dims 25 to 81)
         for mat, ref in zip(bs_blocks(dim), exact_bs_blocks(dim)):
             assert np.max(np.abs(mat - ref)) <= 1e-15
 
@@ -322,20 +418,20 @@ class TestBeamSplitter:
             assert np.max(np.abs(mat @ mat - eye)) <= 2e-14
 
     def test_refuses_past_the_float_range_of_the_blocks(self):
-        # the unit-weight blocks overflow at S = 2069; dimension 2049 would
+        # the deferred blocks overflow past S = 2054; dimension 2049 would
         # build S = 2048, and its shape alone is refused (the zeros are
         # never touched)
         assert MAX_TOTAL_PHOTONS == 2047
         with pytest.raises(TruncationTooLarge, match="dimension 2049 reaches "
                            "total photon number 2048, above the limit 2047"):
-            apply_beam_splitter(np.zeros((2049, 2049), dtype=complex))
+            apply_beam_splitter(np.zeros(2049, dtype=complex))
 
     def test_photon_limit_boundary(self, monkeypatch):
         # at a limit L, dimension L + 1 (last block S = L) is admitted and
         # L + 2 is refused before any block is built
         limit = 5
-        ok = random_block_state(limit + 1, seed=5)
-        want = blockwise_reference(ok)
+        ok = random_source(limit + 1, seed=5)
+        want = blockwise_reference(source_pair(ok))
         monkeypatch.setattr(fock_oracle, "MAX_TOTAL_PHOTONS", limit)
         built = []
         all_blocks = fock_oracle._bs_blocks
@@ -348,12 +444,12 @@ class TestBeamSplitter:
         assert built == [limit + 1]
         with pytest.raises(TruncationTooLarge, match="photon number 6, above "
                            "the limit 5"):
-            apply_beam_splitter(random_block_state(limit + 2, seed=6))
+            apply_beam_splitter(random_source(limit + 2, seed=6))
         assert built == [limit + 1]
 
     def test_blocks_streamed_without_cache(self):
         assert inspect.isgeneratorfunction(fock_oracle._bs_blocks)
-        apply_beam_splitter(random_block_state(30, seed=4))
+        apply_beam_splitter(random_source(30, seed=4))
         held = [name for name, value in vars(fock_oracle).items()
                 if not name.startswith("__")
                 and isinstance(value, (dict, list, set))]
@@ -364,80 +460,71 @@ class TestBeamSplitter:
         n1, n2 = np.indices((dim, dim))
         total = n1 + n2
         for seed in (1, 2, 3):
-            v = random_block_state(dim, seed)
-            w = apply_beam_splitter(v)
+            v = source_pair(random_source(dim, seed))
+            w = apply_beam_splitter(random_source(dim, seed))
             before = float(np.sum(total * np.abs(v) ** 2))
             after = float(np.sum(total * np.abs(w) ** 2))
             assert abs(before - after) < 1e-10
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 24, 57])
     def test_blocks_act_on_their_antidiagonals(self, dim):
-        # a square state: only its triangle n + m < dim is used, and the
-        # output is zero past it
-        rng = np.random.default_rng(dim)
-        v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        v /= np.linalg.norm(v)
-        want = blockwise_reference(triangle(v))
-        got = apply_beam_splitter(v)
+        # the pair's triangle n + m < dim only, and the output is zero past
+        # it
+        src = random_source(dim, seed=dim)
+        want = blockwise_reference(source_pair(src))
+        got = apply_beam_splitter(src)
         assert np.max(np.abs(got - want)) <= 1e-14
-        n, m = np.indices(v.shape)
+        n, m = np.indices(got.shape)
         assert not np.any(got[n + m >= dim])
-        poisoned = v.copy()
-        poisoned[n + m >= dim] = np.nan
-        assert np.array_equal(apply_beam_splitter(poisoned), got)
         # a strided view is read as the array it shows
-        assert np.array_equal(apply_beam_splitter(v.T),
-                              apply_beam_splitter(v.T.copy()))
+        assert np.array_equal(apply_beam_splitter(src[::-1]),
+                              apply_beam_splitter(src[::-1].copy()))
 
     @pytest.mark.parametrize("dim", [1, 2, 24, 57])
     @pytest.mark.parametrize("kind", ["triangle", "zero"])
     def test_stops_after_last_occupied_antidiagonal(self, monkeypatch, dim,
                                                     kind):
         # the recursion stops after the triangle's last anti-diagonal,
-        # S = dim - 1: exactly dim blocks, whatever the state holds
+        # S = dim - 1: exactly dim blocks, whatever the source holds
         if kind == "triangle":
-            v = random_block_state(dim, seed=dim)
+            src = random_source(dim, seed=dim)
         else:
-            v = np.zeros((dim, dim), dtype=complex)
-        want = blockwise_reference(v)
+            src = np.zeros(dim, dtype=complex)
+        want = blockwise_reference(source_pair(src))
         built = []
         all_blocks = fock_oracle._bs_blocks
 
         def counted(d):
-            for block in all_blocks(d):
-                built.append(block)
-                yield block
+            for s0, s1, slots in all_blocks(d):
+                built.extend(range(s0, s1))
+                yield s0, s1, slots
         monkeypatch.setattr(fock_oracle, "_bs_blocks", counted)
-        got = apply_beam_splitter(v)
-        assert len(built) == dim
+        got = apply_beam_splitter(src)
+        assert built == list(range(dim))
         assert np.max(np.abs(got - want)) <= 1e-14
         if kind == "zero":
             assert not np.any(got)
 
     def test_triangle_coherent_pair_maps_exactly(self):
         # total photon number is conserved, so the triangle n + m < dim of a
-        # coherent pair maps onto the triangle of the output pair, even at a
-        # truncation that cuts deep into both modes (square truncation is
-        # off by about 1e-3 here); the square product goes in as it is
+        # coherent source's pair maps onto the triangle of the output pairs,
+        # even at a truncation that cuts deep into both modes (square
+        # truncation is off by about 1e-3 here)
         rng = np.random.default_rng(30)
         dim = 30
         for _ in range(10):
             a, b = (complex(v) for v in rng.uniform(2.0, 4.0, 2)
                     * np.exp(2j * np.pi * rng.uniform(size=2)))
-            out = apply_beam_splitter(
-                np.outer(coherent_fock(a, dim), coherent_fock(b, dim)))
-            want = triangle(np.outer(coherent_fock((a + b) / SQRT2, dim),
-                                          coherent_fock((a - b) / SQRT2, dim)))
-            assert np.max(np.abs(out - want)) <= 1e-14
+            for amps in ((a,), (a, b)):
+                src, want = coherent_source(amps, dim)
+                assert np.max(np.abs(apply_beam_splitter(src) - want)) <= 1e-14
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionMismatch):
-            apply_beam_splitter(np.zeros((3, 4), dtype=complex))
-        with pytest.raises(DimensionMismatch):
-            apply_beam_splitter(np.zeros(5, dtype=complex))
-        # the empty state, before any block is built
-        with pytest.raises(DimensionMismatch, match="non-empty"):
-            apply_beam_splitter(np.zeros((0, 0), dtype=complex))
+        # the source is one mode: a two-mode state, square or not, and the
+        # empty source are refused before any block is built
+        for shape in ((3, 4), (5, 5), (0,)):
+            with pytest.raises(DimensionMismatch, match="non-empty vector"):
+                apply_beam_splitter(np.zeros(shape, dtype=complex))
 
 
 class TestProjection:
@@ -459,8 +546,8 @@ class TestProjection:
         [v] = project_quadrature(amps, [40.0])
         assert np.vdot(v, v).real < ZERO_DENSITY
         with pytest.raises(ZeroProbability):
-            window_metrics(amps, [HomodyneWindow(40.0, 0.1)],
-                           np.eye(dim, dtype=complex)[0])
+            fock_windows(amps, [HomodyneWindow(40.0, 0.1)],
+                         np.eye(dim, dtype=complex)[0])
 
     def test_array_matches_one_x_at_a_time(self):
         from catforge import crosscheck, protocol
@@ -473,16 +560,19 @@ class TestProjection:
             assert np.max(np.abs(row - one)) <= 1e-15
 
     def test_coherent_pair_matches_the_wavefunction(self):
-        # |a>|b> leaves the beam splitter as |(a+b)/sqrt2>|(a-b)/sqrt2>: row x
-        # is <x|(a+b)/sqrt2> times the output-mode coherent state
+        # each |a_i>|a_j> of a coherent source's pair leaves the beam
+        # splitter as |(a_i+a_j)/sqrt2>|(a_i-a_j)/sqrt2>: row x is the sum of
+        # <x|(a_i+a_j)/sqrt2> times the output-mode coherent states
         dim = 60
-        a, b = 0.7 - 0.4j, -0.3 + 0.9j
-        out = apply_beam_splitter(
-            np.outer(coherent_fock(a, dim), coherent_fock(b, dim)))
+        amps = (0.7 - 0.4j, -0.3 + 0.9j)
+        src, _ = coherent_source(amps, dim)
+        norm2 = np.linalg.norm(sum(coherent_fock(a, dim) for a in amps)) ** 2
+        out = apply_beam_splitter(src)
         xs = [-1.3, 0.0, 0.4, 2.2]
-        kept = coherent_fock((a - b) / SQRT2, dim)
         for x, row in zip(xs, project_quadrature(out, xs)):
-            want = cv_core.quadrature_overlap(x, (a + b) / SQRT2) * kept
+            want = sum(cv_core.quadrature_overlap(x, (a + b) / SQRT2)
+                       * coherent_fock((a - b) / SQRT2, dim)
+                       for a in amps for b in amps) / norm2
             assert np.max(np.abs(row - want)) < 1e-12
 
     def test_marginal_integrates_to_one(self):
@@ -538,7 +628,7 @@ class TestWindowState:
         for k in range(out.shape[0]):
             basis = np.zeros(out.shape[0], dtype=complex)
             basis[k] = 1.0
-            [(prob, fid)] = window_metrics(out, [window], basis)
+            [(prob, fid)] = fock_windows(out, [window], basis)
             assert 0.0 < prob < 1.0
             fids.append(fid)
         assert min(fids) >= 0.0
@@ -548,13 +638,13 @@ class TestWindowState:
         out = self.pipeline()
         [v] = project_quadrature(out, [0.0])
         vhat = v / np.linalg.norm(v)
-        [(_, fid)] = window_metrics(out, [HomodyneWindow(0.0, 1e-4)], vhat)
+        [(_, fid)] = fock_windows(out, [HomodyneWindow(0.0, 1e-4)], vhat)
         assert fid >= 1.0 - 1e-6
 
     def test_wide_window_captures_everything(self):
         out = self.pipeline()
         target = np.eye(out.shape[0], dtype=complex)[0]
-        [(prob, _)] = window_metrics(out, [HomodyneWindow(0.0, 10.0)], target)
+        [(prob, _)] = fock_windows(out, [HomodyneWindow(0.0, 10.0)], target)
         assert abs(prob - 1.0) < 1e-6
 
     def test_matches_node_loop(self):
@@ -563,7 +653,7 @@ class TestWindowState:
         window = HomodyneWindow(0.1, 0.4)
         target = coherent_fock(0.8 - 0.3j, out.shape[0])
         target /= np.linalg.norm(target)
-        [(prob, fid)] = window_metrics(out, [window], target)
+        [(prob, fid)] = fock_windows(out, [window], target)
         xs, ws, _ = gauss_legendre((((window.lo, window.hi),),))
         ref = np.zeros((out.shape[0],) * 2, dtype=complex)
         for x, w in zip(xs, ws):
@@ -577,12 +667,13 @@ class TestWindowState:
         out = self.pipeline()
         target = np.eye(out.shape[0], dtype=complex)[0]
         with pytest.raises(ZeroProbability):
-            window_metrics(out, [HomodyneWindow(40.0, 0.1)], target)
+            fock_windows(out, [HomodyneWindow(40.0, 0.1)], target)
 
     def test_rejects_vector(self):
+        # the rows are one projection per node: a single vector is refused
+        _, ws, spans = gauss_legendre((((-0.1, 0.1),),))
         with pytest.raises(DimensionMismatch):
-            window_metrics(np.zeros(5, dtype=complex),
-                           [HomodyneWindow(0.0, 0.1)],
+            window_metrics(np.zeros(5, dtype=complex), ws, spans,
                            np.zeros(5, dtype=complex))
 
     @pytest.mark.parametrize("shape", [
@@ -592,7 +683,7 @@ class TestWindowState:
         out = self.pipeline()
         target = np.ones(shape(out.shape[0]), dtype=complex)
         with pytest.raises(DimensionMismatch, match="target"):
-            window_metrics(out, [HomodyneWindow(0.0, 0.1)], target)
+            fock_windows(out, [HomodyneWindow(0.0, 0.1)], target)
 
     def test_densities_at_points(self):
         # a narrow window at x accepts about 2 eps |v(x)|^2, the density
@@ -602,7 +693,7 @@ class TestWindowState:
         target = np.eye(out.shape[0], dtype=complex)[0]
         points = [0.3, -0.9, 1.7]
         eps = 1e-4
-        metrics = window_metrics(
+        metrics = fock_windows(
             out, [HomodyneWindow(x, eps) for x in points], target)
         dens = np.sum(np.abs(project_quadrature(out, points)) ** 2, axis=1)
         for (prob, _), d in zip(metrics, dens):
@@ -610,13 +701,15 @@ class TestWindowState:
 
 
 def test_default_cap_is_documented_value():
-    assert DEFAULT_FOCK_CAP == 1800
+    # the cap is the beam splitter's own limit: a source of dimension 2048
+    # builds the blocks up to S = MAX_TOTAL_PHOTONS = 2047
+    assert DEFAULT_FOCK_CAP == 2048 == MAX_TOTAL_PHOTONS + 1
 
 
 def test_cap_message_predicts_cost_and_names_overrides():
     with pytest.raises(TruncationTooLarge) as info:
         choose_truncation(50.0)
     msg = str(info.value)
-    assert "3020 exceeds cap 1800" in msg
-    assert "predicted to take about 45.4 s" in msg
+    assert "3020 exceeds cap 2048" in msg
+    assert "predicted to take about 24.2 s" in msg
     assert "--max-fock" in msg and "CATFORGE_MAX_FOCK" in msg

@@ -50,6 +50,11 @@ GRID_STEP_CAP = 2001
 # analytic vs Fock-oracle agreement required on the validation grid
 CROSSCHECK_TOL = 1e-8
 
+# crosscheck refuses to split the oracle's branches where the split's
+# rounding, over the cat carrier's tail, could exceed this; apart from
+# CROSSCHECK_TOL, so that the validation gate moves without the refusal
+SPLIT_REFUSAL_TOL = 1e-8
+
 
 def fock_cap(override=None):
     """Effective Fock dimension cap: explicit override, else env var, else

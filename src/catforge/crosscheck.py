@@ -20,7 +20,7 @@ import numpy as np
 from . import fock_oracle, protocol
 from .cv_core import (SQRT2, HomodyneWindow, coherent_overlap,
                       quadrature_overlap)
-from .config import CROSSCHECK_TOL, ZERO_DENSITY
+from .config import SPLIT_REFUSAL_TOL, ZERO_DENSITY
 from .errors import DegenerateState, ZeroProbability
 from .quadrature import gauss_legendre
 
@@ -94,11 +94,12 @@ def oracle_conditioning(p, cap=None):
     tail_norm = math.sqrt(tail_norm2)
     # c_cat divides v's rounding by the tail, whose norm shrinks as s^2; at
     # s = 0 the branches coalesce at the vacuum and v fixes only their sum
-    if SPLIT_ROUNDING > CROSSCHECK_TOL * tail_norm:
+    if SPLIT_ROUNDING > SPLIT_REFUSAL_TOL * tail_norm:
         raise DegenerateState(
             f"cannot resolve branch coefficients at separation {2 * s:.3e}: "
             f"the cat's Fock carrier leaves the vacuum by {tail_norm:.3e}, "
-            f"too little to split within {CROSSCHECK_TOL:g}")
+            f"too little to split within SPLIT_REFUSAL_TOL = "
+            f"{SPLIT_REFUSAL_TOL:g}")
     c_cat = complex(np.vdot(tail, v[1:])) / tail_norm2
     c_vac = complex(v[0]) - c_cat * u_cat[0].real
     cat = u_cat / math.sqrt(tail_norm2 + u_cat[0].real ** 2)

@@ -229,8 +229,9 @@ def _kept_mode(p, x):
     g = PI_QUARTER_INV * exp(-0.5 * x * x)
     if s2 > 1.0:
         norm2 = 2.0 * (1.0 + math.exp(-s2) * cos)
-        g_plus = PI_QUARTER_INV * exp(-0.5 * (x - d0) * (x - d0))
-        g_minus = PI_QUARTER_INV * exp(-0.5 * (x + d0) * (x + d0))
+        below, above = x - d0, x + d0
+        g_plus = PI_QUARTER_INV * exp(-0.5 * below * below)
+        g_minus = PI_QUARTER_INV * exp(-0.5 * above * above)
         vac = ((g_plus + g_minus) * cos, (g_minus - g_plus) * sin)
         re = (vac[0] + 2.0 * h * g) / norm2
         im = vac[1] / norm2
@@ -243,8 +244,10 @@ def _kept_mode(p, x):
         f = 2.0 * h * g / norm2
         re = f * (cos2 + cos * (2.0 * h * sh * sh + math.expm1(-0.5 * s2)))
         im = -f * h * sh_u * sin
-        t = 2.0 * h * h * g
-        vac = None if array else (t * (1.0 + 2.0 * sh * sh) * cos, -t * sh_u * sin)
+        vac = None
+        if not array:
+            t = 2.0 * h * h * g
+            vac = (t * (1.0 + 2.0 * sh * sh) * cos, -t * sh_u * sin)
     b = SQRT2 * em1 * g / norm2
     n = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s2))
     o_re = 2.0 * h / n * re + SQRT2 * em1 / n * b

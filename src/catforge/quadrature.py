@@ -1,6 +1,14 @@
 """Composite Gauss-Legendre rule for every 1D window and marginal integral,
 shared by the closed forms (protocol) and the Fock oracle; it has no physics.
 
+The GL_ORDER-point base rule is a literal table of its positive half: the
+nodes and weights of numpy 2.4.6's np.polynomial.legendre.leggauss(16), bit
+for bit, so no run imports numpy.polynomial or calls LAPACK for it.  The
+nodes lie within 0.32 ulp of the exact rule.  leggauss forms the weights
+from the eigensolver's roots before its Newton step, so they lie up to 63
+ulps (7e-15 relative) from the exact weights, an error both routes share.
+Correctly rounded weights would move the last bits of every window output.
+
 gauss_legendre is memoized by its interval table, which callers pass as a
 tuple of groups, each a tuple of (a, b) pairs: a parameter scan, or validate
 with its two routes at every grid point, repeats the same window edges, so
@@ -28,21 +36,29 @@ from .config import GL_ORDER, MAX_PANEL_WIDTH, DomainError
 # interval tables gauss_legendre keeps; see the module docstring for memory
 RULE_TABLES = 8
 
+# the positive half of the base rule, ascending (see the module docstring)
+_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499)
+_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176)
+
 
 @functools.cache
 def _gl_rule():
-    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
-
-    Computed on first use and kept: leggauss takes about 0.44 ms a call,
-    longer than a whole closed-form window_metrics table of four windows
-    (about 0.10 ms, 0.14 ms rebuilding its composite rule; 2-core Xeon, one
-    BLAS thread), and it loads enough of numpy's linear algebra to cost
-    1.7 MiB of peak memory in runs that never integrate over a window.  The
-    composite rules mapped from it are memoized in turn by gauss_legendre,
-    keyed by their interval table and read-only like this one, at most
-    RULE_TABLES of them (memory bound in the module docstring).
+    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only: the table
+    mirrored, nodes ascending and odd, weights even.  It equals leggauss(16)
+    bit for bit, weights' 63-ulp error included (module docstring), with no
+    eigenvalue solve: leggauss's import and first call took about 3 ms and
+    1.75 MiB of peak memory.  The composite rules mapped from it are
+    memoized by gauss_legendre, read-only too, at most RULE_TABLES of them.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
+    half_x, half_w = np.array(_HALF_NODES), np.array(_HALF_WEIGHTS)
+    nodes = np.concatenate((-half_x[::-1], half_x))
+    weights = np.concatenate((half_w[::-1], half_w))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

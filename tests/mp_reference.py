@@ -12,7 +12,8 @@ S2 is about d0^2 and the Gram sum of the kept mode cancels to about
 4 log10(1/d0) digits; at d0 = 1e-8 and alpha0 ~ 1e9 the textbook exponents
 lose another 18, which REFERENCE_DPS leaves ample room for.  Window integrals
 take Gauss-Legendre quadrature at QUAD_DPS digits of an integrand evaluated
-at REFERENCE_DPS.
+at REFERENCE_DPS; legendre_rule gives the package's fixed rule's exact nodes
+and weights to check its table against.
 """
 
 import sys
@@ -83,6 +84,35 @@ def vacuum_null_alpha(phi, k):
         a2 = (k + mpmath.mpf(0.5)) * mpmath.pi / mpmath.sin(mpmath.mpf(phi))
         return (float(mpmath.sqrt(a2)),
                 float(a2 / mpmath.mpf(sys.float_info.max) - 1))
+
+
+def legendre_rule(n):
+    """The positive half of the n-point Gauss-Legendre rule on [-1, 1] (n
+    even), ascending: (nodes, weights) as mpf at REFERENCE_DPS digits.  Each
+    node is Newton's root of P_n, taken with P_n' from the three-term
+    recurrence, from the guess cos(pi (i - 1/4) / (n + 1/2)); its weight is
+    2 / ((1 - x^2) P_n'(x)^2).  Compare with them inside
+    mpmath.workdps(REFERENCE_DPS)."""
+    def legendre(x):
+        prev, cur = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        return cur, n * (x * cur - prev) / (x * x - 1)
+
+    nodes, weights = [], []
+    with mpmath.workdps(REFERENCE_DPS):
+        quarter = mpmath.mpf(0.25)
+        for i in range(n // 2, 0, -1):
+            x = mpmath.cos(mpmath.pi * (i - quarter) / (n + 2 * quarter))
+            for _ in range(50):
+                value, slope = legendre(x)
+                x -= value / slope
+                if abs(value / slope) < mpmath.mpf(10) ** (5 - REFERENCE_DPS):
+                    break
+            slope = legendre(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes, weights
 
 
 class Conditioning:

@@ -9,12 +9,19 @@ the protocol tests compare the package against, is checked the same way.
 
 import cmath
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
-from catforge import cv_core
+import mp_reference
+from catforge import cv_core, quadrature
+from catforge.config import GL_ORDER
 from catforge.cv_core import HomodyneWindow, coherent_overlap, quadrature_overlap
 from catforge.errors import CatforgeError, DegenerateState, DomainError
 from catforge.protocol import cat_wigner
@@ -515,6 +522,56 @@ class TestGaussLegendre:
         crosscheck.crosscheck_grid()
         info = gauss_legendre.cache_info()
         assert (info.hits, info.misses) == (23, 1)
+
+
+class TestBaseRule:
+    """The fixed rule is a literal table of its positive half, checked here
+    against the exact rule; _gl_rule mirrors it."""
+
+    def test_table_has_gl_order_points(self):
+        assert 2 * len(quadrature._HALF_NODES) == GL_ORDER
+        assert 2 * len(quadrature._HALF_WEIGHTS) == GL_ORDER
+        assert all(v.shape == (GL_ORDER,) for v in quadrature._gl_rule())
+
+    def test_mirror_symmetry_is_exact(self):
+        nodes, weights = quadrature._gl_rule()
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+        assert list(nodes[GL_ORDER // 2:]) == list(quadrature._HALF_NODES)
+        assert list(weights[GL_ORDER // 2:]) == list(quadrature._HALF_WEIGHTS)
+
+    def test_nodes_within_half_an_ulp(self):
+        exact, _ = mp_reference.legendre_rule(GL_ORDER)
+        with mpmath.workdps(mp_reference.REFERENCE_DPS):
+            for node, want in zip(quadrature._HALF_NODES, exact):
+                assert abs(mpmath.mpf(node) - want) <= mpmath.mpf(math.ulp(node)) / 2
+
+    def test_weights_within_64_ulps(self):
+        # leggauss's error, kept bit for bit: it forms the weights from the
+        # eigensolver's roots before its Newton step (63 ulps at most)
+        _, exact = mp_reference.legendre_rule(GL_ORDER)
+        with mpmath.workdps(mp_reference.REFERENCE_DPS):
+            for weight, want in zip(quadrature._HALF_WEIGHTS, exact):
+                assert abs(mpmath.mpf(weight) - want) <= 64 * math.ulp(weight)
+
+    def test_weights_sum_to_two(self):
+        assert abs(math.fsum(quadrature._gl_rule()[1]) - 2.0) <= 2 * math.ulp(2.0)
+
+    def test_runs_load_no_polynomial_module(self):
+        # a window table and a crosscheck point integrate with the table,
+        # with no eigenvalue solve from numpy.polynomial
+        code = ("import sys; from catforge import crosscheck, protocol; "
+                "from catforge.optimize_sweep import window_tradeoff; "
+                "p = protocol.ProtocolParams(1.0, 0.5); "
+                "window_tradeoff(p, [1e-4, 1e-2, 0.1, 1.0]); "
+                "crosscheck.crosscheck_point(p); "
+                "print('numpy.polynomial' in sys.modules)")
+        src = pathlib.Path(quadrature.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_exports_resolve_and_leave_out_the_coherent_term_algebra():

@@ -3,7 +3,8 @@ shared by the closed forms (protocol) and the Fock oracle; it has no physics.
 
 The GL_ORDER-point base rule is a literal table of its positive half: the
 nodes and weights of numpy 2.4.6's np.polynomial.legendre.leggauss(16), bit
-for bit, so no run imports numpy.polynomial or calls LAPACK for it.  The
+for bit, so no eigenvalue solve is run for it, and on numpy 2, where
+numpy's submodules load lazily, no run imports numpy.polynomial.  The
 nodes lie within 0.32 ulp of the exact rule.  leggauss forms the weights
 from the eigensolver's roots before its Newton step, so they lie up to 63
 ulps (7e-15 relative) from the exact weights, an error both routes share.
@@ -46,22 +47,18 @@ _HALF_WEIGHTS = (
     0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
     0.062253523938647456, 0.027152459411754176)
 
+# the base rule on [-1, 1], the table mirrored: nodes ascending and odd,
+# weights even, read-only
+_NODES = np.concatenate((-np.array(_HALF_NODES[::-1]), _HALF_NODES))
+_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
-@functools.cache
+
 def _gl_rule():
-    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only: the table
-    mirrored, nodes ascending and odd, weights even.  It equals leggauss(16)
-    bit for bit, weights' 63-ulp error included (module docstring), with no
-    eigenvalue solve: leggauss's import and first call took about 3 ms and
-    1.75 MiB of peak memory.  The composite rules mapped from it are
-    memoized by gauss_legendre, read-only too, at most RULE_TABLES of them.
-    """
-    half_x, half_w = np.array(_HALF_NODES), np.array(_HALF_WEIGHTS)
-    nodes = np.concatenate((-half_x[::-1], half_x))
-    weights = np.concatenate((half_w[::-1], half_w))
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], (_NODES, _WEIGHTS):
+    leggauss(16) bit for bit, weights' 63-ulp error included (module
+    docstring)."""
+    return _NODES, _WEIGHTS
 
 
 @functools.lru_cache(maxsize=RULE_TABLES)

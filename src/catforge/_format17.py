@@ -1,12 +1,12 @@
 """format(v, ".17g") for whole blocks of float64 values, byte for byte.
 
-cells(values) returns one row of ASCII bytes per value, with NUL bytes in
-the places a shorter string leaves empty; csv_lines(prefix, values) joins
-such rows into CSV lines and drops every NUL once.  The 17 significant
-digits are exact.  With e10 = floor(log10|v|) and k = 16 - e10, |v| 10^k is
-formed as a double-double: Dekker's two-product of |v| and the double
-nearest 10^k (Veltkamp splits; numpy has no fused multiply-add), plus |v|
-times that double's remainder, from a table whose pairs hold 10^k within
+cells(values) returns one row of ASCII bytes per value, its text and a
+comma, with NULs where the row is left empty; csv_lines(prefix, values)
+writes such rows into CSV lines and drops every NUL at once.  The 17
+significant digits are exact.  With e10 = floor(log10|v|) and k = 16 - e10,
+|v| 10^k is formed as a double-double: Dekker's two-product of |v| and the
+double nearest 10^k (Veltkamp splits; numpy has no fused multiply-add), plus
+|v| times that double's remainder, from a table whose pairs hold 10^k within
 2^-106 relative (T. J. Dekker, Numer. Math. 18, 224 (1971)).  The integer
 part is exact and the fraction is off by less than 1e-13, so rounding to
 the integer n is decided exactly.  A log10 one decade off (floor(|v| 10^k)
@@ -15,10 +15,11 @@ exponent.  Values whose fraction lies within 1e-6 of one half (exact ties
 such as 1 + 2^-17 round half to even), nan, infinities and |v| outside
 [1e-282, 1e300) go to format() one at a time.
 
-A row is four little-endian uint64 words, so that every step is a
-one-dimensional numpy operation: word 0 holds the sign and the "0.000" of
-1e-4 <= |v| < 1, words 1 and 2 and the low two bytes of word 3 the digits
-with the point among them, and the rest of word 3 the "e+XXX".
+A row is four little-endian 64-bit words, its text in one piece, so that
+the NULs between two cells are one run (the compaction pays per run): word
+0 ends with the sign, the "0.000" of 1e-4 <= |v| < 1 and the leading digit;
+the other 16 digits are two words of ASCII quads, moved up one byte past
+the point; the "e+XXX" and the separator follow the last digit shown.
 """
 
 import functools
@@ -29,28 +30,23 @@ import numpy as np
 WIDTH = 32  # bytes per row
 CHUNK = 8192  # values per kernel pass: bounds its temporaries
 _K_MIN, _K_MAX = -290, 300  # 10^k table; lo stays a normal double at -290
+_NK = _K_MAX - _K_MIN + 1
 _TINY, _HUGE = 1e-282, 1e300  # k +- 1 in the table; Veltkamp's |v| 2^27 finite
 _SPLIT = 134217729.0  # 2^27 + 1
 _E4, _E8, _E16, _E17 = 10 ** 4, 10 ** 8, 10 ** 16, 10 ** 17
 
 
-def _words(rows):
-    """(..., 8 m) bytes as (..., m) little-endian uint64 words."""
-    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u8")
-
-
 @functools.cache
 def _tables():
-    """Tables built on first use from integer arithmetic, about 2 ms.
+    """Tables built on first use from integer arithmetic, about 10 ms.
 
-    Indexed by k - _K_MIN: hi, the double nearest 10^k, its Veltkamp split
-    head + tail, and lo, the double nearest 10^k - hi; then, for e10 =
-    16 - k, the digits before the point, the fewest digits shown, word 0
-    and the suffix bytes of word 3.  Indexed by q = 0 .. 9999: its four
-    ASCII digits as a word, and the 1-based place of its last nonzero digit
-    (-99 for 0000).  Indexed by 19 point + length (digits before the point,
-    bytes shown): per digit word, the masks of the bytes that stay, of the
-    bytes that take the byte before them, and the point.
+    Row i = k - _K_MIN: hi, the double nearest 10^k, its Veltkamp split head
+    + tail, and lo, the double nearest 10^k - hi.  At i + _NK sign: word 0
+    without its digit.  At q = 0 .. 9999, one table per quad: its ASCII
+    digits plus 2^32 times the digits up to its last nonzero one (0 for
+    0000).  At 18 (i + _NK line end) + those digits, for words 1 .. 3: the
+    masks of the bytes that stay (words 1, 2) and of the bytes that take the
+    byte before them, then the point, the exponent and the separator.
     """
     his, los = [], []
     power = 10 ** -_K_MIN
@@ -68,46 +64,45 @@ def _tables():
     hi = np.array(his)
     c = hi * _SPLIT
     head = c - (c - hi)
-    powers = (hi, head, hi - head, np.array(los))
+    powers = np.stack([hi, head, hi - head, np.array(los)], axis=1)
 
-    quad = np.arange(10000, dtype=np.int16)
+    quad = np.arange(10000)
     digits = np.stack([quad // 1000, quad // 100 % 10, quad // 10 % 10,
                        quad % 10], axis=1)
-    last = np.full(10000, -99, np.int8)
+    last = np.zeros(10000, np.int64)
     for place in range(4):
         last[digits[:, place] != 0] = place + 1
-    ascii4 = np.zeros((10000, 8), np.uint8)
-    ascii4[:, :4] = digits + ord("0")
+    text = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    quads = [text | np.where(last > 0, last + 1 + 4 * j, 0) << 32
+             for j in range(4)]
 
-    e10 = 16 - np.arange(_K_MIN, _K_MAX + 1)
-    fixed = (e10 >= -4) & (e10 < 17)
-    below = fixed & (e10 < 0)
-    point = np.where(fixed & ~below, e10 + 1, np.where(below, 17, 1))
-    ends = np.zeros((e10.size, 16), np.uint8)  # word 0, word 3
-    ends[:, 1:6] = np.frombuffer(b"0.000", np.uint8) * (
-        np.arange(5) < np.where(below, 1 - e10, 0)[:, None])
-    ends[:, 10] = ord("e")
-    ends[:, 11] = np.where(e10 < 0, ord("-"), ord("+"))
-    ends[:, 12:15] = ascii4[np.abs(e10), 1:4]
-    ends[np.abs(e10) < 100, 12] = 0
-    ends[fixed, 8:] = 0
-    layout = (point, np.where(below, 0, point), *_words(ends).T)
-
-    place = np.arange(24)
-    before = np.arange(18)[:, None, None]
-    shown = place < np.arange(19)[:, None]
-    masks = np.concatenate([((place < before) & shown) * np.uint8(255),
-                            ((place > before) & shown) * np.uint8(255),
-                            ((place == before) & shown) * np.uint8(ord("."))],
-                           axis=2)
-    return (powers, layout, _words(ascii4).ravel(), last,
-            np.ascontiguousarray(_words(masks).reshape(-1, 9).T))
+    e10 = (16 - np.arange(_K_MIN, _K_MAX + 1)).tolist()
+    below = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in e10]
+    word0 = np.array([int.from_bytes((sign + s).encode().rjust(7, b"\0"),
+                                     "little") for sign in ("", "-") for s in below])
+    tails = np.frombuffer(b"".join(
+        ((f"e{e:+03d}" if not -4 <= e < 17 else "") + sep).encode().ljust(8, b"\0")
+        for sep in ",\n" for e in e10), np.uint8).reshape(-1, 8)
+    point = np.array([e + 1 if 0 <= e < 17 else 17 if s else 1
+                      for e, s in zip(e10, below)] * 2)[:, None]
+    fewest = np.where([not s for s in below] * 2, point[:, 0], 1)[:, None]
+    sig = np.arange(18)
+    at = np.arange(1, 25, dtype=np.int8) - (  # text places of bytes 8 .. 31
+        np.maximum(sig, fewest) + (sig > point)).astype(np.int8)[..., None]
+    place = np.arange(1, 25) - point[..., None]  # and from the point
+    masks = np.concatenate([
+        ((place < 0) & (at < 0))[..., :16] * np.uint8(255),
+        ((place > 0) & (at < 0)) * np.uint8(255),
+        ((place == 0) & (at < 0)) * np.uint8(ord("."))
+        + sum(tails[:, None, b, None] * (at == b) for b in range(8))], axis=-1)
+    return (powers, word0, quads,
+            np.ascontiguousarray(masks.view("<i8").reshape(-1, 8).T))
 
 
 def _scaled(a, i, powers):
     """floor(a 10^k) as int64 for k = _K_MIN + i; whether the fraction
     rounds it up; whether the fraction lies near one half."""
-    hi, head, tail, lo = (np.take(t, i) for t in powers)
+    hi, head, tail, lo = np.moveaxis(powers.take(i, axis=0), -1, 0)
     c = a * _SPLIT
     a_head = c - (c - a)
     a_tail = a - a_head
@@ -122,11 +117,12 @@ def _scaled(a, i, powers):
 
 def _rounded(v, powers):
     """n = round(|v| 10^k) with 10^16 <= n < 10^17, the index k - _K_MIN,
-    and which nonzero values need format(); zeros give n = 10^16."""
+    and which values need format(); zeros give n = 0 at k = 16."""
     a = np.abs(v)
     fast = (a >= _TINY) & (a < _HUGE)
-    a[~fast] = 1.0
-    i = 16 - _K_MIN - np.floor(np.log10(a)).astype(np.intp)
+    a = np.where(fast, a, 2.0)
+    # floor(log10 a) + 1 where log10 a is an integer, as for 2.0 at zeros
+    i = (17 - _K_MIN - np.log10(a)).astype(np.intp)
     n, up, slow = _scaled(a, i, powers)
     off = (n < _E16) | (n >= _E17)  # log10 one decade off
     if off.any():
@@ -136,68 +132,75 @@ def _rounded(v, powers):
     n += up
     carry = n == _E17  # 99999999999999999.5 and above round to 10^(e10 + 1)
     n[carry] = _E16
-    i[carry] -= 1
-    return n, i, ~fast & (v != 0) | slow
+    i -= carry
+    nonzero = v != 0
+    n *= nonzero
+    return n, i, ~fast & nonzero | slow
 
 
-def _digits(n, ascii4, last):
-    """The 17 digits of n as three ASCII words, and how many of them run up
-    to the last nonzero one."""
-    # n = lead 10^16 + q0 10^12 + q1 10^8 + q2 10^4 + q3
+def _kernel(v, out, end):
+    """Write the rows of the values v into the int64 words out[..., 4];
+    end[j] is true where column j ends its line."""
+    powers, word0, quads, masks = _tables()
+    n, i, slow = _rounded(v, powers)
+    # n = lead 10^16 + high 10^8 + low, and high, low in base 10^4
+    lead = n // _E16
+    n -= lead * _E16
     high = n // _E8
     low = n - high * _E8
-    lead = high // _E8
-    high -= lead * _E8
-    q0 = high // _E4
-    q2 = low // _E4
-    quads = (q0, high - q0 * _E4, q2, low - q2 * _E4)
-    sig = functools.reduce(np.maximum, [np.take(last, q) + 1 + 4 * j
-                                        for j, q in enumerate(quads)], 1)
-    a0, a1, a2, a3 = (np.take(ascii4, q) for q in quads)
-    return sig, ((lead.astype(np.uint64) + ord("0")) | a0 << 8 | a1 << 40,
-                 a1 >> 24 | a2 << 8 | a3 << 40,
-                 a3 >> 24)
-
-
-def _kernel(v):
-    powers, layout, ascii4, last, masks = _tables()
-    n, i, slow = _rounded(v, powers)
-    sig, digits = _digits(n, ascii4, last)
-    point, fewest, word0, word3 = (np.take(t, i) for t in layout)
-    zero = v == 0
-    length = np.maximum(sig, fewest) + (sig > point)
-    length[zero] = 0
-    cell = point * 19 + length  # lengths run 0 .. 18
-    out = np.empty((v.size, 4), "<u8")
-    out[:, 0] = (word0 | np.signbit(v).astype(np.uint64) * ord("-")
-                 | zero.astype(np.uint64) * (ord("0") << 8))
+    q0, q2 = high // _E4, low // _E4
+    t0, t1, t2, t3 = (t.take(q) for t, q in zip(quads, (
+        q0, high - q0 * _E4, q2, low - q2 * _E4)))
+    sig = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3)) >> 32
+    d1 = t0 & 0xFFFFFFFF | t1 << 32
+    d2 = t2 & 0xFFFFFFFF | t3 << 32
+    at = (i + _NK * end) * 18 + sig
+    keep1, keep2, take1, take2, take3, end1, end2, end3 = (
+        m.take(at) for m in masks)
+    out[..., 0] = word0.take(i + _NK * np.signbit(v)) | (lead + ord("0")) << 56
     # bytes before the point stay, the point goes in, the bytes after it
-    # take the byte before them: the digits moved up one byte, word by word
-    for j in range(3):
-        shifted = digits[j] << 8 | (digits[j - 1] >> 56 if j else 0)
-        keep, take_before, dot = (np.take(m, cell) for m in masks[j::3])
-        out[:, j + 1] = digits[j] & keep | shifted & take_before | dot
-    out[:, 3] |= word3
-    rows = out.view(np.uint8)
-    for j in np.flatnonzero(slow):
-        text = format(float(v[j]), ".17g").encode("ascii")
-        rows[j] = 0
-        rows[j, :len(text)] = np.frombuffer(text, np.uint8)
-    return rows
+    # take the byte before them: the digits moved up one byte
+    out[..., 1] = d1 & keep1 | d1 << 8 & take1 | end1
+    out[..., 2] = d2 & keep2 | (d2 << 8 | d1 >> 56) & take2 | end2
+    out[..., 3] = d2 >> 56 & take3 | end3
+    if slow.any():
+        for j in zip(*np.nonzero(slow)):
+            text = (format(float(v[j]), ".17g") + ",\n"[int(end[j[-1]])]).encode()
+            row = out[j].view(np.uint8)
+            row[:] = 0
+            row[:len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _fill(values, out, end):
+    """The (lines, k) values into (lines, k, WIDTH) bytes, CHUNK at a time."""
+    words = out.view("<i8")
+    k = values.shape[1]
+    rows = max(1, CHUNK // max(k, 1))
+    for lo in range(0, len(values), rows):
+        for c in range(0, k, CHUNK):
+            block = np.s_[lo:lo + rows, c:c + CHUNK]
+            _kernel(values[block], words[block], end[c:c + CHUNK])
 
 
 def cells(values):
-    """format(v, ".17g") of each float64 value, as (n, WIDTH) bytes with NULs.
+    """format(v, ".17g") + "," of each float64 value, as (n, WIDTH) bytes
+    with NULs: the prefix columns of csv_lines."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    out = np.empty((len(v), 1, WIDTH), np.uint8)
+    _fill(v, out, np.zeros(1, bool))
+    return out[:, 0]
 
-    The last byte of every row is NUL.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    return np.concatenate([_kernel(v[lo:lo + CHUNK])
-                           for lo in range(0, v.size or 1, CHUNK)])
+
+def flush(rows, side):
+    """rows from cells(), each text moved to the end (side 1) or start (-1):
+    no NUL is left between a cell flush right and one flush left after it."""
+    nul = rows == 0
+    shift = np.argmin(nul[:, ::-1], 1) if side > 0 else -np.argmin(nul, 1)
+    return np.take_along_axis(rows, (np.arange(WIDTH) - shift[:, None]) % WIDTH, 1)
 
 
 def csv_lines(prefix, values):
-    """CSV lines, as ASCII bytes, over the leading axes of values.
+    """CSV lines, as a uint8 array of ASCII, over the leading axes of values.
 
     The line at index i holds the cells prefix[0][i], prefix[1][i], ...
     (arrays from cells(), broadcast over values.shape[:-1]), then
@@ -208,9 +211,6 @@ def csv_lines(prefix, values):
     fields = np.empty((*lead, len(prefix) + k, WIDTH), np.uint8)
     for j, column in enumerate(prefix):
         fields[..., j, :] = column
-    fields[..., len(prefix):, :] = cells(values).reshape(*lead, k, WIDTH)
-    # the last byte of a cell is free: it takes the comma or the line end,
-    # then every NUL is dropped at once
-    fields[..., -1] = ord(",")
-    fields[..., -1, -1] = ord("\n")
-    return fields[fields != 0].tobytes()
+    _fill(values.reshape(-1, k), fields.reshape(-1, len(prefix) + k, WIDTH)[
+        :, len(prefix):], np.arange(k) == k - 1)
+    return fields[fields != 0]

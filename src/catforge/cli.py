@@ -4,10 +4,13 @@ Subcommands map one-to-one onto the analysis operations: ratio, prepare,
 sweep, optimize, window, wigner, validate.  Angles are radians by default
 (--phi-degrees converts); every run is deterministic.  CSV output uses LF
 line endings and 17-significant-digit floats so parsed values round-trip
-exactly.  Its cells are the bytes of format(v, ".17g"), written for blocks
-of up to CHUNK values at a time by the numpy kernel in _format17; sweep and
-wigner write each block as soon as it is computed, so their memory does not
-grow with the grid.  JSON never contains NaN or infinities.
+exactly.  Its cells are the bytes of format(v, ".17g"), which the numpy
+kernel in _format17 writes straight into each block's lines, up to CHUNK
+values a pass.  sweep and wigner format their axis cells once, alpha0 and x
+flush right and phi and y flush left, so that no NULs sit between the two
+prefix cells of a line, and write each block as soon as it is computed, so
+their memory does not grow with the grid.  JSON never contains NaN or
+infinities.  main parses with one argument parser per process.
 
 Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 """
@@ -21,7 +24,7 @@ import re
 import sys
 
 from . import crosscheck, cv_core, optimize_sweep, protocol
-from ._format17 import CHUNK, cells, csv_lines
+from ._format17 import CHUNK, cells, csv_lines, flush
 from .errors import CatforgeError, DomainError
 from .config import CROSSCHECK_TOL, GRID_STEP_CAP
 
@@ -49,9 +52,10 @@ def _floats(text, flag):
 
 
 def _write(path, chunks):
-    """Write ASCII byte chunks to path, or to stdout for None or "-"."""
+    """Write chunks of ASCII bytes (any bytes-like object) to path, or to
+    stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        sys.stdout.writelines(str(chunk, "ascii") for chunk in chunks)
         return
     with open(path, "wb") as fh:
         fh.writelines(chunks)
@@ -96,8 +100,9 @@ def cmd_sweep(args):
         alpha0_min=args.alpha0_min, alpha0_max=args.alpha0_max,
         alpha0_steps=args.alpha0_steps,
         phi_min=args.phi_min, phi_max=args.phi_max, phi_steps=args.phi_steps)
-    alpha0 = cells(grid.alpha0_values())
-    phi = cells(grid.phi_values())
+    axes = cells(grid.alpha0_values() + grid.phi_values())
+    alpha0 = flush(axes[:grid.alpha0_steps], 1)
+    phi = flush(axes[grid.alpha0_steps:], -1)
 
     def lines():
         lo = 0
@@ -155,7 +160,8 @@ def cmd_wigner(args):
     if not math.isfinite(axis[-1]):
         raise DomainError(
             f"--half-extent {extent:g} is too large: the grid values overflow")
-    y = cells(axis)
+    axis_cells = cells(axis)
+    x, y = flush(axis_cells, 1), flush(axis_cells, -1)
     starts = range(0, args.points, WIGNER_BLOCK_ROWS)
     blocks = (grid(axis[lo:lo + WIGNER_BLOCK_ROWS], axis) for lo in starts)
     # the first block runs the state's checks before anything is written
@@ -166,7 +172,7 @@ def cmd_wigner(args):
         for start, block in zip(starts, itertools.chain([first], blocks)):
             for lo in range(0, len(block), per_batch):
                 w = block[lo:lo + per_batch, :, None]
-                yield csv_lines((y[start + lo:start + lo + len(w), None], y[None]), w)
+                yield csv_lines((x[start + lo:start + lo + len(w), None], y[None]), w)
 
     _write(args.out, _csv("x,y,w", lines()))
     return 0
@@ -280,8 +286,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process: in-process callers run main many times
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CatforgeError as exc:

@@ -56,21 +56,33 @@ def choose_truncation(max_amp, cap=None):
     Dimensions above the cap (default
     DEFAULT_FOCK_CAP, or the CATFORGE_MAX_FOCK environment variable) raise
     TruncationTooLarge, with the predicted time of a cold crosscheck there.
-    Both are formed in floats before any ceil, so a dimension or a time
-    past the float range is refused the same way, as inf.
+    So do dimensions above MAX_TOTAL_PHOTONS + 1, the beam splitter's own
+    limit, whatever the cap; that message names the limit, which no cap
+    lifts.  Both are formed in floats before any ceil, so a dimension or a
+    time past the float range is refused the same way, and said so.
     """
     if max_amp < 0 or not math.isfinite(max_amp):
         raise DomainError(f"max_amp must be finite and >= 0, got {max_amp}")
     dim = max_amp * max_amp + 10.0 * max_amp + 20.0
     limit = fock_cap(cap)
-    if not dim <= limit:
-        shown = math.ceil(dim) if dim < 2.0 ** 53 else f"{dim:.3g}"
+    top = MAX_TOTAL_PHOTONS + 1
+    if dim <= min(limit, top):
+        return math.ceil(dim)
+    shown = math.ceil(dim) if dim < 2.0 ** 53 else f"{dim:.3g}"
+    seconds = FOCK_SECONDS_PER_DIM3 * dim * dim * dim
+    cost = ("the dimension is past the float range" if dim == math.inf else
+            "a cold crosscheck there is predicted to take more seconds than "
+            "a float holds" if seconds == math.inf else
+            f"a cold crosscheck there is predicted to take about {seconds:.3g} s")
+    if dim <= top:
         raise TruncationTooLarge(
-            f"requested Fock dimension {shown} exceeds cap {limit}: a cold "
-            f"crosscheck there is predicted to take about "
-            f"{FOCK_SECONDS_PER_DIM3 * dim * dim * dim:.3g} s; raise the cap "
-            f"with --max-fock or {FOCK_CAP_ENV}")
-    return math.ceil(dim)
+            f"requested Fock dimension {shown} exceeds cap {limit}: {cost}; "
+            f"raise the cap with --max-fock or {FOCK_CAP_ENV}")
+    over = f"cap {limit} and " if dim > limit else ""
+    raise TruncationTooLarge(
+        f"requested Fock dimension {shown} exceeds {over}the beam splitter's "
+        f"limit {top} (total photon number {MAX_TOTAL_PHOTONS}): {cost}; no "
+        f"--max-fock or {FOCK_CAP_ENV} value lifts that limit")
 
 
 def coherent_fock(alpha, dim):

@@ -4,6 +4,8 @@ Everything goes through cli.main(argv) so exit codes and emitted text are
 exercised exactly as a shell user sees them.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,7 +20,7 @@ import pytest
 
 from catforge import cli, crosscheck, cv_core, protocol
 from catforge._format17 import CHUNK, csv_lines
-from catforge.optimize_sweep import GridSpec, window_tradeoff
+from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
 from catforge.protocol import ProtocolParams
 
 
@@ -57,7 +59,7 @@ def parse_keyvals(text):
 
 def formatted(values):
     """The CSV line of values, split back into its cells."""
-    return csv_lines((), [values]).decode("ascii")[:-1].split(",")
+    return str(csv_lines((), [values]), "ascii")[:-1].split(",")
 
 
 class TestCells:
@@ -333,6 +335,16 @@ class TestSweep:
         assert out == sweep_reference(grid)
         assert "nan" not in out
         assert [line.split(",")[2] for line in out.split("\n")[1:3]] == ["2", "2"]
+
+    def test_csv_crosses_blocks(self, capsys):
+        # CHUNK // (4 * 301) = 6 phi rows a block: blocks of 6, 6 and 5 rows,
+        # each written into its own lines
+        grid = GridSpec(alpha0_steps=301, phi_steps=17)
+        assert [len(b) for b in sweep_ratio(grid)] == [6, 6, 5]
+        code, out, err = run(capsys, "sweep", "--alpha0-steps", "301",
+                             "--phi-steps", "17")
+        assert (code, err) == (0, "")
+        assert out == sweep_reference(grid)
 
     def test_empty_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "sweep",
@@ -752,6 +764,28 @@ class TestValidate:
                               "cap 2048")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("cap", [(), ("--max-fock", "5000")],
+                             ids=["default", "raised"])
+    def test_past_the_beam_splitter_limit_names_it(self, capsys, cap):
+        # dimension 2245: no cap admits it, since the beam splitter stops at
+        # total photon number 2047, so the refusal does not advise raising one
+        code, out, err = run(capsys, "validate", "--alpha0-values", "30",
+                             "--phi-values", "0.3", *cap)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: requested Fock dimension 2245 exceeds ")
+        assert ("the beam splitter's limit 2048 (total photon number 2047)"
+                in err)
+        assert "raise the cap" not in err
+        assert err.count("\n") == 1
+
+    def test_dimension_past_the_float_range_says_so(self, capsys):
+        code, out, err = run(capsys, "validate", "--alpha0-values", "1.3e154",
+                             "--phi-values", "0.3")
+        assert (code, out) == (2, "")
+        assert "the dimension is past the float range" in err
+        assert "inf s" not in err and "raise the cap" not in err
+        assert err.count("\n") == 1
+
     def test_malformed_fock_cap_names_the_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("CATFORGE_MAX_FOCK", "abc")
         code, out, err = run(capsys, "validate")
@@ -879,3 +913,33 @@ def test_a_domain_error_still_exits_2(capsys):
     code, out, err = run(capsys, "ratio", "--alpha0", "-1", "--phi", "0.1")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_main_back_to_back_gives_each_run_its_own_bytes(monkeypatch):
+    # one process runs the commands in turn on one parser and one set of
+    # formatting tables: each run prints what it prints in a process alone
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width
+    sweep = ("sweep", "--alpha0-steps", "31", "--phi-steps", "7")
+    runs = [sweep, ("wigner", "--alpha0", "1.5", "--phi", "0.7", "--points", "37"),
+            ("window", "--alpha0", "1.7", "--phi", "0.5"),
+            ("sweep", "--alpha0-steps", "1"), ("--help",), sweep]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    alone = {argv: subprocess.Popen(
+        [sys.executable, "-m", "catforge", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}) for argv in set(runs)}
+    together = []
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        together.append((code, out.getvalue(), err.getvalue()))
+    for argv, done in alone.items():
+        out, err = done.communicate()
+        alone[argv] = (done.returncode, out, err)
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0, 0]
+    for argv, result in zip(runs, together):
+        assert result == alone[argv], argv

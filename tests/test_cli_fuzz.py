@@ -5,7 +5,10 @@ edge values below; every value parses as its flag's type, so argparse's own
 usage errors are not drawn.  A run must exit 0, or refuse with exit 2,
 nothing on stdout and one error line on stderr.  validate may also exit 1,
 its documented failure, when the worst deviation exceeds the tolerance
-drawn.  An exception past main, a warning (the suite raises warnings as
+drawn.  prepare, sweep, window and wigner draw --out too: absent, "-", a
+file, a path under a missing directory or a directory, in a temporary
+directory made once per command; a path that cannot be written exits 3,
+with nothing on stdout and one "i/o error:" line.  An exception past main, a warning (the suite raises warnings as
 errors) or any other outcome fails.  Examples stay cheap: grids of at most
 50 steps, larger ones only past the step cap, where they are refused before
 any cell is computed, and validate at --max-fock 60.
@@ -15,6 +18,7 @@ import contextlib
 import io
 import itertools
 import math
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -64,16 +68,20 @@ ALPHA0 = flag("--alpha0", floats(0.0, 10.0))
 PHI = flag("--phi", floats(-10.0, 10.0))
 DEGREES = switch("--phi-degrees")
 X = flag("--x", floats(-5.0, 5.0), optional=True)
+# DIR stands for the temporary directory of the test
+OUT = flag("--out", st.sampled_from(("-", "DIR/out", "DIR/missing/out", "DIR")),
+           optional=True)
 
 COMMANDS = {
     "ratio": (40, command("ratio", ALPHA0, PHI, DEGREES)),
-    "prepare": (40, command("prepare", ALPHA0, PHI, DEGREES, X)),
+    "prepare": (40, command("prepare", ALPHA0, PHI, DEGREES, X, OUT)),
     "sweep": (30, command(
         "sweep", flag("--alpha0-min", floats(0.0, 5.0), optional=True),
         flag("--alpha0-max", floats(0.0, 10.0), optional=True),
         flag("--phi-min", floats(-3.2, 3.2), optional=True),
         flag("--phi-max", floats(-3.2, 3.2), optional=True),
-        flag("--alpha0-steps", ints(2, 50)), flag("--phi-steps", ints(2, 50)))),
+        flag("--alpha0-steps", ints(2, 50)), flag("--phi-steps", ints(2, 50)),
+        OUT)),
     "optimize": (30, command(
         "optimize", flag("--phi", floats(0.0, math.pi)), DEGREES,
         flag("--k", ints(0, 10 ** 19), optional=True),
@@ -81,12 +89,13 @@ COMMANDS = {
     "window": (30, command(
         "window", ALPHA0, PHI, DEGREES,
         flag("--epsilons", float_lists(1e-4, 2.0, 3), optional=True),
-        flag("--format", st.sampled_from(("csv", "json")), optional=True))),
+        flag("--format", st.sampled_from(("csv", "json")), optional=True),
+        OUT)),
     "wigner": (30, command(
         "wigner", flag("--alpha0", floats(0.0, 5.0)), PHI, DEGREES, X,
         flag("--state", st.sampled_from(("prepared", "cat")), optional=True),
         flag("--half-extent", floats(0.1, 10.0), optional=True),
-        flag("--points", ints(2, 50)))),
+        flag("--points", ints(2, 50)), OUT)),
     "validate": (25, command(
         "validate", flag("--alpha0-values", float_lists(0.1, 2.5, 2)),
         flag("--phi-values", float_lists(0.01, 3.0, 2)),
@@ -114,6 +123,10 @@ def check(argv):
         worst = float(lines[1].split()[3])
         tolerance = float(lines[2].split()[2])
         assert worst >= tolerance, argv
+    elif code == 3:
+        # --out names a path that cannot be written
+        assert out == "", (argv, out)
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, (argv, err)
     else:
         assert code == 2 and out == "", (argv, code, out)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
@@ -122,4 +135,6 @@ def check(argv):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_every_run_exits_cleanly(name):
     examples, argvs = COMMANDS[name]
-    settings(FUZZ, max_examples=examples)(given(argvs)(check))()
+    with tempfile.TemporaryDirectory() as tmp:
+        in_tmp = argvs.map(lambda argv: [a.replace("DIR", tmp) for a in argv])
+        settings(FUZZ, max_examples=examples)(given(in_tmp)(check))()

@@ -196,6 +196,17 @@ class TestChooseTruncation:
         with pytest.raises(TruncationTooLarge, match="exceeds cap 2048"):
             choose_truncation(max_amp)
 
+    def test_beam_splitter_limit_holds_whatever_the_cap(self):
+        # a raised cap admits dimensions up to MAX_TOTAL_PHOTONS + 1 only,
+        # and the refusal past it names that limit, not the cap
+        assert choose_truncation(40.0, cap=5000) == 2020
+        with pytest.raises(TruncationTooLarge) as info:
+            choose_truncation(42.4, cap=5000)
+        msg = str(info.value)
+        assert msg.startswith("requested Fock dimension 2242 exceeds the beam "
+                              "splitter's limit 2048 (total photon number 2047)")
+        assert "raise the cap" not in msg
+
     def test_tail_bound_property(self):
         # the guaranteed tail <= 1e-12 at the chosen dimension
         rng = np.random.default_rng(21)

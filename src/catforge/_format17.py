@@ -41,12 +41,12 @@ def _tables():
     """Tables built on first use from integer arithmetic, about 10 ms.
 
     Row i = k - _K_MIN: hi, the double nearest 10^k, its Veltkamp split head
-    + tail, and lo, the double nearest 10^k - hi.  At i + _NK sign: word 0
-    without its digit.  At q = 0 .. 9999, one table per quad: its ASCII
-    digits plus 2^32 times the digits up to its last nonzero one (0 for
-    0000).  At 18 (i + _NK line end) + those digits, for words 1 .. 3: the
-    masks of the bytes that stay (words 1, 2) and of the bytes that take the
-    byte before them, then the point, the exponent and the separator.
+    + tail, and lo, the double nearest 10^k - hi.  Row i + _NK sign: word 0
+    without its digit, and 18 times the class of i.  At q = 0 .. 9999, per
+    quad: its ASCII digits plus 2^32 times the digits up to its last nonzero
+    one (0 for 0000).  At 18 class + those digits: masks of the bytes that
+    stay (words 1, 2) and that take the byte before them (words 1 .. 3).  At
+    18 (i + _NK line end) + those digits: the point, exponent and separator.
     """
     his, los = [], []
     power = 10 ** -_K_MIN
@@ -69,34 +69,36 @@ def _tables():
     quad = np.arange(10000)
     digits = np.stack([quad // 1000, quad // 100 % 10, quad // 10 % 10,
                        quad % 10], axis=1)
-    last = np.zeros(10000, np.int64)
-    for place in range(4):
-        last[digits[:, place] != 0] = place + 1
+    last = ((digits != 0) * np.arange(1, 5)).max(axis=1)
     text = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
     quads = [text | np.where(last > 0, last + 1 + 4 * j, 0) << 32
              for j in range(4)]
 
     e10 = (16 - np.arange(_K_MIN, _K_MAX + 1)).tolist()
     below = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in e10]
-    word0 = np.array([int.from_bytes((sign + s).encode().rjust(7, b"\0"),
-                                     "little") for sign in ("", "-") for s in below])
+    # class 0: below, with no point among the digits; else the digits
+    # before the point, which are also the fewest shown (1 for d.ddde+XX)
+    cls = [0 if s else e + 1 if 0 <= e < 17 else 1 for e, s in zip(e10, below)]
+    heads = np.array([[int.from_bytes((sign + s).encode().rjust(7, b"\0"),
+                                      "little"), 18 * c]
+                      for sign in ("", "-") for s, c in zip(below, cls)])
     tails = np.frombuffer(b"".join(
         ((f"e{e:+03d}" if not -4 <= e < 17 else "") + sep).encode().ljust(8, b"\0")
-        for sep in ",\n" for e in e10), np.uint8).reshape(-1, 8)
-    point = np.array([e + 1 if 0 <= e < 17 else 17 if s else 1
-                      for e, s in zip(e10, below)] * 2)[:, None]
-    fewest = np.where([not s for s in below] * 2, point[:, 0], 1)[:, None]
+        for sep in ",\n" for e in e10), np.uint8).reshape(2, -1, 1, 8)
     sig = np.arange(18)
-    at = np.arange(1, 25, dtype=np.int8) - (  # text places of bytes 8 .. 31
-        np.maximum(sig, fewest) + (sig > point)).astype(np.int8)[..., None]
-    place = np.arange(1, 25) - point[..., None]  # and from the point
-    masks = np.concatenate([
-        ((place < 0) & (at < 0))[..., :16] * np.uint8(255),
-        ((place > 0) & (at < 0)) * np.uint8(255),
-        ((place == 0) & (at < 0)) * np.uint8(ord("."))
-        + sum(tails[:, None, b, None] * (at == b) for b in range(8))], axis=-1)
-    return (powers, word0, quads,
-            np.ascontiguousarray(masks.view("<i8").reshape(-1, 8).T))
+    point = np.where(sig == 0, 17, sig)[:, None]  # of class c = 0 .. 17
+    length = np.maximum(sig, np.maximum(sig, 1)[:, None]) + (sig > point)
+    place = np.arange(1, 25) - point[..., None]  # bytes 8 .. 31 from the point
+    shown = np.arange(1, 25) < length[..., None]
+    stay = np.concatenate([((place < 0) & shown)[..., :16],
+                           (place > 0) & shown], axis=-1) * np.uint8(255)
+    ends = np.zeros((2, _NK, 18, 24), np.uint8)
+    ends[:] = (((place == 0) & shown) * np.uint8(ord(".")))[cls]
+    for b in range(6):  # "e+XXX" and the separator
+        ends[:, np.arange(_NK)[:, None], sig, length[cls] - 1 + b] = tails[..., b]
+    return (powers, heads, quads, *(
+        np.ascontiguousarray(t.view("<i8").reshape(-1, t.shape[-1] // 8).T)
+        for t in (stay, ends)))
 
 
 def _scaled(a, i, powers):
@@ -121,7 +123,7 @@ def _rounded(v, powers):
     a = np.abs(v)
     fast = (a >= _TINY) & (a < _HUGE)
     a = np.where(fast, a, 2.0)
-    # floor(log10 a) + 1 where log10 a is an integer, as for 2.0 at zeros
+    # one decade high where log10 a is an integer; 2.0 keeps zeros off that
     i = (17 - _K_MIN - np.log10(a)).astype(np.intp)
     n, up, slow = _scaled(a, i, powers)
     off = (n < _E16) | (n >= _E17)  # log10 one decade off
@@ -141,7 +143,7 @@ def _rounded(v, powers):
 def _kernel(v, out, end):
     """Write the rows of the values v into the int64 words out[..., 4];
     end[j] is true where column j ends its line."""
-    powers, word0, quads, masks = _tables()
+    powers, heads, quads, stays, ends = _tables()
     n, i, slow = _rounded(v, powers)
     # n = lead 10^16 + high 10^8 + low, and high, low in base 10^4
     lead = n // _E16
@@ -154,10 +156,12 @@ def _kernel(v, out, end):
     sig = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3)) >> 32
     d1 = t0 & 0xFFFFFFFF | t1 << 32
     d2 = t2 & 0xFFFFFFFF | t3 << 32
+    word0, at = np.moveaxis(heads.take(i + _NK * np.signbit(v), axis=0), -1, 0)
+    at = at + sig
+    keep1, keep2, take1, take2, take3 = (m.take(at) for m in stays)
     at = (i + _NK * end) * 18 + sig
-    keep1, keep2, take1, take2, take3, end1, end2, end3 = (
-        m.take(at) for m in masks)
-    out[..., 0] = word0.take(i + _NK * np.signbit(v)) | (lead + ord("0")) << 56
+    end1, end2, end3 = (m.take(at) for m in ends)
+    out[..., 0] = word0 | (lead + ord("0")) << 56
     # bytes before the point stay, the point goes in, the bytes after it
     # take the byte before them: the digits moved up one byte
     out[..., 1] = d1 & keep1 | d1 << 8 & take1 | end1
@@ -166,18 +170,15 @@ def _kernel(v, out, end):
     if slow.any():
         for j in zip(*np.nonzero(slow)):
             text = (format(float(v[j]), ".17g") + ",\n"[int(end[j[-1]])]).encode()
-            row = out[j].view(np.uint8)
-            row[:] = 0
-            row[:len(text)] = np.frombuffer(text, np.uint8)
+            out[j].view(np.uint8)[:] = np.frombuffer(text.ljust(WIDTH, b"\0"), np.uint8)
 
 
 def _fill(values, out, end):
     """The (lines, k) values into (lines, k, WIDTH) bytes, CHUNK at a time."""
     words = out.view("<i8")
-    k = values.shape[1]
-    rows = max(1, CHUNK // max(k, 1))
+    rows = max(1, CHUNK // values.shape[1])
     for lo in range(0, len(values), rows):
-        for c in range(0, k, CHUNK):
+        for c in range(0, values.shape[1], CHUNK):
             block = np.s_[lo:lo + rows, c:c + CHUNK]
             _kernel(values[block], words[block], end[c:c + CHUNK])
 
@@ -200,12 +201,10 @@ def flush(rows, side):
 
 
 def csv_lines(prefix, values):
-    """CSV lines, as a uint8 array of ASCII, over the leading axes of values.
-
-    The line at index i holds the cells prefix[0][i], prefix[1][i], ...
-    (arrays from cells(), broadcast over values.shape[:-1]), then
-    format(v, ".17g") of each v in values[i].
-    """
+    """CSV lines, as a uint8 array of ASCII, over the leading axes of values:
+    line i holds the cells prefix[0][i], prefix[1][i], ... (arrays from
+    cells(), broadcast over values.shape[:-1]), then format(v, ".17g") of
+    each v in values[i]."""
     values = np.asarray(values, dtype=np.float64)
     *lead, k = values.shape
     fields = np.empty((*lead, len(prefix) + k, WIDTH), np.uint8)

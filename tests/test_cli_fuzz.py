@@ -8,10 +8,11 @@ its documented failure, when the worst deviation exceeds the tolerance
 drawn.  prepare, sweep, window and wigner draw --out too: absent, "-", a
 file, a path under a missing directory or a directory, in a temporary
 directory made once per command; a path that cannot be written exits 3,
-with nothing on stdout and one "i/o error:" line.  An exception past main, a warning (the suite raises warnings as
-errors) or any other outcome fails.  Examples stay cheap: grids of at most
-50 steps, larger ones only past the step cap, where they are refused before
-any cell is computed, and validate at --max-fock 60.
+with nothing on stdout and one "i/o error:" line.  An exception past main,
+a warning (the suite raises warnings as errors) or any other outcome
+fails.  Examples stay cheap: grids of at most 50 steps, larger ones only
+past the step cap, where they are refused before any cell is computed,
+and validate at --max-fock 60.
 """
 
 import contextlib

@@ -41,12 +41,12 @@ def _tables():
     """Tables built on first use from integer arithmetic, about 10 ms.
 
     Row i = k - _K_MIN: hi, the double nearest 10^k, its Veltkamp split head
-    + tail, and lo, the double nearest 10^k - hi.  Row i + _NK sign: word 0
-    without its digit, and 18 times the class of i.  At q = 0 .. 9999, per
-    quad: its ASCII digits plus 2^32 times the digits up to its last nonzero
-    one (0 for 0000).  At 18 class + those digits: masks of the bytes that
-    stay (words 1, 2) and that take the byte before them (words 1 .. 3).  At
-    18 (i + _NK line end) + those digits: the point, exponent and separator.
+    + tail, and lo, the double nearest 10^k - hi.  At i + _NK sign: word 0
+    without its digit.  At q = 0 .. 9999, per quad: its ASCII digits plus
+    2^32 times the digits up to its last nonzero one (0 for 0000).  At 18
+    (i + _NK line end) + those digits, for words 1 .. 3: the masks of the
+    bytes that stay (words 1, 2) and that take the byte before them, then
+    the point, the exponent and the separator.
     """
     his, los = [], []
     power = 10 ** -_K_MIN
@@ -76,29 +76,25 @@ def _tables():
 
     e10 = (16 - np.arange(_K_MIN, _K_MAX + 1)).tolist()
     below = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in e10]
-    # class 0: below, with no point among the digits; else the digits
-    # before the point, which are also the fewest shown (1 for d.ddde+XX)
-    cls = [0 if s else e + 1 if 0 <= e < 17 else 1 for e, s in zip(e10, below)]
-    heads = np.array([[int.from_bytes((sign + s).encode().rjust(7, b"\0"),
-                                      "little"), 18 * c]
-                      for sign in ("", "-") for s, c in zip(below, cls)])
+    word0 = np.array([int.from_bytes((sign + s).encode().rjust(7, b"\0"),
+                                     "little") for sign in ("", "-") for s in below])
     tails = np.frombuffer(b"".join(
         ((f"e{e:+03d}" if not -4 <= e < 17 else "") + sep).encode().ljust(8, b"\0")
-        for sep in ",\n" for e in e10), np.uint8).reshape(2, -1, 1, 8)
+        for sep in ",\n" for e in e10), np.uint8).reshape(-1, 8)
+    point = np.array([e + 1 if 0 <= e < 17 else 17 if s else 1
+                      for e, s in zip(e10, below)] * 2)[:, None]
+    fewest = np.where([not s for s in below] * 2, point[:, 0], 1)[:, None]
     sig = np.arange(18)
-    point = np.where(sig == 0, 17, sig)[:, None]  # of class c = 0 .. 17
-    length = np.maximum(sig, np.maximum(sig, 1)[:, None]) + (sig > point)
-    place = np.arange(1, 25) - point[..., None]  # bytes 8 .. 31 from the point
-    shown = np.arange(1, 25) < length[..., None]
-    stay = np.concatenate([((place < 0) & shown)[..., :16],
-                           (place > 0) & shown], axis=-1) * np.uint8(255)
-    ends = np.zeros((2, _NK, 18, 24), np.uint8)
-    ends[:] = (((place == 0) & shown) * np.uint8(ord(".")))[cls]
-    for b in range(6):  # "e+XXX" and the separator
-        ends[:, np.arange(_NK)[:, None], sig, length[cls] - 1 + b] = tails[..., b]
-    return (powers, heads, quads, *(
-        np.ascontiguousarray(t.view("<i8").reshape(-1, t.shape[-1] // 8).T)
-        for t in (stay, ends)))
+    at = np.arange(1, 25, dtype=np.int8) - (  # text places of bytes 8 .. 31
+        np.maximum(sig, fewest) + (sig > point)).astype(np.int8)[..., None]
+    place = np.arange(1, 25) - point[..., None]  # and from the point
+    masks = np.concatenate([
+        ((place < 0) & (at < 0))[..., :16] * np.uint8(255),
+        ((place > 0) & (at < 0)) * np.uint8(255),
+        ((place == 0) & (at < 0)) * np.uint8(ord("."))
+        + sum(tails[:, None, b, None] * (at == b) for b in range(8))], axis=-1)
+    return (powers, word0, quads,
+            np.ascontiguousarray(masks.view("<i8").reshape(-1, 8).T))
 
 
 def _scaled(a, i, powers):
@@ -143,7 +139,7 @@ def _rounded(v, powers):
 def _kernel(v, out, end):
     """Write the rows of the values v into the int64 words out[..., 4];
     end[j] is true where column j ends its line."""
-    powers, heads, quads, stays, ends = _tables()
+    powers, word0, quads, masks = _tables()
     n, i, slow = _rounded(v, powers)
     # n = lead 10^16 + high 10^8 + low, and high, low in base 10^4
     lead = n // _E16
@@ -156,12 +152,10 @@ def _kernel(v, out, end):
     sig = np.maximum(np.maximum(t0, t1), np.maximum(t2, t3)) >> 32
     d1 = t0 & 0xFFFFFFFF | t1 << 32
     d2 = t2 & 0xFFFFFFFF | t3 << 32
-    word0, at = np.moveaxis(heads.take(i + _NK * np.signbit(v), axis=0), -1, 0)
-    at = at + sig
-    keep1, keep2, take1, take2, take3 = (m.take(at) for m in stays)
     at = (i + _NK * end) * 18 + sig
-    end1, end2, end3 = (m.take(at) for m in ends)
-    out[..., 0] = word0 | (lead + ord("0")) << 56
+    keep1, keep2, take1, take2, take3, end1, end2, end3 = (
+        m.take(at) for m in masks)
+    out[..., 0] = word0.take(i + _NK * np.signbit(v)) | (lead + ord("0")) << 56
     # bytes before the point stay, the point goes in, the bytes after it
     # take the byte before them: the digits moved up one byte
     out[..., 1] = d1 & keep1 | d1 << 8 & take1 | end1

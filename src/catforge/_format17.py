@@ -42,7 +42,7 @@ def _tables():
 
     Row i = k - _K_MIN: hi, the double nearest 10^k, its Veltkamp split head
     + tail, and lo, the double nearest 10^k - hi.  At i + _NK sign: word 0
-    without its digit.  At q = 0 .. 9999, per quad: its ASCII digits plus
+    with "0" for its digit.  At q = 0 .. 9999, per quad: its ASCII digits plus
     2^32 times the digits up to its last nonzero one (0 for 0000).  At 18
     (i + _NK line end) + those digits, for words 1 .. 3: the masks of the
     bytes that stay (words 1, 2) and that take the byte before them, then
@@ -76,7 +76,7 @@ def _tables():
 
     e10 = (16 - np.arange(_K_MIN, _K_MAX + 1)).tolist()
     below = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "" for e in e10]
-    word0 = np.array([int.from_bytes((sign + s).encode().rjust(7, b"\0"),
+    word0 = np.array([int.from_bytes((sign + s + "0").encode().rjust(8, b"\0"),
                                      "little") for sign in ("", "-") for s in below])
     tails = np.frombuffer(b"".join(
         ((f"e{e:+03d}" if not -4 <= e < 17 else "") + sep).encode().ljust(8, b"\0")
@@ -92,7 +92,7 @@ def _tables():
         ((place < 0) & (at < 0))[..., :16] * np.uint8(255),
         ((place > 0) & (at < 0)) * np.uint8(255),
         ((place == 0) & (at < 0)) * np.uint8(ord("."))
-        + sum(tails[:, None, b, None] * (at == b) for b in range(8))], axis=-1)
+        + sum(tails[:, None, b, None] * (at == b) for b in range(6))], axis=-1)
     return (powers, word0, quads,
             np.ascontiguousarray(masks.view("<i8").reshape(-1, 8).T))
 
@@ -155,12 +155,12 @@ def _kernel(v, out, end):
     at = (i + _NK * end) * 18 + sig
     keep1, keep2, take1, take2, take3, end1, end2, end3 = (
         m.take(at) for m in masks)
-    out[..., 0] = word0.take(i + _NK * np.signbit(v)) | (lead + ord("0")) << 56
+    np.bitwise_or(word0.take(i + _NK * np.signbit(v)), lead << 56, out=out[..., 0])
     # bytes before the point stay, the point goes in, the bytes after it
     # take the byte before them: the digits moved up one byte
-    out[..., 1] = d1 & keep1 | d1 << 8 & take1 | end1
-    out[..., 2] = d2 & keep2 | (d2 << 8 | d1 >> 56) & take2 | end2
-    out[..., 3] = d2 >> 56 & take3 | end3
+    np.bitwise_or(d1 & keep1 | d1 << 8 & take1, end1, out=out[..., 1])
+    np.bitwise_or(d2 & keep2 | (d2 << 8 | d1 >> 56) & take2, end2, out=out[..., 2])
+    np.bitwise_or(d2 >> 56 & take3, end3, out=out[..., 3])
     if slow.any():
         for j in zip(*np.nonzero(slow)):
             text = (format(float(v[j]), ".17g") + ",\n"[int(end[j[-1]])]).encode()

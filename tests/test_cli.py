@@ -938,7 +938,7 @@ def test_main_back_to_back_gives_each_run_its_own_bytes(monkeypatch):
                 code = exc.code
         together.append((code, out.getvalue(), err.getvalue()))
     for argv, done in alone.items():
-        out, err = done.communicate()
+        out, err = done.communicate(timeout=120)
         alone[argv] = (done.returncode, out, err)
     assert [code for code, _, _ in together] == [0, 0, 0, 2, 0, 0]
     for argv, result in zip(runs, together):

@@ -184,8 +184,7 @@ def cmd_validate(args):
             f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     alpha0s = _floats(args.alpha0_values, "--alpha0-values")
     phis = _floats(args.phi_values, "--phi-values")
-    max_dev, worst, devs = crosscheck.crosscheck_grid(
-        alpha0s=alpha0s, phis=phis, cap=args.max_fock)
+    max_dev, worst, devs = crosscheck.crosscheck_grid(alpha0s=alpha0s, phis=phis)
     print(f"checked {len(devs)} analytic-vs-Fock deviations "
           f"over {len(alpha0s) * len(phis)} parameter points")
     print(f"max deviation = {max_dev:.3e} "
@@ -210,7 +209,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process: in-process callers
+    run main many times."""
     parser = _Parser(
         prog="catforge",
         description=("Conditional preparation of symmetric coherent-state "
@@ -279,21 +281,13 @@ def build_parser():
     sp.add_argument("--alpha0-values", default=",".join(map(repr, crosscheck.GRID_ALPHA0)))
     sp.add_argument("--phi-values", default=",".join(map(repr, crosscheck.GRID_PHI)))
     sp.add_argument("--tolerance", type=float, default=CROSSCHECK_TOL)
-    sp.add_argument("--max-fock", type=int, default=None,
-                    help="override the Fock dimension cap")
     sp.set_defaults(func=cmd_validate)
 
     return parser
 
 
-@functools.cache
-def _parser():
-    # built once per process: in-process callers run main many times
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CatforgeError as exc:

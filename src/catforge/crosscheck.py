@@ -44,7 +44,7 @@ class Deviation:
     value: float
 
 
-def oracle_pipeline(p, cap=None):
+def oracle_pipeline(p):
     """Pure-Fock sources through the beam splitter: (out, dim, raw_norm2).
 
     The beam splitter maps the triangle n + m < dim of the source pair
@@ -56,7 +56,7 @@ def oracle_pipeline(p, cap=None):
     choose_truncation bounds, and out keeps the rest of the pair's norm.
     raw_norm2 is the squared norm of the unnormalized single-mode source.
     """
-    dim = fock_oracle.choose_truncation(SQRT2 * p.alpha0, cap)
+    dim = fock_oracle.choose_truncation(SQRT2 * p.alpha0)
     half = complex(math.cos(0.5 * p.phi), math.sin(0.5 * p.phi))
     raw = (fock_oracle.coherent_fock(1j * p.alpha0 * half, dim)
            + fock_oracle.coherent_fock(1j * p.alpha0 * half.conjugate(), dim))
@@ -65,7 +65,7 @@ def oracle_pipeline(p, cap=None):
     return out, dim, raw_norm2
 
 
-def oracle_conditioning(p, cap=None):
+def oracle_conditioning(p):
     """Run the full pipeline in Fock space and resolve the branch coefficients.
 
     Returns (vac_coeff, cat_coeff, samples, windows, cat): samples[j] is out
@@ -77,7 +77,7 @@ def oracle_conditioning(p, cap=None):
     target.  out (of oracle_pipeline) is projected once, on the density
     samples and the windows' rule nodes together.
     """
-    out, dim, raw_norm2 = oracle_pipeline(p, cap)
+    out, dim, raw_norm2 = oracle_pipeline(p)
     xs, ws, spans = gauss_legendre(_WINDOW_TABLE)
     rows = fock_oracle.project_quadrature(
         out, np.concatenate((DENSITY_SAMPLES, xs)))
@@ -144,14 +144,14 @@ def window_metrics_analytic(p, window):
     return prob, numer / prob
 
 
-def crosscheck_point(p, cap=None):
+def crosscheck_point(p):
     """All analytic-vs-oracle deviations at one parameter point."""
     devs = []
 
     def add(name, value):
         devs.append(Deviation(name, p.alpha0, p.phi, float(value)))
 
-    c_vac_o, c_cat_o, samples, windows_o, cat = oracle_conditioning(p, cap)
+    c_vac_o, c_cat_o, samples, windows_o, cat = oracle_conditioning(p)
     r = protocol.report(p)
     add("vacuum_coeff", abs(r.vacuum_coeff - c_vac_o))
     add("cat_coeff", abs(r.cat_coeff - c_cat_o))
@@ -172,12 +172,12 @@ def crosscheck_point(p, cap=None):
     return devs
 
 
-def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI, cap=None):
+def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI):
     """Run crosscheck_point over the grid; returns (max_dev, worst, all_devs)."""
     all_devs = []
     for phi in phis:
         for alpha0 in alpha0s:
             p = protocol.ProtocolParams(alpha0, phi)
-            all_devs.extend(crosscheck_point(p, cap))
+            all_devs.extend(crosscheck_point(p))
     worst = max(all_devs, key=lambda d: d.value)
     return worst.value, worst, all_devs

@@ -10,7 +10,7 @@ class DegenerateState(CatforgeError):
 
 
 class TruncationTooLarge(CatforgeError):
-    """Requested Fock-space dimension exceeds the configured cap."""
+    """Requested Fock-space dimension exceeds the beam splitter's limit."""
 
 
 class ZeroProbability(CatforgeError):

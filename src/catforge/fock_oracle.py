@@ -33,8 +33,7 @@ import math
 
 import numpy as np
 
-from .config import (FOCK_CAP_ENV, FOCK_SECONDS_PER_DIM3, ZERO_DENSITY,
-                     fock_cap)
+from .config import ZERO_DENSITY
 from .errors import (DimensionMismatch, DomainError, TruncationTooLarge,
                      ZeroProbability)
 
@@ -45,7 +44,7 @@ _HALVINGS = 8  # steps per deferred halving of the blocks (see _bs_blocks)
 _RING_BYTES = 1 << 22  # memory for the blocks kept at once (see _bs_blocks)
 
 
-def choose_truncation(max_amp, cap=None):
+def choose_truncation(max_amp):
     """Fock dimension guaranteeing coherent tails <= 1e-12 up to |alpha| = max_amp.
 
     The margin ceil(max_amp^2 + 10*max_amp + 20) is far past the Poisson bulk
@@ -53,36 +52,20 @@ def choose_truncation(max_amp, cap=None):
     truncated to total photon number n + m < dim as well, for
     sqrt(|a|^2 + |b|^2) <= max_amp: the pair's total photon number is
     Poisson distributed like that of one coherent state of that amplitude.
-    Dimensions above the cap (default
-    DEFAULT_FOCK_CAP, or the CATFORGE_MAX_FOCK environment variable) raise
-    TruncationTooLarge, with the predicted time of a cold crosscheck there.
-    So do dimensions above MAX_TOTAL_PHOTONS + 1, the beam splitter's own
-    limit, whatever the cap; that message names the limit, which no cap
-    lifts.  Both are formed in floats before any ceil, so a dimension or a
-    time past the float range is refused the same way, and said so.
+    Dimensions above MAX_TOTAL_PHOTONS + 1, the beam splitter's limit, raise
+    TruncationTooLarge.  The dimension is formed in floats before any ceil,
+    so one past the float range is refused the same way, and said so.
     """
     if max_amp < 0 or not math.isfinite(max_amp):
         raise DomainError(f"max_amp must be finite and >= 0, got {max_amp}")
     dim = max_amp * max_amp + 10.0 * max_amp + 20.0
-    limit = fock_cap(cap)
-    top = MAX_TOTAL_PHOTONS + 1
-    if dim <= min(limit, top):
+    if dim <= MAX_TOTAL_PHOTONS + 1:
         return math.ceil(dim)
-    shown = math.ceil(dim) if dim < 2.0 ** 53 else f"{dim:.3g}"
-    seconds = FOCK_SECONDS_PER_DIM3 * dim * dim * dim
-    cost = ("the dimension is past the float range" if dim == math.inf else
-            "a cold crosscheck there is predicted to take more seconds than "
-            "a float holds" if seconds == math.inf else
-            f"a cold crosscheck there is predicted to take about {seconds:.3g} s")
-    if dim <= top:
-        raise TruncationTooLarge(
-            f"requested Fock dimension {shown} exceeds cap {limit}: {cost}; "
-            f"raise the cap with --max-fock or {FOCK_CAP_ENV}")
-    over = f"cap {limit} and " if dim > limit else ""
+    shown = (math.ceil(dim) if dim < 2.0 ** 53 else
+             "past the float range" if dim == math.inf else f"{dim:.3g}")
     raise TruncationTooLarge(
-        f"requested Fock dimension {shown} exceeds {over}the beam splitter's "
-        f"limit {top} (total photon number {MAX_TOTAL_PHOTONS}): {cost}; no "
-        f"--max-fock or {FOCK_CAP_ENV} value lifts that limit")
+        f"requested Fock dimension {shown} exceeds the beam splitter's limit "
+        f"{MAX_TOTAL_PHOTONS + 1} (total photon number {MAX_TOTAL_PHOTONS})")
 
 
 def coherent_fock(alpha, dim):

@@ -54,13 +54,6 @@ _WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
-def _gl_rule():
-    """GL_ORDER-point Gauss-Legendre rule on [-1, 1], (_NODES, _WEIGHTS):
-    leggauss(16) bit for bit, weights' 63-ulp error included (module
-    docstring)."""
-    return _NODES, _WEIGHTS
-
-
 @functools.lru_cache(maxsize=RULE_TABLES)
 def gauss_legendre(groups):
     """Composite GL_ORDER-point nodes and weights over groups of intervals
@@ -87,9 +80,8 @@ def gauss_legendre(groups):
         spans.append(slice(GL_ORDER * first, GL_ORDER * len(lefts)))
     left, right = np.array(lefts), np.array(rights)
     halves = 0.5 * (right - left)
-    base_x, base_w = _gl_rule()
-    xs = (0.5 * (right + left)[:, None] + halves[:, None] * base_x).ravel()
-    ws = (halves[:, None] * base_w).ravel()
+    xs = (0.5 * (right + left)[:, None] + halves[:, None] * _NODES).ravel()
+    ws = (halves[:, None] * _WEIGHTS).ravel()
     xs.flags.writeable = False
     ws.flags.writeable = False
     return xs, ws, tuple(spans)

@@ -352,13 +352,6 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
-    def test_unwritable_path(self, capsys, tmp_path):
-        code, _, err = run(capsys, "sweep", "--alpha0-steps", "2",
-                           "--phi-steps", "2",
-                           "--out", str(tmp_path / "no" / "dir" / "s.csv"))
-        assert code == 3
-        assert "i/o error:" in err
-
 
 class TestOptimize:
     def test_reference_output(self, capsys):
@@ -710,7 +703,7 @@ class TestValidate:
         # the flags' defaults are crosscheck's grid, point for point
         seen = []
 
-        def record(p, cap=None):
+        def record(p):
             seen.append((p.alpha0, p.phi))
             return [crosscheck.Deviation("ratio", p.alpha0, p.phi, 0.0)]
         monkeypatch.setattr(crosscheck, "crosscheck_point", record)
@@ -755,44 +748,32 @@ class TestValidate:
     @pytest.mark.parametrize("alpha0, dim", [("1.3e154", "inf"),
                                              ("1e100", "2e+200")])
     def test_amplitude_past_the_float_range_refused(self, capsys, alpha0, dim):
-        # the dimension's square leaves the float range (1.3e154) or its
-        # cube does (1e100): both are refused, not crashed on
+        # the amplitude's square leaves the float range (1.3e154) or the
+        # dimension is past 2^53 (2e200 at 1e100): both are refused, not
+        # crashed on
         code, out, err = run(capsys, "validate", "--alpha0-values", alpha0,
                              "--phi-values", "0.3")
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: requested Fock dimension {dim} exceeds "
-                              "cap 2048")
+        shown = "past the float range" if dim == "inf" else dim
+        assert err.startswith(f"error: requested Fock dimension {shown} exceeds "
+                              "the beam splitter's limit 2048")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("cap", [(), ("--max-fock", "5000")],
-                             ids=["default", "raised"])
-    def test_past_the_beam_splitter_limit_names_it(self, capsys, cap):
-        # dimension 2245: no cap admits it, since the beam splitter stops at
-        # total photon number 2047, so the refusal does not advise raising one
+    def test_past_the_beam_splitter_limit_names_it(self, capsys):
+        # dimension 2245: the beam splitter stops at total photon number 2047
         code, out, err = run(capsys, "validate", "--alpha0-values", "30",
-                             "--phi-values", "0.3", *cap)
+                             "--phi-values", "0.3")
         assert (code, out) == (2, "")
-        assert err.startswith("error: requested Fock dimension 2245 exceeds ")
-        assert ("the beam splitter's limit 2048 (total photon number 2047)"
-                in err)
-        assert "raise the cap" not in err
-        assert err.count("\n") == 1
+        assert err == ("error: requested Fock dimension 2245 exceeds the beam "
+                       "splitter's limit 2048 (total photon number 2047)\n")
 
     def test_dimension_past_the_float_range_says_so(self, capsys):
         code, out, err = run(capsys, "validate", "--alpha0-values", "1.3e154",
                              "--phi-values", "0.3")
         assert (code, out) == (2, "")
-        assert "the dimension is past the float range" in err
-        assert "inf s" not in err and "raise the cap" not in err
+        assert "dimension past the float range" in err
+        assert "inf" not in err
         assert err.count("\n") == 1
-
-    def test_malformed_fock_cap_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("CATFORGE_MAX_FOCK", "abc")
-        code, out, err = run(capsys, "validate")
-        assert code == 2
-        assert err == ("error: CATFORGE_MAX_FOCK must be a positive integer, "
-                       "got 'abc'\n")
-        assert out == ""
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -834,6 +815,28 @@ def test_rejected_grid_writes_nothing(capsys, tmp_path, argv, names):
     assert err.startswith("error:") and err.count("\n") == 1
     assert names in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("prepare", "--alpha0", "1", "--phi", "0.5"),
+    ("sweep", "--alpha0-steps", "2", "--phi-steps", "2"),
+    ("window", "--alpha0", "1", "--phi", "0.5"),
+    ("wigner", "--alpha0", "1", "--phi", "0.5", "--points", "3"),
+], ids=["prepare", "sweep", "window", "wigner"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_3(capsys, tmp_path, argv, target):
+    # a path under a missing directory, or an existing directory: exit 3,
+    # nothing on stdout, one i/o error line, and no file made
+    path = tmp_path / "out"
+    if target == "directory":
+        path.mkdir()
+    else:
+        path = path / "no" / "file.csv"
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("i/o error:") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,8 +11,7 @@ directory made once per command; a path that cannot be written exits 3,
 with nothing on stdout and one "i/o error:" line.  An exception past main,
 a warning (the suite raises warnings as errors) or any other outcome
 fails.  Examples stay cheap: grids of at most 50 steps, larger ones only
-past the step cap, where they are refused before any cell is computed,
-and validate at --max-fock 60.
+past the step cap, where they are refused before any cell is computed.
 """
 
 import contextlib
@@ -100,8 +99,7 @@ COMMANDS = {
     "validate": (25, command(
         "validate", flag("--alpha0-values", float_lists(0.1, 2.5, 2)),
         flag("--phi-values", float_lists(0.01, 3.0, 2)),
-        flag("--tolerance", floats(0.0, 1e-6), optional=True),
-        st.just(["--max-fock", "60"]))),
+        flag("--tolerance", floats(0.0, 1e-6), optional=True))),
 }
 
 

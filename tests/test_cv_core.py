@@ -417,13 +417,12 @@ class TestGaussLegendre:
     def linspace_rule(a, b):
         """Nodes and weights on the panels of np.linspace(a, b, panels + 1)."""
         from catforge.config import MAX_PANEL_WIDTH
-        from catforge.quadrature import _gl_rule
+        from catforge.quadrature import _NODES, _WEIGHTS
         edges = np.linspace(a, b, math.ceil((b - a) / MAX_PANEL_WIDTH) + 1)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * (edges[1:] - edges[:-1])
-        base_x, base_w = _gl_rule()
-        return ((mids[:, None] + halves[:, None] * base_x[None, :]).ravel(),
-                (halves[:, None] * base_w[None, :]).ravel())
+        return ((mids[:, None] + halves[:, None] * _NODES[None, :]).ravel(),
+                (halves[:, None] * _WEIGHTS[None, :]).ravel())
 
     @pytest.mark.parametrize("a, b", INTERVALS)
     def test_panels_are_linspace_edges(self, a, b):
@@ -526,15 +525,16 @@ class TestGaussLegendre:
 
 class TestBaseRule:
     """The fixed rule is a literal table of its positive half, checked here
-    against the exact rule; _gl_rule mirrors it."""
+    against the exact rule; _NODES and _WEIGHTS mirror it."""
 
     def test_table_has_gl_order_points(self):
         assert 2 * len(quadrature._HALF_NODES) == GL_ORDER
         assert 2 * len(quadrature._HALF_WEIGHTS) == GL_ORDER
-        assert all(v.shape == (GL_ORDER,) for v in quadrature._gl_rule())
+        assert all(v.shape == (GL_ORDER,)
+                   for v in (quadrature._NODES, quadrature._WEIGHTS))
 
     def test_mirror_symmetry_is_exact(self):
-        nodes, weights = quadrature._gl_rule()
+        nodes, weights = quadrature._NODES, quadrature._WEIGHTS
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(weights, weights[::-1])
         assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
@@ -556,7 +556,7 @@ class TestBaseRule:
                 assert abs(mpmath.mpf(weight) - want) <= 64 * math.ulp(weight)
 
     def test_weights_sum_to_two(self):
-        assert abs(math.fsum(quadrature._gl_rule()[1]) - 2.0) <= 2 * math.ulp(2.0)
+        assert abs(math.fsum(quadrature._WEIGHTS) - 2.0) <= 2 * math.ulp(2.0)
 
     def test_runs_call_no_eigenvalue_solve(self):
         # a window table and a crosscheck point integrate with the table:

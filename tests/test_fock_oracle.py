@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from catforge import cv_core, fock_oracle
-from catforge.config import DEFAULT_FOCK_CAP, ZERO_DENSITY
+from catforge.config import ZERO_DENSITY
 from catforge.cv_core import HomodyneWindow
-from catforge.errors import (CatforgeError, DimensionMismatch, DomainError,
+from catforge.errors import (DimensionMismatch, DomainError,
                              TruncationTooLarge, ZeroProbability)
 from catforge.fock_oracle import (MAX_TOTAL_PHOTONS, apply_beam_splitter,
                                   choose_truncation, coherent_fock,
@@ -155,31 +155,6 @@ class TestChooseTruncation:
         with pytest.raises(TruncationTooLarge):
             choose_truncation(100.0)
 
-    def test_cap_override(self):
-        with pytest.raises(TruncationTooLarge):
-            choose_truncation(2.0, cap=40)
-        assert choose_truncation(2.0, cap=44) == 44
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("CATFORGE_MAX_FOCK", "40")
-        with pytest.raises(TruncationTooLarge):
-            choose_truncation(2.0)
-        monkeypatch.delenv("CATFORGE_MAX_FOCK")
-        assert choose_truncation(2.0) == 44
-
-    @pytest.mark.parametrize("env, cap, source", [
-        ("abc", None, "CATFORGE_MAX_FOCK"), ("0", None, "CATFORGE_MAX_FOCK"),
-        ("-5", None, "CATFORGE_MAX_FOCK"), ("4.5", None, "CATFORGE_MAX_FOCK"),
-        (None, 0, "Fock cap"), (None, -3, "Fock cap")])
-    def test_malformed_cap_names_its_source(self, monkeypatch, env, cap, source):
-        if env is not None:
-            monkeypatch.setenv("CATFORGE_MAX_FOCK", env)
-        with pytest.raises(CatforgeError) as info:
-            choose_truncation(2.0, cap=cap)
-        msg = str(info.value)
-        assert source in msg and "positive integer" in msg
-        assert repr(env if cap is None else cap) in msg
-
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             choose_truncation(-1.0)
@@ -191,21 +166,11 @@ class TestChooseTruncation:
 
     @pytest.mark.parametrize("max_amp", [1e100, 1.9e154])
     def test_refuses_past_the_float_range(self, max_amp):
-        # the predicted time's cube (1e100) and the dimension's square
-        # (1.9e154) leave the float range: both are refusals, not crashes
-        with pytest.raises(TruncationTooLarge, match="exceeds cap 2048"):
+        # the dimension is past 2^53 (1e200 at 1e100), or its square term
+        # leaves the float range (1.9e154): both are refusals, not crashes
+        with pytest.raises(TruncationTooLarge,
+                           match="exceeds the beam splitter's limit 2048"):
             choose_truncation(max_amp)
-
-    def test_beam_splitter_limit_holds_whatever_the_cap(self):
-        # a raised cap admits dimensions up to MAX_TOTAL_PHOTONS + 1 only,
-        # and the refusal past it names that limit, not the cap
-        assert choose_truncation(40.0, cap=5000) == 2020
-        with pytest.raises(TruncationTooLarge) as info:
-            choose_truncation(42.4, cap=5000)
-        msg = str(info.value)
-        assert msg.startswith("requested Fock dimension 2242 exceeds the beam "
-                              "splitter's limit 2048 (total photon number 2047)")
-        assert "raise the cap" not in msg
 
     def test_tail_bound_property(self):
         # the guaranteed tail <= 1e-12 at the chosen dimension
@@ -711,16 +676,14 @@ class TestWindowState:
             assert abs(prob / (2 * eps) - d) <= 1e-8 * d
 
 
-def test_default_cap_is_documented_value():
-    # the cap is the beam splitter's own limit: a source of dimension 2048
-    # builds the blocks up to S = MAX_TOTAL_PHOTONS = 2047
-    assert DEFAULT_FOCK_CAP == 2048 == MAX_TOTAL_PHOTONS + 1
-
-
-def test_cap_message_predicts_cost_and_names_overrides():
+def test_limit_message_names_the_one_limit():
+    # the beam splitter's limit is the only one: the refusal names no cap,
+    # no predicted time and no override (the retired flag and environment
+    # variable both had "max" in their names)
     with pytest.raises(TruncationTooLarge) as info:
         choose_truncation(50.0)
     msg = str(info.value)
-    assert "3020 exceeds cap 2048" in msg
-    assert "predicted to take about 24.2 s" in msg
-    assert "--max-fock" in msg and "CATFORGE_MAX_FOCK" in msg
+    assert msg.startswith("requested Fock dimension 3020 exceeds the beam "
+                          "splitter's limit 2048 (total photon number 2047)")
+    for word in ("cap", "predicted", "max"):
+        assert word not in msg.lower()

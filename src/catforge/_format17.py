@@ -1,8 +1,8 @@
 """format(v, ".17g") for whole blocks of float64 values, byte for byte.
 
 cells(values) returns one row of ASCII bytes per value, its text and a
-comma, with NULs where the row is left empty; csv_lines(prefix, values)
-writes such rows into CSV lines and drops every NUL at once.  The 17
+comma, with NULs where the row is left empty; csv_lines(prefix, blocks)
+streams such rows as CSV lines, each pass's NULs dropped at once.  The 17
 significant digits are exact.  With e10 = floor(log10|v|) and k = 16 - e10,
 |v| 10^k is formed as a double-double: Dekker's two-product of |v| and the
 double nearest 10^k (Veltkamp splits; numpy has no fused multiply-add), plus
@@ -167,43 +167,43 @@ def _kernel(v, out, end):
             out[j].view(np.uint8)[:] = np.frombuffer(text.ljust(WIDTH, b"\0"), np.uint8)
 
 
-def _fill(values, out, end):
-    """The (lines, k) values into (lines, k, WIDTH) bytes, CHUNK at a time."""
-    words = out.view("<i8")
-    rows = max(1, CHUNK // values.shape[1])
-    for lo in range(0, len(values), rows):
-        for c in range(0, values.shape[1], CHUNK):
-            block = np.s_[lo:lo + rows, c:c + CHUNK]
-            _kernel(values[block], words[block], end[c:c + CHUNK])
-
-
 def cells(values):
     """format(v, ".17g") + "," of each float64 value, as (n, WIDTH) bytes
-    with NULs: the prefix columns of csv_lines."""
+    with NULs: the prefix cells of csv_lines."""
     v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    out = np.empty((len(v), 1, WIDTH), np.uint8)
-    _fill(v, out, np.zeros(1, bool))
-    return out[:, 0]
+    out = np.empty((len(v), WIDTH), np.uint8)
+    _kernel(v, out.view("<i8")[:, None], np.zeros(1, bool))
+    return out
 
 
-def flush(rows, side):
-    """rows from cells(), each text moved to the end (side 1) or start (-1):
-    no NUL is left between a cell flush right and one flush left after it."""
-    nul = rows == 0
-    shift = np.argmin(nul[:, ::-1], 1) if side > 0 else -np.argmin(nul, 1)
-    return np.take_along_axis(rows, (np.arange(WIDTH) - shift[:, None]) % WIDTH, 1)
-
-
-def csv_lines(prefix, values):
-    """CSV lines, as a uint8 array of ASCII, over the leading axes of values:
-    line i holds the cells prefix[0][i], prefix[1][i], ... (arrays from
-    cells(), broadcast over values.shape[:-1]), then format(v, ".17g") of
-    each v in values[i]."""
-    values = np.asarray(values, dtype=np.float64)
-    *lead, k = values.shape
-    fields = np.empty((*lead, len(prefix) + k, WIDTH), np.uint8)
+def _pass(prefix, lo, values):
+    """Lines lo, lo + 1, ... of csv_lines: the values after their prefix cells."""
+    k = values.shape[-1]
+    fields = np.empty((*values.shape[:-1], len(prefix) + k, WIDTH), np.uint8)
     for j, column in enumerate(prefix):
-        fields[..., j, :] = column
-    _fill(values.reshape(-1, k), fields.reshape(-1, len(prefix) + k, WIDTH)[
-        :, len(prefix):], np.arange(k) == k - 1)
+        fields[..., j, :] = column[lo:lo + len(values)] if len(column) > 1 else column
+    _kernel(values, fields[..., len(prefix):, :].view("<i8"), np.arange(k) == k - 1)
     return fields[fields != 0]
+
+
+def csv_lines(prefix, blocks):
+    """Yield the CSV lines of blocks of float64 values as uint8 arrays of
+    ASCII, in passes of at most CHUNK values but at least one line of a
+    block's first axis.  A block's lines run over all its axes but the
+    last: line i holds prefix[0][i], prefix[1][i], ..., then format(v,
+    ".17g") of each v in block[i].  The prefix cells, from cells(), span the
+    grid: a first axis longer than 1 counts lines through the blocks, and
+    the others broadcast.  prefix[0] is flushed right and the rest left,
+    once, so that the NULs between them make one run."""
+    flushed, lo = [], 0
+    for j, column in enumerate(prefix):
+        nul = column == 0
+        shift = -np.argmin(nul, -1) if j else np.argmin(nul[..., ::-1], -1)
+        flushed.append(np.take_along_axis(
+            column, (np.arange(WIDTH) - shift[..., None]) % WIDTH, -1))
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        rows = max(1, CHUNK // math.prod(block.shape[1:]))
+        for r in range(0, len(block), rows):
+            yield _pass(flushed, lo + r, block[r:r + rows])
+        lo += len(block)

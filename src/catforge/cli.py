@@ -4,18 +4,19 @@ Subcommands map one-to-one onto the analysis operations: ratio, prepare,
 sweep, optimize, window, wigner, validate.  Angles are radians by default
 (--phi-degrees converts); every run is deterministic.  CSV output uses LF
 line endings and 17-significant-digit floats so parsed values round-trip
-exactly.  Its cells are the bytes of format(v, ".17g"), which the numpy
-kernel in _format17 writes straight into each block's lines, up to CHUNK
-values a pass.  sweep and wigner format their axis cells once, alpha0 and x
-flush right and phi and y flush left, so that no NULs sit between the two
-prefix cells of a line, and write each block as soon as it is computed, so
-their memory does not grow with the grid.  JSON never contains NaN or
-infinities.  main parses with one argument parser per process.
+exactly.  Its cells are the bytes of format(v, ".17g"): sweep, wigner and
+window hand their blocks of values, and sweep and wigner their axis cells,
+to _format17.csv_lines, whose passes are written as soon as each is
+computed, so memory does not grow with the grid.  The first pass is
+computed before the file is opened, so a refusal in the first block makes
+no file.  JSON never contains NaN or infinities.  main parses with one
+argument parser per process.
 
 Exit codes: 0 success, 1 validation failure, 2 domain error, 3 I/O error.
 """
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -24,7 +25,7 @@ import re
 import sys
 
 from . import crosscheck, cv_core, optimize_sweep, protocol
-from ._format17 import CHUNK, cells, csv_lines, flush
+from ._format17 import cells, csv_lines
 from .errors import CatforgeError, DomainError
 from .config import CROSSCHECK_TOL, GRID_STEP_CAP
 
@@ -62,8 +63,10 @@ def _write(path, chunks):
 
 
 def _csv(header, lines):
-    yield header.encode("ascii") + b"\n"
-    yield from lines
+    """The header and the lines, the first pass computed here: a refusal in
+    the first block comes before any file is made."""
+    lines = iter(lines)
+    return itertools.chain([header.encode("ascii") + b"\n", next(lines, b"")], lines)
 
 
 def _json_text(payload):
@@ -96,21 +99,11 @@ def cmd_prepare(args):
 
 
 def cmd_sweep(args):
-    grid = optimize_sweep.GridSpec(
-        alpha0_min=args.alpha0_min, alpha0_max=args.alpha0_max,
-        alpha0_steps=args.alpha0_steps,
-        phi_min=args.phi_min, phi_max=args.phi_max, phi_steps=args.phi_steps)
-    axes = cells(grid.alpha0_values() + grid.phi_values())
-    alpha0 = flush(axes[:grid.alpha0_steps], 1)
-    phi = flush(axes[grid.alpha0_steps:], -1)
-
-    def lines():
-        lo = 0
-        for block in optimize_sweep.sweep_ratio(grid):
-            yield csv_lines((alpha0[None], phi[lo:lo + len(block), None]), block)
-            lo += len(block)
-
-    _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", lines()))
+    fields = dataclasses.fields(optimize_sweep.GridSpec)
+    grid = optimize_sweep.GridSpec(**{f.name: getattr(args, f.name) for f in fields})
+    axes, n = cells(grid.alpha0_values() + grid.phi_values()), grid.alpha0_steps
+    lines = csv_lines((axes[None, :n], axes[n:, None]), optimize_sweep.sweep_ratio(grid))
+    _write(args.out, _csv("alpha0,phi,ratio_exact,ratio_o1,ratio_o2,d", lines))
     return 0
 
 
@@ -137,7 +130,7 @@ def cmd_window(args):
                    for e, pr, f in rows]
         _write(args.out, [_json_text(payload)])
     else:
-        _write(args.out, _csv("epsilon,probability,fidelity", [csv_lines((), rows)]))
+        _write(args.out, _csv("epsilon,probability,fidelity", csv_lines((), [rows])))
     return 0
 
 
@@ -161,20 +154,10 @@ def cmd_wigner(args):
         raise DomainError(
             f"--half-extent {extent:g} is too large: the grid values overflow")
     axis_cells = cells(axis)
-    x, y = flush(axis_cells, 1), flush(axis_cells, -1)
-    starts = range(0, args.points, WIGNER_BLOCK_ROWS)
-    blocks = (grid(axis[lo:lo + WIGNER_BLOCK_ROWS], axis) for lo in starts)
-    # the first block runs the state's checks before anything is written
-    first = next(blocks)
-    per_batch = max(1, CHUNK // args.points)  # x rows per kernel call
-
-    def lines():
-        for start, block in zip(starts, itertools.chain([first], blocks)):
-            for lo in range(0, len(block), per_batch):
-                w = block[lo:lo + per_batch, :, None]
-                yield csv_lines((x[start + lo:start + lo + len(w), None], y[None]), w)
-
-    _write(args.out, _csv("x,y,w", lines()))
+    blocks = (grid(axis[lo:lo + WIGNER_BLOCK_ROWS], axis)[..., None]
+              for lo in range(0, args.points, WIGNER_BLOCK_ROWS))
+    lines = csv_lines((axis_cells[:, None], axis_cells[None]), blocks)
+    _write(args.out, _csv("x,y,w", lines))
     return 0
 
 
@@ -240,12 +223,8 @@ def build_parser():
     sp.set_defaults(func=cmd_prepare)
 
     sp = sub.add_parser("sweep", help="CSV sweep of the ratio formulas")
-    sp.add_argument("--alpha0-min", type=float, default=0.0)
-    sp.add_argument("--alpha0-max", type=float, default=5.0)
-    sp.add_argument("--alpha0-steps", type=int, default=500)
-    sp.add_argument("--phi-min", type=float, default=0.0)
-    sp.add_argument("--phi-max", type=float, default=0.2)
-    sp.add_argument("--phi-steps", type=int, default=500)
+    for f in dataclasses.fields(optimize_sweep.GridSpec):
+        sp.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_sweep)
 

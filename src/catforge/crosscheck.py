@@ -21,7 +21,7 @@ from . import fock_oracle, protocol
 from .cv_core import (SQRT2, HomodyneWindow, coherent_overlap,
                       quadrature_overlap)
 from .config import SPLIT_REFUSAL_TOL, ZERO_DENSITY
-from .errors import DegenerateState, ZeroProbability
+from .errors import DegenerateState, DomainError, ZeroProbability
 from .quadrature import gauss_legendre
 
 GRID_ALPHA0 = (0.5, 1.0, 2.0, 3.0)
@@ -179,5 +179,7 @@ def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI):
         for alpha0 in alpha0s:
             p = protocol.ProtocolParams(alpha0, phi)
             all_devs.extend(crosscheck_point(p))
+    if not all_devs:
+        raise DomainError("the cross-check grid needs at least one alpha0 and one phi")
     worst = max(all_devs, key=lambda d: d.value)
     return worst.value, worst, all_devs

@@ -36,6 +36,8 @@ class GridSpec:
 
     def __post_init__(self):
         for steps, axis in ((self.alpha0_steps, "alpha0"), (self.phi_steps, "phi")):
+            if not isinstance(steps, (int, np.integer)):
+                raise DomainError(f"{axis} axis steps must be an integer, got {steps!r}")
             if steps > GRID_STEP_CAP:
                 raise GridTooLarge(
                     f"{axis} axis has {steps} steps, cap is {GRID_STEP_CAP}")
@@ -98,8 +100,8 @@ def sweep_ratio(grid):
     coefficient_ratio_second_order and separations(p).d at
     ProtocolParams(alpha0, phi): the block goes through protocol's ratio
     formulas with libm's exp and cos looped in C.  A block holds at most
-    CHUNK values, the csv_lines pass of the CLI, but at least one row; it
-    is computed only when asked for, so memory does not grow with phi_steps.
+    CHUNK values (one pass of _format17.csv_lines) but at least one row,
+    and is computed only when asked for: memory does not grow with phi_steps.
     """
     a = np.array(grid.alpha0_values())
     a2 = a * a

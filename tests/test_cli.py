@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catforge import cli, crosscheck, cv_core, protocol
+from catforge import _format17, cli, crosscheck, cv_core, protocol
 from catforge._format17 import CHUNK, csv_lines
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
 from catforge.protocol import ProtocolParams
@@ -59,7 +59,7 @@ def parse_keyvals(text):
 
 def formatted(values):
     """The CSV line of values, split back into its cells."""
-    return str(csv_lines((), [values]), "ascii")[:-1].split(",")
+    return str(b"".join(csv_lines((), [[values]])), "ascii")[:-1].split(",")
 
 
 class TestCells:
@@ -128,6 +128,25 @@ def test_stdout_and_out_get_the_same_bytes(capsysbinary, tmp_path, argv):
     assert captured.err == b""
     assert captured.out == path.read_bytes()
     assert captured.out.count(b"\n") > 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--alpha0-steps", "23", "--phi-steps", "5"),
+    # 63 rows a pass at the default CHUNK: a pass boundary inside each
+    # 64-row block, and a 1-row block ends the grid
+    ("wigner", "--alpha0", "1", "--phi", "0.5", "--points", "129"),
+    ("wigner", "--alpha0", "2", "--phi", "1.5", "--points", "67", "--state", "cat"),
+    ("window", "--alpha0", "1.7", "--phi", "0.5"),
+])
+def test_csv_bytes_do_not_depend_on_the_pass_size(capsysbinary, monkeypatch, argv):
+    def output():
+        assert cli.main(list(argv)) == 0
+        return capsysbinary.readouterr().out
+
+    default = output()
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(_format17, "CHUNK", chunk)
+        assert output() == default, chunk
 
 
 class TestRatio:

@@ -155,6 +155,11 @@ class TestGrid:
         assert worst.value == max_dev
         assert len(devs) == 12 * 12
 
+    @pytest.mark.parametrize("alpha0s, phis", [([], [0.1]), ([1.0], []), ([], [])])
+    def test_empty_grid_is_domain_error(self, alpha0s, phis):
+        with pytest.raises(DomainError, match="at least one alpha0 and one phi"):
+            crosscheck_grid(alpha0s=alpha0s, phis=phis)
+
 
 def package_imports(module):
     """(submodule, name) for each name a catforge module imports from the

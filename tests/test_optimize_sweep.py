@@ -84,6 +84,22 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(phi_min=0.3, phi_max=0.1)
 
+    @pytest.mark.parametrize("kwargs, axis", [
+        ({"alpha0_steps": 2.5}, "alpha0"),
+        ({"phi_steps": math.nan}, "phi"),
+        ({"phi_steps": 3.0}, "phi"),
+        ({"alpha0_steps": 1e9}, "alpha0"),
+    ])
+    def test_rejects_step_counts_that_are_not_integers(self, kwargs, axis):
+        with pytest.raises(DomainError, match=f"^{axis} axis steps must be an integer"):
+            GridSpec(**kwargs)
+
+    def test_accepts_numpy_integer_steps(self):
+        g = GridSpec(alpha0_steps=np.int64(5), phi_steps=np.int32(3))
+        assert g.alpha0_values() == GridSpec(alpha0_steps=5).alpha0_values()
+        with pytest.raises(GridTooLarge):
+            GridSpec(phi_steps=np.int64(2002))
+
     def test_step_cap(self):
         with pytest.raises(GridTooLarge):
             GridSpec(alpha0_steps=5000)

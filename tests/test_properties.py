@@ -118,4 +118,4 @@ def test_csv_cells_are_format_17g(patterns):
     # any float64, nan, infinities and subnormals included, from its bits
     v = np.array(patterns, dtype=np.uint64).view(np.float64)
     line = ",".join(format(x, ".17g") for x in v.tolist()) + "\n"
-    assert bytes(csv_lines((), v[None])) == line.encode("ascii")
+    assert b"".join(csv_lines((), [[v]])) == line.encode("ascii")

@@ -5,13 +5,15 @@ The analytic route (protocol's closed forms) and the truncated-Fock route
 runs both over a parameter grid and reports the worst absolute deviation.
 The extraction of the branch coefficients from the oracle state uses only
 Fock-side data: the x = 0 row of the density samples is resolved against the
-Fock carriers of |0> and |s> + |-s>.  The Fock route of finite-window metrics,
-fock_oracle.window_metrics, serves here only, as the oracle of
-protocol.window_metrics: it reduces the rows that oracle_conditioning
-projects on the windows' rule nodes, in one pass with the density samples.
+Fock carriers of |0> and |s> + |-s>.  oracle_conditioning hands back numbers
+only, each reduced once off one projection on the density samples and the
+windows' rule nodes, and crosscheck_point only compares them.  The Fock
+route of window metrics, fock_oracle.window_metrics, serves here only, as
+the oracle of protocol.window_metrics.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,24 +70,24 @@ def oracle_pipeline(p):
 def oracle_conditioning(p):
     """Run the full pipeline in Fock space and resolve the branch coefficients.
 
-    Returns (vac_coeff, cat_coeff, samples, windows, cat): samples[j] is out
-    projected on <x| at DENSITY_SAMPLES[j], and samples[0] the conditioned
-    vector; the coefficients are rescaled by the raw (unnormalized) source
-    norm so they are directly comparable to the analytic projection
-    coefficients; windows holds fock_oracle.window_metrics of WINDOWS, and
-    cat is the normalized Fock carrier of the cat, the oracle's fidelity
-    target.  out (of oracle_pipeline) is projected once, on the density
-    samples and the windows' rule nodes together.
+    Returns (vac_coeff, cat_coeff, densities, fidelity, windows), read off
+    one projection of out (of oracle_pipeline) on DENSITY_SAMPLES and the
+    windows' rule nodes.  The coefficients are rescaled by the raw source
+    norm to compare with the analytic projection coefficients; densities[j]
+    is the squared norm of the row at DENSITY_SAMPLES[j]; fidelity is that
+    of the x = 0 row, the conditioned vector, to the cat's normalized Fock
+    carrier; windows holds fock_oracle.window_metrics of WINDOWS.
     """
     out, dim, raw_norm2 = oracle_pipeline(p)
     xs, ws, spans = gauss_legendre(_WINDOW_TABLE)
     rows = fock_oracle.project_quadrature(
         out, np.concatenate((DENSITY_SAMPLES, xs)))
-    samples = rows[:len(DENSITY_SAMPLES)]
-    v = samples[0]
-    dens = float(np.vdot(v, v).real)
-    if dens < ZERO_DENSITY:
-        raise ZeroProbability(f"quadrature density {dens:.3e} at x=0 below floor")
+    flat = rows[:len(DENSITY_SAMPLES)].view(float)
+    densities = np.add.reduce(flat * flat, axis=1)
+    if densities[0] < ZERO_DENSITY:
+        raise ZeroProbability(
+            f"quadrature density {densities[0]:.3e} at x=0 below floor")
+    v = rows[0]
 
     s = SQRT2 * p.alpha0 * math.sin(0.5 * p.phi)
     u_cat = fock_oracle.coherent_fock(s, dim) + fock_oracle.coherent_fock(-s, dim)
@@ -103,9 +105,10 @@ def oracle_conditioning(p):
     c_cat = complex(np.vdot(tail, v[1:])) / tail_norm2
     c_vac = complex(v[0]) - c_cat * u_cat[0].real
     cat = u_cat / math.sqrt(tail_norm2 + u_cat[0].real ** 2)
+    fidelity = min(abs(np.vdot(cat, v)) ** 2 / densities[0], 1.0)
     windows = fock_oracle.window_metrics(
         rows[len(DENSITY_SAMPLES):], ws, spans, cat)
-    return c_vac * raw_norm2, c_cat * raw_norm2, samples, windows, cat
+    return c_vac * raw_norm2, c_cat * raw_norm2, densities, fidelity, windows
 
 
 def window_metrics_analytic(p, window):
@@ -151,18 +154,13 @@ def crosscheck_point(p):
     def add(name, value):
         devs.append(Deviation(name, p.alpha0, p.phi, float(value)))
 
-    c_vac_o, c_cat_o, samples, windows_o, cat = oracle_conditioning(p)
+    c_vac_o, c_cat_o, dens_o, fid_o, windows_o = oracle_conditioning(p)
     r = protocol.report(p)
     add("vacuum_coeff", abs(r.vacuum_coeff - c_vac_o))
     add("cat_coeff", abs(r.cat_coeff - c_cat_o))
     add("ratio", abs(r.ratio - abs(c_vac_o) / abs(c_cat_o)))
-
-    flat = samples.view(float)
-    dens_o = np.add.reduce(flat * flat, axis=1)
     for x, dens in zip(DENSITY_SAMPLES, dens_o):
         add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
-
-    fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
     add("fidelity", abs(r.fidelity - fid_o))
 
     for w, (prob_a, fid_a), (prob_o, fid_o) in zip(
@@ -175,10 +173,8 @@ def crosscheck_point(p):
 def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI):
     """Run crosscheck_point over the grid; returns (max_dev, worst, all_devs)."""
     all_devs = []
-    for phi in phis:
-        for alpha0 in alpha0s:
-            p = protocol.ProtocolParams(alpha0, phi)
-            all_devs.extend(crosscheck_point(p))
+    for phi, alpha0 in itertools.product(phis, alpha0s):
+        all_devs.extend(crosscheck_point(protocol.ProtocolParams(alpha0, phi)))
     if not all_devs:
         raise DomainError("the cross-check grid needs at least one alpha0 and one phi")
     worst = max(all_devs, key=lambda d: d.value)

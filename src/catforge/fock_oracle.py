@@ -19,10 +19,8 @@ n + m < dim, the truncation by total photon number, a rule kept here alone.
 There U is exactly unitary; past it the output is zero, and so is every odd
 kept count m, since the pair is symmetric under the swap of its modes.  The
 blocks are built as their rows p <= S/2 with the stencil's halvings
-deferred to every 8th step, so a stored block carries up to 2^7: at
-S = MAX_TOTAL_PHOTONS = 2047 its entries peak at 2^1018.9, 2^5 below the
-float range, and the limit keeps the value it had with a halving every
-step.
+deferred to every 8th step, so a stored block carries up to 2^7, kept in
+the float range up to S = MAX_TOTAL_PHOTONS (see _bs_blocks).
 project_quadrature conditions a square two-mode state on a whole array of x
 at once.  A windowed, mixed output is reduced to its probability and
 fidelity without forming its density matrix.

@@ -41,10 +41,10 @@ class TestOraclePipeline:
 
 class TestOracleConditioning:
     def test_reference_point(self):
-        c_vac, c_cat, samples, _, _ = oracle_conditioning(ProtocolParams(1.0, 0.1))
+        c_vac, c_cat, densities, _, _ = oracle_conditioning(ProtocolParams(1.0, 0.1))
         ratio = abs(c_vac) / abs(c_cat)
-        dens = np.vdot(samples[0], samples[0]).real
-        assert samples.shape[0] == len(DENSITY_SAMPLES) and DENSITY_SAMPLES[0] == 0
+        dens = densities[0]
+        assert densities.shape == (len(DENSITY_SAMPLES),) and DENSITY_SAMPLES[0] == 0
         assert c_vac == pytest.approx(1.4873220467199977 + 0j, abs=1e-10)
         assert c_cat == pytest.approx(0.7511255444649425 + 0j, abs=1e-10)
         assert ratio == pytest.approx(1.9801244381583083, abs=1e-10)
@@ -95,7 +95,7 @@ class TestPointChecks:
         w = HomodyneWindow(0.0, 0.2)
         [(prob, fid)] = window_metrics(p, [w])
         # the oracle's windows come with its conditioning, in one projection
-        *_, windows_o, _ = oracle_conditioning(p)
+        *_, windows_o = oracle_conditioning(p)
         assert WINDOWS[1] == w
         prob_fock, fid_fock = windows_o[1]
         prob_loop, fid_loop = window_metrics_analytic(p, w)
@@ -133,12 +133,10 @@ class TestGrid:
     @pytest.mark.parametrize("alpha0", GRID_ALPHA0)
     def test_analytic_values_are_the_public_calls(self, alpha0, phi):
         # crosscheck_point reads the coefficients, the ratio and the fidelity
-        # off one report; each deviation is the one of the separate calls
+        # off one report, and the densities off homodyne_density; each
+        # deviation is the one of the separate calls
         p = ProtocolParams(alpha0, phi)
-        c_vac_o, c_cat_o, samples, _, cat = oracle_conditioning(p)
-        flat = samples.view(float)
-        dens_o = np.add.reduce(flat * flat, axis=1)
-        fid_o = min(abs(np.vdot(cat, samples[0])) ** 2 / dens_o[0], 1.0)
+        c_vac_o, c_cat_o, dens_o, fid_o, _ = oracle_conditioning(p)
         r = protocol.report(p)
         want = {
             "vacuum_coeff": abs(r.vacuum_coeff - c_vac_o),
@@ -146,7 +144,11 @@ class TestGrid:
             "ratio": abs(protocol.coefficient_ratio(p)
                          - abs(c_vac_o) / abs(c_cat_o)),
             "fidelity": abs(r.fidelity - fid_o)}
+        want.update((f"density@x={x:g}",
+                     abs(protocol.homodyne_density(p, x) - dens))
+                    for x, dens in zip(DENSITY_SAMPLES, dens_o))
         got = {d.quantity: d.value for d in crosscheck_point(p)}
+        assert len(want) == 8
         assert {name: got[name] for name in want} == want
 
     def test_full_grid_agreement(self):
@@ -154,6 +156,18 @@ class TestGrid:
         assert max_dev <= 1e-12
         assert worst.value == max_dev
         assert len(devs) == 12 * 12
+
+    @pytest.mark.parametrize("one_shot", ["alpha0s", "phis", "both"])
+    def test_one_shot_iterables_give_every_point(self, one_shot):
+        # each argument is read once: an iterator walks the grid as a list
+        grid = {"alpha0s": list(GRID_ALPHA0[:2]), "phis": list(GRID_PHI[:2])}
+        _, _, want = crosscheck_grid(**grid)
+        for name in grid:
+            if one_shot in (name, "both"):
+                grid[name] = iter(grid[name])
+        _, _, devs = crosscheck_grid(**grid)
+        assert len(want) == 48
+        assert devs == want
 
     @pytest.mark.parametrize("alpha0s, phis", [([], [0.1]), ([1.0], []), ([], [])])
     def test_empty_grid_is_domain_error(self, alpha0s, phis):

@@ -8,8 +8,8 @@ Fock-side data: the x = 0 row of the density samples is resolved against the
 Fock carriers of |0> and |s> + |-s>.  oracle_conditioning hands back numbers
 only, each reduced once off one projection on the density samples and the
 windows' rule nodes, and crosscheck_point only compares them.  The Fock
-route of window metrics, fock_oracle.window_metrics, serves here only, as
-the oracle of protocol.window_metrics.
+route of window metrics, the oracle of protocol.window_metrics, is that
+reduction: the windowed density matrix is never formed.
 """
 
 import cmath
@@ -76,14 +76,18 @@ def oracle_conditioning(p):
     norm to compare with the analytic projection coefficients; densities[j]
     is the squared norm of the row at DENSITY_SAMPLES[j]; fidelity is that
     of the x = 0 row, the conditioned vector, to the cat's normalized Fock
-    carrier; windows holds fock_oracle.window_metrics of WINDOWS.
+    carrier.  windows holds (probability, fidelity) per window of WINDOWS,
+    sum_j w_j |v_j|^2 and sum_j w_j |<cat|v_j>|^2 / probability, clamped at
+    1, over its rule nodes' rows v_j, with no density matrix formed.
     """
     out, dim, raw_norm2 = oracle_pipeline(p)
     xs, ws, spans = gauss_legendre(_WINDOW_TABLE)
     rows = fock_oracle.project_quadrature(
         out, np.concatenate((DENSITY_SAMPLES, xs)))
-    flat = rows[:len(DENSITY_SAMPLES)].view(float)
-    densities = np.add.reduce(flat * flat, axis=1)
+    flat = rows.view(float)
+    dens = np.add.reduce(flat * flat, axis=1)
+    # the rule's spans index its nodes, which follow the density samples
+    densities, node_dens = np.split(dens, [len(DENSITY_SAMPLES)])
     if densities[0] < ZERO_DENSITY:
         raise ZeroProbability(
             f"quadrature density {densities[0]:.3e} at x=0 below floor")
@@ -105,9 +109,16 @@ def oracle_conditioning(p):
     c_cat = complex(np.vdot(tail, v[1:])) / tail_norm2
     c_vac = complex(v[0]) - c_cat * u_cat[0].real
     cat = u_cat / math.sqrt(tail_norm2 + u_cat[0].real ** 2)
-    fidelity = min(abs(np.vdot(cat, v)) ** 2 / densities[0], 1.0)
-    windows = fock_oracle.window_metrics(
-        rows[len(DENSITY_SAMPLES):], ws, spans, cat)
+    overlap2 = np.abs(rows @ np.conj(cat)) ** 2
+    fidelity = min(float(overlap2[0] / densities[0]), 1.0)
+    node_overlap2 = overlap2[len(DENSITY_SAMPLES):]
+    windows = []
+    for span in spans:
+        w = ws[span]
+        prob = float(w.dot(node_dens[span]))
+        if prob < ZERO_DENSITY:
+            raise ZeroProbability(f"window probability {prob:.3e} below floor")
+        windows.append((prob, min(float(w.dot(node_overlap2[span])) / prob, 1.0)))
     return c_vac * raw_norm2, c_cat * raw_norm2, densities, fidelity, windows
 
 

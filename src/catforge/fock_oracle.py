@@ -6,9 +6,8 @@ beam splitter is built one total-photon block at a time in floats by Risbo's
 Wigner-d recursion at beta = pi/2, rescaled so that each step is three
 contiguous adds of unit weight (see _bs_blocks; the blocks match exact
 integer arithmetic to 3.9e-16), and quadrature projections use the
-normalized Hermite function recurrence.  Window integrals take their nodes
-from the shared quadrature rule, the one piece of numerics both routes use:
-the caller projects on the rule's nodes and window_metrics reduces the
+normalized Hermite function recurrence.  It knows no quadrature rule and
+no tolerance: its callers choose the x values to project on and reduce the
 rows.  Agreement between the two routes is what validates the closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
@@ -22,8 +21,7 @@ blocks are built as their rows p <= S/2 with the stencil's halvings
 deferred to every 8th step, so a stored block carries up to 2^7, kept in
 the float range up to S = MAX_TOTAL_PHOTONS (see _bs_blocks).
 project_quadrature conditions a square two-mode state on a whole array of x
-at once.  A windowed, mixed output is reduced to its probability and
-fidelity without forming its density matrix.
+at once.
 """
 
 import cmath
@@ -31,9 +29,7 @@ import math
 
 import numpy as np
 
-from .config import ZERO_DENSITY
-from .errors import (DimensionMismatch, DomainError, TruncationTooLarge,
-                     ZeroProbability)
+from .errors import DimensionMismatch, DomainError, TruncationTooLarge
 
 _SQRT2 = math.sqrt(2.0)
 _PI_QUARTER_INV = math.pi ** -0.25
@@ -316,31 +312,3 @@ def project_quadrature(amps, xs):
     dim = amps.shape[0]
     h = quadrature_eigvec(xs, dim)
     return (h @ amps.view(float).reshape(dim, 2 * dim)).view(complex)
-
-
-def window_metrics(rows, ws, spans, target):
-    """Per window on X, the acceptance probability and the fidelity of the
-    accepted state to a normalized pure target: [(probability, fidelity), ...].
-
-    rows[j] is the projection (project_quadrature) at node x_j of the
-    windows' rule (quadrature.gauss_legendre), w_j > 0 its weight and
-    spans[k] the nodes of window k; per window
-        probability = sum_j w_j |v_j|^2,
-        fidelity = sum_j w_j |<target|v_j>|^2 / probability, clamped at 1,
-    the trace and <target|rho|target> of the windowed density, never formed.
-    """
-    if rows.ndim != 2 or np.shape(target) != rows.shape[1:]:
-        raise DimensionMismatch(
-            f"target shape {np.shape(target)} does not match rows of shape "
-            f"{rows.shape}")
-    flat = rows.view(float)
-    dens = np.add.reduce(flat * flat, axis=1)
-    overlap2 = np.abs(rows @ np.conj(target)) ** 2
-    metrics = []
-    for span in spans:
-        w = ws[span]
-        prob = float(w.dot(dens[span]))
-        if prob < ZERO_DENSITY:
-            raise ZeroProbability(f"window probability {prob:.3e} below floor")
-        metrics.append((prob, min(float(w.dot(overlap2[span])) / prob, 1.0)))
-    return metrics

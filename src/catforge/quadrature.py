@@ -22,8 +22,8 @@ default four-window table of `catforge window` takes 6 KB, a 40-window one
 at alpha0 = 6 at most 2.4 MB.  protocol.window_metrics clips each window to
 three lobes of width 2 MARGINAL_HALF_RANGE, about 9,600 nodes (154 KB) per
 window at most, so the RULE_TABLES entries kept hold at most about 1.2 MB
-per window of the longest table among them.  The Fock oracle's and
-crosscheck's tables are not clipped; they integrate the caller's windows.
+per window of the longest table among them.  crosscheck's tables, for
+both its window routes, are not clipped; they integrate the windows given.
 """
 
 import functools

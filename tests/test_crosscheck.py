@@ -18,6 +18,15 @@ from catforge.errors import DegenerateState, DomainError, ZeroProbability
 from catforge.protocol import ProtocolParams, window_metrics
 
 
+def cat_carrier(p, dim):
+    """The normalized Fock carrier of the ideal cat |s> + |-s> that
+    oracle_conditioning reads its fidelities at, formed as it forms it, so
+    that a comparison tests its reductions alone."""
+    s = math.sqrt(2.0) * p.alpha0 * math.sin(0.5 * p.phi)
+    u = fock_oracle.coherent_fock(s, dim) + fock_oracle.coherent_fock(-s, dim)
+    return u / math.sqrt(np.vdot(u[1:], u[1:]).real + u[0].real ** 2)
+
+
 class TestOraclePipeline:
     @pytest.mark.parametrize("alpha0, phi", [
         (0.5, 0.05), (1.0, 0.1), (2.0, 0.5), (3.0, 0.5)])
@@ -78,6 +87,59 @@ class TestOracleConditioning:
                             lambda amps, xs: np.zeros((len(xs), len(amps)), complex))
         with pytest.raises(ZeroProbability, match="x=0"):
             oracle_conditioning(ProtocolParams(1.0, 0.1))
+
+    def test_windows_match_node_loop(self):
+        # each window's rows against the windowed density summed node by
+        # node, sum_j w_j v_j v_j^H, read at the cat's normalized carrier
+        p = ProtocolParams(2.0, 0.3)
+        out, dim, _ = oracle_pipeline(p)
+        *_, windows = oracle_conditioning(p)
+        cat = cat_carrier(p, dim)
+        assert len(windows) == len(WINDOWS)
+        for window, (prob, fid) in zip(WINDOWS, windows):
+            xs, ws, _ = quadrature.gauss_legendre((((window.lo, window.hi),),))
+            rho = np.zeros((dim, dim), dtype=complex)
+            for x, w in zip(xs, ws):
+                v = fock_oracle.quadrature_eigvec(x, dim) @ out
+                rho += w * np.outer(v, v.conjugate())
+            ref_prob = np.trace(rho).real
+            assert abs(prob - ref_prob) <= 1e-14
+            assert abs(fid - np.vdot(cat, rho @ cat).real / ref_prob) <= 1e-12
+
+    def test_zero_window_probability_raises(self, monkeypatch):
+        # only the x = 0 row is left: the branches split, and the windows,
+        # which divide by their probability, refuse at the floor
+        project = fock_oracle.project_quadrature
+
+        def x0_only(amps, xs):
+            rows = project(amps, xs)
+            rows[1:] = 0.0
+            return rows
+
+        monkeypatch.setattr(fock_oracle, "project_quadrature", x0_only)
+        with pytest.raises(ZeroProbability, match="window probability"):
+            oracle_conditioning(ProtocolParams(1.0, 0.1))
+
+    @pytest.mark.parametrize("phi", GRID_PHI)
+    @pytest.mark.parametrize("alpha0", GRID_ALPHA0)
+    def test_fidelity_is_the_x0_overlap(self, monkeypatch, alpha0, phi):
+        # the x = 0 fidelity off the reductions shared with the windows is
+        # |<cat|v>|^2 / |v|^2 of the x = 0 row: 2 ulps at most on the grid
+        project = fock_oracle.project_quadrature
+        seen = []
+
+        def spy(amps, xs):
+            seen.append(project(amps, xs))
+            return seen[-1]
+
+        monkeypatch.setattr(fock_oracle, "project_quadrature", spy)
+        p = ProtocolParams(alpha0, phi)
+        _, _, _, fid, _ = oracle_conditioning(p)
+        [rows] = seen
+        v = rows[0]
+        cat = cat_carrier(p, len(v))
+        want = abs(np.vdot(cat, v)) ** 2 / np.vdot(v, v).real
+        assert abs(fid - want) <= 4 * np.spacing(want)
 
 
 class TestPointChecks:
@@ -195,9 +257,10 @@ def package_imports(module):
 
 
 class TestRouteIndependence:
-    def test_oracle_imports_only_config_errors_and_quadrature(self):
-        assert ({m for m, _ in package_imports(fock_oracle)}
-                <= {"config", "errors", "quadrature"})
+    def test_oracle_imports_only_errors(self):
+        # no tolerance (config) and no rule layout (quadrature): the oracle
+        # is Fock-space code, and crosscheck reduces its projections
+        assert {m for m, _ in package_imports(fock_oracle)} <= {"errors"}
 
     def test_protocol_imports_nothing_from_the_oracle(self):
         imports = package_imports(protocol)

@@ -14,13 +14,10 @@ import pytest
 
 from catforge import cv_core, fock_oracle
 from catforge.config import ZERO_DENSITY
-from catforge.cv_core import HomodyneWindow
-from catforge.errors import (DimensionMismatch, DomainError,
-                             TruncationTooLarge, ZeroProbability)
+from catforge.errors import DimensionMismatch, DomainError, TruncationTooLarge
 from catforge.fock_oracle import (MAX_TOTAL_PHOTONS, apply_beam_splitter,
                                   choose_truncation, coherent_fock,
-                                  project_quadrature, quadrature_eigvec,
-                                  window_metrics)
+                                  project_quadrature, quadrature_eigvec)
 from catforge.quadrature import gauss_legendre
 from coherent_terms import even_cat
 
@@ -135,13 +132,6 @@ def coherent_source(amps, dim):
                         coherent_fock((a - b) / SQRT2, dim))
                for a in amps for b in amps)
     return raw / norm, triangle(want) / norm ** 2
-
-
-def fock_windows(amps, windows, target):
-    """fock_oracle.window_metrics of amps over the windows: the rule of the
-    windows' table, amps projected on its nodes, and the rows reduced."""
-    xs, ws, spans = gauss_legendre(tuple(((w.lo, w.hi),) for w in windows))
-    return window_metrics(project_quadrature(amps, xs), ws, spans, target)
 
 
 class TestChooseTruncation:
@@ -515,15 +505,11 @@ class TestProjection:
 
     def test_zero_probability(self):
         # far in the tail the density underflows past the floor; the
-        # projection returns it as it is, and the window that divides by it
-        # refuses
+        # projection returns it as it is, and its caller refuses it
         dim = 12
         amps = np.outer(coherent_fock(0.0, dim), coherent_fock(0.0, dim))
         [v] = project_quadrature(amps, [40.0])
         assert np.vdot(v, v).real < ZERO_DENSITY
-        with pytest.raises(ZeroProbability):
-            fock_windows(amps, [HomodyneWindow(40.0, 0.1)],
-                         np.eye(dim, dtype=complex)[0])
 
     def test_array_matches_one_x_at_a_time(self):
         from catforge import crosscheck, protocol
@@ -587,93 +573,6 @@ class TestGaussLegendre:
         assert gauss_legendre((((-0.2, 0.2),),))[0].size == 4 * 16
         assert gauss_legendre((((-0.2, 0.21),),))[0].size == 5 * 16
         assert gauss_legendre((((-1e-4, 1e-4),),))[0].size == 16
-
-
-class TestWindowState:
-    @staticmethod
-    def pipeline(alpha0=1.0, phi=0.1):
-        from catforge import crosscheck, protocol
-        return crosscheck.oracle_pipeline(protocol.ProtocolParams(alpha0, phi))[0]
-
-    def test_density_invariants(self):
-        # unit trace and positivity of the windowed density, never formed:
-        # its fidelities to the Fock basis states are >= 0 and sum to 1
-        out = self.pipeline()
-        window = HomodyneWindow(0.0, 0.3)
-        fids = []
-        for k in range(out.shape[0]):
-            basis = np.zeros(out.shape[0], dtype=complex)
-            basis[k] = 1.0
-            [(prob, fid)] = fock_windows(out, [window], basis)
-            assert 0.0 < prob < 1.0
-            fids.append(fid)
-        assert min(fids) >= 0.0
-        assert abs(sum(fids) - 1.0) < 1e-10
-
-    def test_small_window_approaches_projection(self):
-        out = self.pipeline()
-        [v] = project_quadrature(out, [0.0])
-        vhat = v / np.linalg.norm(v)
-        [(_, fid)] = fock_windows(out, [HomodyneWindow(0.0, 1e-4)], vhat)
-        assert fid >= 1.0 - 1e-6
-
-    def test_wide_window_captures_everything(self):
-        out = self.pipeline()
-        target = np.eye(out.shape[0], dtype=complex)[0]
-        [(prob, _)] = fock_windows(out, [HomodyneWindow(0.0, 10.0)], target)
-        assert abs(prob - 1.0) < 1e-6
-
-    def test_matches_node_loop(self):
-        # the per-node density sum the vectorised node sums replace
-        out = self.pipeline(alpha0=2.0, phi=0.3)
-        window = HomodyneWindow(0.1, 0.4)
-        target = coherent_fock(0.8 - 0.3j, out.shape[0])
-        target /= np.linalg.norm(target)
-        [(prob, fid)] = fock_windows(out, [window], target)
-        xs, ws, _ = gauss_legendre((((window.lo, window.hi),),))
-        ref = np.zeros((out.shape[0],) * 2, dtype=complex)
-        for x, w in zip(xs, ws):
-            v = quadrature_eigvec(x, out.shape[0]) @ out
-            ref += w * np.outer(v, v.conjugate())
-        ref_prob = np.trace(ref).real
-        assert abs(prob - ref_prob) <= 1e-14
-        assert abs(fid - np.vdot(target, ref @ target).real / ref_prob) <= 1e-12
-
-    def test_zero_probability_window(self):
-        out = self.pipeline()
-        target = np.eye(out.shape[0], dtype=complex)[0]
-        with pytest.raises(ZeroProbability):
-            fock_windows(out, [HomodyneWindow(40.0, 0.1)], target)
-
-    def test_rejects_vector(self):
-        # the rows are one projection per node: a single vector is refused
-        _, ws, spans = gauss_legendre((((-0.1, 0.1),),))
-        with pytest.raises(DimensionMismatch):
-            window_metrics(np.zeros(5, dtype=complex), ws, spans,
-                           np.zeros(5, dtype=complex))
-
-    @pytest.mark.parametrize("shape", [
-        lambda dim: (dim - 1,), lambda dim: (dim + 1,), lambda dim: (1, dim),
-        lambda dim: (dim, dim)], ids=["short", "long", "row", "matrix"])
-    def test_rejects_mismatched_target(self, shape):
-        out = self.pipeline()
-        target = np.ones(shape(out.shape[0]), dtype=complex)
-        with pytest.raises(DimensionMismatch, match="target"):
-            fock_windows(out, [HomodyneWindow(0.0, 0.1)], target)
-
-    def test_densities_at_points(self):
-        # a narrow window at x accepts about 2 eps |v(x)|^2, the density
-        # that project_quadrature gives there: the rule's error is
-        # O(eps^2) relative on a smooth marginal
-        out = self.pipeline(alpha0=2.0, phi=0.3)
-        target = np.eye(out.shape[0], dtype=complex)[0]
-        points = [0.3, -0.9, 1.7]
-        eps = 1e-4
-        metrics = fock_windows(
-            out, [HomodyneWindow(x, eps) for x in points], target)
-        dens = np.sum(np.abs(project_quadrature(out, points)) ** 2, axis=1)
-        for (prob, _), d in zip(metrics, dens):
-            assert abs(prob / (2 * eps) - d) <= 1e-8 * d
 
 
 def test_limit_message_names_the_one_limit():

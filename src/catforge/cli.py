@@ -54,9 +54,15 @@ def _floats(text, flag):
 
 def _write(path, chunks):
     """Write chunks of ASCII bytes (any bytes-like object) to path, or to
-    stdout for None or "-"."""
+    stdout for None or "-": to its binary buffer, after the text written
+    before them, or as text to a stream that has none (an io.StringIO)."""
     if path is None or path == "-":
-        sys.stdout.writelines(str(chunk, "ascii") for chunk in chunks)
+        out = sys.stdout
+        if hasattr(out, "buffer"):
+            out.flush()
+            out.buffer.writelines(chunks)
+        else:
+            out.writelines(str(chunk, "ascii") for chunk in chunks)
         return
     with open(path, "wb") as fh:
         fh.writelines(chunks)

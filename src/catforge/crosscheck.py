@@ -9,7 +9,11 @@ Fock carriers of |0> and |s> + |-s>.  oracle_conditioning hands back numbers
 only, each reduced once off one projection on the density samples and the
 windows' rule nodes, and crosscheck_point only compares them.  The Fock
 route of window metrics, the oracle of protocol.window_metrics, is that
-reduction: the windowed density matrix is never formed.
+reduction: the windowed density matrix is never formed.  The Hermite rows
+at those fixed nodes are built once per process for each power-of-two
+size and kept read-only (about 2.8 MB for every size up to the beam
+splitter's limit); a point projects on the first dim columns of the
+smallest table that has them.
 """
 
 import cmath
@@ -30,12 +34,17 @@ GRID_ALPHA0 = (0.5, 1.0, 2.0, 3.0)
 GRID_PHI = (0.05, 0.1, 0.5)
 # x = 0 first: oracle_conditioning resolves the branches from its row
 DENSITY_SAMPLES = (0.0, 0.3, 0.9, 1.7)
+_DENSITY_NAMES = tuple(f"density@x={x:g}" for x in DENSITY_SAMPLES)
 # split rounding per unit of the cat carrier's tail: 14 ulps at most seen
 SPLIT_ROUNDING = 16 * np.finfo(float).eps
 WINDOW_EPSILONS = (0.05, 0.2)
 WINDOWS = tuple(HomodyneWindow(0.0, eps) for eps in WINDOW_EPSILONS)
+_WINDOW_NAMES = tuple((f"window_prob@eps={w.half_width:g}",
+                       f"window_fid@eps={w.half_width:g}") for w in WINDOWS)
 # the oracle's rule table: the windows as they are, not clipped
 _WINDOW_TABLE = tuple(((w.lo, w.hi),) for w in WINDOWS)
+# size -> read-only Hermite rows at the oracle's nodes (see _hermite_table)
+_TABLES = {}
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,27 @@ def oracle_pipeline(p):
     return out, dim, raw_norm2
 
 
+def _hermite_table(dim, xs):
+    """Read-only Hermite rows h_n(x), n < size, at DENSITY_SAMPLES and then
+    xs, the nodes of the rule of _WINDOW_TABLE: one table per power-of-two
+    size >= dim, built on its first use and kept in _TABLES.
+
+    Each step of quadrature_eigvec's recurrence is elementwise or
+    sequential in n, so the first dim columns equal the table of dim itself
+    bit for bit.  The nodes never change, so the size alone keys a table;
+    they are taken from the rule on first use, not at import, so a process
+    that never runs the oracle builds nothing.
+    """
+    size = 1 << (dim - 1).bit_length()
+    h = _TABLES.get(size)
+    if h is None:
+        h = fock_oracle.quadrature_eigvec(
+            np.concatenate((DENSITY_SAMPLES, xs)), size)
+        h.flags.writeable = False
+        _TABLES[size] = h
+    return h
+
+
 def oracle_conditioning(p):
     """Run the full pipeline in Fock space and resolve the branch coefficients.
 
@@ -82,8 +112,7 @@ def oracle_conditioning(p):
     """
     out, dim, raw_norm2 = oracle_pipeline(p)
     xs, ws, spans = gauss_legendre(_WINDOW_TABLE)
-    rows = fock_oracle.project_quadrature(
-        out, np.concatenate((DENSITY_SAMPLES, xs)))
+    rows = fock_oracle.project_quadrature(out, _hermite_table(dim, xs))
     flat = rows.view(float)
     dens = np.add.reduce(flat * flat, axis=1)
     # the rule's spans index its nodes, which follow the density samples
@@ -170,14 +199,14 @@ def crosscheck_point(p):
     add("vacuum_coeff", abs(r.vacuum_coeff - c_vac_o))
     add("cat_coeff", abs(r.cat_coeff - c_cat_o))
     add("ratio", abs(r.ratio - abs(c_vac_o) / abs(c_cat_o)))
-    for x, dens in zip(DENSITY_SAMPLES, dens_o):
-        add(f"density@x={x:g}", abs(protocol.homodyne_density(p, x) - dens))
+    for name, x, dens in zip(_DENSITY_NAMES, DENSITY_SAMPLES, dens_o):
+        add(name, abs(protocol.homodyne_density(p, x) - dens))
     add("fidelity", abs(r.fidelity - fid_o))
 
-    for w, (prob_a, fid_a), (prob_o, fid_o) in zip(
-            WINDOWS, protocol.window_metrics(p, WINDOWS), windows_o):
-        add(f"window_prob@eps={w.half_width:g}", abs(prob_o - prob_a))
-        add(f"window_fid@eps={w.half_width:g}", abs(fid_o - fid_a))
+    for (prob_name, fid_name), (prob_a, fid_a), (prob_o, fid_o) in zip(
+            _WINDOW_NAMES, protocol.window_metrics(p, WINDOWS), windows_o):
+        add(prob_name, abs(prob_o - prob_a))
+        add(fid_name, abs(fid_o - fid_a))
     return devs
 
 

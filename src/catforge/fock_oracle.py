@@ -7,8 +7,9 @@ Wigner-d recursion at beta = pi/2, rescaled so that each step is three
 contiguous adds of unit weight (see _bs_blocks; the blocks match exact
 integer arithmetic to 3.9e-16), and quadrature projections use the
 normalized Hermite function recurrence.  It knows no quadrature rule and
-no tolerance: its callers choose the x values to project on and reduce the
-rows.  Agreement between the two routes is what validates the closed forms.
+no tolerance and keeps no state: its callers choose the x values, hold
+their Hermite rows and reduce the projected rows.  Agreement between the
+two routes is what validates the closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
 two-mode pure state is a 2D array amps[n, m] with n indexing the measured
@@ -20,8 +21,8 @@ kept count m, since the pair is symmetric under the swap of its modes.  The
 blocks are built as their rows p <= S/2 with the stencil's halvings
 deferred to every 8th step, so a stored block carries up to 2^7, kept in
 the float range up to S = MAX_TOTAL_PHOTONS (see _bs_blocks).
-project_quadrature conditions a square two-mode state on a whole array of x
-at once.
+project_quadrature conditions a square two-mode state on the Hermite rows
+of a whole array of x at once.
 """
 
 import cmath
@@ -297,18 +298,24 @@ def apply_beam_splitter(src):
 # homodyne projection
 # ---------------------------------------------------------------------------
 
-def project_quadrature(amps, xs):
-    """Project the measured mode on <x| at each x of xs, in one pass.
+def project_quadrature(amps, h):
+    """Project the measured mode on <x| at each node of h, in one pass.
 
-    Returns v[j, m] = sum_n h_n(x_j) amps[n, m]: row j is the unnormalized
-    output-mode vector conditioned on x_j, and |v[j]|^2 the quadrature
-    marginal there when amps is normalized.  The Hermite values are real,
-    so the product is taken on the (re, im) float view of amps.
+    h holds Hermite rows h[j, n] = h_n(x_j), as quadrature_eigvec(xs, size)
+    gives them, with size >= dim columns; the first dim are read, so one
+    table serves every dimension up to its size.  Returns v[j, m] =
+    sum_n h_n(x_j) amps[n, m]: row j is the unnormalized output-mode vector
+    conditioned on x_j, and |v[j]|^2 the quadrature marginal there when
+    amps is normalized.  The Hermite values are real, so the product is
+    taken on the (re, im) float view of amps.
     """
     amps = np.ascontiguousarray(amps, dtype=complex)
     if amps.ndim != 2 or not 0 < amps.shape[0] == amps.shape[1]:
         raise DimensionMismatch("two-mode state must be square and non-empty, "
                                 f"got shape {amps.shape}")
     dim = amps.shape[0]
-    h = quadrature_eigvec(xs, dim)
-    return (h @ amps.view(float).reshape(dim, 2 * dim)).view(complex)
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[1] < dim:
+        raise DimensionMismatch(f"Hermite rows must have shape (nodes, >= {dim}), "
+                                f"got shape {h.shape}")
+    return (h[:, :dim] @ amps.view(float).reshape(dim, 2 * dim)).view(complex)

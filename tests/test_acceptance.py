@@ -25,7 +25,8 @@ import numpy as np
 
 from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import PI_QUARTER_INV
-from catforge.fock_oracle import apply_beam_splitter, project_quadrature
+from catforge.fock_oracle import (apply_beam_splitter, project_quadrature,
+                                  quadrature_eigvec)
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
 from catforge.protocol import (ProtocolParams, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
@@ -197,9 +198,10 @@ def test_criterion_09():
     for s, mat in enumerate(bs_blocks(dim)):
         dev = float(np.max(np.abs(mat.T @ mat - np.eye(s + 1))))
         worst_unitary = max(worst_unitary, dev)
-    out, _, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
+    out, dim, _ = oracle_pipeline(ProtocolParams(1.0, 0.1))
     xs, ws, _ = gauss_legendre((((-8.0, 8.0),),))
-    mass = float(ws @ np.sum(np.abs(project_quadrature(out, xs)) ** 2, axis=1))
+    rows = project_quadrature(out, quadrature_eigvec(xs, dim))
+    mass = float(ws @ np.sum(np.abs(rows) ** 2, axis=1))
     ok = (worst_map <= 1e-8 and worst_unitary <= 1e-10
           and abs(mass - 1.0) <= 1e-6 and time.perf_counter() - t0 < 30.0)
     _verdict(9, ok, "number-basis beam splitter is exact and norm preserving", t0)

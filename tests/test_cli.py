@@ -130,6 +130,25 @@ def test_stdout_and_out_get_the_same_bytes(capsysbinary, tmp_path, argv):
     assert captured.out.count(b"\n") > 1
 
 
+def test_stdout_bytes_skip_the_text_layer(monkeypatch):
+    # chunks go to stdout's binary buffer after the text written before
+    # them; a stream with no buffer, such as io.StringIO, takes them as text
+    class NoTextLines(io.TextIOWrapper):
+        def writelines(self, lines):
+            raise AssertionError("chunks written as text")
+
+    raw = io.BytesIO()
+    out = NoTextLines(raw, encoding="ascii")
+    out.write("head\n")
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._write(None, [b"a,b\n", memoryview(b"1,2\n")])
+    assert raw.getvalue() == b"head\na,b\n1,2\n"
+    text = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", text)
+    cli._write("-", [b"a,b\n", memoryview(b"1,2\n")])
+    assert text.getvalue() == "a,b\n1,2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--alpha0-steps", "23", "--phi-steps", "5"),
     # 63 rows a pass at the default CHUNK: a pass boundary inside each

@@ -2,7 +2,10 @@
 
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from catforge.crosscheck import (DENSITY_SAMPLES, GRID_ALPHA0, GRID_PHI,
                                  WINDOWS, crosscheck_grid, crosscheck_point,
                                  oracle_conditioning, oracle_pipeline,
                                  window_metrics_analytic)
-from catforge import fock_oracle, protocol, quadrature
+from catforge import crosscheck, fock_oracle, protocol, quadrature
 from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
 from catforge.errors import DegenerateState, DomainError, ZeroProbability
@@ -84,7 +87,7 @@ class TestOracleConditioning:
     def test_zero_density_at_origin_raises(self, monkeypatch):
         # the conditioned vector is divided by its density: the floor holds
         monkeypatch.setattr(fock_oracle, "project_quadrature",
-                            lambda amps, xs: np.zeros((len(xs), len(amps)), complex))
+                            lambda amps, h: np.zeros((len(h), len(amps)), complex))
         with pytest.raises(ZeroProbability, match="x=0"):
             oracle_conditioning(ProtocolParams(1.0, 0.1))
 
@@ -111,8 +114,8 @@ class TestOracleConditioning:
         # which divide by their probability, refuse at the floor
         project = fock_oracle.project_quadrature
 
-        def x0_only(amps, xs):
-            rows = project(amps, xs)
+        def x0_only(amps, h):
+            rows = project(amps, h)
             rows[1:] = 0.0
             return rows
 
@@ -128,8 +131,8 @@ class TestOracleConditioning:
         project = fock_oracle.project_quadrature
         seen = []
 
-        def spy(amps, xs):
-            seen.append(project(amps, xs))
+        def spy(amps, h):
+            seen.append(project(amps, h))
             return seen[-1]
 
         monkeypatch.setattr(fock_oracle, "project_quadrature", spy)
@@ -142,9 +145,111 @@ class TestOracleConditioning:
         assert abs(fid - want) <= 4 * np.spacing(want)
 
 
+def oracle_nodes():
+    """The x values oracle_conditioning projects on: the density samples,
+    then the nodes of its windows' rule."""
+    xs = quadrature.gauss_legendre(crosscheck._WINDOW_TABLE)[0]
+    return np.concatenate((DENSITY_SAMPLES, xs))
+
+
+def fresh_rows(monkeypatch):
+    """Make oracle_conditioning project on Hermite rows computed afresh at
+    the state's own dimension, as each point did before the tables."""
+    project = fock_oracle.project_quadrature
+
+    def fresh(amps, h):
+        assert h is crosscheck._TABLES[h.shape[1]]
+        return project(amps, fock_oracle.quadrature_eigvec(oracle_nodes(),
+                                                            len(amps)))
+
+    monkeypatch.setattr(fock_oracle, "project_quadrature", fresh)
+
+
+class TestHermiteTable:
+    DIMS = (21, 31, 32, 33, 63, 64, 65, 127, 128, 129, 2048)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_rows_are_the_recurrence_at_dim(self, dim):
+        nodes = oracle_nodes()
+        size = 1 << (dim - 1).bit_length()
+        table = crosscheck._hermite_table(dim, nodes[len(DENSITY_SAMPLES):])
+        assert table is crosscheck._TABLES[size]
+        assert table.shape == (len(nodes), size)
+        assert np.array_equal(table[:, :dim],
+                              fock_oracle.quadrature_eigvec(nodes, dim))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_conditioning_is_the_projection_on_fresh_rows(self, monkeypatch, dim):
+        # a dense random product state of each dimension stands in for the
+        # beam splitter's output, whose cold build at dim 2048 takes
+        # seconds: every column of the table is read
+        rng = np.random.default_rng(dim)
+        u, w = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        out = np.outer(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
+        monkeypatch.setattr(crosscheck, "oracle_pipeline",
+                            lambda p: (out, dim, 1.0))
+        p = ProtocolParams(1.0, 0.5)
+        c_vac, c_cat, dens, fid, windows = oracle_conditioning(p)
+        fresh_rows(monkeypatch)
+        want = oracle_conditioning(p)
+        assert (c_vac, c_cat, fid, windows) == (want[0], want[1], want[3], want[4])
+        assert np.array_equal(dens, want[2])
+
+    def test_table_is_read_only(self):
+        oracle_conditioning(ProtocolParams(1.0, 0.5))
+        table = crosscheck._TABLES[64]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+    def test_one_recurrence_per_size(self, monkeypatch):
+        # dims 37 and 40 share the table of size 64; dim 25 needs size 32
+        monkeypatch.setattr(crosscheck, "_TABLES", {})
+        eigvec = fock_oracle.quadrature_eigvec
+        sizes = []
+
+        def spy(x, dim):
+            sizes.append(dim)
+            return eigvec(x, dim)
+
+        monkeypatch.setattr(fock_oracle, "quadrature_eigvec", spy)
+        for alpha0, dim in ((1.0, 37), (1.2, 40), (0.3, 25)):
+            p = ProtocolParams(alpha0, 0.5)
+            assert oracle_pipeline(p)[1] == dim
+            oracle_conditioning(p)
+        assert sizes == [64, 32]
+        assert sorted(crosscheck._TABLES) == [32, 64]
+
+    def test_import_builds_no_table(self):
+        # a process that never runs the oracle builds no table and no rule
+        src = pathlib.Path(crosscheck.__file__).resolve().parents[1]
+        code = ("import catforge.cli, catforge.crosscheck as c; "
+                "print(len(c._TABLES), c.gauss_legendre.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+
+    @pytest.mark.parametrize("phi", GRID_PHI)
+    @pytest.mark.parametrize("alpha0", GRID_ALPHA0)
+    def test_deviations_are_those_of_fresh_rows(self, monkeypatch, alpha0, phi):
+        # every deviation of the default grid, bit for bit as the per-point
+        # recurrence gave it
+        p = ProtocolParams(alpha0, phi)
+        got = crosscheck_point(p)
+        fresh_rows(monkeypatch)
+        assert crosscheck_point(p) == got
+
+
 class TestPointChecks:
     def test_quantity_coverage(self):
         devs = crosscheck_point(ProtocolParams(0.5, 0.5))
+        # the twelve names, in the order validate reports them
+        assert [d.quantity for d in devs] == [
+            "vacuum_coeff", "cat_coeff", "ratio", "density@x=0",
+            "density@x=0.3", "density@x=0.9", "density@x=1.7", "fidelity",
+            "window_prob@eps=0.05", "window_fid@eps=0.05",
+            "window_prob@eps=0.2", "window_fid@eps=0.2"]
         names = {d.quantity for d in devs}
         assert {"vacuum_coeff", "cat_coeff", "ratio", "fidelity"} <= names
         assert any(n.startswith("density@") for n in names)
@@ -172,10 +277,11 @@ class TestPointChecks:
         # the Fock route takes its nodes from the same rule, which refuses
         # the empty table before anything is projected
         p = ProtocolParams(1.5, 0.3)
-        out, _, _ = oracle_pipeline(p)
+        out, dim, _ = oracle_pipeline(p)
         call = {"closed form": lambda: window_metrics(p, []),
                 "Fock": lambda: fock_oracle.project_quadrature(
-                    out, quadrature.gauss_legendre(())[0])}[route]
+                    out, fock_oracle.quadrature_eigvec(
+                        quadrature.gauss_legendre(())[0], dim))}[route]
         with pytest.raises(DomainError, match="empty window list"):
             call()
 

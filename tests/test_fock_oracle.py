@@ -497,7 +497,7 @@ class TestProjection:
     def test_vacuum_product(self):
         dim = 12
         amps = np.outer(coherent_fock(0.0, dim), coherent_fock(0.0, dim))
-        [v] = project_quadrature(amps, [0.0])
+        [v] = project_quadrature(amps, quadrature_eigvec([0.0], dim))
         assert abs(np.vdot(v, v).real - 1.0 / math.sqrt(math.pi)) < 1e-14
         # conditional state is the vacuum
         vhat = v / np.linalg.norm(v)
@@ -508,18 +508,30 @@ class TestProjection:
         # projection returns it as it is, and its caller refuses it
         dim = 12
         amps = np.outer(coherent_fock(0.0, dim), coherent_fock(0.0, dim))
-        [v] = project_quadrature(amps, [40.0])
+        [v] = project_quadrature(amps, quadrature_eigvec([40.0], dim))
         assert np.vdot(v, v).real < ZERO_DENSITY
 
     def test_array_matches_one_x_at_a_time(self):
         from catforge import crosscheck, protocol
-        out, _, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(2.0, 0.3))
+        out, dim, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(2.0, 0.3))
         xs = np.array([-4.5, -0.9, 0.0, 0.3, 1.7, 3.7])
-        rows = project_quadrature(out, xs)
+        rows = project_quadrature(out, quadrature_eigvec(xs, dim))
         assert rows.shape == (len(xs), out.shape[1])
         for x, row in zip(xs, rows):
-            [one] = project_quadrature(out, [x])
+            [one] = project_quadrature(out, quadrature_eigvec([x], dim))
             assert np.max(np.abs(row - one)) <= 1e-15
+
+    @pytest.mark.parametrize("size", [81, 128, 300])
+    def test_wider_table_reads_its_first_dim_columns(self, size):
+        # a table past dim projects as the rows of dim itself, bit for bit:
+        # the recurrence's prefix does not depend on how far it runs
+        from catforge import crosscheck, protocol
+        out, dim, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(2.0, 0.3))
+        xs = np.array([-4.5, -0.9, 0.0, 0.3, 1.7, 3.7])
+        want = project_quadrature(out, quadrature_eigvec(xs, dim))
+        assert dim <= size
+        assert np.array_equal(project_quadrature(out, quadrature_eigvec(xs, size)),
+                              want)
 
     def test_coherent_pair_matches_the_wavefunction(self):
         # each |a_i>|a_j> of a coherent source's pair leaves the beam
@@ -531,7 +543,7 @@ class TestProjection:
         norm2 = np.linalg.norm(sum(coherent_fock(a, dim) for a in amps)) ** 2
         out = apply_beam_splitter(src)
         xs = [-1.3, 0.0, 0.4, 2.2]
-        for x, row in zip(xs, project_quadrature(out, xs)):
+        for x, row in zip(xs, project_quadrature(out, quadrature_eigvec(xs, dim))):
             want = sum(cv_core.quadrature_overlap(x, (a + b) / SQRT2)
                        * coherent_fock((a - b) / SQRT2, dim)
                        for a in amps for b in amps) / norm2
@@ -539,17 +551,25 @@ class TestProjection:
 
     def test_marginal_integrates_to_one(self):
         from catforge import crosscheck, protocol
-        out, _, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(1.0, 0.1))
+        out, dim, _ = crosscheck.oracle_pipeline(protocol.ProtocolParams(1.0, 0.1))
         xs, ws, _ = gauss_legendre((((-8.0, 8.0),),))
-        dens = np.sum(np.abs(project_quadrature(out, xs)) ** 2, axis=1)
+        dens = np.sum(np.abs(project_quadrature(out, quadrature_eigvec(xs, dim)))
+                      ** 2, axis=1)
         assert abs(ws @ dens - 1.0) < 1e-6
 
     def test_rejects_vector(self):
+        h = quadrature_eigvec([0.0], 5)
         with pytest.raises(DimensionMismatch):
-            project_quadrature(np.zeros(5, dtype=complex), [0.0])
+            project_quadrature(np.zeros(5, dtype=complex), h)
         # the empty state, with apply_beam_splitter's shape check
         with pytest.raises(DimensionMismatch, match="non-empty"):
-            project_quadrature(np.zeros((0, 0), dtype=complex), [0.0])
+            project_quadrature(np.zeros((0, 0), dtype=complex), h)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 4), (3, 4), (1, 1, 5)])
+    def test_rejects_rows_narrower_than_the_state(self, shape):
+        # Hermite rows are (nodes, >= dim): too few columns, or no node axis
+        with pytest.raises(DimensionMismatch, match=r"\(nodes, >= 5\)"):
+            project_quadrature(np.zeros((5, 5), dtype=complex), np.ones(shape))
 
 
 class TestGaussLegendre:

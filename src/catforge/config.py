@@ -1,20 +1,8 @@
-"""Numerical tolerances and limits, used as they are."""
-
-# quadrature takes DomainError from here: config is its one package import
-from .errors import DomainError
-
-# cat_wigner refuses a cat whose branches +-s lie this close or closer
-CAT_SEPARATION_FLOOR = 1e-12
-
-# a conditioned state whose norm is below this is treated as fully cancelled
-DEGENERATE_NORM = 1e-14
+"""Numerical tolerances and limits, used as they are.  config imports
+nothing; the quadrature rule holds its own order and panel width."""
 
 # conditioning density below this raises ZeroProbability
 ZERO_DENSITY = 1e-30
-
-# composite Gauss-Legendre rule used for every 1D window / marginal integral
-GL_ORDER = 16
-MAX_PANEL_WIDTH = 0.1
 
 # half-range of a marginal lobe about its centre; window integrals end there
 MARGINAL_HALF_RANGE = 10.0

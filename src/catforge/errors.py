@@ -5,11 +5,18 @@ class CatforgeError(Exception):
     """Base class for all catforge-specific errors."""
 
 
+class DomainError(CatforgeError, ValueError):
+    """Parameter outside the mathematical domain of an operation.
+
+    Also a ValueError, so that callers catching ValueError for a refused
+    input keep working."""
+
+
 class DegenerateState(CatforgeError):
-    """A superposition collapsed to nothing (or a cat was required and absent)."""
+    """crosscheck cannot split the oracle's branches within its tolerance."""
 
 
-class TruncationTooLarge(CatforgeError):
+class TruncationTooLarge(DomainError):
     """Requested Fock-space dimension exceeds the beam splitter's limit."""
 
 
@@ -21,12 +28,5 @@ class DimensionMismatch(CatforgeError):
     """Fock-space operands have incompatible dimensions."""
 
 
-class DomainError(CatforgeError, ValueError):
-    """Parameter outside the mathematical domain of an operation.
-
-    Also a ValueError, so that callers catching ValueError for a refused
-    input keep working."""
-
-
-class GridTooLarge(CatforgeError):
+class GridTooLarge(DomainError):
     """Sweep grid exceeds the configured per-axis step cap."""

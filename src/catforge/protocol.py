@@ -22,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (CAT_SEPARATION_FLOOR, DEGENERATE_NORM,
-                     MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY)
+from .config import MARGINAL_HALF_RANGE, MAX_LOBE_ULP, ZERO_DENSITY
 from .cv_core import PI_QUARTER_INV, SQRT2, HomodyneWindow, _pair_factor
-from .errors import DegenerateState, DomainError, ZeroProbability
+from .errors import DomainError, ZeroProbability
 from .quadrature import gauss_legendre
 
 
@@ -266,13 +265,11 @@ def _branches(p, x):
 
 
 def _check_density(dens, x):
-    """Refuse a density below ZERO_DENSITY (or nan) and, as normalizing by it
-    would, below DEGENERATE_NORM^2."""
+    """ZeroProbability below ZERO_DENSITY (or nan), the one floor: the density
+    is a sum of squares of _kept_mode's coordinates, so nothing cancels."""
     if not dens >= ZERO_DENSITY:
         raise ZeroProbability(
             f"conditioning density {dens:.3e} at x={x} below floor")
-    if dens < DEGENERATE_NORM ** 2:
-        raise DegenerateState(f"superposition norm^2 = {dens:.3e} below floor")
 
 
 def homodyne_density(p, x):
@@ -348,12 +345,12 @@ def cat_wigner(s, re_vals, im_vals):
     """Wigner function of the cat (|s> + |-s>) / sqrt(2 + 2 e^{-2 s^2}), s >= 0,
     W[i, j] at re_vals[i] + 1j im_vals[j]: _plane_wigner at alpha = 2 h t.
 
-    The prepared cat has s = d0 / sqrt2.  A separation 2 s at or below
-    CAT_SEPARATION_FLOOR leaves no cat apart from the vacuum and raises
-    DegenerateState.
+    The prepared cat has s = d0 / sqrt2 < 2e154.  Every s in [0, 1e306] is
+    drawn, the vacuum at s = 0; past 1e306 the pair phases (up to 112 s)
+    overflow, so a larger, negative or nan s raises DomainError.
     """
-    if not 2.0 * s > CAT_SEPARATION_FLOOR:
-        raise DegenerateState(f"separation {2 * s:.3e} too small to form a cat")
+    if not 0.0 <= s <= 1e306:
+        raise DomainError(f"cat half-separation must lie in [0, 1e306], got {s}")
     s2 = s * s
     t = 1.0 / math.sqrt(2.0 + 2.0 * math.exp(-2.0 * s2))
     return _plane_wigner(complex(2.0 * math.exp(-0.5 * s2) * t), t, s, s2, 1.0,

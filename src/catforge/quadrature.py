@@ -1,13 +1,14 @@
 """Composite Gauss-Legendre rule for every 1D window and marginal integral,
 shared by the closed forms (protocol) and the Fock oracle; it has no physics.
+It holds its own order and panel width, and imports only errors.
 
-The GL_ORDER-point base rule is a literal table of its positive half: the
-nodes and weights of numpy 2.4.6's np.polynomial.legendre.leggauss(16), bit
-for bit, so no eigenvalue solve is run for it, and on numpy 2, where
-numpy's submodules load lazily, no run imports numpy.polynomial.  The
-nodes lie within 0.32 ulp of the exact rule.  leggauss forms the weights
-from the eigensolver's roots before its Newton step, so they lie up to 63
-ulps (7e-15 relative) from the exact weights, an error both routes share.
+The base rule is a literal table of its positive half, whose size is
+GL_ORDER: the nodes and weights of numpy 2.4.6's leggauss(16), bit for bit,
+so no eigenvalue solve is run for it, and on numpy 2, where numpy's
+submodules load lazily, no run imports numpy.polynomial.  The nodes lie
+within 0.32 ulp of the exact rule.  leggauss forms the weights from the
+eigensolver's roots before its Newton step, so they lie up to 63 ulps
+(7e-15 relative) from the exact weights, an error both routes share.
 Correctly rounded weights would move the last bits of every window output.
 
 gauss_legendre is memoized by its interval table, which callers pass as a
@@ -31,8 +32,7 @@ import math
 
 import numpy as np
 
-# DomainError as config passes it on: the rule imports from config alone
-from .config import GL_ORDER, MAX_PANEL_WIDTH, DomainError
+from .errors import DomainError
 
 # interval tables gauss_legendre keeps; see the module docstring for memory
 RULE_TABLES = 8
@@ -52,6 +52,9 @@ _HALF_WEIGHTS = (
 _NODES = np.concatenate((-np.array(_HALF_NODES[::-1]), _HALF_NODES))
 _WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
+
+# the composite rule: the table's order on panels at most this wide
+GL_ORDER, MAX_PANEL_WIDTH = _NODES.size, 0.1
 
 
 @functools.lru_cache(maxsize=RULE_TABLES)

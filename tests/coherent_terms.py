@@ -13,13 +13,15 @@ import math
 
 import numpy as np
 
-from catforge.config import DEGENERATE_NORM
 from catforge.cv_core import coherent_overlap
 from catforge.errors import DegenerateState
 from catforge.protocol import separations
 
 # terms whose amplitudes agree this closely merge
 COALESCE_TOL = 1e-12
+
+# a state whose Gram norm is below this is treated as fully cancelled
+DEGENERATE_NORM = 1e-14
 
 
 def coalesce(terms):
@@ -52,7 +54,7 @@ def inner(a, b):
 
 def norm(s):
     """Gram norm sqrt(<s|s>); raises DegenerateState below DEGENERATE_NORM,
-    as the package refuses a conditioned state."""
+    where the Gram sum has cancelled past trust."""
     n2 = inner(s, s).real
     if n2 < DEGENERATE_NORM ** 2:
         raise DegenerateState(f"superposition norm^2 = {n2:.3e} below floor")

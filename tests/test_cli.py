@@ -614,11 +614,19 @@ class TestWigner:
             w0 = float(at_origin[0].split(",")[2])
             assert w0 == pytest.approx(2.0 / math.pi, abs=1e-12)
 
-    def test_degenerate_cat_rejected(self, capsys):
-        code, _, err = run(capsys, "wigner", "--alpha0", "1", "--phi", "0",
-                           "--state", "cat")
-        assert code == 2
-        assert "error:" in err
+    def test_zero_separation_cat_is_the_vacuum(self, capsys):
+        code, out, err = run(capsys, "wigner", "--alpha0", "1", "--phi", "0",
+                             "--state", "cat", "--points", "3")
+        assert (code, err) == (0, "")
+        # the vacuum (2/pi) e^{-2 |gamma|^2} on the default extent s + 5 = 5
+        axis = [-5.0, 0.0, 5.0]
+        w = protocol.cat_wigner(0.0, axis, axis)
+        assert out == "x,y,w\n" + render(
+            (x, y, w[i, j]) for i, x in enumerate(axis)
+            for j, y in enumerate(axis))
+        assert "0,0,0.63661977236758138\n" in out
+        assert w == pytest.approx(2.0 / math.pi * np.exp(
+            -2.0 * np.add.outer(np.square(axis), np.square(axis))), abs=1e-16)
         for points in ("1", "0", "-3", "2002"):
             code, out, err = run(capsys, "wigner", "--alpha0", "1",
                                  "--phi", "0.5", "--points", points)
@@ -843,7 +851,6 @@ def test_malformed_list_names_its_flag(capsys, flag, argv):
      "--half-extent"),
     (("wigner", "--alpha0", "1", "--phi", "0.5", "--half-extent", "1e307"),
      "--half-extent"),
-    (("wigner", "--alpha0", "1", "--phi", "0", "--state", "cat"), "separation"),
 ])
 def test_rejected_grid_writes_nothing(capsys, tmp_path, argv, names):
     path = tmp_path / "out.csv"

@@ -374,4 +374,5 @@ class TestRouteIndependence:
         assert not [n for m, n in imports if m == "fock_oracle"]
 
     def test_quadrature_rule_is_neutral(self):
-        assert {m for m, _ in package_imports(quadrature)} == {"config"}
+        # the rule holds its own order and panel width: no tolerance either
+        assert {m for m, _ in package_imports(quadrature)} <= {"errors"}

@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 
 import mp_reference
-from catforge import cv_core, quadrature
-from catforge.config import GL_ORDER
+from catforge import cv_core, fock_oracle, quadrature
 from catforge.cv_core import HomodyneWindow, coherent_overlap, quadrature_overlap
-from catforge.errors import CatforgeError, DegenerateState, DomainError
+from catforge.errors import (CatforgeError, DegenerateState, DomainError,
+                             GridTooLarge, TruncationTooLarge)
+from catforge.optimize_sweep import GridSpec
 from catforge.protocol import cat_wigner
+from catforge.quadrature import GL_ORDER
 from coherent_terms import (coalesce, coherent, even_cat, inner, norm,
                             normalize, vacuum, wigner_point)
 
@@ -416,8 +418,7 @@ class TestGaussLegendre:
     @staticmethod
     def linspace_rule(a, b):
         """Nodes and weights on the panels of np.linspace(a, b, panels + 1)."""
-        from catforge.config import MAX_PANEL_WIDTH
-        from catforge.quadrature import _NODES, _WEIGHTS
+        from catforge.quadrature import _NODES, _WEIGHTS, MAX_PANEL_WIDTH
         edges = np.linspace(a, b, math.ceil((b - a) / MAX_PANEL_WIDTH) + 1)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * (edges[1:] - edges[:-1])
@@ -528,6 +529,8 @@ class TestBaseRule:
     against the exact rule; _NODES and _WEIGHTS mirror it."""
 
     def test_table_has_gl_order_points(self):
+        # the order leggauss(16) gave, as the rule derives it from the table
+        assert GL_ORDER == 16
         assert 2 * len(quadrature._HALF_NODES) == GL_ORDER
         assert 2 * len(quadrature._HALF_WEIGHTS) == GL_ORDER
         assert all(v.shape == (GL_ORDER,)
@@ -592,7 +595,8 @@ def test_exports_resolve_and_leave_out_the_coherent_term_algebra():
     gone = {"CoherentSuperposition", "coherent", "even_cat", "gram",
             "ideal_cat", "source_state", "superposition_inner",
             "superposition_norm", "vacuum", "wigner_grid", "wigner_point",
-            "_coalesce", "_finite", "COALESCE_TOL", "NORM_TOL"}
+            "_coalesce", "_finite", "COALESCE_TOL", "NORM_TOL",
+            "DEGENERATE_NORM", "CAT_SEPARATION_FLOOR", "GL_ORDER"}
     for module in (catforge, cv_core, protocol, config):
         assert not gone & set(vars(module)), module.__name__
     # the overlaps stay in cv_core for the window reference, unexported
@@ -617,3 +621,15 @@ def test_domain_error_is_a_value_error():
     # library callers that catch ValueError for a refused input keep working
     assert issubclass(DomainError, CatforgeError)
     assert issubclass(DomainError, ValueError)
+
+
+@pytest.mark.parametrize("refused, error", [
+    (lambda: GridSpec(alpha0_steps=5000), GridTooLarge),
+    (lambda: fock_oracle.apply_beam_splitter(np.ones(2049)), TruncationTooLarge),
+    (lambda: fock_oracle.choose_truncation(41.0), TruncationTooLarge),
+], ids=["GridSpec", "apply_beam_splitter", "choose_truncation"])
+def test_cap_refusals_are_value_errors(refused, error):
+    # a cap refuses an input as DomainError does, so ValueError catches it
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert type(info.value) is error

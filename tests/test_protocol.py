@@ -19,8 +19,8 @@ from catforge.config import ZERO_DENSITY
 from catforge.crosscheck import oracle_pipeline
 from catforge.cv_core import (PI_QUARTER_INV, HomodyneWindow, coherent_overlap,
                               quadrature_overlap)
-from catforge.errors import (CatforgeError, DegenerateState, DomainError,
-                             TruncationTooLarge, ZeroProbability)
+from catforge.errors import (CatforgeError, DomainError, TruncationTooLarge,
+                             ZeroProbability)
 from catforge.optimize_sweep import find_min_alpha
 from catforge.quadrature import gauss_legendre
 from catforge.protocol import (ProtocolParams, cat_wigner, coefficient_ratio,
@@ -215,7 +215,7 @@ def cat_half_separation(p):
 
 
 class TestIdealCat:
-    """The reference's cat terms, and the refusal of cat_wigner."""
+    """The reference's cat terms, and the domain of cat_wigner."""
 
     def test_branch_amplitudes(self):
         cat = ideal_cat(ProtocolParams(SQRT2, math.pi))
@@ -228,15 +228,24 @@ class TestIdealCat:
         assert cat[0][1] == 0.0
         assert abs(inner(cat, vacuum())) == pytest.approx(1.0, abs=1e-12)
 
-    def test_require_cat_raises_when_degenerate(self):
-        # a separation 2 s at or below 1e-12 leaves no cat to draw
+    def test_cat_from_the_vacuum_to_1e306(self):
+        # s = 0 is the vacuum, (2/pi) e^{-2 |gamma|^2} (TestCatWigner takes
+        # tiny s); up to 1e306 every pair phase, at most 112 s, is finite,
+        # and past it, as for a negative s or nan, the cat is refused
+        q, y = np.meshgrid(AXIS, AXIS, indexing="ij")
+        vacuum_w = 2.0 / math.pi * np.exp(-2.0 * (q * q + y * y))
         for p in (ProtocolParams(1.0, 0.0), ProtocolParams(0.0, 0.5)):
-            with pytest.raises(DegenerateState, match="too small to form a cat"):
-                cat_wigner(cat_half_separation(p), AXIS, AXIS)
-        with pytest.raises(DegenerateState, match="separation 1.000e-12 "):
-            cat_wigner(0.5e-12, AXIS, AXIS)
-        assert cat_wigner(math.nextafter(0.5e-12, 1.0), [0.0], [0.0])[0, 0] \
-            == pytest.approx(2.0 / math.pi, abs=1e-15)
+            got = cat_wigner(cat_half_separation(p), AXIS, AXIS)
+            assert np.max(np.abs(got - vacuum_w)) <= 1e-16
+        edge = [-1e306, -1e306 + 28.0, 0.0, 28.0, 1e306]
+        got = cat_wigner(1e306, edge, edge)
+        assert np.all(np.isfinite(got))
+        assert got[2, 2] == got[0, 2] * 2.0 == pytest.approx(2.0 / math.pi)
+        for s in (math.nan, math.inf, -math.inf, -1.0,
+                  math.nextafter(1e306, 2e306)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"cat half-separation must lie in [0, 1e306], got {s}")):
+                cat_wigner(s, AXIS, AXIS)
 
     def test_matches_even_cat_helper(self):
         # alpha0 = 1, phi = pi/2 puts the branches exactly at +-1
@@ -569,13 +578,15 @@ class TestConditionalState:
 
 class TestCatWigner:
     """cat_wigner against the 80-digit pair sum on both sides of
-    _plane_wigner's switch at s^2 = 1, and next to its refusal at 2 s = 1e-12,
-    where the pair sum would cancel in doubles."""
+    _plane_wigner's switch at s^2 = 1, and at separations of 1e-12 and
+    below, where the pair sum would cancel in doubles."""
 
     TOL = 4 * 2.0 ** -52  # a few ulps of the peak W(0) = 2/pi
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, math.nextafter(0.5e-12, 1.0)],
-                             ids=["s2=0.25", "s2=1", "s2=4", "floor"])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, math.nextafter(0.5e-12, 1.0),
+                                   0.5e-12, 1e-13],
+                             ids=["s2=0.25", "s2=1", "s2=4", "floor", "s=5e-13",
+                                  "s=1e-13"])
     def test_against_high_precision(self, s):
         got = cat_wigner(s, AXIS, AXIS)
         want = mp_reference.cat_wigner(s, AXIS, AXIS)
@@ -847,13 +858,24 @@ class TestOneGramPerState:
         with pytest.raises(ZeroProbability, match="density 0.000e"):
             kept_wigner(p, 60.0, AXIS, AXIS)
 
-    def test_degenerate_floor_between_the_two_floors(self):
-        # density e^-x^2 / sqrt(pi) of the dark source lands in [1e-30, 1e-28)
-        p, x = ProtocolParams(0.0, 0.5), 8.136
-        assert ZERO_DENSITY <= homodyne_density(p, x) < 1e-28
-        with pytest.raises(DegenerateState):
-            kept_wigner(p, x, AXIS, AXIS)
-        self.check_point(p, x)
+    def test_density_near_the_floor_against_80_digits(self):
+        # densities in [1e-30, 1e-28), e^-x^2 / sqrt(pi) for the dark source:
+        # the two coordinates cancel nothing there, so report and kept_wigner
+        # answer down to ZERO_DENSITY, and below it refuse
+        for alpha0, phi, x in ((0.0, 0.5, 8.136), (1.0, 0.5, 8.4)):
+            p, ref = ProtocolParams(alpha0, phi), Conditioning(alpha0, phi)
+            r = report(p, x)
+            assert ZERO_DENSITY <= r.density_at_x < 1e-28
+            assert rel(r.density_at_x, ref.density(x)) <= 1e-14
+            assert rel(r.ratio, ref.ratio(x)) <= 1e-14
+            assert rel(r.cat_coeff, ref.coefficients(x)[1]) <= 1e-14
+            got = kept_wigner(p, x, AXIS, AXIS)
+            assert np.max(np.abs(got - ref.wigner(x, AXIS, AXIS))) <= 1e-15
+        p, x = ProtocolParams(0.0, 0.5), 8.4
+        assert homodyne_density(p, x) < ZERO_DENSITY
+        for fn, args in ((report, ()), (kept_wigner, (AXIS, AXIS))):
+            with pytest.raises(ZeroProbability, match="below floor"):
+                fn(p, x, *args)
 
     def test_window_metrics(self):
         rng = np.random.default_rng(91)

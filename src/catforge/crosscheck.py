@@ -13,10 +13,13 @@ reduction: the windowed density matrix is never formed.  The Hermite rows
 at those fixed nodes are built once per process for each power-of-two
 size and kept read-only (about 2.8 MB for every size up to the beam
 splitter's limit); a point projects on the first dim columns of the
-smallest table that has them.
+smallest table that has them.  Beside them the first HEAD_BLOCKS blocks
+of the beam splitter are built once per process and kept read-only as
+well (0.5 MB), so a point's recursion starts where they end.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +48,10 @@ _WINDOW_NAMES = tuple((f"window_prob@eps={w.half_width:g}",
 _WINDOW_TABLE = tuple(((w.lo, w.hi),) for w in WINDOWS)
 # size -> read-only Hermite rows at the oracle's nodes (see _hermite_table)
 _TABLES = {}
+# blocks R_S, S < HEAD_BLOCKS, of fock_oracle.bs_head, kept by _bs_head:
+# every block of a dimension up to 49, in 0.5 MB (a head's memory grows as
+# the cube of its length)
+HEAD_BLOCKS = 49
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,17 @@ def oracle_pipeline(p):
     raw = (fock_oracle.coherent_fock(1j * p.alpha0 * half, dim)
            + fock_oracle.coherent_fock(1j * p.alpha0 * half.conjugate(), dim))
     raw_norm2 = float(np.vdot(raw, raw).real)
-    out = fock_oracle.apply_beam_splitter(raw / math.sqrt(raw_norm2))
+    out = fock_oracle.apply_beam_splitter(raw / math.sqrt(raw_norm2),
+                                          _bs_head())
     return out, dim, raw_norm2
+
+
+@functools.cache
+def _bs_head():
+    """The read-only fock_oracle.bs_head(HEAD_BLOCKS), built on its first
+    use, not at import, and kept for the process: the blocks depend on
+    their total photon number alone, so every point shares them."""
+    return fock_oracle.bs_head(HEAD_BLOCKS)
 
 
 def _hermite_table(dim, xs):
@@ -211,11 +227,16 @@ def crosscheck_point(p):
 
 
 def crosscheck_grid(alpha0s=GRID_ALPHA0, phis=GRID_PHI):
-    """Run crosscheck_point over the grid; returns (max_dev, worst, all_devs)."""
-    all_devs = []
+    """Run crosscheck_point over the grid; returns (max_dev, worst, all_devs).
+
+    Every point's parameters and Fock dimension are checked before the
+    first point runs, so a refused point costs no oracle work."""
+    points = []
     for phi, alpha0 in itertools.product(phis, alpha0s):
-        all_devs.extend(crosscheck_point(protocol.ProtocolParams(alpha0, phi)))
-    if not all_devs:
+        points.append(protocol.ProtocolParams(alpha0, phi))
+        fock_oracle.choose_truncation(SQRT2 * points[-1].alpha0)
+    if not points:
         raise DomainError("the cross-check grid needs at least one alpha0 and one phi")
+    all_devs = [d for p in points for d in crosscheck_point(p)]
     worst = max(all_devs, key=lambda d: d.value)
     return worst.value, worst, all_devs

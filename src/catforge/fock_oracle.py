@@ -8,13 +8,14 @@ contiguous adds of unit weight (see _bs_blocks; the blocks match exact
 integer arithmetic to 3.9e-16), and quadrature projections use the
 normalized Hermite function recurrence.  It knows no quadrature rule and
 no tolerance and keeps no state: its callers choose the x values, hold
-their Hermite rows and reduce the projected rows.  Agreement between the
-two routes is what validates the closed forms.
+their Hermite rows and the head of the blocks (bs_head), and reduce the
+projected rows.  Agreement between the two routes is what validates the
+closed forms.
 
 A single-mode pure state is a 1D complex ndarray of Fock amplitudes; a
 two-mode pure state is a 2D array amps[n, m] with n indexing the measured
 mode and m the output mode.  The beam splitter's contract is the source
-pair: apply_beam_splitter(src) is U (src (x) src) on the triangle
+pair: apply_beam_splitter(src, head) is U (src (x) src) on the triangle
 n + m < dim, the truncation by total photon number, a rule kept here alone.
 There U is exactly unitary; past it the output is zero, and so is every odd
 kept count m, since the pair is symmetric under the swap of its modes.  The
@@ -158,19 +159,22 @@ def _bs_scales(dim):
     return w_in, np.where(upper, w, w.T)
 
 
-def _bs_blocks(dim):
+def _bs_blocks(dim, head):
     """Photon-number blocks of the balanced beam splitter, one per total S,
     as their rows p <= S/2 with the halvings deferred.
 
     Builds R_S = 2^(S mod 8) T_S[:S//2 + 1] for S = 0 .. dim - 1, the
     blocks of the triangle n + m < dim: U_S = diag(w_S) T_S diag(w_S),
     w_S[p] = w[p, S-p] of _bs_scales, where U_S[p, m] is
-    <p, S-p| U |m, S-m>.  They go into a ring of slots, a (ring, rows,
-    dim + 1) array, R_S[p, m] at slots[(S - 1) % ring, p + 1, m + 1], and
-    a group is yielded as (s0, s1, slots) once R_s0 .. R_{s1-1} are built;
-    they stay until the next yield.  The groups are [0, 1), then ring
-    steps each: ring is the number of slots that fit in _RING_BYTES, at
-    least 2 and at most 16.  Nothing is kept across calls.
+    <p, S-p| U |m, S-m>.  A block depends on S alone, not on dim, so the
+    first ones come from head, bs_head(k)'s R_S for S < k, and the
+    recursion resumes from a copy of its last block.  The groups are
+    yielded as (s0, s1, slots), R_S at slots[S - s0, p + 1, m + 1] for
+    s0 <= S < s1, each valid until the next yield: first [0, min(k, dim))
+    with head itself as the slots, then ring steps each in a ring of
+    slots, a (ring, rows, dim + 1) array: ring is the number of slots that
+    fit in _RING_BYTES, at least 2 and at most 16.  Nothing is kept across
+    calls.
 
     The creation operators map a^dag -> (c^dag + d^dag)/sqrt2 and
     b^dag -> (c^dag - d^dag)/sqrt2.  Writing |m, S-m> as
@@ -208,6 +212,10 @@ def _bs_blocks(dim):
     of the step before, stays 2^3 below the float range.  Subnormal entries
     of T_S lose at most 2^(S/2 - 1075) once scaled.
     """
+    top = min(len(head), dim)
+    yield 0, top, head
+    if top == dim:
+        return
     r = dim + 1
     rows = (dim + 1) // 2 + 1  # a zero row and rows 0 .. (dim - 1) // 2
     ring = min(max(_RING_BYTES // (8 * rows * r), 2), 16)
@@ -215,9 +223,9 @@ def _bs_blocks(dim):
     alt = np.ones((2, dim))  # (-1)^(h+1+m) at alt[h % 2, m]
     alt[0, ::2] = alt[1, 1::2] = -1.0
     old = slots[-1]
-    old[r + 1] = 1.0
-    yield 0, 1, slots.reshape(ring, rows, r)
-    for s0 in range(1, dim, ring):
+    last = head[top - 1]
+    old.reshape(rows, r)[:last.shape[0], :last.shape[1]] = last
+    for s0 in range(top, dim, ring):
         s1 = min(s0 + ring, dim)
         for s, new in zip(range(s0, s1), slots):
             h = s // 2
@@ -235,7 +243,29 @@ def _bs_blocks(dim):
         yield s0, s1, slots.reshape(ring, rows, r)
 
 
-def apply_beam_splitter(src):
+def bs_head(k):
+    """The first k blocks of _bs_blocks, R_S for S < k, as one read-only
+    (k, (k + 1) // 2 + 1, k + 1) array in its slot layout at dim k.
+
+    R_S[p, m] for p <= S/2 is at head[S, p + 1, m + 1], and every entry
+    past row (S + 1) // 2 is zero (an odd S may hold its row (S + 1) / 2,
+    which the next step mirrors in).  bs_head(1) holds R_0 = [[1]], the
+    recursion's start; a longer head is that recursion run to S = k - 1.
+    A block depends on S alone, so one head serves apply_beam_splitter at
+    every dimension.  Each call builds a new head; the caller keeps it.
+    """
+    if not 1 <= k <= MAX_TOTAL_PHOTONS + 1:
+        raise DomainError(f"a head holds R_S for S < k, 1 <= k <= "
+                          f"{MAX_TOTAL_PHOTONS + 1}, got k = {k}")
+    head = np.zeros((k, (k + 1) // 2 + 1, k + 1))
+    head[0, 1, 1] = 1.0
+    for s0, s1, slots in _bs_blocks(k, head[:1]):
+        head[s0:s1] = slots[:s1 - s0]
+    head.flags.writeable = False
+    return head
+
+
+def apply_beam_splitter(src, head):
     """U (src (x) src): the beam splitter on the pair of a single-mode
     source of dim Fock amplitudes, kept on the triangle n + m < dim, which
     it maps onto itself exactly unitarily.
@@ -250,13 +280,21 @@ def apply_beam_splitter(src):
     A source wider than MAX_TOTAL_PHOTONS + 1 raises TruncationTooLarge
     before any block is built.
 
+    head is a bs_head(k), as the caller keeps it: the products for
+    S < min(k, dim) read it, and the recursion resumes from its last block
+    for S >= k, so the output is the same bits for every k.  bs_head(1)
+    builds every block afresh; bs_head(49), which crosscheck keeps (0.5 MB
+    beside its 2.8 MB of Hermite tables), spares every point its first 48
+    steps.
+
     The scales of _bs_scales multiply the pair once before the blocks and
     the output once after.  An anti-diagonal n + m = S is a view of step
     dim - 1 of the flattened state, as (re, im) float pairs; the blocks of
     one parity of S in a group of _bs_blocks make one stacked real matrix
     product, each padded to the group's largest.  The padding reads pair
-    entries below the diagonal, where w_in is zero, and writes zeros past
-    p = S, which land on n + m >= dim.
+    entries below the diagonal, where w_in is zero, and past S, against
+    zero rows of the block, and writes zeros past p = S, which land on
+    n + m >= dim.
     """
     src = np.ascontiguousarray(src, dtype=complex)
     if src.ndim != 1 or not src.size:
@@ -267,13 +305,18 @@ def apply_beam_splitter(src):
         raise TruncationTooLarge(
             f"source of dimension {dim} reaches total photon number "
             f"{dim - 1}, above the limit {MAX_TOTAL_PHOTONS}")
+    head = np.ascontiguousarray(head, dtype=float)
+    if (head.ndim != 3 or not len(head)
+            or head.shape[1:] != ((len(head) + 1) // 2 + 1, len(head) + 1)):
+        raise DimensionMismatch("head must have shape (k, (k + 1) // 2 + 1, "
+                                f"k + 1), k >= 1, got shape {head.shape}")
     w_in, w_out = _bs_scales(dim)
     pair = np.multiply.outer(src, src)
     pair *= w_in
     out = np.zeros((dim, dim), dtype=complex)
     step = 16 * (dim - 1)  # bytes between the entries of an anti-diagonal
-    for s0, s1, slots in _bs_blocks(dim):
-        ring, rows, r = slots.shape
+    for s0, s1, slots in _bs_blocks(dim, head):
+        _, rows, r = slots.shape
         for first in range(s0, min(s0 + 2, s1)):
             odd = first % 2
             # S = first, first + 2, ... < s1, padded to h + 1 of the last
@@ -283,7 +326,7 @@ def apply_beam_splitter(src):
             # blocks[i, j, k] = R_S[k, p], p = odd + 2 j, S - p even
             blocks = np.ndarray(
                 (count, size, size), float, slots,
-                8 * (((first - 1) % ring * rows + 1) * r + 1 + odd),
+                8 * (((first - s0) * rows + 1) * r + 1 + odd),
                 (16 * rows * r, 16, 8 * r))
             np.matmul(blocks, np.ndarray(shape, float, pair, 16 * first,
                                          (32, step, 8)),

@@ -312,9 +312,12 @@ def _plane_wigner(alpha, t, s, s2, dens, re_vals, im_vals):
         d = np.array([aj - ai for ai in a for aj in a])[:, None]
         fx = _pair_factor(np.asarray(re_vals, dtype=float), m, 0.0)
         fy = _pair_factor(np.asarray(im_vals, dtype=float), 0.0, -2.0 * d)
-        # einsum, not @: after a first BLAS product the pure-Python sweep ran
-        # 30-50% slower in the same process (one BLAS thread, 2-core Xeon
-        # under KVM)
+        # einsum, not @: @ sums in another order and moves output bytes.
+        # (A first BLAS product once slowed the process's later pure-Python
+        # math: a per-cell Python sweep ran 1.2-2.5x slower after it.  No
+        # caller today shows that: sweep_ratio, report and the window
+        # reference read 0.92-1.02x, medians of 4 fresh processes, one BLAS
+        # thread, 2-core Xeon under KVM.)
         return (2.0 / math.pi) * np.einsum("pi,pj->ij", c[:, None] * fx, fy).real
     re, im, em1 = alpha.real, alpha.imag, -math.expm1(-s2)
     # past |q| = 40 the Gaussian is 0, and the bound keeps cosh(2 s q) finite

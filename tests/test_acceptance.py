@@ -25,8 +25,8 @@ import numpy as np
 
 from catforge.crosscheck import oracle_conditioning, oracle_pipeline
 from catforge.cv_core import PI_QUARTER_INV
-from catforge.fock_oracle import (apply_beam_splitter, project_quadrature,
-                                  quadrature_eigvec)
+from catforge.fock_oracle import (apply_beam_splitter, bs_head,
+                                  project_quadrature, quadrature_eigvec)
 from catforge.optimize_sweep import GridSpec, sweep_ratio, window_tradeoff
 from catforge.protocol import (ProtocolParams, cat_wigner,
                                coefficient_ratio, coefficient_ratio_second_order,
@@ -192,7 +192,7 @@ def test_criterion_09():
     for _ in range(5):
         x, y, u, v = rng.uniform(-1.2, 1.2, 4)
         src, want = coherent_source((complex(x, y), complex(u, v)), dim)
-        out = apply_beam_splitter(src)
+        out = apply_beam_splitter(src, bs_head(1))
         worst_map = max(worst_map, float(np.linalg.norm(out - want)))
     worst_unitary = 0.0
     for s, mat in enumerate(bs_blocks(dim)):

@@ -813,6 +813,17 @@ class TestValidate:
         assert err == ("error: requested Fock dimension 2245 exceeds the beam "
                        "splitter's limit 2048 (total photon number 2047)\n")
 
+    def test_limit_refused_before_any_point_runs(self, capsys, monkeypatch):
+        # alpha0 = 28.4 is dimension 2035, within the limit, and 30 is past
+        # it: the refusal comes before the first point's oracle work
+        calls = []
+        monkeypatch.setattr(crosscheck, "oracle_pipeline", calls.append)
+        code, out, err = run(capsys, "validate", "--alpha0-values", "28.4,30",
+                             "--phi-values", "0.3")
+        assert (code, out, calls) == (2, "", [])
+        assert err == ("error: requested Fock dimension 2245 exceeds the beam "
+                       "splitter's limit 2048 (total photon number 2047)\n")
+
     def test_dimension_past_the_float_range_says_so(self, capsys):
         code, out, err = run(capsys, "validate", "--alpha0-values", "1.3e154",
                              "--phi-values", "0.3")

@@ -1,9 +1,11 @@
 """Tests for the analytic-vs-Fock validation layer."""
 
 import ast
+import functools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,7 +19,8 @@ from catforge.crosscheck import (DENSITY_SAMPLES, GRID_ALPHA0, GRID_PHI,
 from catforge import crosscheck, fock_oracle, protocol, quadrature
 from catforge.config import CROSSCHECK_TOL
 from catforge.cv_core import HomodyneWindow
-from catforge.errors import DegenerateState, DomainError, ZeroProbability
+from catforge.errors import (DegenerateState, DomainError, TruncationTooLarge,
+                             ZeroProbability)
 from catforge.protocol import ProtocolParams, window_metrics
 
 
@@ -221,14 +224,16 @@ class TestHermiteTable:
         assert sorted(crosscheck._TABLES) == [32, 64]
 
     def test_import_builds_no_table(self):
-        # a process that never runs the oracle builds no table and no rule
+        # a process that never runs the oracle builds no table, no rule and
+        # no head of the beam splitter's blocks
         src = pathlib.Path(crosscheck.__file__).resolve().parents[1]
         code = ("import catforge.cli, catforge.crosscheck as c; "
-                "print(len(c._TABLES), c.gauss_legendre.cache_info().currsize)")
+                "print(len(c._TABLES), c.gauss_legendre.cache_info().currsize, "
+                "c._bs_head.cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(src)},
                               check=False)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 0 0\n", "")
 
     @pytest.mark.parametrize("phi", GRID_PHI)
     @pytest.mark.parametrize("alpha0", GRID_ALPHA0)
@@ -239,6 +244,37 @@ class TestHermiteTable:
         got = crosscheck_point(p)
         fresh_rows(monkeypatch)
         assert crosscheck_point(p) == got
+
+
+class TestHead:
+    def test_one_head_per_process(self, monkeypatch):
+        # dims 28, 48, 50, 57 and 81: one head of HEAD_BLOCKS blocks serves
+        # them all, read-only
+        monkeypatch.setattr(crosscheck, "_bs_head",
+                            functools.cache(crosscheck._bs_head.__wrapped__))
+        build = fock_oracle.bs_head
+        ks = []
+
+        def spy(k):
+            ks.append(k)
+            return build(k)
+
+        monkeypatch.setattr(fock_oracle, "bs_head", spy)
+        for alpha0 in (0.5, 1.6, 1.7, 2.0, 3.0):
+            oracle_pipeline(ProtocolParams(alpha0, 0.3))
+        assert ks == [crosscheck.HEAD_BLOCKS] == [49]
+        head = crosscheck._bs_head()
+        assert head.shape == (49, 26, 50)
+        assert not head.flags.writeable
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.6, 1.7, 3.0])
+    def test_pipeline_is_the_build_from_the_start(self, monkeypatch, alpha0):
+        # the held head gives the bits of the recursion run from R_0
+        p = ProtocolParams(alpha0, 0.3)
+        out = oracle_pipeline(p)[0]
+        monkeypatch.setattr(crosscheck, "_bs_head",
+                            lambda: fock_oracle.bs_head(1))
+        assert np.array_equal(oracle_pipeline(p)[0], out)
 
 
 class TestPointChecks:
@@ -336,6 +372,23 @@ class TestGrid:
         _, _, devs = crosscheck_grid(**grid)
         assert len(want) == 48
         assert devs == want
+
+    @pytest.mark.parametrize("alpha0s, phis, error, message", [
+        ([1.0, 30.0], [0.3], TruncationTooLarge, "Fock dimension 2245"),
+        ([28.4, 30.0], [0.3], TruncationTooLarge, "Fock dimension 2245"),
+        ([1.0], [0.3, math.inf], DomainError, "parameters must be finite"),
+        ([1.0, -1.0], [0.3], DomainError, "alpha0 must be >= 0"),
+        ([1.0, 1e200], [0.3], DomainError, "alpha0^2 overflows"),
+    ])
+    def test_refused_point_runs_no_oracle(self, monkeypatch, alpha0s, phis,
+                                          error, message):
+        # every point is checked before the first runs: a refusal after a
+        # point that passes costs no oracle work
+        calls = []
+        monkeypatch.setattr(crosscheck, "oracle_pipeline", calls.append)
+        with pytest.raises(error, match=re.escape(message)):
+            crosscheck_grid(alpha0s=alpha0s, phis=phis)
+        assert calls == []
 
     @pytest.mark.parametrize("alpha0s, phis", [([], [0.1]), ([1.0], []), ([], [])])
     def test_empty_grid_is_domain_error(self, alpha0s, phis):

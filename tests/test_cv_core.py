@@ -625,7 +625,9 @@ def test_domain_error_is_a_value_error():
 
 @pytest.mark.parametrize("refused, error", [
     (lambda: GridSpec(alpha0_steps=5000), GridTooLarge),
-    (lambda: fock_oracle.apply_beam_splitter(np.ones(2049)), TruncationTooLarge),
+    (lambda: fock_oracle.apply_beam_splitter(np.ones(2049),
+                                             fock_oracle.bs_head(1)),
+     TruncationTooLarge),
     (lambda: fock_oracle.choose_truncation(41.0), TruncationTooLarge),
 ], ids=["GridSpec", "apply_beam_splitter", "choose_truncation"])
 def test_cap_refusals_are_value_errors(refused, error):

@@ -16,12 +16,13 @@ from catforge import cv_core, fock_oracle
 from catforge.config import ZERO_DENSITY
 from catforge.errors import DimensionMismatch, DomainError, TruncationTooLarge
 from catforge.fock_oracle import (MAX_TOTAL_PHOTONS, apply_beam_splitter,
-                                  choose_truncation, coherent_fock,
+                                  bs_head, choose_truncation, coherent_fock,
                                   project_quadrature, quadrature_eigvec)
 from catforge.quadrature import gauss_legendre
 from coherent_terms import even_cat
 
 SQRT2 = math.sqrt(2.0)
+HEAD = bs_head(1)  # R_0 alone: every block from the recursion's start
 
 
 def exact_bs_blocks(dim):
@@ -64,7 +65,7 @@ def half_rows(dim):
     """(S, T_S[:S//2 + 1]) for S = 0 .. dim - 1: the rows that
     fock_oracle._bs_blocks builds, read off each group's slots while they
     hold it, with the deferred halvings 2^(S mod 8) taken out."""
-    for s0, s1, slots in fock_oracle._bs_blocks(dim):
+    for s0, s1, slots in fock_oracle._bs_blocks(dim, HEAD):
         for s in range(s0, s1):
             rows = slots[(s - 1) % len(slots), 1:s // 2 + 2, 1:s + 2]
             yield s, rows * 2.0 ** -(s % 8)
@@ -242,7 +243,7 @@ class TestBeamSplitter:
     def test_vacuum_fixed_point(self):
         src = np.zeros(6, dtype=complex)
         src[0] = 1.0
-        out = apply_beam_splitter(src)
+        out = apply_beam_splitter(src, HEAD)
         assert out[0, 0] == 1.0
         assert np.count_nonzero(out) == 1
 
@@ -251,7 +252,7 @@ class TestBeamSplitter:
         # so the pair |1>|1> leaves as (|2,0> - |0,2>)/sqrt2: no |1,1>
         src = np.zeros(4, dtype=complex)
         src[1] = 1.0
-        out = apply_beam_splitter(src)
+        out = apply_beam_splitter(src, HEAD)
         assert abs(out[2, 0] - 1 / SQRT2) < 1e-15
         assert abs(out[0, 2] + 1 / SQRT2) < 1e-15
         assert np.count_nonzero(out) == 2
@@ -264,25 +265,25 @@ class TestBeamSplitter:
         for _ in range(10):
             a, b = (complex(*v) for v in rng.uniform(-SQRT2, SQRT2, (2, 2)))
             src, want = coherent_source((a, b), dim)
-            assert np.linalg.norm(apply_beam_splitter(src) - want) < 1e-8
+            assert np.linalg.norm(apply_beam_splitter(src, HEAD) - want) < 1e-8
 
     def test_merging_equal_inputs(self):
         dim = 60
         a = 1.2 - 0.4j
-        out = apply_beam_splitter(coherent_fock(a, dim))
+        out = apply_beam_splitter(coherent_fock(a, dim), HEAD)
         want = np.outer(coherent_fock(SQRT2 * a, dim),
                              coherent_fock(0.0, dim))
         assert np.linalg.norm(out - want) < 1e-8
 
     def test_unitary_on_complete_blocks(self):
         src = random_source(40, seed=7)
-        w = apply_beam_splitter(src)
+        w = apply_beam_splitter(src, HEAD)
         assert abs(np.linalg.norm(w) - np.linalg.norm(source_pair(src))) < 1e-12
 
     def test_involution_on_complete_blocks(self):
         # each block is its own inverse: the blocks map the output back
         src = random_source(40, seed=8)
-        w = blockwise_reference(apply_beam_splitter(src))
+        w = blockwise_reference(apply_beam_splitter(src, HEAD))
         assert np.max(np.abs(w - source_pair(src))) < 1e-12
 
     def test_block_orthogonality(self):
@@ -341,23 +342,23 @@ class TestBeamSplitter:
         # the pair is swap-symmetric, so U_S[p, S-k] = (-1)^(S-p) U_S[p, k]
         # leaves kept counts m even only: exactly, not to rounding
         for dim, seed in ((2, 1), (7, 2), (40, 3), (81, 4)):
-            out = apply_beam_splitter(random_source(dim, seed))
+            out = apply_beam_splitter(random_source(dim, seed), HEAD)
             assert not np.any(out[:, 1::2])
         half = complex(math.cos(0.25), math.sin(0.25))
         src, _ = coherent_source((2j * half, 2j * half.conjugate()), 57)
-        assert not np.any(apply_beam_splitter(src)[:, 1::2])
+        assert not np.any(apply_beam_splitter(src, HEAD)[:, 1::2])
 
     @pytest.mark.parametrize("ring", [2, 3, 5])
     def test_output_does_not_depend_on_the_ring(self, monkeypatch, ring):
         # large dimensions keep 2 slots, small ones 16: a group's padded
         # products add exact zeros only, so the output is the same bits
-        want = {dim: apply_beam_splitter(random_source(dim, dim))
+        want = {dim: apply_beam_splitter(random_source(dim, dim), HEAD)
                 for dim in (7, 24, 57)}
         for dim, out in want.items():
             slot = 8 * ((dim + 1) // 2 + 1) * (dim + 1)
             monkeypatch.setattr(fock_oracle, "_RING_BYTES", ring * slot)
-            assert np.array_equal(apply_beam_splitter(random_source(dim, dim)),
-                                  out)
+            assert np.array_equal(
+                apply_beam_splitter(random_source(dim, dim), HEAD), out)
 
     def test_large_dimension_unitary_and_involutory(self):
         dim = 262
@@ -390,7 +391,7 @@ class TestBeamSplitter:
         assert MAX_TOTAL_PHOTONS == 2047
         with pytest.raises(TruncationTooLarge, match="dimension 2049 reaches "
                            "total photon number 2048, above the limit 2047"):
-            apply_beam_splitter(np.zeros(2049, dtype=complex))
+            apply_beam_splitter(np.zeros(2049, dtype=complex), HEAD)
 
     def test_photon_limit_boundary(self, monkeypatch):
         # at a limit L, dimension L + 1 (last block S = L) is admitted and
@@ -402,23 +403,23 @@ class TestBeamSplitter:
         built = []
         all_blocks = fock_oracle._bs_blocks
 
-        def counted(d):
+        def counted(d, head):
             built.append(d)
-            return all_blocks(d)
+            return all_blocks(d, head)
         monkeypatch.setattr(fock_oracle, "_bs_blocks", counted)
-        assert np.max(np.abs(apply_beam_splitter(ok) - want)) <= 1e-14
+        assert np.max(np.abs(apply_beam_splitter(ok, HEAD) - want)) <= 1e-14
         assert built == [limit + 1]
         with pytest.raises(TruncationTooLarge, match="photon number 6, above "
                            "the limit 5"):
-            apply_beam_splitter(random_source(limit + 2, seed=6))
+            apply_beam_splitter(random_source(limit + 2, seed=6), HEAD)
         assert built == [limit + 1]
 
     def test_blocks_streamed_without_cache(self):
         assert inspect.isgeneratorfunction(fock_oracle._bs_blocks)
-        apply_beam_splitter(random_source(30, seed=4))
+        apply_beam_splitter(random_source(30, seed=4), HEAD)
         held = [name for name, value in vars(fock_oracle).items()
                 if not name.startswith("__")
-                and isinstance(value, (dict, list, set))]
+                and isinstance(value, (dict, list, set, np.ndarray))]
         assert held == []
 
     def test_photon_number_conserved(self):
@@ -427,7 +428,7 @@ class TestBeamSplitter:
         total = n1 + n2
         for seed in (1, 2, 3):
             v = source_pair(random_source(dim, seed))
-            w = apply_beam_splitter(random_source(dim, seed))
+            w = apply_beam_splitter(random_source(dim, seed), HEAD)
             before = float(np.sum(total * np.abs(v) ** 2))
             after = float(np.sum(total * np.abs(w) ** 2))
             assert abs(before - after) < 1e-10
@@ -438,13 +439,13 @@ class TestBeamSplitter:
         # it
         src = random_source(dim, seed=dim)
         want = blockwise_reference(source_pair(src))
-        got = apply_beam_splitter(src)
+        got = apply_beam_splitter(src, HEAD)
         assert np.max(np.abs(got - want)) <= 1e-14
         n, m = np.indices(got.shape)
         assert not np.any(got[n + m >= dim])
         # a strided view is read as the array it shows
-        assert np.array_equal(apply_beam_splitter(src[::-1]),
-                              apply_beam_splitter(src[::-1].copy()))
+        assert np.array_equal(apply_beam_splitter(src[::-1], HEAD),
+                              apply_beam_splitter(src[::-1].copy(), HEAD))
 
     @pytest.mark.parametrize("dim", [1, 2, 24, 57])
     @pytest.mark.parametrize("kind", ["triangle", "zero"])
@@ -460,12 +461,12 @@ class TestBeamSplitter:
         built = []
         all_blocks = fock_oracle._bs_blocks
 
-        def counted(d):
-            for s0, s1, slots in all_blocks(d):
+        def counted(d, head):
+            for s0, s1, slots in all_blocks(d, head):
                 built.extend(range(s0, s1))
                 yield s0, s1, slots
         monkeypatch.setattr(fock_oracle, "_bs_blocks", counted)
-        got = apply_beam_splitter(src)
+        got = apply_beam_splitter(src, HEAD)
         assert built == list(range(dim))
         assert np.max(np.abs(got - want)) <= 1e-14
         if kind == "zero":
@@ -483,14 +484,63 @@ class TestBeamSplitter:
                     * np.exp(2j * np.pi * rng.uniform(size=2)))
             for amps in ((a,), (a, b)):
                 src, want = coherent_source(amps, dim)
-                assert np.max(np.abs(apply_beam_splitter(src) - want)) <= 1e-14
+                assert np.max(np.abs(apply_beam_splitter(src, HEAD)
+                                     - want)) <= 1e-14
 
     def test_rejects_nonsquare(self):
         # the source is one mode: a two-mode state, square or not, and the
         # empty source are refused before any block is built
         for shape in ((3, 4), (5, 5), (0,)):
             with pytest.raises(DimensionMismatch, match="non-empty vector"):
-                apply_beam_splitter(np.zeros(shape, dtype=complex))
+                apply_beam_splitter(np.zeros(shape, dtype=complex), HEAD)
+
+
+class TestHead:
+    KS = (1, 2, 17, 49)
+
+    @pytest.mark.parametrize("ring", [2, 3, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 24, 48, 49, 50, 57, 81, 200])
+    def test_output_does_not_depend_on_the_head(self, monkeypatch, dim, ring):
+        # the products read the head for S < k and the recursion resumes
+        # from its last block: the same bits as the build from R_0, under
+        # any ring, the head's own build included
+        src = random_source(dim, dim)
+        want = apply_beam_splitter(src, HEAD)
+        slot = 8 * ((dim + 1) // 2 + 1) * (dim + 1)
+        monkeypatch.setattr(fock_oracle, "_RING_BYTES", ring * slot)
+        for k in self.KS:
+            assert np.array_equal(apply_beam_splitter(src, bs_head(k)), want)
+
+    def test_blocks_are_those_of_the_recursion(self):
+        # head[S] holds R_S's rows p <= S/2 as _bs_blocks builds them, and
+        # zeros past row (S + 1) // 2
+        head = bs_head(49)
+        assert head.shape == (49, 26, 50)
+        for s, rows in half_rows(49):
+            h = s // 2
+            assert np.array_equal(head[s, 1:h + 2, 1:s + 2],
+                                  rows * 2.0 ** (s % 8))
+            assert not np.any(head[s, 0]) and not np.any(head[s, :, 0])
+            assert not np.any(head[s, 1:h + 2, s + 2:])
+            assert not np.any(head[s, (s + 1) // 2 + 2:])
+        assert np.array_equal(HEAD, [[[0.0, 0.0], [0.0, 1.0]]])
+
+    def test_head_is_read_only(self):
+        head = bs_head(17)
+        assert not head.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            head[0, 1, 1] = 0.0
+
+    @pytest.mark.parametrize("k", [0, -1, MAX_TOTAL_PHOTONS + 2])
+    def test_refuses_a_head_outside_the_blocks(self, k):
+        with pytest.raises(DomainError, match="1 <= k <= 2048"):
+            bs_head(k)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 1, 1), (2, 2, 2),
+                                       (3, 2, 4), (1, 2, 2, 1)])
+    def test_rejects_a_head_of_another_layout(self, shape):
+        with pytest.raises(DimensionMismatch, match="head must have shape"):
+            apply_beam_splitter(random_source(5, 1), np.zeros(shape))
 
 
 class TestProjection:
@@ -541,7 +591,7 @@ class TestProjection:
         amps = (0.7 - 0.4j, -0.3 + 0.9j)
         src, _ = coherent_source(amps, dim)
         norm2 = np.linalg.norm(sum(coherent_fock(a, dim) for a in amps)) ** 2
-        out = apply_beam_splitter(src)
+        out = apply_beam_splitter(src, HEAD)
         xs = [-1.3, 0.0, 0.4, 2.2]
         for x, row in zip(xs, project_quadrature(out, quadrature_eigvec(xs, dim))):
             want = sum(cv_core.quadrature_overlap(x, (a + b) / SQRT2)
